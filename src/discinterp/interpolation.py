@@ -304,17 +304,21 @@ class Interpolant:
     # -- evaluation ------------------------------------------------------------
 
     def eval_many(self, z) -> np.ndarray:
-        zb = np.atleast_1d(np.asarray(z, dtype=complex))
-        if len(self.sequence) == 0:
-            out = np.zeros(len(zb), dtype=complex)
-        else:
-            lam = logsumexp_complex(self._term_logs(zb), axis=0)
-            with np.errstate(over="ignore"):
-                out = np.where(np.isneginf(lam.real), 0.0, np.exp(lam))
+        out = self.eval_and_log_P_many(z)[0]
         return out if np.ndim(z) else complex(out[0])
 
     def eval(self, z: complex) -> complex:
         return complex(self.eval_many(z))
+
+    def eval_and_log_P_many(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """(values, log P) at a batch of points from one factor evaluation."""
+        zb = np.atleast_1d(np.asarray(z, dtype=complex))
+        if len(self.sequence) == 0:
+            return np.zeros(len(zb), dtype=complex), np.zeros(len(zb), dtype=complex)
+        parts = self._assemble(zb)
+        lam = logsumexp_complex(parts["L"], axis=0)
+        with np.errstate(over="ignore"):
+            return np.where(np.isneginf(lam.real), 0.0, np.exp(lam)), parts["logP"]
 
     def eval_log_many(self, z) -> np.ndarray:
         zb = np.atleast_1d(np.asarray(z, dtype=complex))

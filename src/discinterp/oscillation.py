@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import products
 from .geometry import DiscSequence
 from .growth import GrowthFunction
 from .interpolation import (
@@ -56,6 +57,8 @@ LN2 = math.log(2.0)
 # 7-point, 6th order central second-derivative stencil
 _FD7 = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+# points per batched residual_report call; zero_count_circle takes as many
+EVAL_BLOCK = 1024
 
 
 class OscillationError(ValueError):
@@ -93,6 +96,8 @@ class OscillationSolution:
 
     def __init__(self, product: CanonicalProduct, gprime: Interpolant,
                  gf: GrowthFunction, C0: float):
+        if gprime.product is not product:
+            raise OscillationError("gprime must be built on this product; residual_report reads P")
         self.product = product
         self.gprime = gprime
         self.gf = gf
@@ -197,30 +202,36 @@ class OscillationSolution:
         if len(zs) < n_samples:
             raise OscillationError("could not place residual sample points")
 
-        residuals = []
-        for z0 in zs:
-            h0, hp0, _, _ = self.gprime.eval_and_derivative_many(np.asarray([z0]))
-            lp = complex(self.product.log_deriv_P_many(z0))
-            lp2 = complex(self.product.log_deriv_prime_many(z0))
-            a0 = -(lp**2 + lp2) - 2.0 * complex(h0[0]) * lp - complex(h0[0]) ** 2 - complex(hp0[0])
-            scale = (abs(h0[0]) + math.sqrt(abs(a0)) + abs(lp)
-                     + math.sqrt(abs(lp2)) + 2.0 / (1.0 - abs(z0)))
-            step = 0.02 / scale
-            if len(nodes):
-                step = min(step, 0.05 * float(np.min(np.abs(nodes - z0))))
-            offsets = np.arange(-3, 4) * step
-            pts = z0 + offsets
-            # straight-segment increments of g, one 32-point panel each
-            seg_ts = 0.5 * (_GL_NODES + 1.0)
-            seg_pts = (z0 + np.outer(offsets, seg_ts)).ravel()
-            seg_vals = self.gprime.eval_many(seg_pts).reshape(7, -1)
-            dg = (seg_vals * (0.5 * _GL_WEIGHTS)[None, :]).sum(axis=1) * offsets
-            f_loc = np.asarray(self.product.P(pts)) * np.exp(dg)
-            fd_second = complex((_FD7 * f_loc).sum() / step**2)
-            numer = abs(fd_second + a0 * f_loc[3])
-            denom = abs(fd_second) + abs(a0) * abs(f_loc[3]) + 1e-300
-            residuals.append(float(numer / denom))
-        return ResidualReport(points=tuple(zs), residuals=tuple(residuals))
+        z0 = np.asarray(zs)
+        h0, hp0, _, _ = self.gprime.eval_and_derivative_many(z0)
+        lp = self.product.log_deriv_P_many(z0)
+        lp2 = self.product.log_deriv_prime_many(z0)
+        a0 = -(lp**2 + lp2) - 2.0 * h0 * lp - h0**2 - hp0
+        scale = (np.abs(h0) + np.sqrt(np.abs(a0)) + np.abs(lp)
+                 + np.sqrt(np.abs(lp2)) + 2.0 / (1.0 - np.abs(z0)))
+        step = 0.02 / scale
+        if len(nodes):
+            step = np.minimum(step, 0.05 * np.abs(nodes[:, None] - z0[None, :]).min(axis=0))
+        # per sample: 7 stencil points, and a 32-point panel from z0 to each for g's increment
+        seg_ts = 0.5 * (_GL_NODES + 1.0)
+        chunk = max(1, EVAL_BLOCK // (7 * (1 + len(seg_ts))))
+        residuals = np.empty(n_samples)
+        for lo in range(0, n_samples, chunk):
+            zc, hc = z0[lo:lo + chunk], step[lo:lo + chunk]
+            offsets = np.arange(-3, 4)[None, :] * hc[:, None]
+            pts = zc[:, None] + offsets
+            seg_pts = zc[:, None, None] + offsets[:, :, None] * seg_ts
+            seg_vals, log_P = self.gprime.eval_and_log_P_many(
+                np.concatenate([pts.ravel(), seg_pts.ravel()]))
+            dg = (seg_vals[pts.size:].reshape(seg_pts.shape)
+                  * (0.5 * _GL_WEIGHTS)).sum(axis=2) * offsets
+            with np.errstate(over="ignore"):
+                f_loc = np.exp(log_P[:pts.size].reshape(pts.shape)) * np.exp(dg)
+            fd_second = (_FD7 * f_loc).sum(axis=1) / hc**2
+            ac, f0 = a0[lo:lo + chunk], f_loc[:, 3]
+            residuals[lo:lo + chunk] = np.abs(fd_second + ac * f0) / (
+                np.abs(fd_second) + np.abs(ac) * np.abs(f0) + 1e-300)
+        return ResidualReport(points=tuple(zs), residuals=tuple(residuals.tolist()))
 
     def zero_count_circle(self, center: complex, radius: float,
                           n_points: int = 1024) -> float:
@@ -431,50 +442,26 @@ class SharpnessSequence:
     def index_cancellation_log_report(self, genus: int, delta: float = 0.5) -> IndexCancellationLogReport:
         """|ln|B_k| + N_k| against sum |A_n|^(s+1), with exact gap logs.
 
-        All points are real, so the reduced product is evaluated in real
-        log arithmetic; the huge twin terms ln(eps) cancel between ln|B_k|
-        and the counting integral.
+        The log-factor kernel takes ln(1 - A) from the exact gap logs, so the
+        huge twin terms ln(eps) survive and cancel between ln|B_k| and the
+        counting integral.
         """
         if genus < 1:
             raise OscillationError("genus must be a positive integer")
         x = self.positions
         om = np.exp(self.log_one_minus)          # 1 - x, exact to double
-        gaps = self.log_gap_matrix()
-        M = len(self)
-        idx, lhs_list, rhs_list, ratio_list = [], [], [], []
-        for k in range(M):
-            D = om + x * om[k]                   # 1 - x_n x_k, no cancellation
-            oms = om * (1.0 + x)                 # 1 - x_n^2
-            A = oms / D
-            log_one_minus_A = np.log(x) + gaps[:, k] - np.log(D)
-            ln_E = np.empty(M)
-            small = np.abs(A) <= 0.5
-            for n in range(M):
-                if n == k:
-                    continue
-                if small[n]:
-                    a, acc, wj = A[n], 0.0, A[n] ** genus
-                    for j in range(genus + 1, genus + 80):
-                        wj *= a
-                        acc += wj / j
-                        if abs(wj) < 1e-25:
-                            break
-                    ln_E[n] = -acc
-                else:
-                    q = sum(A[n] ** j / j for j in range(1, genus + 1))
-                    ln_E[n] = log_one_minus_A[n] + q
-            mask = np.arange(M) != k
-            lnB = float(np.sum(ln_E[mask]))
-            N = self.counting_N_log(k, delta)
-            rhs = float(np.sum(np.abs(A) ** (genus + 1)))
-            idx.append(k)
-            lhs_list.append(abs(lnB + N))
-            rhs_list.append(rhs)
-            ratio_list.append(abs(lnB + N) / rhs)
+        # rows n, columns k: factor n evaluated at node k
+        D = om[:, None] + x[:, None] * om[None, :]   # 1 - x_n x_k, no cancellation
+        A = (om * (1.0 + x))[:, None] / D            # (1 - x_n^2) / D
+        log_one_minus_A = np.log(x)[:, None] + self.log_gap_matrix() - np.log(D)
+        ln_E = products._log_E(A, log_one_minus_A, genus).real
+        np.fill_diagonal(ln_E, 0.0)
+        N = np.array([self.counting_N_log(k, delta) for k in range(len(self))])
+        lhs = np.abs(ln_E.sum(axis=0) + N)
+        rhs = (np.abs(A) ** (genus + 1)).sum(axis=0)
         return IndexCancellationLogReport(
-            indices=tuple(idx), lhs=tuple(lhs_list),
-            rhs=tuple(rhs_list), ratios=tuple(ratio_list),
-        )
+            indices=tuple(range(len(self))), lhs=tuple(lhs.tolist()),
+            rhs=tuple(rhs.tolist()), ratios=tuple((lhs / rhs).tolist()))
 
     def growth_witness(self, eps0: float) -> WitnessReport:
         """Crossing of the forced ln|g'(z_2n)| >= 2^(n rho) - ln 5 lower bound.

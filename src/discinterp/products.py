@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -185,36 +185,43 @@ def _poly_q(A: np.ndarray, s: int) -> np.ndarray:
 
 def log_weierstrass_E(w: complex, s: int) -> LogComplex:
     """Complex log of the primary factor, stable for small and near-1 w."""
-    lam = _log_E(np.asarray([w], dtype=complex), None, s)[0]
-    return LogComplex.from_log(lam)
+    A = np.asarray([w], dtype=complex)
+    return LogComplex.from_log(_log_E(A, _log_one_minus(1.0 - A), s)[0])
 
 
-def _log_E(A: np.ndarray, one_minus_A: Optional[np.ndarray], s: int) -> np.ndarray:
-    """log E(A, s) elementwise as complex log values.
-
-    For |A| <= 1/2 the tail series -sum_{j>s} A^j / j avoids the cancellation
-    between log(1 - A) and the genus polynomial; elsewhere the direct form is
-    used with 1 - A supplied in its node-stable representation when given.
-    """
-    A = np.asarray(A, dtype=complex)
-    if one_minus_A is None:
-        one_minus_A = 1.0 - A
+def _log_one_minus(one_minus_A: np.ndarray) -> np.ndarray:
+    """log(1 - A) from 1 - A; 1 - A = 0 gives -inf, NaN an exact log zero."""
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = np.log(one_minus_A)
-    lam = np.where(np.isnan(lam), complex(LOG_ZERO, 0.0), lam)
-    lam = lam + _poly_q(A, s)
-    small = np.abs(A) <= 0.5
+    return np.where(np.isnan(lam), complex(LOG_ZERO, 0.0), lam)
+
+
+def _log_E(A: np.ndarray, log_one_minus_A: np.ndarray, s: int) -> np.ndarray:
+    """log E(A, s) elementwise as complex log values.
+
+    For |A| <= 1/2 the value is the tail -sum_{j>s} A^j / j, run by Horner on
+    those cells only to a degree fixed by the largest |A| among them; this
+    avoids the cancellation between log(1 - A) and the genus polynomial q.
+    The other cells use the direct form log(1 - A) + q(A), with log(1 - A)
+    supplied by the caller from a node-stable 1 - A or from exact gap logs.
+    """
+    A = np.asarray(A, dtype=complex)
+    abs_A = np.abs(A)
+    small = abs_A <= 0.5
+    lam = np.empty_like(A)
+    if not small.all():
+        big = ~small
+        lam[big] = np.asarray(log_one_minus_A, dtype=complex)[big] + _poly_q(A[big], s)
     if small.any():
-        As = np.where(small, A, 0.0)
-        wj = As ** (s + 1)
-        acc = wj / (s + 1)
-        for j in range(s + 2, s + 90):
-            wj = wj * As
-            term = wj / j
-            acc = acc + term
-            if float(np.max(np.abs(term))) < 1e-24:
-                break
-        lam = np.where(small, -acc, lam)
+        As = A[small]
+        a_max = float(abs_A[small].max())
+        # stop once the next term is below 1e-24 times the first; at most 89 terms
+        extra = 0 if a_max == 0.0 else math.ceil(math.log(1e-24) / math.log(a_max))
+        top = s + 1 + min(extra, 88)
+        poly = np.full_like(As, 1.0 / top)
+        for j in range(top - 1, s, -1):
+            poly = poly * As + 1.0 / j
+        lam[small] = -(As ** (s + 1)) * poly
     return lam
 
 
@@ -235,8 +242,9 @@ class CanonicalProduct:
         zn = sequence.values
         self._zn = zn
         self._zn_conj = np.conj(zn)
-        # computed through the same complex product as the factor denominator
-        # so that A_k(z_k) is exactly 1 in floating point
+        # computed through the same complex product as the factor denominator,
+        # yet near the boundary A_k(z_k) is off from 1 by rounding (D carries
+        # it in its imaginary part), which large exponents s_k amplify
         self._oms = (1.0 - self._zn_conj * zn).real
         self.tail_sum = float(np.sum((1.0 - sequence.moduli) ** (self.genus + 1)))
 
@@ -264,17 +272,18 @@ class CanonicalProduct:
 
     # -- batched internals ---------------------------------------------------
 
-    def _factors(self, z: np.ndarray):
-        """Per-factor data at a batch of points.
-
-        Returns (lam, A, one_minus_A, D) with shape (n_nodes, n_points);
-        lam is the complex log of each primary factor.
-        """
+    def _geometry(self, z: np.ndarray):
+        """(A, one_minus_A, D) at a batch of points, shape (n_nodes, n_points)."""
         z = np.asarray(z, dtype=complex)
         D = 1.0 - self._zn_conj[:, None] * z[None, :]
         A = self._oms[:, None] / D
         onemA = self._zn_conj[:, None] * (self._zn[:, None] - z[None, :]) / D
-        lam = _log_E(A, onemA, self.genus)
+        return A, onemA, D
+
+    def _factors(self, z: np.ndarray):
+        """(log E(A, s), A, one_minus_A, D) at a batch of points, as _geometry."""
+        A, onemA, D = self._geometry(z)
+        lam = _log_E(A, _log_one_minus(onemA), self.genus)
         return lam, A, onemA, D
 
     def _deriv_terms(self, A: np.ndarray, onemA: np.ndarray) -> np.ndarray:
@@ -326,7 +335,7 @@ class CanonicalProduct:
         if len(self.sequence) == 0:
             out = np.zeros(len(zb), dtype=complex)
         else:
-            _, A, onemA, _ = self._factors(zb)
+            A, onemA, _ = self._geometry(zb)
             out = self._deriv_terms(A, onemA).sum(axis=0)
         return out[0] if scalar else out
 
@@ -340,7 +349,7 @@ class CanonicalProduct:
         if len(self.sequence) == 0:
             out = np.zeros(len(zb), dtype=complex)
         else:
-            _, A, onemA, _ = self._factors(zb)
+            A, onemA, _ = self._geometry(zb)
             out = self._deriv_prime_terms(A, onemA).sum(axis=0)
         return out[0] if scalar else out
 
@@ -411,7 +420,7 @@ class CanonicalProduct:
         if len(self.sequence) == 0:
             out = np.zeros(len(zb))
         else:
-            _, A, _, _ = self._factors(zb)
+            A, _, _ = self._geometry(zb)
             out = (np.abs(A) ** (self.genus + 1)).sum(axis=0)
         return float(out[0]) if scalar else out
 

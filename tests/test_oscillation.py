@@ -1,15 +1,21 @@
 """Tests for the ODE-coefficient construction and the sharpness sequence."""
 
+import hashlib
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 from discinterp.counting import counting_N
 from discinterp.geometry import DiscSequence
+from discinterp import products
 from discinterp.growth import GrowthFunction
+from discinterp.harness import generate_sequence
 from discinterp.oscillation import (
     OscillationError,
+    OscillationSolution,
     build_coefficient,
     osc_targets,
     sharpness_counting_check,
@@ -21,6 +27,11 @@ from discinterp.products import CanonicalProduct
 from helpers import lattice_instance
 
 GF1 = GrowthFunction.power(1.0)
+
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
+# sha256 of the residual sample points of configs/oscillate.json (200 complex
+# doubles), recorded with the sample-by-sample residual_report
+OSCILLATE_POINTS_SHA256 = "0262ba505f6f78806a86f399b19e8d349da0f2d325a91face1c3ec6bb8d548d6"
 
 
 def cauchy_ratio_targets(cp, k, n_points=1024):
@@ -93,6 +104,12 @@ class TestBuildCoefficient:
         for p in seq:
             assert sol.product.log_P(p.value).is_zero
 
+    def test_interpolant_must_share_the_product(self):
+        seq, _ = lattice_instance(seed=63, gf=GF1, max_points=12)
+        sol = build_coefficient(seq, GF1, C0=2.0)
+        with pytest.raises(OscillationError):
+            OscillationSolution(CanonicalProduct(seq, GF1.genus), sol.gprime, GF1, 2.0)
+
     def test_argument_principle_counts(self):
         seq, _ = lattice_instance(seed=64, gf=GF1, max_points=12)
         sol = build_coefficient(seq, GF1, C0=2.0)
@@ -163,6 +180,34 @@ class TestBuildCoefficient:
         assert all(math.isfinite(r) for r in ratios)
         for a, b in zip(ratios, ratios[1:]):
             assert b <= 2.0 * max(a, 0.1)
+
+
+class TestResidualReportBatching:
+    def test_shipped_config_calls_and_points(self, monkeypatch):
+        with open(os.path.join(CONFIG_DIR, "oscillate.json"), encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        seq = generate_sequence(cfg["sequence"], cfg["seed"])
+        sol = build_coefficient(seq, GrowthFunction.from_dict(cfg["growth"]), C0=cfg["C0"])
+        calls = {"_factors": 0, "_log_E": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(CanonicalProduct, "_factors",
+                            counted("_factors", CanonicalProduct._factors))
+        monkeypatch.setattr(products, "_log_E", counted("_log_E", products._log_E))
+        n = cfg["residual_samples"]
+        rep = sol.residual_report(n_samples=n, seed=cfg["seed"])
+        digest = hashlib.sha256(np.asarray(rep.points, dtype=complex).tobytes()).hexdigest()
+        assert digest == OSCILLATE_POINTS_SHA256
+        # one call for a(z0) at every sample, then one per block of 4 samples
+        bound = math.ceil(n / 4) + 4
+        assert 0 < calls["_factors"] <= bound
+        assert 0 < calls["_log_E"] <= bound
+        assert rep.max_residual < 1e-9
 
 
 class TestSharpnessSequence:

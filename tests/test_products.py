@@ -2,7 +2,9 @@
 
 import cmath
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from discinterp.products import (
     logsumexp_complex,
     prime_counting_criteria_check,
     weierstrass_E,
+    _log_E,
+    _log_one_minus,
 )
 from discinterp.oscillation import sharpness_sequence
 
@@ -111,6 +115,92 @@ class TestWeierstrassE:
                 direct = weierstrass_E(w, s)
                 assert log_weierstrass_E(w, s).value == pytest.approx(
                     complex(direct), rel=1e-12, abs=1e-300)
+
+
+def mp_log_E(A, s, one_minus_A=None):
+    """log E(A, s) to 50 digits; A, or 1 - A when given, is taken as exact."""
+    with mpmath.workdps(50):
+        if one_minus_A is None:
+            w = mpmath.mpc(A.real, A.imag)
+            om = 1 - w
+        else:
+            om = mpmath.mpc(one_minus_A.real, one_minus_A.imag)
+            w = 1 - om
+        return complex(mpmath.log(om) + mpmath.fsum(w**j / j for j in range(1, s + 1)))
+
+
+def direct_form_rtol(a, om, s, ref):
+    """Rounding bound of log(1 - A) + q(A), the form used for |A| > 1/2.
+
+    From genus 3 on the two parts cancel to well above 1e-14 relative just
+    past |A| = 1/2 (about 9e-14 at genus 5); the kernel takes this form there
+    as it always has, so those cells are held to 4 eps times the condition
+    number of the sum instead.
+    """
+    parts = abs(np.log(om)) + sum(abs(a) ** j / j for j in range(1, s + 1))
+    return 4 * sys.float_info.epsilon * parts / abs(ref)
+
+
+def check_kernel(A, s, one_minus_A=None):
+    """_log_E on one block against mpmath: 1e-14 relative on normal values,
+    or the direct form's rounding bound where that is larger."""
+    A = np.asarray(A, dtype=complex)
+    om = 1.0 - A if one_minus_A is None else np.asarray(one_minus_A, dtype=complex)
+    lam = _log_E(A, _log_one_minus(om), s)
+    direct = np.abs(A) > 0.5        # the kernel's own test, rounding included
+    for k, a in enumerate(A):
+        ref = mp_log_E(a, s, None if one_minus_A is None else om[k])
+        if abs(ref) >= sys.float_info.min:
+            rtol = 1e-14
+            if direct[k]:
+                rtol = max(rtol, direct_form_rtol(a, om[k], s, ref))
+            assert abs(lam[k] - ref) <= rtol * abs(ref), (a, s, lam[k], ref)
+        else:
+            assert abs(lam[k] - ref) <= sys.float_info.min, (a, s, lam[k], ref)
+
+
+ANGLES = 2.0 * np.pi * np.arange(24) / 24 + 0.1
+
+
+class TestLogEKernel:
+    """The log-factor kernel against 50-digit mpmath."""
+
+    @pytest.mark.parametrize("s", range(1, 6))
+    def test_around_one_half(self, s):
+        # both sides of the |A| = 1/2 switch, in one block and in one block each
+        radii = [0.5 * (1 - 1e-12), 0.5, 0.5 * (1 + 1e-12), 0.5 * (1 + 1e-6),
+                 0.55, 0.7, 0.9, 0.95, 1.5]
+        blocks = [np.concatenate([r * np.exp(1j * ANGLES), [r, -r, 1j * r]]) for r in radii]
+        check_kernel(np.concatenate(blocks), s)
+        for block in blocks:
+            check_kernel(block, s)
+
+    @pytest.mark.parametrize("s", range(1, 6))
+    def test_small_A(self, s):
+        # the tail degree follows the largest |A| of the block, so each
+        # radius also runs alone; at genus 5 and |A| = 1e-3 an absolute
+        # 1e-24 stop would leave a 1e-9 relative error
+        radii = [1e-3, 3e-3, 1e-2, 0.1, 0.3]
+        blocks = [r * np.exp(1j * ANGLES) for r in radii]
+        check_kernel(np.concatenate(blocks + [[0.0]]), s)
+        for block in blocks:
+            check_kernel(block, s)
+
+    @pytest.mark.parametrize("s", range(1, 6))
+    def test_near_one_through_exact_one_minus_A(self, s):
+        d = np.concatenate([m * np.exp(1j * ANGLES[::4])
+                            for m in (1e-2, 1e-4, 1e-8, 1e-12, 1e-15, 2.0**-60)])
+        check_kernel(1.0 - d, s, one_minus_A=d)
+
+    @pytest.mark.parametrize("s", range(1, 6))
+    def test_minus_inf_exactly_at_one(self, s):
+        A = np.array([1.0, 0.3, 1.0 + 1e-17j, 0.7 - 0.2j, 2.0])
+        om = np.array([0.0, 0.7, 0.0, 0.3 + 0.2j, np.nan])
+        lam = _log_E(A, _log_one_minus(om), s)
+        # 1 - A = 0 is a zero of E, and a NaN 1 - A is an exact log zero
+        assert list(np.isneginf(lam.real)) == [True, False, True, False, True]
+        assert np.all(np.isfinite(lam[[1, 3]]))
+        assert log_weierstrass_E(1.0, s).is_zero
 
 
 class TestLogP:
