@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-    disc-interp <task> --config scenario.json --out results/ [--seed N] [--threads N]
+    disc-interp <task> --config scenario.json --out results/ [--seed N]
 
 Tasks: check, interpolate, oscillate, sharpness, growth-curve.
 """
@@ -42,15 +42,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="scenario JSON file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1, help="grid worker threads")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return run_scenario(
-        args.config, args.out, task=args.task, seed=args.seed, threads=args.threads
-    )
+    return run_scenario(args.config, args.out, task=args.task, seed=args.seed)
 
 
 if __name__ == "__main__":

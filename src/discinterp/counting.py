@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import DiscSequence, pseudo_dist
+from .geometry import DiscSequence, GeometryError
 from .growth import GrowthFunction
 
 __all__ = [
@@ -103,6 +103,39 @@ def _psi_at_nodes(seq: DiscSequence, gf: GrowthFunction) -> np.ndarray:
     return np.asarray(gf.psi(1.0 / (1.0 - seq.moduli)), dtype=float)
 
 
+def _counting_N_at_nodes(seq: DiscSequence, factor: float) -> np.ndarray:
+    """N_{z_k}(factor (1 - |z_k|)) at every node k, one counting_N call each."""
+    return np.array([counting_N(seq, p.value, factor * (1.0 - p.modulus)) for p in seq])
+
+
+def _pairwise(seq: DiscSequence) -> tuple[np.ndarray, np.ndarray]:
+    """|z_j - z_k| and |1 - conj(z_k) z_j| in row k, column j."""
+    v = seq.values
+    d = np.abs(v[None, :] - v[:, None])
+    denom = np.abs(1.0 - np.conj(v[:, None]) * v[None, :])
+    return d, denom
+
+
+def _one_minus_at_nodes(seq: DiscSequence) -> np.ndarray:
+    """1 - |z_k| from the moduli the per-node N loop uses (np.abs rounds differently)."""
+    return 1.0 - np.array([p.modulus for p in seq])
+
+
+def _korenblum_sums(seq: DiscSequence, delta: float) -> np.ndarray:
+    """Sum of ln(1 / sigma(z_k, z_j)) over 0 < |z_j - z_k| < delta (1 - |z_k|).
+
+    Each node's terms are summed as one array, so numpy's pairwise summation
+    groups them the same way however many close pairs the node has; nodes
+    without close pairs keep +0.0.
+    """
+    d, denom = _pairwise(seq)
+    close = (d > 0) & (d < delta * _one_minus_at_nodes(seq)[:, None])
+    sums = np.zeros(len(seq))
+    for k in np.flatnonzero(close.any(axis=1)):
+        sums[k] = -np.sum(np.log(d[k, close[k]] / denom[k, close[k]]))
+    return sums
+
+
 def _best_constant(name: str, numerators: np.ndarray, denominators: np.ndarray,
                    constant: Optional[float]) -> ConditionReport:
     if numerators.size == 0:
@@ -119,9 +152,7 @@ def check_concentration(seq: DiscSequence, gf: GrowthFunction, delta: float = 0.
         raise CountingError("delta must lie in (0, 1)")
     if len(seq) == 0:
         raise CountingError("concentration check needs a nonempty sequence")
-    nums = np.array([
-        counting_N(seq, p.value, delta * (1.0 - p.modulus)) for p in seq
-    ])
+    nums = _counting_N_at_nodes(seq, delta)
     return _best_constant("concentration", nums, _psi_at_nodes(seq, gf), constant)
 
 
@@ -136,23 +167,13 @@ def check_korenblum_sum(seq: DiscSequence, gf: GrowthFunction, delta: float = 0.
         raise CountingError("delta must lie in (0, 1)")
     if len(seq) == 0:
         raise CountingError("korenblum check needs a nonempty sequence")
-    values = seq.values
-    nums = np.zeros(len(seq))
-    for k, p in enumerate(seq):
-        d = np.abs(values - p.value)
-        mask = (d > 0) & (d < delta * (1.0 - p.modulus))
-        if not mask.any():
-            continue
-        sig = d[mask] / np.abs(1.0 - np.conj(p.value) * values[mask])
-        nums[k] = -np.sum(np.log(sig))
+    nums = _korenblum_sums(seq, delta)
     return _best_constant("korenblum_sum", nums, _psi_at_nodes(seq, gf), constant)
 
 
 def _log_sigma_matrix(seq: DiscSequence) -> np.ndarray:
-    """ln sigma(z_j, z_k) with +inf on the diagonal."""
-    v = seq.values
-    d = np.abs(v[:, None] - v[None, :])
-    denom = np.abs(1.0 - np.conj(v[:, None]) * v[None, :])
+    """ln sigma(z_k, z_j) in row k, column j, with 0.0 on the diagonal."""
+    d, denom = _pairwise(seq)
     with np.errstate(divide="ignore"):
         out = np.log(d) - np.log(denom)
     out[np.diag_indices_from(out)] = 0.0
@@ -194,9 +215,12 @@ def seip_density_estimate(seq: DiscSequence, r_grid: Sequence[float],
         raise CountingError("r grid must lie in (0, 1)")
     if len(seq) == 0:
         return 0.0
+    if np.any(np.abs(z_vals) >= 1.0):
+        raise GeometryError("z grid must lie inside the open unit disc")
+    v = seq.values
     best = 0.0
     for z in z_vals:
-        sig = np.array([pseudo_dist(z, complex(v)) for v in seq.values])
+        sig = np.abs(z - v) / np.abs(1.0 - np.conj(z) * v)
         sig = sig[sig > 0.5]
         if sig.size == 0:
             continue
@@ -230,20 +254,14 @@ def sigma_log_comparison(seq: DiscSequence, delta: float = 0.5) -> SigmaComparis
     """
     if not 0 < delta < 1:
         raise CountingError("delta must lie in (0, 1)")
-    v = seq.values
-    lo, hi, count = np.inf, -np.inf, 0
-    for k, p in enumerate(seq):
-        d = np.abs(v - p.value)
-        mask = (d > 0) & (d <= delta * (1.0 - p.modulus))
-        if not mask.any():
-            continue
-        excess = np.log(np.abs(1.0 - np.conj(v[mask]) * p.value) / (1.0 - p.modulus))
-        lo = min(lo, float(excess.min()))
-        hi = max(hi, float(excess.max()))
-        count += int(mask.sum())
-    if count == 0:
-        lo = hi = 0.0
-    return SigmaComparisonReport(lo, hi, math.log(2.0 + delta), count)
+    d, denom = _pairwise(seq)
+    one_minus = _one_minus_at_nodes(seq)
+    rows, cols = np.nonzero((d > 0) & (d <= delta * one_minus[:, None]))
+    if rows.size == 0:
+        return SigmaComparisonReport(0.0, 0.0, math.log(2.0 + delta), 0)
+    excess = np.log(denom[rows, cols] / one_minus[rows])
+    return SigmaComparisonReport(float(excess.min()), float(excess.max()),
+                                 math.log(2.0 + delta), int(rows.size))
 
 
 @dataclass(frozen=True)
@@ -283,20 +301,9 @@ def concentration_korenblum_comparison(seq: DiscSequence, gf: GrowthFunction,
         raise CountingError("comparison needs a nonempty sequence")
     psi_vals = _psi_at_nodes(seq, gf)
     factor = (math.log(1.0 / delta) + math.log(2.0 + delta)) / math.log(alpha)
-    v = seq.values
-
-    kore = np.zeros(len(seq))
-    n_small = np.zeros(len(seq))
-    n_large = np.zeros(len(seq))
-    for k, p in enumerate(seq):
-        d = np.abs(v - p.value)
-        mask = (d > 0) & (d < delta * (1.0 - p.modulus))
-        if mask.any():
-            sig = d[mask] / np.abs(1.0 - np.conj(p.value) * v[mask])
-            kore[k] = -float(np.sum(np.log(sig)))
-        n_small[k] = counting_N(seq, p.value, delta * (1.0 - p.modulus))
-        n_large[k] = counting_N(seq, p.value, alpha * delta * (1.0 - p.modulus))
-
+    kore = _korenblum_sums(seq, delta)
+    n_small = _counting_N_at_nodes(seq, delta)
+    n_large = _counting_N_at_nodes(seq, alpha * delta)
     c_small = float((n_small / psi_vals).max())
     c_kore = float((kore / psi_vals).max())
     c_large = float((n_large / psi_vals).max())

@@ -12,8 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -87,7 +86,6 @@ class Scenario:
     theta_count: int = 256
     residual_samples: int = 200
     eps0: Optional[float] = None
-    extras: dict = field(default_factory=dict)
 
     @classmethod
     def from_dict(cls, data: dict, task: Optional[str] = None) -> "Scenario":
@@ -133,7 +131,6 @@ class Scenario:
             theta_count=theta,
             residual_samples=samples,
             eps0=float(eps0) if eps0 is not None else None,
-            extras={k: v for k, v in data.items()},
         )
 
 
@@ -232,15 +229,16 @@ def _growth_rows(table) -> list[list[str]]:
 def _task_check(scn: Scenario, seq: DiscSequence, gf: GrowthFunction, out: dict) -> int:
     conc = check_concentration(seq, gf)
     kore = check_korenblum_sum(seq, gf)
+    carleson = carleson_delta(seq)
     rows = [
         ["concentration", _fmt(conc.best_constant), str(conc.witness_index)],
         ["korenblum_sum", _fmt(kore.best_constant), str(kore.witness_index)],
-        ["carleson_delta", _fmt(carleson_delta(seq)), ""],
+        ["carleson_delta", _fmt(carleson), ""],
     ]
     constants = {
         "concentration": conc.best_constant,
         "korenblum_sum": kore.best_constant,
-        "carleson_delta": carleson_delta(seq),
+        "carleson_delta": carleson,
     }
     if len(seq) >= 2:
         sep = separation(seq)
@@ -280,7 +278,7 @@ def _task_check(scn: Scenario, seq: DiscSequence, gf: GrowthFunction, out: dict)
 
 
 def _task_interpolate(scn: Scenario, seq: DiscSequence, gf: GrowthFunction,
-                      out: dict, threads: int, dense: bool = False) -> int:
+                      out: dict, dense: bool = False) -> int:
     targets = generate_targets(scn.targets_spec, seq, gf, scn.seed)
     interp = build_interpolant(seq, targets, gf, C0=scn.C0)
     errs = interp.interpolation_errors()
@@ -296,14 +294,7 @@ def _task_interpolate(scn: Scenario, seq: DiscSequence, gf: GrowthFunction,
     r_grid = scn.r_grid
     if dense:
         r_grid = tuple(sorted(set(r_grid) | {1.0 - 2.0 ** (-j) for j in range(1, 10)}))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            tables = list(pool.map(
-                lambda r: growth_report(interp, gf, [r], scn.theta_count), r_grid
-            ))
-        rows_g = [row for t in tables for row in _growth_rows(t)]
-    else:
-        rows_g = _growth_rows(growth_report(interp, gf, r_grid, scn.theta_count))
+    rows_g = _growth_rows(growth_report(interp, gf, r_grid, scn.theta_count))
     out["csv"]["growth.csv"] = (["r", "ln_max_modulus", "psi_tilde", "ratio"], rows_g)
     max_err = float(errs.max()) if len(errs) else 0.0
     out["constants"].update({
@@ -318,8 +309,7 @@ def _task_interpolate(scn: Scenario, seq: DiscSequence, gf: GrowthFunction,
     return EXIT_OK
 
 
-def _task_oscillate(scn: Scenario, seq: DiscSequence, gf: GrowthFunction,
-                    out: dict, threads: int) -> int:
+def _task_oscillate(scn: Scenario, seq: DiscSequence, gf: GrowthFunction, out: dict) -> int:
     sol = build_coefficient(seq, gf, C0=scn.C0)
     residual = sol.residual_report(n_samples=scn.residual_samples, seed=scn.seed)
     rows = [
@@ -369,7 +359,7 @@ def _task_sharpness(scn: Scenario, out: dict) -> int:
 
 
 def run_scenario(config, out_dir: str, task: Optional[str] = None,
-                 seed: Optional[int] = None, threads: int = 1) -> int:
+                 seed: Optional[int] = None) -> int:
     """Run one scenario and write its artifacts; returns the exit code."""
     try:
         if isinstance(config, (str, os.PathLike)):
@@ -398,11 +388,11 @@ def run_scenario(config, out_dir: str, task: Optional[str] = None,
             if scn.task == "check":
                 code = _task_check(scn, seq, gf, out)
             elif scn.task == "interpolate":
-                code = _task_interpolate(scn, seq, gf, out, threads)
+                code = _task_interpolate(scn, seq, gf, out)
             elif scn.task == "growth-curve":
-                code = _task_interpolate(scn, seq, gf, out, threads, dense=True)
+                code = _task_interpolate(scn, seq, gf, out, dense=True)
             else:
-                code = _task_oscillate(scn, seq, gf, out, threads)
+                code = _task_oscillate(scn, seq, gf, out)
     except (ConfigError, GrowthError, GeometryError) as exc:
         print(f"config error: {exc}")
         return EXIT_CONFIG

@@ -416,14 +416,19 @@ def growth_report(interp: Interpolant, gf: GrowthFunction,
     The ratio column is ln M(r, f) / psi_tilde(1/(1-r)); rows where f
     vanishes identically carry -inf and a NaN ratio.
     """
+    if not all(0 < r < 1 for r in r_grid):
+        raise InterpolationError("growth radii must lie in (0, 1)")
+    return _ring_growth_table(interp.eval_log_many, gf, r_grid, theta_count)
+
+
+def _ring_growth_table(log_many, gf: GrowthFunction, r_grid: Sequence[float],
+                       theta_count: int) -> GrowthTable:
+    """Rows of max Re log_many on theta_count points of each circle |z| = r."""
     rows = []
     thetas = 2.0 * math.pi * np.arange(theta_count) / theta_count
     ring = np.exp(1j * thetas)
     for r in r_grid:
-        if not 0 < r < 1:
-            raise InterpolationError("growth radii must lie in (0, 1)")
-        lam = interp.eval_log_many(r * ring)
-        ln_max = float(np.max(lam.real))
+        ln_max = float(np.max(log_many(r * ring).real))
         denom = float(gf.psi_tilde(1.0 / (1.0 - r)))
         ratio = ln_max / denom if (math.isfinite(ln_max) and denom > 0) else float("nan")
         rows.append(GrowthRow(float(r), ln_max, denom, ratio))

@@ -30,9 +30,9 @@ from . import products
 from .geometry import DiscSequence
 from .growth import GrowthFunction
 from .interpolation import (
-    GrowthRow,
     GrowthTable,
     Interpolant,
+    _ring_growth_table,
     build_interpolant,
 )
 from .products import LOG_ZERO, CanonicalProduct, logsumexp_complex
@@ -267,18 +267,9 @@ class OscillationSolution:
 
     def growth_a_report(self, r_grid: Sequence[float], theta_count: int = 256) -> GrowthTable:
         """ln max |a| on circles against psi_tilde, fully in log space."""
-        rows = []
-        thetas = 2.0 * math.pi * np.arange(theta_count) / theta_count
-        ring = np.exp(1j * thetas)
-        for r in r_grid:
-            if not 0 < r < 1:
-                raise OscillationError("growth radii must lie in (0, 1)")
-            lam = self.coefficient_log_many(r * ring)
-            ln_max = float(np.max(lam.real))
-            denom = float(self.gf.psi_tilde(1.0 / (1.0 - r)))
-            ratio = ln_max / denom if (math.isfinite(ln_max) and denom > 0) else float("nan")
-            rows.append(GrowthRow(float(r), ln_max, denom, ratio))
-        return GrowthTable(tuple(rows))
+        if not all(0 < r < 1 for r in r_grid):
+            raise OscillationError("growth radii must lie in (0, 1)")
+        return _ring_growth_table(self.coefficient_log_many, self.gf, r_grid, theta_count)
 
 
 def _safe_log(values: np.ndarray) -> np.ndarray:
@@ -381,8 +372,17 @@ class SharpnessSequence:
         self.positions = positions
         self.log_one_minus = log_one_minus
         self.log_only = upper & ~(positions > (1.0 - base))
-        for arr in (self.pair, self.is_upper, self.t_pow, self.log_eps,
-                    self.eps, self.positions, self.log_one_minus, self.log_only):
+        # ln |z_i - z_j| with exact twin-gap records; +inf on the diagonal
+        up_eps = eps * upper
+        with np.errstate(divide="ignore"):
+            gaps = np.log(np.abs((base[:, None] - base[None, :]) + up_eps[None, :]
+                                 - up_eps[:, None]))
+        twins = (pair[:, None] == pair[None, :]) & (upper[:, None] != upper[None, :])
+        gaps[twins] = np.broadcast_to(log_eps[:, None], gaps.shape)[twins]
+        gaps[np.diag_indices_from(gaps)] = np.inf
+        self._log_gaps = gaps
+        for arr in (self.pair, self.is_upper, self.t_pow, self.log_eps, self.eps,
+                    self.positions, self.log_one_minus, self.log_only, self._log_gaps):
             arr.flags.writeable = False
 
     def __len__(self) -> int:
@@ -391,17 +391,8 @@ class SharpnessSequence:
     # -- exact pairwise geometry ------------------------------------------
 
     def log_gap_matrix(self) -> np.ndarray:
-        """ln |z_i - z_j| with exact twin-gap records; +inf on the diagonal."""
-        base = 2.0 ** (-self.pair.astype(float))
-        diff = (base[:, None] - base[None, :]) + (self.eps * self.is_upper)[None, :] \
-            - (self.eps * self.is_upper)[:, None]
-        with np.errstate(divide="ignore"):
-            out = np.log(np.abs(diff))
-        twins = (self.pair[:, None] == self.pair[None, :]) & \
-                (self.is_upper[:, None] != self.is_upper[None, :])
-        out[twins] = np.broadcast_to(self.log_eps[:, None], out.shape)[twins]
-        out[np.diag_indices_from(out)] = np.inf
-        return out
+        """ln |z_i - z_j| with exact twin-gap records; +inf on the diagonal (read-only)."""
+        return self._log_gaps
 
     def counting_N_log(self, m: int, delta: float = 0.5) -> float:
         """N at node m with radius delta (1 - |z_m|), entirely in log space."""

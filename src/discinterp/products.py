@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .counting import counting_N, counting_n
+from .counting import _counting_N_at_nodes, counting_n
 from .geometry import DiscSequence
 from .growth import GrowthFunction
 
@@ -500,11 +500,10 @@ def index_cancellation_check(cp: CanonicalProduct, delta: float = 0.5) -> IndexC
     if not 0 < delta < 1:
         raise ProductsError("delta must lie in (0, 1)")
     seq = cp.sequence
+    N = _counting_N_at_nodes(seq, delta).tolist()
     lhs, rhs, ratios = [], [], []
     for k, p in enumerate(seq):
-        lnB = cp.log_B_at_node(k).log_modulus
-        N = counting_N(seq, p.value, delta * (1.0 - p.modulus))
-        left = abs(lnB + N)
+        left = abs(cp.log_B_at_node(k).log_modulus + N[k])
         right = float(cp.factor_abs_power_sum(p.value))
         lhs.append(left)
         rhs.append(right)
@@ -535,9 +534,7 @@ def prime_counting_criteria_check(cp: CanonicalProduct, gf: GrowthFunction) -> P
     """
     seq = cp.sequence
     psi_vals = np.asarray(gf.psi(1.0 / (1.0 - seq.moduli)), dtype=float)
-    conc = np.array([
-        counting_N(seq, p.value, 0.5 * (1.0 - p.modulus)) for p in seq
-    ])
+    conc = _counting_N_at_nodes(seq, 0.5)
     counts = np.array([
         counting_n(seq, p.value, 0.5 * (1.0 - p.modulus)) for p in seq
     ], dtype=float)

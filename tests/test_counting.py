@@ -118,6 +118,23 @@ class TestKorenblum:
         seq = DiscSequence([0.3, -0.3])  # gap 0.6 > (1 - 0.3)/2 both ways
         assert check_korenblum_sum(seq, GF).best_constant == 0.0
 
+    @pytest.mark.parametrize("delta", [0.5, 0.9])
+    def test_equals_the_per_node_numpy_loop(self, delta):
+        # the same arithmetic node by node, so the sums must agree to the last
+        # bit, also where a node has eight or more close pairs
+        rng = np.random.default_rng(25)
+        seq = random_sequence(rng, 60, r_lo=0.3, r_hi=0.95, min_gap=0.002)
+        v = seq.values
+        sums = np.zeros(len(seq))
+        for k, p in enumerate(seq):
+            d = np.abs(v - p.value)
+            close = (d > 0) & (d < delta * (1.0 - p.modulus))
+            if close.any():
+                sums[k] = -np.sum(np.log(d[close] / np.abs(1.0 - np.conj(p.value) * v[close])))
+        assert max(np.count_nonzero(np.abs(v - z) < delta * (1 - abs(z))) for z in v) > 9
+        psi = np.asarray(GF.psi(1.0 / (1.0 - seq.moduli)), dtype=float)
+        assert check_korenblum_sum(seq, GF, delta).values == tuple(sums / psi)
+
     def test_against_double_loop_oracle(self):
         rng = np.random.default_rng(24)
         seq = random_sequence(rng, 30, min_gap=0.01)
@@ -227,6 +244,25 @@ class TestComparisonAndSandwich:
         assert rep.holds
         assert rep.min_excess >= -1e-12
         assert rep.max_excess <= math.log(2.5) + 1e-12
+
+    @pytest.mark.parametrize("delta", [0.5, 0.9])
+    def test_sigma_log_comparison_matches_double_loop(self, delta):
+        # at delta = 0.5 the dyadic pairs put |z_j - z_k| exactly on
+        # delta (1 - |z_k|) = 2^-(n+1), which the closed mask <= counts
+        from discinterp.oscillation import sharpness_sequence
+
+        rng = np.random.default_rng(31)
+        for seq in (random_sequence(rng, 40, min_gap=0.004),
+                    sharpness_sequence(1.0, 5).to_disc_sequence()):
+            excess = [
+                math.log(abs(1 - q.value.conjugate() * p.value) / (1 - p.modulus))
+                for p in seq for q in seq
+                if 0 < abs(q.value - p.value) <= delta * (1 - p.modulus)
+            ]
+            rep = sigma_log_comparison(seq, delta)
+            assert rep.pair_count == len(excess) > 0
+            assert rep.min_excess == pytest.approx(min(excess), abs=1e-15)
+            assert rep.max_excess == pytest.approx(max(excess), abs=1e-15)
 
     def test_sandwich_singleton(self):
         rep = counting_sandwich_check(DiscSequence([0.5]), GF)

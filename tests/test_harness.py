@@ -7,7 +7,9 @@ import os
 import numpy as np
 import pytest
 
+from discinterp import harness
 from discinterp.cli import main as cli_main
+from discinterp.counting import carleson_delta
 from discinterp.geometry import DiscSequence
 from discinterp.growth import GrowthFunction
 from discinterp.harness import (
@@ -136,6 +138,23 @@ class TestRunScenario:
         assert constants["korenblum_sum"] == 0.0
         assert constants["carleson_delta"] == 1.0
 
+    def test_check_without_close_pairs_writes_a_plain_zero(self, tmp_path, monkeypatch):
+        # no node has another within (1 - |z_k|) / 2, so every korenblum sum is
+        # empty; a negated empty numpy sum would be written as -0
+        calls = []
+        monkeypatch.setattr(harness, "carleson_delta",
+                            lambda seq: calls.append(seq) or carleson_delta(seq))
+        cfg = write_config(tmp_path, "c.json", {
+            "task": "check",
+            "sequence": [[0.5, 0], [-0.5, 0], [0, 0.6]],
+            "growth": {"family": "power", "param": 1.0},
+        })
+        assert run_scenario(cfg, str(tmp_path / "out")) == EXIT_OK
+        rows = (tmp_path / "out" / "conditions.csv").read_text().splitlines()
+        assert "korenblum_sum,0,0" in rows
+        assert "korenblum_vs_concentration,0," in rows
+        assert len(calls) == 1
+
     def test_malformed_json_is_config_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -226,14 +245,6 @@ class TestRunScenario:
         assert run_scenario(path, out) == EXIT_OK
         rows = (tmp_path / "out" / "growth.csv").read_text().splitlines()
         assert len(rows) > 1 + len(BASE_INTERP["r_grid"])
-
-    def test_threads_do_not_change_bytes(self, tmp_path):
-        cfg = write_config(tmp_path, "a.json", BASE_INTERP)
-        out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
-        run_scenario(cfg, out1, threads=1)
-        run_scenario(cfg, out2, threads=4)
-        assert (tmp_path / "o1" / "growth.csv").read_bytes() == \
-            (tmp_path / "o2" / "growth.csv").read_bytes()
 
 
 class TestCli:

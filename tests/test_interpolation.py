@@ -9,6 +9,7 @@ import pytest
 from discinterp.geometry import DiscSequence
 from discinterp.growth import GrowthFunction
 from discinterp.interpolation import (
+    InterpolationError,
     LadderError,
     TargetData,
     build_interpolant,
@@ -288,5 +289,5 @@ class TestGrowthReport:
         f = build_interpolant(DiscSequence([0.5]), [1.0], GF1)
         table = growth_report(f, GF1, [0.3, 0.6, 0.9], theta_count=16)
         assert len(table.rows) == 3
-        with pytest.raises(Exception):
-            growth_report(f, GF1, [1.5])
+        with pytest.raises(InterpolationError):
+            growth_report(f, GF1, [0.5, 1.5])

@@ -181,6 +181,12 @@ class TestBuildCoefficient:
         for a, b in zip(ratios, ratios[1:]):
             assert b <= 2.0 * max(a, 0.1)
 
+    def test_growth_radius_outside_the_disc_is_an_oscillation_error(self):
+        seq, _ = lattice_instance(seed=71, gf=GF1, max_points=6)
+        sol = build_coefficient(seq, GF1, C0=2.0)
+        with pytest.raises(OscillationError):
+            sol.growth_a_report([0.5, 1.5], theta_count=16)
+
 
 class TestResidualReportBatching:
     def test_shipped_config_calls_and_points(self, monkeypatch):
@@ -233,6 +239,13 @@ class TestSharpnessSequence:
             direct = math.log(seq.positions[hi] - seq.positions[lo])
             tol = 4e-16 / seq.eps[hi] + 1e-12
             assert g[lo, hi] == pytest.approx(direct, abs=tol)
+
+    def test_gap_matrix_is_built_once_and_read_only(self):
+        seq = sharpness_sequence(1.0, 6)
+        g = seq.log_gap_matrix()
+        assert g is seq.log_gap_matrix()
+        assert not g.flags.writeable
+        assert np.all(np.isinf(np.diag(g)))
 
     def test_strictly_increasing_in_unit_interval(self):
         for rho in (0.5, 1.0, 2.0):
