@@ -126,13 +126,16 @@ def _korenblum_sums(seq: DiscSequence, delta: float) -> np.ndarray:
 
     Each node's terms are summed as one array, so numpy's pairwise summation
     groups them the same way however many close pairs the node has; nodes
-    without close pairs keep +0.0.
+    without close pairs keep +0.0.  The denominators |1 - conj(z_k) z_j| are
+    formed for the close pairs only.
     """
-    d, denom = _pairwise(seq)
+    v = seq.values
+    d = np.abs(v[None, :] - v[:, None])
     close = (d > 0) & (d < delta * _one_minus_at_nodes(seq)[:, None])
     sums = np.zeros(len(seq))
     for k in np.flatnonzero(close.any(axis=1)):
-        sums[k] = -np.sum(np.log(d[k, close[k]] / denom[k, close[k]]))
+        near = close[k]
+        sums[k] = -np.sum(np.log(d[k, near] / np.abs(1.0 - np.conj(v[k]) * v[near])))
     return sums
 
 

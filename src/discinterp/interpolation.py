@@ -68,6 +68,10 @@ class LadderError(ValueError):
 # in memory; reachable only for fast growth with nodes hugging the boundary
 MAX_LADDER_LENGTH = 5_000_000
 
+# cells per block of the pruned maximal-term scan; any value gives the same
+# results, it only moves time between the block bounds and the scan
+_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class TargetData:
@@ -103,7 +107,9 @@ class CoefficientLadder:
 
     ``log_coeffs[n]`` is ln phi_n; ``log_kappas[n]`` is ln(phi_{n-1}/phi_n)
     with a -inf sentinel at n = 0.  Log-concavity of the coefficients is
-    enforced exactly, so the kappa sequence is nondecreasing.
+    enforced exactly, so the kappa sequence is nondecreasing.  The maximal
+    term is found by an exact scan that reads only the blocks of ``_BLOCK``
+    cells able to reach the term at the kappa bucket (``log_max_terms``).
     """
 
     gf: GrowthFunction
@@ -121,9 +127,34 @@ class CoefficientLadder:
 
     def log_max_term(self, log_t: float) -> tuple[float, int]:
         """(ln mu(t), attaining index) at t = exp(log_t), ties to the larger index."""
-        arr = self.log_coeffs + np.arange(len(self.log_coeffs)) * log_t
-        idx = len(arr) - 1 - int(np.argmax(arr[::-1]))
-        return float(arr[idx]), idx
+        values, indices = self.log_max_terms([log_t])
+        return float(values[0]), int(indices[0])
+
+    def log_max_terms(self, log_t) -> tuple[np.ndarray, np.ndarray]:
+        """``log_max_term`` at each log_t: max of c_n + n log_t over one slice.
+
+        Rounding is monotone, so with M the block maximum of c and e its last
+        (log_t >= 0) or first (log_t < 0) index, every c_n + n log_t of a block
+        is <= M + e log_t.  A block whose bound is below the term at the kappa
+        bucket holds neither the maximum nor a tie; the rest are scanned.
+        """
+        c = self.log_coeffs
+        log_t = np.asarray(log_t, dtype=float)
+        starts = np.arange(0, len(c), _BLOCK)
+        block_max = np.maximum.reduceat(c, starts)
+        ends = np.minimum(starts + _BLOCK, len(c)) - 1
+        buckets = np.searchsorted(self.log_kappas, log_t, side="right") - 1
+        refs = c[buckets] + buckets * log_t
+        values = np.empty(len(log_t))
+        indices = np.empty(len(log_t), dtype=int)
+        for i, (t, ref) in enumerate(zip(log_t.tolist(), refs.tolist())):
+            # a NaN bound (from NaN or inf in c or t) keeps its block, as in a full scan
+            kept = np.flatnonzero(~(block_max + (ends if t >= 0 else starts) * t < ref))
+            lo, hi = int(starts[kept[0]]), int(ends[kept[-1]]) + 1
+            arr = c[lo:hi] + np.arange(lo, hi) * t
+            idx = len(arr) - 1 - int(np.argmax(arr[::-1]))
+            values[i], indices[i] = arr[idx], lo + idx
+        return values, indices
 
 
 def build_ladder(gf: GrowthFunction, C0: float, n_max: int) -> CoefficientLadder:
@@ -189,7 +220,10 @@ def select_exponents(ladder: CoefficientLadder, seq: DiscSequence) -> np.ndarray
     """Exponent s_n per node from its kappa bucket, clamped to at least 1.
 
     Verifies that the maximal term at t = 1/(1 - |z_n|) is attained at the
-    bucket index (ties resolved to the larger index).
+    bucket index (ties resolved to the larger index).  The maximal terms come
+    from one ``log_max_terms`` call, whose block-pruned scan is exact, so a
+    ladder that is not log-concave is caught as by a scan of the whole ladder
+    while a node costs about the blocks around its bucket, not n_max cells.
     """
     if len(seq) == 0:
         return np.zeros(0, dtype=int)
@@ -200,14 +234,15 @@ def select_exponents(ladder: CoefficientLadder, seq: DiscSequence) -> np.ndarray
             "ladder too short for the node set: extend n_max beyond "
             f"{ladder.n_max}"
         )
-    idx_grid = np.arange(len(ladder.log_coeffs))
-    for t, b in zip(log_t, buckets):
-        arr = ladder.log_coeffs + idx_grid * t
-        best = len(arr) - 1 - int(np.argmax(arr[::-1]))
-        if best != b and arr[best] - arr[b] > 1e-9 * max(1.0, abs(arr[b])):
-            raise InterpolationError(
-                f"maximal term attained at {best}, bucket gave {b}"
-            )
+    best_terms, best = ladder.log_max_terms(log_t)
+    bucket_terms = ladder.log_coeffs[buckets] + buckets * log_t
+    off = (best != buckets) & (
+        best_terms - bucket_terms > 1e-9 * np.maximum(1.0, np.abs(bucket_terms)))
+    if off.any():
+        k = int(np.argmax(off))
+        raise InterpolationError(
+            f"maximal term attained at {best[k]}, bucket gave {buckets[k]}"
+        )
     return np.maximum(buckets, 1).astype(int)
 
 
@@ -467,11 +502,12 @@ def max_term_bound_report(ladder: CoefficientLadder,
                           t_grid: Sequence[float],
                           tol: float = 1e-6) -> MaxTermBoundReport:
     gf, C0 = ladder.gf, ladder.C0
+    ts = sorted(float(t) for t in t_grid)
+    if any(t < 1.0 for t in ts):
+        raise LadderError("t grid must lie in [1, inf)")
+    log_mus, _ = ladder.log_max_terms([math.log(t) for t in ts])
     rows = []
-    for t in sorted(float(t) for t in t_grid):
-        if t < 1.0:
-            raise LadderError("t grid must lie in [1, inf)")
-        log_mu, _ = ladder.log_max_term(math.log(t))
+    for t, log_mu in zip(ts, log_mus.tolist()):
         base = float(gf.psi_tilde_log(math.log(C0 * t)))
         half = float(gf.psi_tilde_log(math.log(C0 * t / 2.0)))
         rows.append(MaxTermBoundRow(

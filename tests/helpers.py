@@ -1,5 +1,7 @@
 """Shared instance builders for the test suite."""
 
+import math
+
 import numpy as np
 
 from discinterp.geometry import DiscSequence
@@ -32,6 +34,20 @@ def lattice_instance(seed: int, gf: GrowthFunction, rings: int = 4,
         {"kind": "random_admissible", "constant": target_constant}, seq, gf, seed
     )
     return seq, targets
+
+
+def spiral_sequence(n: int = 200, depth: float = 1e-4) -> DiscSequence:
+    """Golden-angle spiral with 1-|z| geometric from 0.5 down to depth."""
+    one_minus = 0.5 * (2.0 * depth) ** (np.arange(n) / (n - 1))
+    return DiscSequence(list((1.0 - one_minus)
+                             * np.exp(1j * math.pi * (3.0 - math.sqrt(5.0)) * np.arange(n))))
+
+
+def scan_max_term(ladder, log_t: float) -> tuple[float, int]:
+    """(ln mu(t), attaining index) by a scan of the whole ladder, ties to the larger index."""
+    arr = ladder.log_coeffs + np.arange(len(ladder.log_coeffs)) * log_t
+    idx = len(arr) - 1 - int(np.argmax(arr[::-1]))
+    return float(arr[idx]), idx
 
 
 def small_radial_instance(gf: GrowthFunction):

@@ -1,6 +1,7 @@
 """Tests for the coefficient ladder and the interpolation series."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from discinterp.geometry import DiscSequence
 from discinterp.growth import GrowthFunction
 from discinterp.interpolation import (
+    CoefficientLadder,
     InterpolationError,
     LadderError,
     TargetData,
@@ -21,9 +23,29 @@ from discinterp.interpolation import (
 )
 from discinterp.products import CanonicalProduct
 
-from helpers import lattice_instance, small_radial_instance
+from helpers import lattice_instance, scan_max_term, small_radial_instance, spiral_sequence
 
 GF1 = GrowthFunction.power(1.0)
+SPIRAL_FAMILIES = (GF1, GrowthFunction.log_power(2.0), GrowthFunction.exp_log_power(0.5))
+
+
+@pytest.fixture(scope="module")
+def spiral_ladders():
+    """The 200-node spiral down to 1-|z| = 1e-4 with its ladder per family."""
+    seq = spiral_sequence()
+    return seq, {gf.family: ladder_for_sequence(gf, 8.0, seq) for gf in SPIRAL_FAMILIES}
+
+
+def oracle_select_error(ladder, seq):
+    """The message select_exponents must raise, from full scans, or None."""
+    for p in seq:
+        log_t = -math.log1p(-p.modulus)
+        b = int(np.searchsorted(ladder.log_kappas, log_t, side="right")) - 1
+        top, best = scan_max_term(ladder, log_t)
+        at_b = ladder.log_coeffs[b] + b * log_t
+        if best != b and top - at_b > 1e-9 * max(1.0, abs(at_b)):
+            return f"maximal term attained at {best}, bucket gave {b}"
+    return None
 
 
 class TestBuildLadder:
@@ -70,9 +92,7 @@ class TestSelectExponents:
         ladder = ladder_for_sequence(GF1, 8.0, seq)
         s = select_exponents(ladder, seq)
         for k, p in enumerate(seq):
-            log_t = -math.log1p(-p.modulus)
-            arr = ladder.log_coeffs + np.arange(len(ladder.log_coeffs)) * log_t
-            best = len(arr) - 1 - int(np.argmax(arr[::-1]))  # ties to larger
+            _, best = scan_max_term(ladder, -math.log1p(-p.modulus))
             assert s[k] == best
 
     def test_monotone_in_modulus(self):
@@ -93,6 +113,76 @@ class TestSelectExponents:
         ladder = build_ladder(GF1, 8.0, 5)
         with pytest.raises(LadderError):
             select_exponents(ladder, seq)
+
+
+class TestPrunedMaxTermScan:
+    """log_max_terms reads only some blocks, so it is pinned to full scans."""
+
+    @staticmethod
+    def assert_matches_scan(ladder, log_ts):
+        values, indices = ladder.log_max_terms(log_ts)
+        oracle = [scan_max_term(ladder, t) for t in log_ts]
+        assert values.tobytes() == np.array([v for v, _ in oracle]).tobytes()
+        assert indices.tolist() == [i for _, i in oracle]
+
+    @pytest.mark.parametrize("gf", SPIRAL_FAMILIES, ids=lambda g: g.family)
+    def test_equals_the_scan_on_the_spiral(self, spiral_ladders, gf):
+        seq, ladders = spiral_ladders
+        self.assert_matches_scan(ladders[gf.family], -np.log1p(-seq.moduli))
+
+    @pytest.mark.parametrize("gf", SPIRAL_FAMILIES, ids=lambda g: g.family)
+    def test_ties_zero_and_last_index(self, spiral_ladders, gf):
+        ladder = spiral_ladders[1][gf.family]
+        kappas = ladder.log_kappas
+        ms = np.unique(np.linspace(1, ladder.n_max, 25).astype(int))
+        beyond = kappas[-1] + 1.0
+        self.assert_matches_scan(ladder, [*kappas[ms], 0.0, beyond])
+        assert scan_max_term(ladder, beyond)[1] == ladder.n_max
+        assert ladder.log_max_term(beyond) == scan_max_term(ladder, beyond)
+
+    @pytest.mark.parametrize("gf", SPIRAL_FAMILIES, ids=lambda g: g.family)
+    def test_spiked_ladders_raise_as_the_full_scan(self, gf):
+        # a shallower spiral keeps the ladders short enough for full scans
+        seq = spiral_sequence(60, depth=1e-2)
+        ladder = ladder_for_sequence(gf, 8.0, seq)
+        b = int(np.searchsorted(ladder.log_kappas, -math.log1p(-seq.moduli.max()),
+                                side="right")) - 1
+        cells = {0, max(b - 1, 0), b + 1, b - b % 256, ladder.n_max, ladder.n_max // 2}
+        outcomes = []
+        for cell in sorted(cells):
+            for spike in (1e-13, 1e-4, 50.0):
+                c = ladder.log_coeffs.copy()
+                c[cell] += spike
+                spiked = CoefficientLadder(gf=ladder.gf, C0=ladder.C0, log_coeffs=c,
+                                           log_kappas=ladder.log_kappas.copy())
+                expected = oracle_select_error(spiked, seq)
+                if expected is None:
+                    assert select_exponents(spiked, seq).tolist() == \
+                        select_exponents(ladder, seq).tolist()
+                else:
+                    with pytest.raises(InterpolationError) as err:
+                        select_exponents(spiked, seq)
+                    assert str(err.value) == expected
+                outcomes.append(expected is None)
+        assert any(outcomes) and not all(outcomes)
+
+    def test_select_exponents_memory_below_one_ladder_array(self, spiral_ladders):
+        seq, ladders = spiral_ladders
+        ladder = ladders["power"]
+        tracemalloc.start()
+        try:
+            select_exponents(ladder, seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (ladder.n_max + 1)
+
+    def test_bound_report_rows_equal_the_scan(self):
+        ladder = build_ladder(GF1, 8.0, 4000)
+        grid = np.geomspace(1.0, 40.0, 50)
+        rep = max_term_bound_report(ladder, grid[::-1])
+        assert [row.log_mu for row in rep.rows] == \
+            [scan_max_term(ladder, math.log(t))[0] for t in sorted(grid)]
 
 
 class TestMaxTermBounds:
