@@ -25,7 +25,6 @@ from .counting import (
 )
 from .products import (
     CanonicalProduct,
-    LogComplex,
     ProductsError,
     factor_sum_growth_check,
     index_cancellation_check,

@@ -96,14 +96,6 @@ class DiscSequence:
         self._values.flags.writeable = False
         self._moduli.flags.writeable = False
 
-    @classmethod
-    def from_values(cls, values: Iterable[complex]) -> "DiscSequence":
-        return cls(values)
-
-    @property
-    def points(self) -> tuple[DiscPoint, ...]:
-        return self._points
-
     @property
     def values(self) -> np.ndarray:
         """Node values as a read-only complex array."""

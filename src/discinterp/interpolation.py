@@ -33,7 +33,6 @@ from .growth import GrowthError, GrowthFunction
 from .products import (
     LOG_ZERO,
     CanonicalProduct,
-    LogComplex,
     _poly_q,
     logsumexp_complex,
 )
@@ -263,7 +262,6 @@ class Interpolant:
         self._log_b = np.where(
             np.isneginf(log_abs), complex(LOG_ZERO, 0.0), log_abs + 1j * phases
         )
-        self._log_P_prime = product.log_P_prime_nodes()
 
     @property
     def sequence(self) -> DiscSequence:
@@ -278,10 +276,7 @@ class Interpolant:
         with np.errstate(invalid="ignore"):
             logB = logP[None, :] - lam
         hits = np.isneginf(lam.real)
-        if hits.any():
-            for nrow, m in zip(*np.where(hits)):
-                others = np.delete(lam[:, m], nrow)
-                logB[nrow, m] = others.sum()
+        _fill_hit_sums(logB, lam, hits)
         zc = np.conj(cp.sequence.values)
         with np.errstate(divide="ignore", invalid="ignore"):
             L = (
@@ -292,15 +287,12 @@ class Interpolant:
                 + 1j * math.pi
                 + _poly_q(A, cp.genus)
                 + (self.exponents - 1)[:, None] * np.log(A)
-                - self._log_P_prime[:, None]
+                - cp.log_P_prime_nodes[:, None]
             )
         return {"lam": lam, "A": A, "onemA": onemA, "D": D,
                 "logP": logP, "L": L, "hits": hits}
 
-    def _term_logs(self, zb: np.ndarray) -> np.ndarray:
-        return self._assemble(zb)["L"]
-
-    def _derivative_logs(self, zb: np.ndarray, parts: dict) -> np.ndarray:
+    def _derivative_logs(self, parts: dict) -> np.ndarray:
         """Per-term logs of d/dz term_n via the smooth logarithmic factor.
 
         term_n'/term_n = S_n + (s_n - 1) conj(z_n)/D + conj(z_n)/D *
@@ -315,9 +307,7 @@ class Interpolant:
             S = full[None, :] - T
         hits = parts["hits"]
         if hits.any():
-            finite_T = np.where(np.isfinite(T), T, 0.0)
-            for nrow, m in zip(*np.where(hits)):
-                S[nrow, m] = np.delete(finite_T[:, m], nrow).sum()
+            _fill_hit_sums(S, np.where(np.isfinite(T), T, 0.0), hits)
         zcD = np.conj(cp.sequence.values)[:, None] / D
         # 1 + A + ... + A^s evaluated as a plain polynomial (exact at A = 1)
         geom = np.ones_like(A)
@@ -342,52 +332,29 @@ class Interpolant:
         out = self.eval_and_log_P_many(z)[0]
         return out if np.ndim(z) else complex(out[0])
 
-    def eval(self, z: complex) -> complex:
-        return complex(self.eval_many(z))
-
     def eval_and_log_P_many(self, z) -> tuple[np.ndarray, np.ndarray]:
         """(values, log P) at a batch of points from one factor evaluation."""
-        zb = np.atleast_1d(np.asarray(z, dtype=complex))
-        if len(self.sequence) == 0:
-            return np.zeros(len(zb), dtype=complex), np.zeros(len(zb), dtype=complex)
-        parts = self._assemble(zb)
+        parts = self._assemble(np.atleast_1d(np.asarray(z, dtype=complex)))
         lam = logsumexp_complex(parts["L"], axis=0)
         with np.errstate(over="ignore"):
             return np.where(np.isneginf(lam.real), 0.0, np.exp(lam)), parts["logP"]
 
     def eval_log_many(self, z) -> np.ndarray:
-        zb = np.atleast_1d(np.asarray(z, dtype=complex))
-        if len(self.sequence) == 0:
-            return np.full(len(zb), complex(LOG_ZERO, 0.0))
-        return logsumexp_complex(self._term_logs(zb), axis=0)
-
-    def eval_log(self, z: complex) -> LogComplex:
-        return LogComplex.from_log(complex(self.eval_log_many(np.asarray([z]))[0]))
+        parts = self._assemble(np.atleast_1d(np.asarray(z, dtype=complex)))
+        return logsumexp_complex(parts["L"], axis=0)
 
     def derivative_many(self, z) -> np.ndarray:
-        zb = np.atleast_1d(np.asarray(z, dtype=complex))
-        if len(self.sequence) == 0:
-            out = np.zeros(len(zb), dtype=complex)
-        else:
-            parts = self._assemble(zb)
-            lam = logsumexp_complex(self._derivative_logs(zb, parts), axis=0)
-            with np.errstate(over="ignore"):
-                out = np.where(np.isneginf(lam.real), 0.0, np.exp(lam))
+        parts = self._assemble(np.atleast_1d(np.asarray(z, dtype=complex)))
+        lam = logsumexp_complex(self._derivative_logs(parts), axis=0)
+        with np.errstate(over="ignore"):
+            out = np.where(np.isneginf(lam.real), 0.0, np.exp(lam))
         return out if np.ndim(z) else complex(out[0])
-
-    def derivative(self, z: complex) -> complex:
-        return complex(self.derivative_many(z))
 
     def eval_and_derivative_many(self, z) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(values, derivative values, value logs, derivative logs) in one pass."""
-        zb = np.atleast_1d(np.asarray(z, dtype=complex))
-        if len(self.sequence) == 0:
-            zero = np.zeros(len(zb), dtype=complex)
-            logs = np.full(len(zb), complex(LOG_ZERO, 0.0))
-            return zero, zero.copy(), logs, logs.copy()
-        parts = self._assemble(zb)
+        parts = self._assemble(np.atleast_1d(np.asarray(z, dtype=complex)))
         lam_v = logsumexp_complex(parts["L"], axis=0)
-        lam_d = logsumexp_complex(self._derivative_logs(zb, parts), axis=0)
+        lam_d = logsumexp_complex(self._derivative_logs(parts), axis=0)
         with np.errstate(over="ignore"):
             vals = np.where(np.isneginf(lam_v.real), 0.0, np.exp(lam_v))
             dvals = np.where(np.isneginf(lam_d.real), 0.0, np.exp(lam_d))
@@ -395,12 +362,21 @@ class Interpolant:
 
     def interpolation_errors(self) -> np.ndarray:
         """Relative identity error |f(z_k) - b_k| / (1 + |b_k|) at every node."""
-        if len(self.sequence) == 0:
-            return np.zeros(0)
         f_vals = self.eval_many(self.sequence.values)
         b = self.targets.values
         with np.errstate(invalid="ignore"):
             return np.abs(f_vals - b) / (1.0 + np.abs(b))
+
+
+def _fill_hit_sums(out: np.ndarray, terms: np.ndarray, hits: np.ndarray) -> None:
+    """out[n, m] = sum of terms[:, m] without row n, at every hit cell (n, m).
+
+    One ``np.delete(...).sum()`` per hit; a vectorized gather gives the same
+    bits but needs an (n_hits, n_nodes) temporary, which at node evaluation
+    is as large as the factor matrix.
+    """
+    for nrow, m in zip(*np.nonzero(hits)):
+        out[nrow, m] = np.delete(terms[:, m], nrow).sum()
 
 
 def build_interpolant(seq: DiscSequence, values: Sequence[complex],

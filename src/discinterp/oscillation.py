@@ -72,13 +72,8 @@ def osc_targets(cp: CanonicalProduct) -> np.ndarray:
     b_k = -(s + 1) conj(z_k) / (1 - |z_k|^2) - B_k'(z_k)/B_k(z_k),
     so the values stay finite even when B_k underflows.
     """
-    n = len(cp.sequence)
-    if n == 0:
-        return np.zeros(0, dtype=complex)
     zc = np.conj(cp.sequence.values)
-    oms = (1.0 - zc * cp.sequence.values).real
-    rest = np.array([cp.logderiv_rest_at_node(k) for k in range(n)])
-    return -(cp.genus + 1) * zc / oms - rest
+    return -(cp.genus + 1) * zc / cp._oms - cp.logderiv_rest_nodes
 
 
 @dataclass(frozen=True)
@@ -118,9 +113,6 @@ class OscillationSolution:
         lp2 = self.product.log_deriv_prime_many(zb)
         out = -(lp**2 + lp2) - 2.0 * h * lp - h**2 - hp
         return out if np.ndim(z) else complex(out[0])
-
-    def coefficient(self, z: complex) -> complex:
-        return complex(self.coefficient_many(z))
 
     def coefficient_log_many(self, z) -> np.ndarray:
         """Complex log of a(z); survives radii where h overflows doubles."""
@@ -171,10 +163,6 @@ class OscillationSolution:
     def eval_g_via(self, z: complex, via: complex, tol: float = 1e-11) -> complex:
         """g(z) along the two-segment path 0 -> via -> z (path independence)."""
         return self._h_segment_integral(0.0, via, tol) + self._h_segment_integral(via, z, tol)
-
-    def eval_f(self, z: complex) -> complex:
-        """f(z) = P(z) exp(g(z))."""
-        return complex(self.product.P(complex(z)) * np.exp(self.eval_g(z)))
 
     # -- diagnostics --------------------------------------------------------
 

@@ -35,7 +35,6 @@ from .growth import GrowthFunction
 
 __all__ = [
     "ProductsError",
-    "LogComplex",
     "logsumexp_complex",
     "weierstrass_E",
     "log_weierstrass_E",
@@ -60,78 +59,6 @@ class ProductsError(ValueError):
     """Invalid evaluation for a canonical product."""
 
 
-def _norm_phase(phi: float) -> float:
-    """Reduce a phase to (-pi, pi]."""
-    if not math.isfinite(phi):
-        return 0.0
-    p = math.remainder(phi, 2.0 * math.pi)
-    if p <= -math.pi:
-        p += 2.0 * math.pi
-    return p
-
-
-@dataclass(frozen=True)
-class LogComplex:
-    """Logarithm of a complex number: log modulus and normalized phase.
-
-    ``log_modulus`` is -inf exactly when the represented value is zero.
-    """
-
-    log_modulus: float
-    phase: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "phase", _norm_phase(self.phase))
-        if self.log_modulus == LOG_ZERO:
-            object.__setattr__(self, "phase", 0.0)
-
-    @classmethod
-    def from_value(cls, w: complex) -> "LogComplex":
-        w = complex(w)
-        if w == 0:
-            return cls(LOG_ZERO, 0.0)
-        return cls(math.log(abs(w)), math.atan2(w.imag, w.real))
-
-    @classmethod
-    def from_log(cls, lam: complex) -> "LogComplex":
-        return cls(float(lam.real), float(lam.imag))
-
-    @classmethod
-    def zero(cls) -> "LogComplex":
-        return cls(LOG_ZERO, 0.0)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.log_modulus == LOG_ZERO
-
-    @property
-    def value(self) -> complex:
-        if self.is_zero:
-            return 0.0 + 0.0j
-        return math.exp(self.log_modulus) * complex(math.cos(self.phase), math.sin(self.phase))
-
-    @property
-    def log(self) -> complex:
-        return complex(self.log_modulus, self.phase)
-
-    def __mul__(self, other: "LogComplex") -> "LogComplex":
-        if self.is_zero or other.is_zero:
-            return LogComplex.zero()
-        return LogComplex(self.log_modulus + other.log_modulus, self.phase + other.phase)
-
-    def __truediv__(self, other: "LogComplex") -> "LogComplex":
-        if other.is_zero:
-            raise ZeroDivisionError("division by an exact log-space zero")
-        if self.is_zero:
-            return LogComplex.zero()
-        return LogComplex(self.log_modulus - other.log_modulus, self.phase - other.phase)
-
-    def __pow__(self, n: int) -> "LogComplex":
-        if self.is_zero:
-            return LogComplex.zero() if n > 0 else LogComplex(0.0, 0.0)
-        return LogComplex(n * self.log_modulus, n * self.phase)
-
-
 def logsumexp_complex(lams: np.ndarray, axis: int = 0) -> np.ndarray:
     """Complex log of a sum of exponentials of complex logs.
 
@@ -146,7 +73,7 @@ def logsumexp_complex(lams: np.ndarray, axis: int = 0) -> np.ndarray:
         squeeze = False
     if axis != 0:
         lams = np.moveaxis(lams, axis, 0)
-    M = lams.real.max(axis=0)
+    M = lams.real.max(axis=0, initial=LOG_ZERO)
     out = np.full(lams.shape[1:], complex(LOG_ZERO, 0.0), dtype=complex)
     finite = np.isfinite(M)
     if np.any(finite):
@@ -183,10 +110,13 @@ def _poly_q(A: np.ndarray, s: int) -> np.ndarray:
     return q
 
 
-def log_weierstrass_E(w: complex, s: int) -> LogComplex:
-    """Complex log of the primary factor, stable for small and near-1 w."""
+def log_weierstrass_E(w: complex, s: int) -> complex:
+    """Complex log of the primary factor, stable for small and near-1 w.
+
+    The real part is -inf exactly where the factor vanishes (w = 1).
+    """
     A = np.asarray([w], dtype=complex)
-    return LogComplex.from_log(_log_E(A, _log_one_minus(1.0 - A), s)[0])
+    return complex(_log_E(A, _log_one_minus(1.0 - A), s)[0])
 
 
 def _log_one_minus(one_minus_A: np.ndarray) -> np.ndarray:
@@ -228,9 +158,11 @@ def _log_E(A: np.ndarray, log_one_minus_A: np.ndarray, s: int) -> np.ndarray:
 class CanonicalProduct:
     """Canonical product over a node sequence with fixed genus.
 
-    Immutable after construction; per-node data (reduced products at their
-    own node, node derivatives, logarithmic-derivative remainders) is cached
-    once.  Evaluation at distinct points is pure and batched.
+    Immutable after construction.  Per-node data is cached once as read-only
+    complex-log arrays: ``log_B_nodes`` (reduced products B_k(z_k)),
+    ``logderiv_rest_nodes`` (B_k'(z_k)/B_k(z_k), a plain complex value) and
+    ``log_P_prime_nodes`` (node derivatives P'(z_k)).  Evaluation at distinct
+    points is pure and batched; a scalar point gives a scalar result.
     """
 
     def __init__(self, sequence: DiscSequence, genus: int):
@@ -248,27 +180,22 @@ class CanonicalProduct:
         self._oms = (1.0 - self._zn_conj * zn).real
         self.tail_sum = float(np.sum((1.0 - sequence.moduli) ** (self.genus + 1)))
 
-        n = len(sequence)
-        if n:
-            lam, A, onemA, _ = self._factors(zn)
-            lam_d = lam.copy()
-            np.fill_diagonal(lam_d, 0.0)
-            self._log_B_nodes = lam_d.sum(axis=0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                T = self._deriv_terms(A, onemA)
-            np.fill_diagonal(T, 0.0)
-            self._logderiv_rest_nodes = T.sum(axis=0)
-            self._log_P_prime_nodes = (
-                self._log_B_nodes
-                + self.harmonic
-                + np.log(self._zn_conj)
-                - np.log(self._oms.astype(complex))
-                + 1j * math.pi
-            )
-        else:
-            self._log_B_nodes = np.zeros(0, dtype=complex)
-            self._logderiv_rest_nodes = np.zeros(0, dtype=complex)
-            self._log_P_prime_nodes = np.zeros(0, dtype=complex)
+        lam, A, onemA, _ = self._factors(zn)
+        np.fill_diagonal(lam, 0.0)
+        self.log_B_nodes = lam.sum(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            T = self._deriv_terms(A, onemA)
+        np.fill_diagonal(T, 0.0)
+        self.logderiv_rest_nodes = T.sum(axis=0)
+        self.log_P_prime_nodes = (
+            self.log_B_nodes
+            + self.harmonic
+            + np.log(self._zn_conj)
+            - np.log(self._oms.astype(complex))
+            + 1j * math.pi
+        )
+        for arr in (self.log_B_nodes, self.logderiv_rest_nodes, self.log_P_prime_nodes):
+            arr.flags.writeable = False
 
     # -- batched internals ---------------------------------------------------
 
@@ -303,16 +230,17 @@ class CanonicalProduct:
         scalar = arr.ndim == 0
         return np.atleast_1d(arr), scalar
 
+    def _near_nodes(self, zb: np.ndarray) -> np.ndarray:
+        """Mask (n_nodes, n_points) of points within the pole tolerance of a node."""
+        d = np.abs(zb[None, :] - self._zn[:, None])
+        return d < POLE_TOL * (1.0 - self.sequence.moduli)[:, None]
+
     # -- public evaluation ----------------------------------------------------
 
     def log_P_many(self, z) -> np.ndarray:
         zb, scalar = self._as_batch(z)
-        lam, _, _, _ = self._factors(zb)
-        out = lam.sum(axis=0) if len(self.sequence) else np.zeros(len(zb), dtype=complex)
+        out = self._factors(zb)[0].sum(axis=0)
         return out[0] if scalar else out
-
-    def log_P(self, z: complex) -> LogComplex:
-        return LogComplex.from_log(complex(self.log_P_many(z)))
 
     def P(self, z):
         lam = self.log_P_many(z)
@@ -321,57 +249,30 @@ class CanonicalProduct:
         return complex(out) if np.ndim(out) == 0 else out
 
     def _check_pole(self, zb: np.ndarray) -> None:
-        if len(self.sequence) == 0:
-            return
-        d = np.abs(zb[None, :] - self._zn[:, None])
-        lim = POLE_TOL * (1.0 - self.sequence.moduli)[:, None]
-        if np.any(d < lim):
+        if self._near_nodes(zb).any():
             raise ProductsError("logarithmic derivative evaluated at a node pole")
 
     def log_deriv_P_many(self, z) -> np.ndarray:
         """P'/P at a batch of points away from the nodes."""
         zb, scalar = self._as_batch(z)
         self._check_pole(zb)
-        if len(self.sequence) == 0:
-            out = np.zeros(len(zb), dtype=complex)
-        else:
-            A, onemA, _ = self._geometry(zb)
-            out = self._deriv_terms(A, onemA).sum(axis=0)
+        A, onemA, _ = self._geometry(zb)
+        out = self._deriv_terms(A, onemA).sum(axis=0)
         return out[0] if scalar else out
-
-    def log_deriv_P(self, z: complex) -> complex:
-        return complex(self.log_deriv_P_many(z))
 
     def log_deriv_prime_many(self, z) -> np.ndarray:
         """(P'/P)' at a batch of points away from the nodes."""
         zb, scalar = self._as_batch(z)
         self._check_pole(zb)
-        if len(self.sequence) == 0:
-            out = np.zeros(len(zb), dtype=complex)
-        else:
-            A, onemA, _ = self._geometry(zb)
-            out = self._deriv_prime_terms(A, onemA).sum(axis=0)
+        A, onemA, _ = self._geometry(zb)
+        out = self._deriv_prime_terms(A, onemA).sum(axis=0)
         return out[0] if scalar else out
 
     # -- node data --------------------------------------------------------------
 
-    def log_B_at_node(self, k: int) -> LogComplex:
-        """Reduced product B_k(z_k) = prod_{n != k} E(A_n(z_k), s) as a log."""
-        return LogComplex.from_log(complex(self._log_B_nodes[k]))
-
-    def logderiv_rest_at_node(self, k: int) -> complex:
-        """B_k'(z_k) / B_k(z_k), the node value of the off-factor log derivative."""
-        return complex(self._logderiv_rest_nodes[k])
-
-    def log_P_prime_at_node(self, k: int) -> LogComplex:
-        return LogComplex.from_log(complex(self._log_P_prime_nodes[k]))
-
-    def log_P_prime_nodes(self) -> np.ndarray:
-        return self._log_P_prime_nodes.copy()
-
     def P_prime_at_node(self, k: int) -> complex:
         """P'(z_k) = -conj(z_k) B_k(z_k) e^{H_s} / (1 - |z_k|^2), via the cache."""
-        return self.log_P_prime_at_node(k).value
+        return complex(np.exp(self.log_P_prime_nodes[k]))
 
     def P_second_at_node(self, k: int) -> complex:
         """P''(z_k) from the factor split P = E(A_k(z), s) B_k(z).
@@ -382,21 +283,15 @@ class CanonicalProduct:
         with D_k = conj(z_k) / (1 - |z_k|^2) and S_k = B_k'(z_k)/B_k(z_k).
         """
         Dk = self._zn_conj[k] / self._oms[k]
-        Sk = self._logderiv_rest_nodes[k]
+        Sk = self.logderiv_rest_nodes[k]
         rest = -2.0 * math.exp(self.harmonic) * Dk * ((self.genus + 1) * Dk + Sk)
-        return complex(self.log_B_at_node(k).value * rest)
+        return complex(np.exp(self.log_B_nodes[k]) * rest)
 
     def P_second_many(self, z) -> np.ndarray:
         """P'' away from nodes via P ((P'/P)^2 + (P'/P)'); node-exact at nodes."""
         zb, scalar = self._as_batch(z)
         out = np.empty(len(zb), dtype=complex)
-        if len(self.sequence):
-            d = np.abs(zb[None, :] - self._zn[:, None])
-            lim = POLE_TOL * (1.0 - self.sequence.moduli)[:, None]
-            near = d < lim
-            at_node = near.any(axis=0)
-        else:
-            at_node = np.zeros(len(zb), dtype=bool)
+        at_node = self._near_nodes(zb).any(axis=0)
         away = ~at_node
         if away.any():
             za = zb[away]
@@ -409,19 +304,13 @@ class CanonicalProduct:
             out[m] = self.P_second_at_node(k)
         return out[0] if scalar else out
 
-    def P_second(self, z: complex) -> complex:
-        return complex(self.P_second_many(z))
-
     # -- bounds -------------------------------------------------------------------
 
     def factor_abs_power_sum(self, z) -> np.ndarray:
         """sum_n |A_n(z)|^(s+1), the universal comparison series."""
         zb, scalar = self._as_batch(z)
-        if len(self.sequence) == 0:
-            out = np.zeros(len(zb))
-        else:
-            A, _, _ = self._geometry(zb)
-            out = (np.abs(A) ** (self.genus + 1)).sum(axis=0)
+        A, _, _ = self._geometry(zb)
+        out = (np.abs(A) ** (self.genus + 1)).sum(axis=0)
         return float(out[0]) if scalar else out
 
     def tsuji_bound_check(self, z: complex) -> "TsujiReport":
@@ -503,7 +392,7 @@ def index_cancellation_check(cp: CanonicalProduct, delta: float = 0.5) -> IndexC
     N = _counting_N_at_nodes(seq, delta).tolist()
     lhs, rhs, ratios = [], [], []
     for k, p in enumerate(seq):
-        left = abs(cp.log_B_at_node(k).log_modulus + N[k])
+        left = abs(float(cp.log_B_nodes[k].real) + N[k])
         right = float(cp.factor_abs_power_sum(p.value))
         lhs.append(left)
         rhs.append(right)
@@ -539,7 +428,7 @@ def prime_counting_criteria_check(cp: CanonicalProduct, gf: GrowthFunction) -> P
         counting_n(seq, p.value, 0.5 * (1.0 - p.modulus)) for p in seq
     ], dtype=float)
     ln_prime = np.array([
-        abs(math.log(1.0 - p.modulus) + cp.log_P_prime_at_node(k).log_modulus)
+        abs(math.log(1.0 - p.modulus) + float(cp.log_P_prime_nodes[k].real))
         for k, p in enumerate(seq)
     ])
     def best(v: np.ndarray) -> float:

@@ -13,7 +13,6 @@ from discinterp.geometry import DiscSequence
 from discinterp.growth import GrowthFunction
 from discinterp.products import (
     CanonicalProduct,
-    LogComplex,
     ProductsError,
     factor_sum_growth_check,
     index_cancellation_check,
@@ -57,31 +56,7 @@ def cauchy_derivative(cp, k, order, n_points=512):
     return complex(2.0 * np.mean(vals * np.exp(-2j * thetas)) / r**2)
 
 
-class TestLogComplex:
-    def test_round_trip(self):
-        # relative error of exp(log w) scales with |log w| * eps
-        for w in (1.0, -2.5, 1j, -3 - 4j, 1e-200, 1e200):
-            lc = LogComplex.from_value(w)
-            assert lc.value == pytest.approx(complex(w), rel=1e-12)
-
-    def test_zero(self):
-        lc = LogComplex.from_value(0.0)
-        assert lc.is_zero
-        assert lc.value == 0.0
-        assert lc.phase == 0.0
-
-    def test_phase_normalized(self):
-        lc = LogComplex(0.0, 7 * math.pi)
-        assert -math.pi < lc.phase <= math.pi
-        assert lc.phase == pytest.approx(math.pi)
-
-    def test_ops(self):
-        a = LogComplex.from_value(2 + 1j)
-        b = LogComplex.from_value(-0.5j)
-        assert (a * b).value == pytest.approx((2 + 1j) * (-0.5j), rel=1e-14)
-        assert (a / b).value == pytest.approx((2 + 1j) / (-0.5j), rel=1e-14)
-        assert (a**3).value == pytest.approx((2 + 1j) ** 3, rel=1e-13)
-
+class TestLogsumexp:
     def test_logsumexp_extreme_scales(self):
         lams = np.array([complex(-1000.0, 0.1), complex(-1000.0, 0.1),
                          complex(-1200.0, 0.0)])
@@ -113,7 +88,7 @@ class TestWeierstrassE:
         for w in (0.001, 0.4j, -1.5 + 0.2j, 0.95, 1 + 1e-8j):
             for s in (0, 1, 3):
                 direct = weierstrass_E(w, s)
-                assert log_weierstrass_E(w, s).value == pytest.approx(
+                assert np.exp(log_weierstrass_E(w, s)) == pytest.approx(
                     complex(direct), rel=1e-12, abs=1e-300)
 
 
@@ -200,19 +175,19 @@ class TestLogEKernel:
         # 1 - A = 0 is a zero of E, and a NaN 1 - A is an exact log zero
         assert list(np.isneginf(lam.real)) == [True, False, True, False, True]
         assert np.all(np.isfinite(lam[[1, 3]]))
-        assert log_weierstrass_E(1.0, s).is_zero
+        assert np.isneginf(log_weierstrass_E(1.0, s).real)
 
 
 class TestLogP:
     def test_empty_product(self):
         cp = CanonicalProduct(DiscSequence([]), 1)
-        lc = cp.log_P(0.3 + 0.1j)
-        assert lc.log_modulus == 0.0
-        assert lc.phase == 0.0
+        lam = cp.log_P_many(0.3 + 0.1j)
+        assert lam.real == 0.0
+        assert lam.imag == 0.0
 
     def test_zero_at_node(self):
         cp = CanonicalProduct(DiscSequence([0.5, 0.2j]), 2)
-        assert cp.log_P(0.5).is_zero
+        assert np.isneginf(cp.log_P_many(0.5).real)
         assert cp.P(0.5) == 0.0
 
     def test_against_naive_product(self):
@@ -236,7 +211,7 @@ class TestLogP:
         for p in seq:
             assert abs(cp.P(p.value + 1e-14)) < 1e-12
             off = p.value + 1e-6 * (1 - p.modulus)
-            assert np.isfinite(cp.log_P(off).log_modulus)
+            assert np.isfinite(cp.log_P_many(off).real)
 
     def test_genus_validation(self):
         with pytest.raises(ProductsError):
@@ -341,14 +316,14 @@ class TestPrimeAtNode:
 
 class TestLogDeriv:
     def test_empty(self):
-        assert CanonicalProduct(DiscSequence([]), 1).log_deriv_P(0.3) == 0.0
+        assert CanonicalProduct(DiscSequence([]), 1).log_deriv_P_many(0.3) == 0.0
 
     def test_singleton_finite_difference_of_log(self):
         cp = CanonicalProduct(DiscSequence([0.5 + 0.2j]), 2)
         z = -0.3 + 0.1j
         h = 1e-6
         fd = (cp.log_P_many(z + h) - cp.log_P_many(z - h)) / (2 * h)
-        assert cp.log_deriv_P(z) == pytest.approx(complex(fd), rel=1e-6)
+        assert cp.log_deriv_P_many(z) == pytest.approx(complex(fd), rel=1e-6)
 
     def test_residue_at_simple_zero(self):
         rng = np.random.default_rng(40)
@@ -357,25 +332,25 @@ class TestLogDeriv:
         zk = seq[2].value
         for ang in (0, np.pi / 2, np.pi, 3 * np.pi / 2):
             d = 1e-7 * (1 - abs(zk)) * np.exp(1j * ang)
-            val = d * cp.log_deriv_P(zk + d)
+            val = d * cp.log_deriv_P_many(zk + d)
             assert val == pytest.approx(1.0, abs=1e-5)
 
     def test_pole_error(self):
         cp = CanonicalProduct(DiscSequence([0.5]), 1)
         with pytest.raises(ProductsError):
-            cp.log_deriv_P(0.5 + 1e-16)
+            cp.log_deriv_P_many(0.5 + 1e-16)
 
 
 class TestPSecond:
     def test_empty_product(self):
-        assert CanonicalProduct(DiscSequence([]), 1).P_second(0.2) == 0.0
+        assert CanonicalProduct(DiscSequence([]), 1).P_second_many(0.2) == 0.0
 
     def test_singleton_second_difference(self):
         cp = CanonicalProduct(DiscSequence([0.5]), 1)
         for z in (0.1, 0.3 + 0.4j, -0.7j):
             h = 1e-4 * (1 - abs(z))
             fd = (cp.P(z + h) - 2 * cp.P(z) + cp.P(z - h)) / h**2
-            assert cp.P_second(z) == pytest.approx(fd, rel=1e-4)
+            assert cp.P_second_many(z) == pytest.approx(fd, rel=1e-4)
 
     def test_many_nodes_second_difference(self):
         rng = np.random.default_rng(41)
@@ -384,7 +359,7 @@ class TestPSecond:
         z = 0.05 + 0.15j
         h = 1e-4 * (1 - abs(z))
         fd = (cp.P(z + h) - 2 * cp.P(z) + cp.P(z - h)) / h**2
-        assert cp.P_second(z) == pytest.approx(fd, rel=1e-4)
+        assert cp.P_second_many(z) == pytest.approx(fd, rel=1e-4)
 
     def test_node_value_matches_cauchy(self):
         rng = np.random.default_rng(42)
