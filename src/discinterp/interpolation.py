@@ -479,7 +479,7 @@ def max_term_bound_report(ladder: CoefficientLadder,
                           tol: float = 1e-6) -> MaxTermBoundReport:
     gf, C0 = ladder.gf, ladder.C0
     ts = sorted(float(t) for t in t_grid)
-    if any(t < 1.0 for t in ts):
+    if not all(1.0 <= t < math.inf for t in ts):
         raise LadderError("t grid must lie in [1, inf)")
     log_mus, _ = ladder.log_max_terms([math.log(t) for t in ts])
     rows = []

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .counting import _counting_N_at_nodes, counting_n
+from .counting import _counting_N_at_nodes, _one_minus_at_nodes, counting_n
 from .geometry import DiscSequence
 from .growth import GrowthFunction
 
@@ -389,16 +389,12 @@ def index_cancellation_check(cp: CanonicalProduct, delta: float = 0.5) -> IndexC
     if not 0 < delta < 1:
         raise ProductsError("delta must lie in (0, 1)")
     seq = cp.sequence
-    N = _counting_N_at_nodes(seq, delta).tolist()
-    lhs, rhs, ratios = [], [], []
-    for k, p in enumerate(seq):
-        left = abs(float(cp.log_B_nodes[k].real) + N[k])
-        right = float(cp.factor_abs_power_sum(p.value))
-        lhs.append(left)
-        rhs.append(right)
-        ratios.append(left / right)
-    constant = max(ratios) if ratios else 0.0
-    return IndexCancellationReport(tuple(lhs), tuple(rhs), tuple(ratios), float(constant))
+    lhs = np.abs(cp.log_B_nodes.real + _counting_N_at_nodes(seq, delta))
+    rhs = cp.factor_abs_power_sum(seq.values)
+    ratios = lhs / rhs
+    constant = float(ratios.max()) if ratios.size else 0.0
+    return IndexCancellationReport(tuple(lhs.tolist()), tuple(rhs.tolist()),
+                                   tuple(ratios.tolist()), constant)
 
 
 @dataclass(frozen=True)
@@ -424,13 +420,13 @@ def prime_counting_criteria_check(cp: CanonicalProduct, gf: GrowthFunction) -> P
     seq = cp.sequence
     psi_vals = np.asarray(gf.psi(1.0 / (1.0 - seq.moduli)), dtype=float)
     conc = _counting_N_at_nodes(seq, 0.5)
-    counts = np.array([
-        counting_n(seq, p.value, 0.5 * (1.0 - p.modulus)) for p in seq
-    ], dtype=float)
-    ln_prime = np.array([
-        abs(math.log(1.0 - p.modulus) + float(cp.log_P_prime_nodes[k].real))
-        for k, p in enumerate(seq)
-    ])
+    one_minus = _one_minus_at_nodes(seq)
+    # n_{z_k}(r_k) for every k from the rows |z_j - z_k|, as counting_n forms them
+    d = np.abs(seq.values[None, :] - seq.values[:, None])
+    counts = np.count_nonzero(d <= 0.5 * one_minus[:, None], axis=1).astype(float)
+    # scalar math.log per node: np.log is not guaranteed to round the same way
+    ln_prime = np.abs(np.array([math.log(om) for om in one_minus.tolist()])
+                      + cp.log_P_prime_nodes.real)
     def best(v: np.ndarray) -> float:
         return float((v / psi_vals).max()) if v.size else 0.0
     return PrimeCountingReport(

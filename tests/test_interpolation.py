@@ -21,6 +21,7 @@ from discinterp.interpolation import (
     max_term_bound_report,
     select_exponents,
 )
+from discinterp.oscillation import osc_targets
 from discinterp.products import CanonicalProduct
 
 from helpers import lattice_instance, scan_max_term, small_radial_instance, spiral_sequence
@@ -203,6 +204,11 @@ class TestMaxTermBounds:
         rep = max_term_bound_report(ladder, grid)
         assert rep.t0_scaled is not None
 
+    @pytest.mark.parametrize("bad", [0.5, math.nan, math.inf])
+    def test_grid_outside_one_to_inf_raises(self, bad):
+        with pytest.raises(LadderError, match=r"\[1, inf\)"):
+            max_term_bound_report(build_ladder(GF1, 8.0, 400), [bad, 2.0])
+
 
 class TestTargets:
     def test_admissibility_constant(self):
@@ -237,6 +243,35 @@ class TestInterpolationIdentity:
     def test_empty_sequence(self):
         f = build_interpolant(DiscSequence([]), [], GF1)
         assert f.eval_many(0.3) == 0.0
+
+    @pytest.mark.parametrize("name, expected", [
+        ("eval_many", [0.0]),
+        ("eval_log_many", [-math.inf]),
+        ("derivative_many", [0.0]),
+        ("eval_and_derivative_many", [0.0, 0.0, -math.inf, -math.inf]),
+        ("eval_and_log_P_many", [0.0, 0.0]),
+        ("interpolation_errors", [0.0]),
+        ("log_deriv_prime_many", [0.0]),
+        ("factor_abs_power_sum", [0.0]),
+        ("osc_targets", [0.0]),
+    ])
+    def test_empty_sequence_takes_the_general_path(self, name, expected):
+        # exact zeros, and logs -inf + 0j, with one entry per point (per node)
+        f = build_interpolant(DiscSequence([]), [], GF1)
+        z = np.array([0.0, 0.3 - 0.2j, -0.9j])
+        calls = {
+            "interpolation_errors": lambda: f.interpolation_errors(),
+            "log_deriv_prime_many": lambda: f.product.log_deriv_prime_many(z),
+            "factor_abs_power_sum": lambda: f.product.factor_abs_power_sum(z),
+            "osc_targets": lambda: osc_targets(f.product),
+        }
+        out = calls[name]() if name in calls else getattr(f, name)(z)
+        outs = out if isinstance(out, tuple) else (out,)
+        n = 0 if name in ("interpolation_errors", "osc_targets") else len(z)
+        assert len(outs) == len(expected)
+        for got, want in zip(outs, expected):
+            assert got.shape == (n,)
+            assert np.array_equal(got, np.full(n, want, dtype=got.dtype))
 
     @pytest.mark.parametrize("gf", [GrowthFunction.power(0.5), GF1,
                                     GrowthFunction.power(2.0),

@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from discinterp.counting import check_concentration, counting_N
+from discinterp.counting import check_concentration, counting_N, counting_n
 from discinterp.geometry import DiscSequence
 from discinterp.growth import GrowthFunction
 from discinterp.products import (
@@ -216,6 +216,12 @@ class TestLogP:
     def test_genus_validation(self):
         with pytest.raises(ProductsError):
             CanonicalProduct(DiscSequence([0.5]), 0)
+
+    def test_node_caches_are_read_only(self):
+        cp = CanonicalProduct(DiscSequence([0.5, 0.2j]), 2)
+        for arr in (cp.log_B_nodes, cp.logderiv_rest_nodes, cp.log_P_prime_nodes):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestTsuji:
@@ -438,6 +444,21 @@ class TestPrimeCountingCriteria:
         rep = prime_counting_criteria_check(cp, gf)
         assert rep.concentration_constant == pytest.approx(
             check_concentration(seq, gf).best_constant, rel=1e-13)
+
+    def test_counts_and_ln_prime_match_the_per_node_loop(self):
+        rng = np.random.default_rng(45)
+        seq = random_sequence(rng, 40, r_lo=0.5, r_hi=0.97, min_gap=0.005)
+        gf = GrowthFunction.power(1.0)
+        cp = CanonicalProduct(seq, gf.genus)
+        rep = prime_counting_criteria_check(cp, gf)
+        psi = np.asarray(gf.psi(1.0 / (1.0 - seq.moduli)), dtype=float)
+        counts = np.array([counting_n(seq, p.value, 0.5 * (1.0 - p.modulus)) for p in seq],
+                          dtype=float)
+        ln_prime = np.array([abs(math.log(1.0 - p.modulus) + cp.log_P_prime_nodes[k].real)
+                             for k, p in enumerate(seq)])
+        assert counts.max() > 1
+        assert rep.count_constant == float((counts / psi).max())
+        assert rep.ln_prime_constant == float((ln_prime / psi).max())
 
     def test_not_class_R_warns(self):
         cp = CanonicalProduct(DiscSequence([0.5]), 1)
