@@ -134,18 +134,21 @@ def pseudo_dist(z: PointLike, w: PointLike) -> float:
 def mobius_factor(z: complex, node: PointLike) -> complex:
     """Moebius factor A(z) = (1 - |node|^2) / (1 - conj(node) z).
 
-    Equals 1 exactly at z = node and is analytic in z wherever the
+    The denominator is formed as (1 - |node|^2) + conj(node) (node - z), so
+    A equals 1 exactly at z = node; A is analytic in z wherever the
     denominator does not vanish.
     """
     nv = _value(node)
-    if abs(nv) < MIN_NODE_MODULUS:
+    m = abs(nv)
+    if m < MIN_NODE_MODULUS:
         raise GeometryError(
             "degenerate node at the origin: the Moebius factor is constant"
         )
-    denom = 1.0 - nv.conjugate() * complex(z)
+    oms = (1.0 - m) * (1.0 + m)
+    denom = oms + nv.conjugate() * (nv - complex(z))
     if denom == 0:
         raise GeometryError(f"Moebius factor pole at z = {z}")
-    return (1.0 - abs(nv) ** 2) / denom
+    return oms / denom
 
 
 def pseudo_disc_radius(delta: float) -> float:

@@ -14,8 +14,9 @@ node derivative P'(z_k) are cached at construction in the same representation.
 Key algebraic identities used throughout (all consequences of the factor
 definitions):
 
-* 1 - A_n(z) = conj(z_n) (z_n - z) / (1 - conj(z_n) z), computed in this
-  form to stay exact near nodes;
+* 1 - conj(z_n) z = (1 - |z_n|^2) + conj(z_n) (z_n - z) and
+  1 - A_n(z) = conj(z_n) (z_n - z) / (1 - conj(z_n) z), computed in these
+  forms so that A_n(z_n) = 1 exactly and both stay accurate near nodes;
 * d/dw log E(w, s) = -w^s / (1 - w);
 * E'(w, s) = -w^s exp(w + ... + w^s/s), so E'(1, s) = -exp(H_s) and
   E''(1, s) = -2 s exp(H_s) with H_s the harmonic number.
@@ -174,10 +175,8 @@ class CanonicalProduct:
         zn = sequence.values
         self._zn = zn
         self._zn_conj = np.conj(zn)
-        # computed through the same complex product as the factor denominator,
-        # yet near the boundary A_k(z_k) is off from 1 by rounding (D carries
-        # it in its imaginary part), which large exponents s_k amplify
-        self._oms = (1.0 - self._zn_conj * zn).real
+        # 1 - |z_n|^2 without cancellation near the boundary
+        self._oms = (1.0 - sequence.moduli) * (1.0 + sequence.moduli)
         self.tail_sum = float(np.sum((1.0 - sequence.moduli) ** (self.genus + 1)))
 
         lam, A, onemA, _ = self._factors(zn)
@@ -200,12 +199,20 @@ class CanonicalProduct:
     # -- batched internals ---------------------------------------------------
 
     def _geometry(self, z: np.ndarray):
-        """(A, one_minus_A, D) at a batch of points, shape (n_nodes, n_points)."""
+        """(A, one_minus_A, D) at a batch of points, shape (n_nodes, n_points).
+
+        With gap = conj(z_n) (z_n - z) and oms = 1 - |z_n|^2, D = 1 - conj(z_n) z
+        is formed as oms + gap, 1 - A as gap / D and A as 1 / (1 + gap / oms).
+        At z = z_n the gap is an exact zero, so A_n(z_n) = 1 and
+        1 - A_n(z_n) = 0 exactly, and the exponents s_n - 1 of the series
+        amplify no rounding of A at its own node.  (oms / D can miss 1 by an
+        ulp there: numpy divides by a complex through its reciprocal.)
+        """
         z = np.asarray(z, dtype=complex)
-        D = 1.0 - self._zn_conj[:, None] * z[None, :]
-        A = self._oms[:, None] / D
-        onemA = self._zn_conj[:, None] * (self._zn[:, None] - z[None, :]) / D
-        return A, onemA, D
+        oms = self._oms[:, None]
+        gap = self._zn_conj[:, None] * (self._zn[:, None] - z[None, :])
+        D = oms + gap
+        return 1.0 / (1.0 + gap / oms), gap / D, D
 
     def _factors(self, z: np.ndarray):
         """(log E(A, s), A, one_minus_A, D) at a batch of points, as _geometry."""

@@ -64,6 +64,12 @@ class TestMobiusFactor:
         node = DiscPoint(0.3 + 0.6j)
         assert mobius_factor(node.value, node) == pytest.approx(1.0, abs=1e-15)
 
+    def test_exactly_one_at_near_boundary_nodes(self):
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            node = (1.0 - 10.0 ** rng.uniform(-8, -1)) * np.exp(2j * np.pi * rng.uniform())
+            assert mobius_factor(complex(node), complex(node)) == 1.0
+
     def test_at_origin(self):
         node = DiscPoint(0.8j)
         assert mobius_factor(0.0, node) == pytest.approx(1 - 0.64, abs=1e-15)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from discinterp.geometry import DiscSequence
+from discinterp.harness import generate_targets
 from discinterp.growth import GrowthFunction
 from discinterp.interpolation import (
     CoefficientLadder,
@@ -279,6 +280,23 @@ class TestInterpolationIdentity:
                              ids=lambda g: f"{g.family}-{g.param}")
     def test_identity_on_lattice_instances(self, gf):
         seq, targets = lattice_instance(seed=7, gf=gf, max_points=40)
+        f = build_interpolant(seq, targets, gf)
+        assert float(f.interpolation_errors().max()) < 1e-8
+
+    @pytest.mark.parametrize("gf", SPIRAL_FAMILIES, ids=lambda g: g.family)
+    def test_identity_on_the_spiral(self, spiral_ladders, gf):
+        # exponents reach 6.4e5 at 1 - |z| = 1e-4 (power(1)), so any rounding
+        # of A_k(z_k) away from 1 would show here
+        seq, ladders = spiral_ladders
+        targets = generate_targets({"kind": "random_admissible", "constant": 2.0}, seq, gf, 0)
+        f = build_interpolant(seq, targets, gf, ladder=ladders[gf.family])
+        assert float(f.interpolation_errors().max()) < 1e-8
+
+    def test_identity_on_radial_nodes_down_to_1e_minus_6(self):
+        gf = GrowthFunction.log_power(2.0)
+        seq = DiscSequence([(1.0 - 10.0 ** -j) * np.exp(2j * np.pi * (r / 3 + 0.1))
+                            for r in range(3) for j in np.arange(1.0, 6.01, 0.5)])
+        targets = generate_targets({"kind": "random_admissible", "constant": 2.0}, seq, gf, 1)
         f = build_interpolant(seq, targets, gf)
         assert float(f.interpolation_errors().max()) < 1e-8
 

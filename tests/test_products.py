@@ -25,6 +25,8 @@ from discinterp.products import (
 )
 from discinterp.oscillation import sharpness_sequence
 
+from helpers import spiral_sequence
+
 
 def random_sequence(rng, n, r_lo=0.2, r_hi=0.9, min_gap=0.02):
     pts = []
@@ -216,6 +218,13 @@ class TestLogP:
     def test_genus_validation(self):
         with pytest.raises(ProductsError):
             CanonicalProduct(DiscSequence([0.5]), 0)
+
+    def test_moebius_factor_is_exactly_one_at_its_node(self):
+        seq = spiral_sequence()
+        cp = CanonicalProduct(seq, 1)
+        A, onemA, _ = cp._geometry(seq.values)
+        assert np.all(np.diag(A) == 1.0)
+        assert np.all(np.diag(onemA) == 0.0)
 
     def test_node_caches_are_read_only(self):
         cp = CanonicalProduct(DiscSequence([0.5, 0.2j]), 2)
