@@ -431,7 +431,7 @@ def prime_counting_criteria_check(cp: CanonicalProduct, gf: GrowthFunction) -> P
     # n_{z_k}(r_k) for every k from the rows |z_j - z_k|, as counting_n forms them
     d = np.abs(seq.values[None, :] - seq.values[:, None])
     counts = np.count_nonzero(d <= 0.5 * one_minus[:, None], axis=1).astype(float)
-    # scalar math.log per node: np.log is not guaranteed to round the same way
+    # math.log per node keeps ln_prime_bound on libm's rounding; np.log can differ in the last bit
     ln_prime = np.abs(np.array([math.log(om) for om in one_minus.tolist()])
                       + cp.log_P_prime_nodes.real)
     def best(v: np.ndarray) -> float:
