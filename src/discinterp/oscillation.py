@@ -432,7 +432,12 @@ class SharpnessSequence:
         # rows n, columns k: factor n evaluated at node k
         D = om[:, None] + x[:, None] * om[None, :]   # 1 - x_n x_k, no cancellation
         A = (om * (1.0 + x))[:, None] / D            # (1 - x_n^2) / D
-        log_one_minus_A = np.log(x)[:, None] + self.log_gap_matrix() - np.log(D)
+        gaps = self.log_gap_matrix()
+
+        def log_one_minus_A(big):
+            # ln(1 - A) = ln x_n + ln|x_n - x_k| - ln D on the cells that read it
+            return np.log(x)[big.nonzero()[0]] + gaps[big] - np.log(D[big])
+
         ln_E = products._log_E(A, log_one_minus_A, genus).real
         np.fill_diagonal(ln_E, 0.0)
         N = np.array([self.counting_N_log(k, delta) for k in range(len(self))])

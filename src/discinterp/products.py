@@ -11,6 +11,11 @@ exp(-2**(n rho)) survive: naive double-precision products underflow after a
 handful of such factors.  The reduced product B_k = P / E(A_k(z), s) and the
 node derivative P'(z_k) are cached at construction in the same representation.
 
+The log-factor kernel ``_log_E`` reads log(1 - A) only on the cells with
+|A| > 1/2; the others take a Horner tail that never needs it.  Callers hand
+it log(1 - A) as a function of that mask, so the complex logarithm is taken
+on those cells alone.
+
 Key algebraic identities used throughout (all consequences of the factor
 definitions):
 
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -117,7 +122,8 @@ def log_weierstrass_E(w: complex, s: int) -> complex:
     The real part is -inf exactly where the factor vanishes (w = 1).
     """
     A = np.asarray([w], dtype=complex)
-    return complex(_log_E(A, _log_one_minus(1.0 - A), s)[0])
+    onemA = 1.0 - A
+    return complex(_log_E(A, lambda big: _log_one_minus(onemA[big]), s)[0])
 
 
 def _log_one_minus(one_minus_A: np.ndarray) -> np.ndarray:
@@ -127,14 +133,18 @@ def _log_one_minus(one_minus_A: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(lam), complex(LOG_ZERO, 0.0), lam)
 
 
-def _log_E(A: np.ndarray, log_one_minus_A: np.ndarray, s: int) -> np.ndarray:
+def _log_E(A: np.ndarray, log_one_minus: Callable[[np.ndarray], np.ndarray],
+           s: int) -> np.ndarray:
     """log E(A, s) elementwise as complex log values.
 
     For |A| <= 1/2 the value is the tail -sum_{j>s} A^j / j, run by Horner on
     those cells only to a degree fixed by the largest |A| among them; this
     avoids the cancellation between log(1 - A) and the genus polynomial q.
-    The other cells use the direct form log(1 - A) + q(A), with log(1 - A)
-    supplied by the caller from a node-stable 1 - A or from exact gap logs.
+    The other cells use the direct form log(1 - A) + q(A).  log(1 - A) comes
+    from the caller, from a node-stable 1 - A or from exact gap logs:
+    ``log_one_minus(big)`` returns it on the cells of the boolean mask
+    ``big`` (|A| > 1/2), flattened as ``A[big]``.  It is called once, and
+    only when some cell is big, so no logarithm is taken on the small cells.
     """
     A = np.asarray(A, dtype=complex)
     abs_A = np.abs(A)
@@ -142,7 +152,7 @@ def _log_E(A: np.ndarray, log_one_minus_A: np.ndarray, s: int) -> np.ndarray:
     lam = np.empty_like(A)
     if not small.all():
         big = ~small
-        lam[big] = np.asarray(log_one_minus_A, dtype=complex)[big] + _poly_q(A[big], s)
+        lam[big] = log_one_minus(big) + _poly_q(A[big], s)
     if small.any():
         As = A[small]
         a_max = float(abs_A[small].max())
@@ -217,7 +227,7 @@ class CanonicalProduct:
     def _factors(self, z: np.ndarray):
         """(log E(A, s), A, one_minus_A, D) at a batch of points, as _geometry."""
         A, onemA, D = self._geometry(z)
-        lam = _log_E(A, _log_one_minus(onemA), self.genus)
+        lam = _log_E(A, lambda big: _log_one_minus(onemA[big]), self.genus)
         return lam, A, onemA, D
 
     def _deriv_terms(self, A: np.ndarray, onemA: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ import numpy as np
 from discinterp.geometry import DiscSequence
 from discinterp.growth import GrowthFunction
 from discinterp.harness import generate_sequence, generate_targets
+from discinterp.products import _log_E, _log_one_minus
 
 FAMILY_CYCLE = (
     GrowthFunction.power(0.5),
@@ -41,6 +42,13 @@ def spiral_sequence(n: int = 200, depth: float = 1e-4) -> DiscSequence:
     one_minus = 0.5 * (2.0 * depth) ** (np.arange(n) / (n - 1))
     return DiscSequence(list((1.0 - one_minus)
                              * np.exp(1j * math.pi * (3.0 - math.sqrt(5.0)) * np.arange(n))))
+
+
+def factors_all_cells(cp, z):
+    """``cp._factors(z)`` with log(1 - A) taken on every cell, then read on the big ones."""
+    A, onemA, D = cp._geometry(z)
+    log_one_minus = _log_one_minus(onemA)
+    return _log_E(A, lambda big: log_one_minus[big], cp.genus), A, onemA, D
 
 
 def scan_max_term(ladder, log_t: float) -> tuple[float, int]:

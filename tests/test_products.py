@@ -25,7 +25,7 @@ from discinterp.products import (
 )
 from discinterp.oscillation import sharpness_sequence
 
-from helpers import spiral_sequence
+from helpers import factors_all_cells, spiral_sequence
 
 
 def random_sequence(rng, n, r_lo=0.2, r_hi=0.9, min_gap=0.02):
@@ -123,7 +123,7 @@ def check_kernel(A, s, one_minus_A=None):
     or the direct form's rounding bound where that is larger."""
     A = np.asarray(A, dtype=complex)
     om = 1.0 - A if one_minus_A is None else np.asarray(one_minus_A, dtype=complex)
-    lam = _log_E(A, _log_one_minus(om), s)
+    lam = _log_E(A, lambda big: _log_one_minus(om[big]), s)
     direct = np.abs(A) > 0.5        # the kernel's own test, rounding included
     for k, a in enumerate(A):
         ref = mp_log_E(a, s, None if one_minus_A is None else om[k])
@@ -173,11 +173,60 @@ class TestLogEKernel:
     def test_minus_inf_exactly_at_one(self, s):
         A = np.array([1.0, 0.3, 1.0 + 1e-17j, 0.7 - 0.2j, 2.0])
         om = np.array([0.0, 0.7, 0.0, 0.3 + 0.2j, np.nan])
-        lam = _log_E(A, _log_one_minus(om), s)
+        lam = _log_E(A, lambda big: _log_one_minus(om[big]), s)
         # 1 - A = 0 is a zero of E, and a NaN 1 - A is an exact log zero
         assert list(np.isneginf(lam.real)) == [True, False, True, False, True]
         assert np.all(np.isfinite(lam[[1, 3]]))
         assert np.isneginf(log_weierstrass_E(1.0, s).real)
+
+
+class TestLazyLogOneMinus:
+    """_log_E asks for log(1 - A) on the cells with |A| > 1/2 only."""
+
+    def test_called_once_with_the_big_mask(self):
+        A = np.concatenate([r * np.exp(1j * ANGLES) for r in (0.1, 0.5, 0.51, 0.9, 1.0)])
+        seen = []
+
+        def log_one_minus(big):
+            seen.append(big.copy())
+            return _log_one_minus(1.0 - A[big])
+
+        _log_E(A, log_one_minus, 2)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], np.abs(A) > 0.5)
+
+    def test_not_called_without_big_cells(self):
+        def log_one_minus(big):
+            raise AssertionError("log(1 - A) asked for with no cell above 1/2")
+
+        lam = _log_E(np.array([0.0, 0.2j, 0.5, -0.5]), log_one_minus, 3)
+        assert np.all(np.isfinite(lam))
+
+    @pytest.mark.parametrize("s", range(1, 4))
+    def test_nan_in_small_cells_is_not_read(self, s):
+        A = np.array([0.3, 0.7 + 0.1j, -0.2j, 0.9])
+        om = np.array([np.nan, 0.3 - 0.1j, complex(np.nan, np.nan), 0.1])
+        lam = _log_E(A, lambda big: _log_one_minus(om[big]), s)
+        assert np.all(np.isfinite(lam))
+        small = np.abs(A) <= 0.5
+        assert np.array_equal(lam[small], _log_E(A[small], None, s))
+
+    @pytest.mark.parametrize("gf", [GrowthFunction.log_power(2.0),
+                                    GrowthFunction.exp_log_power(0.5),
+                                    GrowthFunction.power(1.0),
+                                    GrowthFunction.power(2.0)],
+                             ids=lambda gf: f"{gf.family}({gf.param:g})")
+    def test_factors_bit_equal_to_all_cells_logs(self, gf):
+        # genus 1 (log_power, exp_log_power), 2 and 3 (power) on the spiral
+        # nodes, where every diagonal cell is an exact zero, and on rings
+        cp = CanonicalProduct(spiral_sequence(), gf.genus)
+        thetas = 2.0 * np.pi * np.arange(256) / 256
+        rings = np.concatenate([(1.0 - 10.0**-k) * np.exp(1j * thetas) for k in range(1, 5)])
+        for z in (cp.sequence.values, rings):
+            got, want = cp._factors(z), factors_all_cells(cp, z)
+            assert np.isneginf(got[0].real).any() == (z is cp.sequence.values)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
 
 
 class TestLogP:
