@@ -65,6 +65,36 @@ class TestLogsumexp:
         out = logsumexp_complex(lams)
         assert out.real == pytest.approx(-1000.0 + math.log(2.0), abs=1e-9)
 
+    def test_against_mpmath_within_the_unsorted_rounding_bound(self):
+        # columns of 200 terms: spread moduli, near-cancelling pairs, exact
+        # zeros; the natural-order sum may be off by about n eps sum |terms|
+        rng = np.random.default_rng(57)
+        n, eps = 200, sys.float_info.epsilon
+        spread = rng.uniform(-30.0, 0.0, (n, 6)) + 1j * rng.uniform(-np.pi, np.pi, (n, 6))
+        pairs = np.repeat(rng.uniform(-5.0, 0.0, (n // 2, 3)), 2, axis=0) + 1j * np.pi * (
+            np.arange(n) % 2)[:, None] + 1j * rng.uniform(-1e-6, 1e-6, (n, 3))
+        zeros = spread[:, :2].copy()
+        zeros[::3] = complex(-np.inf, 0.0)
+        lams = np.concatenate([spread, pairs, zeros], axis=1)
+        out = logsumexp_complex(lams, axis=0)
+        with mpmath.workdps(50):
+            for j in range(lams.shape[1]):
+                col = [mpmath.mpc(v.real, v.imag) for v in lams[:, j] if np.isfinite(v.real)]
+                M = max(v.real for v in col)
+                terms = [mpmath.exp(v - M) for v in col]
+                total = mpmath.fsum(terms)
+                got = mpmath.exp(mpmath.mpc(out[j].real, out[j].imag) - M)
+                # the sum's bound, plus the rounding of log(total) and of the shift back
+                bound = n * eps * mpmath.fsum(abs(t) for t in terms) + 4 * eps * abs(total) * (
+                    1 + abs(mpmath.mpc(out[j].real, out[j].imag) - M) + abs(M))
+                assert abs(got - total) <= bound, (j, float(abs(got - total)), float(bound))
+
+    def test_exact_zeros(self):
+        lams = np.array([[complex(-np.inf, 0.0), 0.5j], [complex(-np.inf, 2.0), -1.0]])
+        out = logsumexp_complex(lams, axis=0)
+        assert np.isneginf(out[0].real) and out[0].imag == 0.0
+        assert out[1] == pytest.approx(np.log(np.exp(0.5j) + np.exp(-1.0)), abs=1e-15)
+
 
 class TestWeierstrassE:
     def test_genus_zero(self):
