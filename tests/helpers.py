@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+from scipy.integrate import quad
 
 from discinterp.geometry import DiscSequence
 from discinterp.growth import GrowthFunction
@@ -49,6 +50,13 @@ def factors_all_cells(cp, z):
     A, onemA, D = cp._geometry(z)
     log_one_minus = _log_one_minus(onemA)
     return _log_E(A, lambda big: log_one_minus[big], cp.genus), A, onemA, D
+
+
+def psi_tilde_log_quad(beta: float, u) -> np.ndarray:
+    """psi_tilde(e^u) of exp_log_power(beta) by adaptive quadrature of exp(v^beta) over [0, u]."""
+    return np.array([quad(lambda v: math.exp(v**beta), 0.0, ui,
+                          epsabs=1e-12, epsrel=1e-10, limit=200)[0]
+                     for ui in np.atleast_1d(np.asarray(u, dtype=float))])
 
 
 def scan_max_term(ladder, log_t: float) -> tuple[float, int]:

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -12,6 +13,8 @@ from discinterp.growth import (
     class_R_check,
     polya_order_estimate,
 )
+
+from helpers import psi_tilde_log_quad
 
 ALL_FAMILIES = [
     GrowthFunction.power(0.5),
@@ -78,6 +81,29 @@ class TestPsiTilde:
             oracle = quad(lambda t: float(gf.psi(t)) / t, 1.0, x,
                           epsabs=1e-12, epsrel=1e-11, limit=300)[0]
             assert gf.psi_tilde(x) == pytest.approx(oracle, rel=1e-8, abs=1e-10)
+
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.7])
+    def test_exp_log_power_against_quadrature(self, beta):
+        # the hypergeometric closed form against the quadrature loop it
+        # replaced (epsrel 1e-10) and against 30-digit mpmath quadrature
+        gf = GrowthFunction.exp_log_power(beta)
+        u = np.linspace(0.0, 40.0, 401)
+        got = np.asarray(gf.psi_tilde_log(u))
+        assert got[0] == 0.0
+        assert np.allclose(got, psi_tilde_log_quad(beta, u), rtol=1e-9, atol=0.0)
+        with mpmath.workdps(30):
+            for ui, gi in zip(u[1::40], got[1::40]):
+                ref = mpmath.quad(lambda v: mpmath.exp(v**mpmath.mpf(beta)), [0, ui])
+                assert abs(gi - ref) <= 1e-14 * ref
+
+    def test_exp_log_power_overflow_raises(self):
+        # past ln(x)^beta of about 709 the integral leaves the double range
+        gf = GrowthFunction.exp_log_power(0.5)
+        assert math.isfinite(gf.psi_tilde_log(700.0**2))
+        with pytest.raises(OverflowError):
+            gf.psi_tilde_log(np.array([1.0, 710.0**2]))
+        with pytest.raises(OverflowError):
+            gf.psi_tilde_log(710.0**2)
 
     def test_convex_in_log(self):
         # second differences of psi_tilde(e^u) in u are nonnegative
