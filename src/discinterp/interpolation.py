@@ -224,8 +224,6 @@ def select_exponents(ladder: CoefficientLadder, seq: DiscSequence) -> np.ndarray
     ladder that is not log-concave is caught as by a scan of the whole ladder
     while a node costs about the blocks around its bucket, not n_max cells.
     """
-    if len(seq) == 0:
-        return np.zeros(0, dtype=int)
     log_t = -np.log1p(-seq.moduli)
     buckets = np.searchsorted(ladder.log_kappas, log_t, side="right") - 1
     if np.any(buckets >= ladder.n_max):

@@ -255,6 +255,7 @@ class TestInterpolationIdentity:
         ("log_deriv_prime_many", [0.0]),
         ("factor_abs_power_sum", [0.0]),
         ("osc_targets", [0.0]),
+        ("select_exponents", [0]),
     ])
     def test_empty_sequence_takes_the_general_path(self, name, expected):
         # exact zeros, and logs -inf + 0j, with one entry per point (per node)
@@ -265,11 +266,14 @@ class TestInterpolationIdentity:
             "log_deriv_prime_many": lambda: f.product.log_deriv_prime_many(z),
             "factor_abs_power_sum": lambda: f.product.factor_abs_power_sum(z),
             "osc_targets": lambda: osc_targets(f.product),
+            "select_exponents": lambda: select_exponents(f.ladder, f.sequence),
         }
         out = calls[name]() if name in calls else getattr(f, name)(z)
         outs = out if isinstance(out, tuple) else (out,)
-        n = 0 if name in ("interpolation_errors", "osc_targets") else len(z)
+        n = 0 if name in ("interpolation_errors", "osc_targets", "select_exponents") else len(z)
         assert len(outs) == len(expected)
+        if name == "select_exponents":
+            assert out.dtype.kind == "i"
         for got, want in zip(outs, expected):
             assert got.shape == (n,)
             assert np.array_equal(got, np.full(n, want, dtype=got.dtype))
