@@ -63,14 +63,6 @@ class ConditionReport:
             return None
         return self.best_constant <= self.holds_with
 
-    def to_dict(self) -> dict:
-        return {
-            "condition_name": self.condition_name,
-            "best_constant": self.best_constant,
-            "witness_index": self.witness_index,
-            "holds_with": self.holds_with,
-        }
-
 
 def counting_n(seq: DiscSequence, z: complex, t: float) -> int:
     """Number of sequence points in the closed disc of radius t around z."""

@@ -167,14 +167,14 @@ class PolyaEstimate:
     dyadic_sup: float
 
 
-def polya_order_estimate(gf: GrowthFunction, j_lo: int = 30, j_hi: int = 60) -> PolyaEstimate:
+def polya_order_estimate(gf: GrowthFunction) -> PolyaEstimate:
     """Doubling order of psi with a numerical estimate on a dyadic tail grid.
 
-    The estimate is sup over x = 2**j, j in [j_lo, j_hi], of
+    The estimate is sup over x = 2**j, j in [30, 60], of
     log2(psi(2x) / psi(x)); the limit property lives at large x, hence the
     tail grid.
     """
-    js = np.arange(j_lo, j_hi + 1, dtype=float)
+    js = np.arange(30, 61, dtype=float)
     log_x = js * math.log(2.0)
     ratios = np.log2(
         np.asarray(gf.psi_log(log_x + math.log(2.0)))
@@ -192,8 +192,8 @@ class ClassRReport:
     x_at_sup: float
 
 
-def class_R_check(gf: GrowthFunction, x_max: float, grid_size: int = 512) -> ClassRReport:
-    """Check whether psi_tilde = O(psi), reporting the ratio sup on [1, x_max].
+def class_R_check(gf: GrowthFunction, x_max: float) -> ClassRReport:
+    """Check whether psi_tilde = O(psi), reporting the ratio sup on 512 points of [1, x_max].
 
     Membership is decided from the closed form of each family: powers are
     members (the ratio tends to 1/rho); log powers and exp-log powers are
@@ -202,7 +202,7 @@ def class_R_check(gf: GrowthFunction, x_max: float, grid_size: int = 512) -> Cla
     """
     if not x_max >= 2:
         raise GrowthError("x_max must be at least 2")
-    grid = np.geomspace(1.0, float(x_max), grid_size)
+    grid = np.geomspace(1.0, float(x_max), 512)
     psi_vals = np.asarray(gf.psi(grid), dtype=float)
     tilde_vals = np.asarray(gf.psi_tilde(grid), dtype=float)
     mask = psi_vals > 0

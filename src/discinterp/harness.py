@@ -281,6 +281,7 @@ def _task_interpolate(scn: Scenario, seq: DiscSequence, gf: GrowthFunction,
                       out: dict, dense: bool = False) -> int:
     targets = generate_targets(scn.targets_spec, seq, gf, scn.seed)
     interp = build_interpolant(seq, targets, gf, C0=scn.C0)
+    concentration = check_concentration(seq, gf)
     errs = interp.interpolation_errors()
     f_vals = interp.eval_many(seq.values)
     rows = [
@@ -300,7 +301,7 @@ def _task_interpolate(scn: Scenario, seq: DiscSequence, gf: GrowthFunction,
     out["constants"].update({
         "max_identity_error": max_err,
         "admissibility_constant": interp.targets.admissibility_constant,
-        "concentration": interp.concentration.best_constant if interp.concentration else 0.0,
+        "concentration": concentration.best_constant,
     })
     if not np.all(np.isfinite(errs)):
         return EXIT_NUMERIC

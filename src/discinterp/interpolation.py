@@ -27,7 +27,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .counting import ConditionReport, check_concentration
 from .geometry import DiscSequence
 from .growth import GrowthError, GrowthFunction
 from .products import (
@@ -200,14 +199,13 @@ def build_ladder(gf: GrowthFunction, C0: float, n_max: int) -> CoefficientLadder
                              log_coeffs=-v_star, log_kappas=log_kappas)
 
 
-def ladder_for_sequence(gf: GrowthFunction, C0: float, seq: DiscSequence,
-                        max_doublings: int = 40) -> CoefficientLadder:
+def ladder_for_sequence(gf: GrowthFunction, C0: float, seq: DiscSequence) -> CoefficientLadder:
     """Smallest ladder whose last kappa exceeds twice the largest 1/(1-|z_k|)."""
     if len(seq) == 0:
         return build_ladder(gf, C0, 1)
     target_log = math.log(2.0) - math.log1p(-float(seq.moduli.max()))
     n_max = max(8, int(C0 * float(gf.psi_log(math.log(C0) + target_log))) + 8)
-    for _ in range(max_doublings):
+    for _ in range(40):  # doublings of n_max
         ladder = build_ladder(gf, C0, n_max)
         if ladder.log_kappas[-1] > target_log:
             return ladder
@@ -247,13 +245,11 @@ class Interpolant:
     """The assembled interpolation series; immutable, evaluation is pure."""
 
     def __init__(self, product: CanonicalProduct, targets: TargetData,
-                 exponents: np.ndarray, ladder: CoefficientLadder,
-                 concentration: Optional[ConditionReport] = None):
+                 exponents: np.ndarray, ladder: CoefficientLadder):
         self.product = product
         self.targets = targets
         self.exponents = np.asarray(exponents, dtype=int)
         self.ladder = ladder
-        self.concentration = concentration
         with np.errstate(divide="ignore"):
             log_abs = np.log(np.abs(targets.values))
         phases = np.angle(targets.values)
@@ -333,17 +329,17 @@ class Interpolant:
     def eval_and_log_P_many(self, z) -> tuple[np.ndarray, np.ndarray]:
         """(values, log P) at a batch of points from one factor evaluation."""
         parts = self._assemble(np.atleast_1d(np.asarray(z, dtype=complex)))
-        lam = logsumexp_complex(parts["L"], axis=0)
+        lam = logsumexp_complex(parts["L"])
         with np.errstate(over="ignore"):
             return np.where(np.isneginf(lam.real), 0.0, np.exp(lam)), parts["logP"]
 
     def eval_log_many(self, z) -> np.ndarray:
         parts = self._assemble(np.atleast_1d(np.asarray(z, dtype=complex)))
-        return logsumexp_complex(parts["L"], axis=0)
+        return logsumexp_complex(parts["L"])
 
     def derivative_many(self, z) -> np.ndarray:
         parts = self._assemble(np.atleast_1d(np.asarray(z, dtype=complex)))
-        lam = logsumexp_complex(self._derivative_logs(parts), axis=0)
+        lam = logsumexp_complex(self._derivative_logs(parts))
         with np.errstate(over="ignore"):
             out = np.where(np.isneginf(lam.real), 0.0, np.exp(lam))
         return out if np.ndim(z) else complex(out[0])
@@ -351,8 +347,8 @@ class Interpolant:
     def eval_and_derivative_many(self, z) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(values, derivative values, value logs, derivative logs) in one pass."""
         parts = self._assemble(np.atleast_1d(np.asarray(z, dtype=complex)))
-        lam_v = logsumexp_complex(parts["L"], axis=0)
-        lam_d = logsumexp_complex(self._derivative_logs(parts), axis=0)
+        lam_v = logsumexp_complex(parts["L"])
+        lam_d = logsumexp_complex(self._derivative_logs(parts))
         with np.errstate(over="ignore"):
             vals = np.where(np.isneginf(lam_v.real), 0.0, np.exp(lam_v))
             dvals = np.where(np.isneginf(lam_d.real), 0.0, np.exp(lam_d))
@@ -389,9 +385,7 @@ def build_interpolant(seq: DiscSequence, values: Sequence[complex],
     targets = TargetData.from_values(seq, gf, values)
     if ladder is None:
         ladder = ladder_for_sequence(gf, C0, seq)
-    exponents = select_exponents(ladder, seq)
-    concentration = check_concentration(seq, gf) if len(seq) else None
-    return Interpolant(product, targets, exponents, ladder, concentration)
+    return Interpolant(product, targets, select_exponents(ladder, seq), ladder)
 
 
 @dataclass(frozen=True)
@@ -405,11 +399,6 @@ class GrowthRow:
 @dataclass(frozen=True)
 class GrowthTable:
     rows: tuple
-
-    @property
-    def max_ratio(self) -> float:
-        finite = [row.ratio for row in self.rows if math.isfinite(row.ratio)]
-        return max(finite) if finite else float("nan")
 
     def ratio_at(self, r: float) -> float:
         for row in self.rows:
@@ -464,7 +453,7 @@ class MaxTermBoundReport:
     factors (2 C0 above, C0/4 below) implied by the target
     C0 psi_tilde(C0 t) and hold for any admissible C0 beyond a threshold.
     ``t0_*`` is the smallest grid value from which the corresponding pair of
-    bounds holds for the rest of the grid, or None.
+    bounds holds to 1e-6 for the rest of the grid, or None.
     """
 
     rows: tuple
@@ -472,9 +461,7 @@ class MaxTermBoundReport:
     t0_scaled: Optional[float]
 
 
-def max_term_bound_report(ladder: CoefficientLadder,
-                          t_grid: Sequence[float],
-                          tol: float = 1e-6) -> MaxTermBoundReport:
+def max_term_bound_report(ladder: CoefficientLadder, t_grid: Sequence[float]) -> MaxTermBoundReport:
     gf, C0 = ladder.gf, ladder.C0
     ts = sorted(float(t) for t in t_grid)
     if not all(1.0 <= t < math.inf for t in ts):
@@ -492,8 +479,8 @@ def max_term_bound_report(ladder: CoefficientLadder,
 
     def first_threshold(upper_key: str, lower_key: str) -> Optional[float]:
         ok = [
-            row.log_mu <= getattr(row, upper_key) + tol
-            and row.log_mu >= getattr(row, lower_key) - tol
+            row.log_mu <= getattr(row, upper_key) + 1e-6
+            and row.log_mu >= getattr(row, lower_key) - 1e-6
             for row in rows
         ]
         for i in range(len(rows)):

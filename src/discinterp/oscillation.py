@@ -59,6 +59,8 @@ _FD7 = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 # points per batched residual_report call; zero_count_circle takes as many
 EVAL_BLOCK = 1024
+# relative tolerance of the panel-doubling quadrature for g
+G_TOL = 1e-11
 
 
 class OscillationError(ValueError):
@@ -89,15 +91,12 @@ class ResidualReport:
 class OscillationSolution:
     """Coefficient function with its product/interpolant decomposition."""
 
-    def __init__(self, product: CanonicalProduct, gprime: Interpolant,
-                 gf: GrowthFunction, C0: float):
+    def __init__(self, product: CanonicalProduct, gprime: Interpolant, gf: GrowthFunction):
         if gprime.product is not product:
             raise OscillationError("gprime must be built on this product; residual_report reads P")
         self.product = product
         self.gprime = gprime
         self.gf = gf
-        self.C0 = float(C0)
-        self._g_cache: dict[complex, complex] = {}
 
     @property
     def sequence(self) -> DiscSequence:
@@ -127,11 +126,11 @@ class OscillationSolution:
                 _safe_log(lp**2 + lp2) + 1j * math.pi,
                 lam_h + _safe_log(2.0 * lp) + 1j * math.pi,
             ])
-        return logsumexp_complex(comp, axis=0)
+        return logsumexp_complex(comp)
 
     # -- the primitive g ---------------------------------------------------
 
-    def _h_segment_integral(self, a: complex, b: complex, tol: float = 1e-11) -> complex:
+    def _h_segment_integral(self, a: complex, b: complex) -> complex:
         """Integral of h along the straight segment [a, b], panel-doubling GL."""
         if a == b:
             return 0.0 + 0.0j
@@ -145,32 +144,27 @@ class OscillationSolution:
             pts = a + (b - a) * ts
             vals = self.gprime.eval_many(pts).reshape(panels, -1)
             total = complex((vals * _GL_WEIGHTS[None, :]).sum() * half * (b - a))
-            if prev is not None and abs(total - prev) <= tol * (1.0 + abs(total)):
+            if prev is not None and abs(total - prev) <= G_TOL * (1.0 + abs(total)):
                 return total
             prev = total
             panels *= 2
         raise OscillationError("segment quadrature for g did not converge")
 
-    def eval_g(self, z: complex, tol: float = 1e-11) -> complex:
+    def eval_g(self, z: complex) -> complex:
         """g(z) = integral of h along the radial segment from 0, g(0) = 0."""
-        z = complex(z)
-        cached = self._g_cache.get(z)
-        if cached is None:
-            cached = self._h_segment_integral(0.0, z, tol)
-            self._g_cache[z] = cached
-        return cached
+        return self._h_segment_integral(0.0, complex(z))
 
-    def eval_g_via(self, z: complex, via: complex, tol: float = 1e-11) -> complex:
+    def eval_g_via(self, z: complex, via: complex) -> complex:
         """g(z) along the two-segment path 0 -> via -> z (path independence)."""
-        return self._h_segment_integral(0.0, via, tol) + self._h_segment_integral(via, z, tol)
+        return self._h_segment_integral(0.0, via) + self._h_segment_integral(via, z)
 
     # -- diagnostics --------------------------------------------------------
 
-    def residual_report(self, n_samples: int = 200, seed: int = 0,
-                        r_cap: float = 0.8, min_dist_factor: float = 0.1) -> ResidualReport:
-        """Normalized |f'' + a f| at random points away from the nodes.
+    def residual_report(self, n_samples: int = 200, seed: int = 0) -> ResidualReport:
+        """Normalized |f'' + a f| at random points of |z| < 0.8 away from the nodes.
 
-        f is differentiated by a 7-point finite-difference stencil applied to
+        Each point keeps a distance of (1 - |z|)/10 from every node.  f is
+        differentiated by a 7-point finite-difference stencil applied to
         the locally anchored P(z) exp(g(z) - g(z0)): the common factor
         exp(g(z0)) scales out of the normalized residual, so no global
         quadrature enters.  The stencil step shrinks with every local rate
@@ -183,8 +177,8 @@ class OscillationSolution:
         attempts = 0
         while len(zs) < n_samples and attempts < 200 * n_samples:
             attempts += 1
-            z = r_cap * math.sqrt(rng.uniform()) * np.exp(2j * math.pi * rng.uniform())
-            if len(nodes) and np.min(np.abs(nodes - z)) < min_dist_factor * (1.0 - abs(z)):
+            z = 0.8 * math.sqrt(rng.uniform()) * np.exp(2j * math.pi * rng.uniform())
+            if len(nodes) and np.min(np.abs(nodes - z)) < 0.1 * (1.0 - abs(z)):
                 continue
             zs.append(complex(z))
         if len(zs) < n_samples:
@@ -234,7 +228,7 @@ class OscillationSolution:
         w = self.product.log_deriv_P_many(ring) + self.gprime.eval_many(ring)
         return float(np.mean(w * (ring - center)).real)
 
-    def zero_counts(self, n_points: int = 1024) -> np.ndarray:
+    def zero_counts(self) -> np.ndarray:
         """Winding number of f around each node on a safe private circle.
 
         The circle must stay inside the region where h keeps its node scale:
@@ -250,7 +244,7 @@ class OscillationSolution:
             gap = np.min(np.abs(others - zk)) if len(others) else np.inf
             one_minus = 1.0 - abs(zk)
             radius = 0.4 * min(gap, one_minus, 5.0 * one_minus / (1.0 + exps[k]))
-            counts[k] = self.zero_count_circle(complex(zk), float(radius), n_points)
+            counts[k] = self.zero_count_circle(complex(zk), float(radius))
         return counts
 
     def growth_a_report(self, r_grid: Sequence[float], theta_count: int = 256) -> GrowthTable:
@@ -273,7 +267,7 @@ def build_coefficient(seq: DiscSequence, gf: GrowthFunction, C0: float = 8.0) ->
     product = CanonicalProduct(seq, gf.genus)
     targets = osc_targets(product)
     gprime = build_interpolant(seq, targets, gf, C0=C0, product=product)
-    return OscillationSolution(product, gprime, gf, C0)
+    return OscillationSolution(product, gprime, gf)
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +305,6 @@ class IndexCancellationLogReport:
     @property
     def constant(self) -> float:
         return max(self.ratios) if self.ratios else 0.0
-
-    @property
-    def spread(self) -> float:
-        finite = [r for r in self.ratios if r > 0]
-        return max(finite) / min(finite) if finite else 1.0
 
 
 class SharpnessSequence:
@@ -404,17 +393,17 @@ class SharpnessSequence:
 
     # -- conversions --------------------------------------------------------
 
-    def representable_values(self, min_gap: float = 2e-15) -> list[complex]:
-        """Nodes usable for complex-plane evaluation (distinct as doubles)."""
+    def representable_values(self) -> list[complex]:
+        """Nodes usable for complex-plane evaluation: upper twins need a gap of 2e-15."""
         vals: list[complex] = []
         for m in range(len(self)):
-            if self.is_upper[m] and (self.log_only[m] or self.eps[m] < min_gap):
+            if self.is_upper[m] and (self.log_only[m] or self.eps[m] < 2e-15):
                 continue
             vals.append(complex(self.positions[m]))
         return vals
 
-    def to_disc_sequence(self, min_gap: float = 2e-15) -> DiscSequence:
-        return DiscSequence(self.representable_values(min_gap))
+    def to_disc_sequence(self) -> DiscSequence:
+        return DiscSequence(self.representable_values())
 
     # -- log-space product diagnostics ---------------------------------------
 

@@ -65,21 +65,17 @@ class ProductsError(ValueError):
     """Invalid evaluation for a canonical product."""
 
 
-def logsumexp_complex(lams: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Complex log of a sum of exponentials of complex logs.
+def logsumexp_complex(lams: np.ndarray) -> np.ndarray:
+    """Complex log of a sum of exponentials of complex logs, along axis 0.
 
     Terms with real part -inf are exact zeros.  The terms are shifted by the
     largest real part and summed in their natural order, so the sum carries
     the plain rounding bound of about n eps times the sum of the moduli.
     """
     lams = np.asarray(lams, dtype=complex)
-    if lams.ndim == 1:
+    squeeze = lams.ndim == 1
+    if squeeze:
         lams = lams[:, None]
-        squeeze = True
-    else:
-        squeeze = False
-    if axis != 0:
-        lams = np.moveaxis(lams, axis, 0)
     M = lams.real.max(axis=0, initial=LOG_ZERO)
     out = np.full(lams.shape[1:], complex(LOG_ZERO, 0.0), dtype=complex)
     finite = np.isfinite(M)
@@ -186,7 +182,6 @@ class CanonicalProduct:
         self._zn_conj = np.conj(zn)
         # 1 - |z_n|^2 without cancellation near the boundary
         self._oms = (1.0 - sequence.moduli) * (1.0 + sequence.moduli)
-        self.tail_sum = float(np.sum((1.0 - sequence.moduli) ** (self.genus + 1)))
 
         lam, A, onemA, _ = self._factors(zn)
         np.fill_diagonal(lam, 0.0)

@@ -108,7 +108,7 @@ class TestBuildCoefficient:
         seq, _ = lattice_instance(seed=63, gf=GF1, max_points=12)
         sol = build_coefficient(seq, GF1, C0=2.0)
         with pytest.raises(OscillationError):
-            OscillationSolution(CanonicalProduct(seq, GF1.genus), sol.gprime, GF1, 2.0)
+            OscillationSolution(CanonicalProduct(seq, GF1.genus), sol.gprime, GF1)
 
     def test_argument_principle_counts(self):
         seq, _ = lattice_instance(seed=64, gf=GF1, max_points=12)

@@ -76,7 +76,7 @@ class TestLogsumexp:
         zeros = spread[:, :2].copy()
         zeros[::3] = complex(-np.inf, 0.0)
         lams = np.concatenate([spread, pairs, zeros], axis=1)
-        out = logsumexp_complex(lams, axis=0)
+        out = logsumexp_complex(lams)
         with mpmath.workdps(50):
             for j in range(lams.shape[1]):
                 col = [mpmath.mpc(v.real, v.imag) for v in lams[:, j] if np.isfinite(v.real)]
@@ -91,7 +91,7 @@ class TestLogsumexp:
 
     def test_exact_zeros(self):
         lams = np.array([[complex(-np.inf, 0.0), 0.5j], [complex(-np.inf, 2.0), -1.0]])
-        out = logsumexp_complex(lams, axis=0)
+        out = logsumexp_complex(lams)
         assert np.isneginf(out[0].real) and out[0].imag == 0.0
         assert out[1] == pytest.approx(np.log(np.exp(0.5j) + np.exp(-1.0)), abs=1e-15)
 
