@@ -297,7 +297,7 @@ def _task_interpolate(scn: Scenario, seq: DiscSequence, gf: GrowthFunction,
         r_grid = tuple(sorted(set(r_grid) | {1.0 - 2.0 ** (-j) for j in range(1, 10)}))
     rows_g = _growth_rows(growth_report(interp, gf, r_grid, scn.theta_count))
     out["csv"]["growth.csv"] = (["r", "ln_max_modulus", "psi_tilde", "ratio"], rows_g)
-    max_err = float(errs.max()) if len(errs) else 0.0
+    max_err = float(errs.max())
     out["constants"].update({
         "max_identity_error": max_err,
         "admissibility_constant": interp.targets.admissibility_constant,
@@ -326,13 +326,13 @@ def _task_oscillate(scn: Scenario, seq: DiscSequence, gf: GrowthFunction, out: d
                                   _growth_rows(table))
     out["constants"].update({
         "max_residual": residual.max_residual,
-        "max_winding_defect": float(np.max(np.abs(counts - 1.0))) if len(counts) else 0.0,
+        "max_winding_defect": float(np.max(np.abs(counts - 1.0))),
     })
     if not all(math.isfinite(r) for r in residual.residuals):
         return EXIT_NUMERIC
     if residual.max_residual >= RESIDUAL_TOL:
         return EXIT_INVARIANT
-    if len(counts) and np.max(np.abs(counts - 1.0)) > 1e-3:
+    if np.max(np.abs(counts - 1.0)) > 1e-3:
         return EXIT_INVARIANT
     return EXIT_OK
 

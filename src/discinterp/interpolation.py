@@ -86,14 +86,10 @@ class TargetData:
             raise InterpolationError(
                 f"expected {len(seq)} target values, got shape {vals.shape}"
             )
-        if len(seq):
-            denom = np.asarray(gf.psi_tilde(1.0 / (1.0 - seq.moduli)), dtype=float)
-            with np.errstate(divide="ignore"):
-                log_abs = np.log(np.abs(vals))
-            pos = np.maximum(log_abs, 0.0)
-            constant = float(np.max(pos / denom))
-        else:
-            constant = 0.0
+        denom = np.asarray(gf.psi_tilde(1.0 / (1.0 - seq.moduli)), dtype=float)
+        with np.errstate(divide="ignore"):
+            log_abs = np.log(np.abs(vals))
+        constant = float(np.max(np.maximum(log_abs, 0.0) / denom, initial=0.0))
         vals = vals.copy()
         vals.flags.writeable = False
         return cls(values=vals, admissibility_constant=constant)
@@ -192,7 +188,7 @@ def build_ladder(gf: GrowthFunction, C0: float, n_max: int) -> CoefficientLadder
     v_at_u = C0 * np.asarray(gf.psi_tilde_log(log_C0 + u), dtype=float)
     v_star = n * u - v_at_u
     # exact log-concavity: lift the increments to their running maximum
-    incr = np.maximum.accumulate(np.diff(v_star)) if n_max else np.zeros(0)
+    incr = np.maximum.accumulate(np.diff(v_star))
     v_star = np.concatenate(([v_star[0]], v_star[0] + np.cumsum(incr)))
     log_kappas = np.concatenate(([LOG_ZERO], incr))
     return CoefficientLadder(gf=gf, C0=float(C0),

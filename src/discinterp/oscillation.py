@@ -35,7 +35,7 @@ from .interpolation import (
     _ring_growth_table,
     build_interpolant,
 )
-from .products import LOG_ZERO, CanonicalProduct, logsumexp_complex
+from .products import CanonicalProduct, logsumexp_complex
 
 __all__ = [
     "OscillationError",
@@ -123,8 +123,8 @@ class OscillationSolution:
             comp = np.stack([
                 2.0 * lam_h + 1j * math.pi,
                 lam_hp + 1j * math.pi,
-                _safe_log(lp**2 + lp2) + 1j * math.pi,
-                lam_h + _safe_log(2.0 * lp) + 1j * math.pi,
+                np.log(lp**2 + lp2) + 1j * math.pi,
+                lam_h + np.log(2.0 * lp) + 1j * math.pi,
             ])
         return logsumexp_complex(comp)
 
@@ -252,14 +252,6 @@ class OscillationSolution:
         if not all(0 < r < 1 for r in r_grid):
             raise OscillationError("growth radii must lie in (0, 1)")
         return _ring_growth_table(self.coefficient_log_many, self.gf, r_grid, theta_count)
-
-
-def _safe_log(values: np.ndarray) -> np.ndarray:
-    vals = np.asarray(values, dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(vals)
-    out = np.where(vals == 0, complex(LOG_ZERO, 0.0), out)
-    return out
 
 
 def build_coefficient(seq: DiscSequence, gf: GrowthFunction, C0: float = 8.0) -> OscillationSolution:

@@ -403,9 +403,8 @@ def index_cancellation_check(cp: CanonicalProduct, delta: float = 0.5) -> IndexC
     lhs = np.abs(cp.log_B_nodes.real + _counting_N_at_nodes(seq, delta))
     rhs = cp.factor_abs_power_sum(seq.values)
     ratios = lhs / rhs
-    constant = float(ratios.max()) if ratios.size else 0.0
     return IndexCancellationReport(tuple(lhs.tolist()), tuple(rhs.tolist()),
-                                   tuple(ratios.tolist()), constant)
+                                   tuple(ratios.tolist()), float(ratios.max(initial=0.0)))
 
 
 @dataclass(frozen=True)
@@ -439,7 +438,7 @@ def prime_counting_criteria_check(cp: CanonicalProduct, gf: GrowthFunction) -> P
     ln_prime = np.abs(np.array([math.log(om) for om in one_minus.tolist()])
                       + cp.log_P_prime_nodes.real)
     def best(v: np.ndarray) -> float:
-        return float((v / psi_vals).max()) if v.size else 0.0
+        return float((v / psi_vals).max(initial=0.0))
     return PrimeCountingReport(
         concentration_constant=best(conc),
         count_constant=best(counts),
