@@ -154,9 +154,12 @@ class GrowthFunction:
     @classmethod
     def from_dict(cls, data: dict) -> "GrowthFunction":
         try:
-            return cls(str(data["family"]), float(data["param"]))
+            family, param = str(data["family"]), float(data["param"])
         except KeyError as exc:
             raise GrowthError(f"growth spec missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise GrowthError(f"growth spec field 'param': {exc}") from exc
+        return cls(family, param)
 
 
 @dataclass(frozen=True)

@@ -74,6 +74,29 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _read(spec: dict, key: str, convert, default=None):
+    """convert(spec[key]), or convert(default) when key is absent and default is given.
+
+    A missing key or a value that convert rejects is a ConfigError.  The
+    numerics run outside this call, so a ValueError they raise is never
+    reported as a config error.
+    """
+    if key not in spec and default is None:
+        raise ConfigError(f"field {key!r} is required")
+    try:
+        return convert(spec.get(key, default))
+    except (LookupError, TypeError, ValueError) as exc:
+        raise ConfigError(f"field {key!r}: cannot read {spec[key]!r} ({exc})") from exc
+
+
+def _floats(values) -> tuple:
+    return tuple(float(v) for v in values)
+
+
+def _points(pairs) -> list[complex]:
+    return [complex(p[0], p[1]) for p in pairs]
+
+
 @dataclass
 class Scenario:
     task: str
@@ -103,20 +126,19 @@ class Scenario:
         growth = data.get("growth")
         if chosen != "sharpness" and (growth is None or not isinstance(growth, dict)):
             raise ConfigError("field 'growth': an object {family, param} is required")
-        r_grid = tuple(float(r) for r in data.get("r_grid", (0.5, 0.9, 0.99, 0.999)))
+        r_grid = _read(data, "r_grid", _floats, (0.5, 0.9, 0.99, 0.999))
         for r in r_grid:
             if not 0 < r < 1:
                 raise ConfigError(f"field 'r_grid': radii must lie in (0,1), got {r}")
-        theta = int(data.get("theta_count", 256))
+        theta = _read(data, "theta_count", int, 256)
         if theta < 8:
             raise ConfigError("field 'theta_count': need at least 8 angles")
-        samples = int(data.get("residual_samples", 200))
+        samples = _read(data, "residual_samples", int, 200)
         if samples < 1:
             raise ConfigError("field 'residual_samples': need at least 1")
-        c0 = float(data.get("C0", 8.0))
+        c0 = _read(data, "C0", float, 8.0)
         if not c0 >= 2:
             raise ConfigError("field 'C0': must be at least 2")
-        eps0 = data.get("eps0")
         targets_spec = data.get("targets")
         if isinstance(targets_spec, list):
             targets_spec = {"kind": "explicit", "values": targets_spec}
@@ -126,11 +148,11 @@ class Scenario:
             growth_spec=dict(growth) if growth else {"family": "power", "param": 1.0},
             targets_spec=dict(targets_spec) if isinstance(targets_spec, dict) else None,
             C0=c0,
-            seed=int(data.get("seed", 0)),
+            seed=_read(data, "seed", int, 0),
             r_grid=r_grid,
             theta_count=theta,
             residual_samples=samples,
-            eps0=float(eps0) if eps0 is not None else None,
+            eps0=_read(data, "eps0", float) if data.get("eps0") is not None else None,
         )
 
 
@@ -148,19 +170,18 @@ def generate_sequence(spec: dict, seed: int) -> DiscSequence:
     rng = np.random.default_rng(seed)
     try:
         if kind == "explicit":
-            pts = [complex(p[0], p[1]) for p in spec["points"]]
-            return DiscSequence(pts)
+            return DiscSequence(_read(spec, "points", _points))
         if kind == "radial":
-            radii = [float(r) for r in spec["radii"]]
-            theta = float(spec.get("theta", 0.0))
+            radii = _read(spec, "radii", _floats)
+            theta = _read(spec, "theta", float, 0.0)
             return DiscSequence([r * np.exp(1j * theta) for r in radii])
         if kind == "perturbed_lattice":
-            rings = int(spec.get("rings", 4))
-            q = float(spec.get("q", 0.6))
-            spread = float(spec.get("spread", 0.5))
-            jitter = float(spec.get("jitter", 0.1))
-            r0 = float(spec.get("r0", 0.4))
-            max_points = int(spec.get("max_points", 60))
+            rings = _read(spec, "rings", int, 4)
+            q = _read(spec, "q", float, 0.6)
+            spread = _read(spec, "spread", float, 0.5)
+            jitter = _read(spec, "jitter", float, 0.1)
+            r0 = _read(spec, "r0", float, 0.4)
+            max_points = _read(spec, "max_points", int, 60)
             if not (0 < q < 1 and 0 < r0 < 1):
                 raise ConfigError("perturbed_lattice needs 0 < q < 1 and 0 < r0 < 1")
             pts: list[complex] = []
@@ -175,11 +196,9 @@ def generate_sequence(spec: dict, seed: int) -> DiscSequence:
                 one_minus *= q
             return DiscSequence(pts[:max_points])
         if kind == "sharpness_pairs":
-            rho = float(spec["rho"])
-            n_max = int(spec["n_max"])
+            rho = _read(spec, "rho", float)
+            n_max = _read(spec, "n_max", int)
             return sharpness_sequence(rho, n_max).to_disc_sequence()
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ConfigError(f"sequence spec for kind {kind!r} is malformed: {exc}") from exc
     except GeometryError as exc:
         raise ConfigError(f"generated sequence is invalid: {exc}") from exc
     raise ConfigError(f"unknown sequence kind {kind!r}")
@@ -192,14 +211,14 @@ def generate_targets(spec: Optional[dict], seq: DiscSequence, gf: GrowthFunction
         spec = {"kind": "random_admissible", "constant": 1.0}
     kind = spec.get("kind")
     if kind == "explicit":
-        vals = [complex(v[0], v[1]) for v in spec["values"]]
+        vals = _read(spec, "values", _points)
         if len(vals) != len(seq):
             raise ConfigError(
                 f"targets: expected {len(seq)} values, got {len(vals)}"
             )
         return np.asarray(vals, dtype=complex)
     if kind == "random_admissible":
-        constant = float(spec.get("constant", 1.0))
+        constant = _read(spec, "constant", float, 1.0)
         if constant <= 0:
             raise ConfigError("targets: admissibility constant must be positive")
         rng = np.random.default_rng(seed + 1)
@@ -341,9 +360,8 @@ def _task_sharpness(scn: Scenario, out: dict) -> int:
     spec = scn.sequence_spec
     if spec.get("kind") != "sharpness_pairs":
         raise ConfigError("sharpness task needs a sharpness_pairs sequence")
-    rho = float(spec["rho"])
-    n_max = int(spec["n_max"])
-    seq = sharpness_sequence(rho, n_max)
+    rho = _read(spec, "rho", float)
+    seq = sharpness_sequence(rho, _read(spec, "n_max", int))
     rows = [
         [str(r.n), _fmt(r.N_value), _fmt(r.target), _fmt(r.ratio)]
         for r in sharpness_counting_check(seq)

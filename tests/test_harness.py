@@ -162,11 +162,30 @@ class TestRunScenario:
         assert run_scenario(str(path), out) == EXIT_CONFIG
         assert not os.path.exists(out)  # no partial outputs
 
-    def test_bad_field_is_config_error(self, tmp_path):
-        cfg = write_config(tmp_path, "bad.json",
-                           {"task": "interpolate", "sequence": {"kind": "nope"},
-                            "growth": {"family": "power", "param": 1.0}})
-        assert run_scenario(cfg, str(tmp_path / "o")) == EXIT_CONFIG
+    @pytest.mark.parametrize("fields", [
+        {"sequence": {"kind": "nope"}},
+        {"growth": {"family": "power", "param": "x"}},
+        {"theta_count": "abc"},
+        {"seed": "s"},
+        {"r_grid": 5},
+        {"targets": {"kind": "explicit"}},
+        {"targets": [[1]]},
+        {"targets": {"kind": "random_admissible", "constant": "x"}},
+        {"sequence": {"kind": "perturbed_lattice", "rings": "x"}},
+        {"task": "sharpness", "sequence": {"kind": "sharpness_pairs", "n_max": 4}},
+        {"task": "sharpness", "sequence": {"kind": "sharpness_pairs", "rho": 1.0, "n_max": 4},
+         "eps0": "q"},
+    ], ids=["sequence-kind", "growth-param", "theta_count", "seed", "r_grid",
+            "targets-without-values", "targets-short-pair", "targets-constant",
+            "lattice-rings", "sharpness-without-rho", "eps0"])
+    def test_bad_field_is_config_error(self, tmp_path, capsys, fields):
+        cfg = write_config(tmp_path, "bad.json", {
+            "task": "interpolate", "sequence": {"kind": "radial", "radii": [0.5]},
+            "growth": {"family": "power", "param": 1.0}, **fields})
+        out = str(tmp_path / "o")
+        assert run_scenario(cfg, out) == EXIT_CONFIG
+        assert capsys.readouterr().out.startswith("config error: ")
+        assert not os.path.exists(out)
 
     def test_unknown_task_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "bad.json",
