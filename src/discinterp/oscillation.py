@@ -386,7 +386,7 @@ class SharpnessSequence:
     # -- conversions --------------------------------------------------------
 
     def representable_values(self) -> list[complex]:
-        """Nodes usable for complex-plane evaluation: upper twins need a gap of 2e-15."""
+        """Nodes usable for complex-plane evaluation; an upper twin needs a gap >= 2e-15."""
         vals: list[complex] = []
         for m in range(len(self)):
             if self.is_upper[m] and (self.log_only[m] or self.eps[m] < 2e-15):
