@@ -56,6 +56,9 @@ __all__ = [
 
 LOG_ZERO = float("-inf")
 
+# log of the relative size below which _log_E ends a factor's Horner tail
+_LOG_TAIL_STOP = math.log(1e-24)
+
 # Relative distance to a node below which the logarithmic derivative is
 # treated as a pole.
 POLE_TOL = 1e-12
@@ -133,13 +136,14 @@ def _log_E(A: np.ndarray, log_one_minus: Callable[[np.ndarray], np.ndarray],
     """log E(A, s) elementwise as complex log values.
 
     For |A| <= 1/2 the value is the tail -sum_{j>s} A^j / j, run by Horner on
-    those cells only to a degree fixed by the largest |A| among them; this
-    avoids the cancellation between log(1 - A) and the genus polynomial q.
-    The other cells use the direct form log(1 - A) + q(A).  log(1 - A) comes
-    from the caller, from a node-stable 1 - A or from exact gap logs:
-    ``log_one_minus(big)`` returns it on the cells of the boolean mask
-    ``big`` (|A| > 1/2), flattened as ``A[big]``.  It is called once, and
-    only when some cell is big, so no logarithm is taken on the small cells.
+    those cells only; this avoids the cancellation between log(1 - A) and the
+    genus polynomial q.  Each cell runs to its own degree, so its value does
+    not depend on the rest of the batch.  The other cells use the direct form
+    log(1 - A) + q(A).  log(1 - A) comes from the caller, from a node-stable
+    1 - A or from exact gap logs: ``log_one_minus(big)`` returns it on the
+    cells of the boolean mask ``big`` (|A| > 1/2), flattened as ``A[big]``.
+    It is called once, and only when some cell is big, so no logarithm is
+    taken on the small cells.
     """
     A = np.asarray(A, dtype=complex)
     abs_A = np.abs(A)
@@ -150,14 +154,29 @@ def _log_E(A: np.ndarray, log_one_minus: Callable[[np.ndarray], np.ndarray],
         lam[big] = log_one_minus(big) + _poly_q(A[big], s)
     if small.any():
         As = A[small]
-        a_max = float(abs_A[small].max())
-        # stop once the next term is below 1e-24 times the first; at most 89 terms
-        extra = 0 if a_max == 0.0 else math.ceil(math.log(1e-24) / math.log(a_max))
-        top = s + 1 + min(extra, 88)
-        poly = np.full_like(As, 1.0 / top)
-        for j in range(top - 1, s, -1):
-            poly = poly * As + 1.0 / j
-        lam[small] = -(As ** (s + 1)) * poly
+        # terms after the first: stop once the next term is below 1e-24 times
+        # the first (0 at A = 0, at most 80 for |A| <= 1/2)
+        with np.errstate(divide="ignore"):
+            extra = np.ceil(_LOG_TAIL_STOP / np.log(abs_A[small])).astype(np.uint8)
+        # Highest degree first, so the cells still running at each term are a
+        # prefix; a cell joins at its own top term, where 0 * A + 1/top is
+        # exactly 1/top.
+        order = np.argsort(~extra, kind="stable")
+        running = np.cumsum(np.bincount(extra)[::-1]).tolist()
+        del extra
+        A_sorted = As[order]
+        poly = np.zeros_like(A_sorted)
+        k = 0
+        for j, k_j in zip(range(s + len(running), s, -1), running):
+            if k_j != k:
+                k = k_j
+                head, A_head = poly[:k], A_sorted[:k]
+            head *= A_head
+            head += 1.0 / j
+        del A_sorted, head, A_head
+        tail = np.empty_like(poly)
+        tail[order] = poly
+        lam[small] = -(As ** (s + 1)) * tail
     return lam
 
 

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from discinterp.geometry import DiscSequence
 from discinterp.growth import GrowthFunction
 from discinterp.harness import generate_sequence, generate_targets
-from discinterp.products import _log_E, _log_one_minus
+from discinterp.products import _log_E, _log_one_minus, _poly_q
 
 FAMILY_CYCLE = (
     GrowthFunction.power(0.5),
@@ -50,6 +50,32 @@ def factors_all_cells(cp, z):
     A, onemA, D = cp._geometry(z)
     log_one_minus = _log_one_minus(onemA)
     return _log_E(A, lambda big: log_one_minus[big], cp.genus), A, onemA, D
+
+
+def log_E_batch_degree(A, log_one_minus, s):
+    """``_log_E`` with one Horner degree for all small cells, set by their largest |A|.
+
+    The kernel as it was before each cell got its own degree: the oracle for
+    bit-equality of the per-cell tail.
+    """
+    A = np.asarray(A, dtype=complex)
+    abs_A = np.abs(A)
+    small = abs_A <= 0.5
+    lam = np.empty_like(A)
+    if not small.all():
+        big = ~small
+        lam[big] = log_one_minus(big) + _poly_q(A[big], s)
+    if small.any():
+        As = A[small]
+        a_max = float(abs_A[small].max())
+        # stop once the next term is below 1e-24 times the first; at most 89 terms
+        extra = 0 if a_max == 0.0 else math.ceil(math.log(1e-24) / math.log(a_max))
+        top = s + 1 + min(extra, 88)
+        poly = np.full_like(As, 1.0 / top)
+        for j in range(top - 1, s, -1):
+            poly = poly * As + 1.0 / j
+        lam[small] = -(As ** (s + 1)) * poly
+    return lam
 
 
 def psi_tilde_log_quad(beta: float, u) -> np.ndarray:

@@ -25,7 +25,7 @@ from discinterp.products import (
 )
 from discinterp.oscillation import sharpness_sequence
 
-from helpers import factors_all_cells, spiral_sequence
+from helpers import factors_all_cells, log_E_batch_degree, spiral_sequence
 
 
 def random_sequence(rng, n, r_lo=0.2, r_hi=0.9, min_gap=0.02):
@@ -184,9 +184,9 @@ class TestLogEKernel:
 
     @pytest.mark.parametrize("s", range(1, 6))
     def test_small_A(self, s):
-        # the tail degree follows the largest |A| of the block, so each
-        # radius also runs alone; at genus 5 and |A| = 1e-3 an absolute
-        # 1e-24 stop would leave a 1e-9 relative error
+        # the mixed block and each radius alone; the tail stop is relative
+        # to the first term: at genus 5 and |A| = 1e-3 an absolute 1e-24
+        # stop would leave a 1e-9 relative error
         radii = [1e-3, 3e-3, 1e-2, 0.1, 0.3]
         blocks = [r * np.exp(1j * ANGLES) for r in radii]
         check_kernel(np.concatenate(blocks + [[0.0]]), s)
@@ -257,6 +257,64 @@ class TestLazyLogOneMinus:
             assert np.isneginf(got[0].real).any() == at_nodes
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
+
+
+def spiral_blocks(s):
+    """(A, 1 - A) of the 200-node spiral at its nodes and on four 256-point rings."""
+    cp = CanonicalProduct(spiral_sequence(), s)
+    thetas = 2.0 * np.pi * np.arange(256) / 256
+    rings = np.concatenate([(1.0 - 10.0**-k) * np.exp(1j * thetas) for k in range(1, 5)])
+    return [cp._geometry(z)[:2] for z in (cp.sequence.values, rings)]
+
+
+def random_disc(rng, n):
+    """A spread over the unit disc, |A| log-uniform from 1e-8 to 1 and a uniform band."""
+    r = np.concatenate([10.0 ** rng.uniform(-8.0, 0.0, n), rng.uniform(0.0, 1.0, n)])
+    return r * np.exp(2j * np.pi * rng.uniform(size=2 * n))
+
+
+class TestPerCellDegree:
+    """Each small cell runs its Horner tail to its own degree."""
+
+    @staticmethod
+    def assert_bit_equal_to_batch_degree(A, om, s):
+        log_one_minus = lambda big: _log_one_minus(om[big])
+        assert np.array_equal(_log_E(A, log_one_minus, s),
+                              log_E_batch_degree(A, log_one_minus, s), equal_nan=True)
+
+    @pytest.mark.parametrize("s", range(1, 5))
+    def test_spiral_bit_equal_to_batch_degree(self, s):
+        for A, om in spiral_blocks(s):
+            self.assert_bit_equal_to_batch_degree(A, om, s)
+
+    @pytest.mark.parametrize("s", range(1, 5))
+    def test_random_disc_bit_equal_to_batch_degree(self, s):
+        rng = np.random.default_rng(40 + s)
+        for _ in range(4):
+            A = random_disc(rng, 20_000)
+            self.assert_bit_equal_to_batch_degree(A, 1.0 - A, s)
+
+    @pytest.mark.parametrize("A", [
+        np.array([0.0, 0.5, -0.5, 0.5j, -0.5j, 0.0, 0.3 - 0.1j, 0.5 * np.exp(1j), 0.0]),
+        np.array([0.0, 0.0, 0.0]),
+        np.concatenate([r * np.exp(1j * ANGLES) for r in (1e-12, 1e-3, 0.1, 0.25, 0.5)]),
+        np.concatenate([r * np.exp(1j * ANGLES) for r in (0.5 * (1 + 1e-12), 0.7, 0.99, 2.0)]),
+        np.zeros(0, dtype=complex),
+    ], ids=["zeros-and-one-half", "all-zero", "all-small", "all-big", "empty"])
+    @pytest.mark.parametrize("s", range(1, 5))
+    def test_edge_batches_bit_equal_to_batch_degree(self, A, s):
+        self.assert_bit_equal_to_batch_degree(A, 1.0 - A, s)
+
+    @pytest.mark.parametrize("width", [1, 7, 256])
+    @pytest.mark.parametrize("s", [1, 3])
+    def test_column_chunks_give_the_same_bits(self, s, width):
+        # what blocking the product by columns needs: no cell depends on the batch
+        for A, om in spiral_blocks(s):
+            whole = _log_E(A, lambda big: _log_one_minus(om[big]), s)
+            chunks = [_log_E(A[:, c:c + width],
+                             lambda big, c=c: _log_one_minus(om[:, c:c + width][big]), s)
+                      for c in range(0, A.shape[1], width)]
+            assert np.array_equal(whole, np.concatenate(chunks, axis=1), equal_nan=True)
 
 
 class TestLogP:
