@@ -93,6 +93,27 @@ def _floats(values) -> tuple:
     return tuple(float(v) for v in values)
 
 
+def _positive(value) -> float:
+    x = float(value)
+    if not (math.isfinite(x) and x > 0):
+        raise ValueError("must be finite and positive")
+    return x
+
+
+def _nonnegative(value) -> float:
+    x = float(value)
+    if not (math.isfinite(x) and x >= 0):
+        raise ValueError("must be finite and nonnegative")
+    return x
+
+
+def _count(value) -> int:
+    n = int(value)
+    if n < 1:
+        raise ValueError("must be at least 1")
+    return n
+
+
 def _points(pairs) -> list[complex]:
     return [complex(p[0], p[1]) for p in pairs]
 
@@ -152,7 +173,7 @@ class Scenario:
             r_grid=r_grid,
             theta_count=theta,
             residual_samples=samples,
-            eps0=_read(data, "eps0", float) if data.get("eps0") is not None else None,
+            eps0=_read(data, "eps0", _nonnegative) if data.get("eps0") is not None else None,
         )
 
 
@@ -178,10 +199,10 @@ def generate_sequence(spec: dict, seed: int) -> DiscSequence:
         if kind == "perturbed_lattice":
             rings = _read(spec, "rings", int, 4)
             q = _read(spec, "q", float, 0.6)
-            spread = _read(spec, "spread", float, 0.5)
+            spread = _read(spec, "spread", _positive, 0.5)
             jitter = _read(spec, "jitter", float, 0.1)
             r0 = _read(spec, "r0", float, 0.4)
-            max_points = _read(spec, "max_points", int, 60)
+            max_points = _read(spec, "max_points", _count, 60)
             if not (0 < q < 1 and 0 < r0 < 1):
                 raise ConfigError("perturbed_lattice needs 0 < q < 1 and 0 < r0 < 1")
             pts: list[complex] = []
@@ -218,9 +239,7 @@ def generate_targets(spec: Optional[dict], seq: DiscSequence, gf: GrowthFunction
             )
         return np.asarray(vals, dtype=complex)
     if kind == "random_admissible":
-        constant = _read(spec, "constant", float, 1.0)
-        if constant <= 0:
-            raise ConfigError("targets: admissibility constant must be positive")
+        constant = _read(spec, "constant", _positive, 1.0)
         rng = np.random.default_rng(seed + 1)
         tilde = np.asarray(gf.psi_tilde(1.0 / (1.0 - seq.moduli)), dtype=float)
         scale = rng.uniform(0.2, 0.9, size=len(seq)) * constant

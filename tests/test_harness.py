@@ -175,9 +175,28 @@ class TestRunScenario:
         {"task": "sharpness", "sequence": {"kind": "sharpness_pairs", "n_max": 4}},
         {"task": "sharpness", "sequence": {"kind": "sharpness_pairs", "rho": 1.0, "n_max": 4},
          "eps0": "q"},
+        {"sequence": {"kind": "perturbed_lattice", "spread": math.nan}},
+        {"sequence": {"kind": "perturbed_lattice", "spread": math.inf}},
+        {"sequence": {"kind": "perturbed_lattice", "spread": 0.0}},
+        {"sequence": {"kind": "perturbed_lattice", "spread": -0.5}},
+        {"sequence": {"kind": "perturbed_lattice", "max_points": 0}},
+        {"sequence": {"kind": "perturbed_lattice", "max_points": -3}},
+        {"targets": {"kind": "random_admissible", "constant": math.nan}},
+        {"targets": {"kind": "random_admissible", "constant": math.inf}},
+        {"targets": {"kind": "random_admissible", "constant": 0.0}},
+        {"task": "sharpness", "sequence": {"kind": "sharpness_pairs", "rho": 1.0, "n_max": 4},
+         "eps0": math.nan},
+        {"task": "sharpness", "sequence": {"kind": "sharpness_pairs", "rho": 1.0, "n_max": 4},
+         "eps0": math.inf},
+        {"task": "sharpness", "sequence": {"kind": "sharpness_pairs", "rho": 1.0, "n_max": 4},
+         "eps0": -0.1},
     ], ids=["sequence-kind", "growth-param", "theta_count", "seed", "r_grid",
             "targets-without-values", "targets-short-pair", "targets-constant",
-            "lattice-rings", "sharpness-without-rho", "eps0"])
+            "lattice-rings", "sharpness-without-rho", "eps0",
+            "spread-nan", "spread-inf", "spread-zero", "spread-negative",
+            "max_points-zero", "max_points-negative",
+            "constant-nan", "constant-inf", "constant-zero",
+            "eps0-nan", "eps0-inf", "eps0-negative"])
     def test_bad_field_is_config_error(self, tmp_path, capsys, fields):
         cfg = write_config(tmp_path, "bad.json", {
             "task": "interpolate", "sequence": {"kind": "radial", "radii": [0.5]},
