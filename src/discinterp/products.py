@@ -12,7 +12,8 @@ handful of such factors.  The reduced product B_k = P / E(A_k(z), s) and the
 node derivative P'(z_k) are cached at construction in the same representation.
 
 The log-factor kernel ``_log_E`` reads log(1 - A) only on the cells with
-|A| > 1/2; the others take a Horner tail that never needs it.  Callers hand
+|A| > 1/2; the others take a Horner tail that never needs it, each cell to
+its own degree, so no value depends on the rest of its batch.  Callers hand
 it log(1 - A) as a function of that mask, so the complex logarithm is taken
 on those cells alone.
 
@@ -153,7 +154,6 @@ def _log_E(A: np.ndarray, log_one_minus: Callable[[np.ndarray], np.ndarray],
         big = ~small
         lam[big] = log_one_minus(big) + _poly_q(A[big], s)
     if small.any():
-        As = A[small]
         # terms after the first: stop once the next term is below 1e-24 times
         # the first (0 at A = 0, at most 80 for |A| <= 1/2)
         with np.errstate(divide="ignore"):
@@ -164,19 +164,21 @@ def _log_E(A: np.ndarray, log_one_minus: Callable[[np.ndarray], np.ndarray],
         order = np.argsort(~extra, kind="stable")
         running = np.cumsum(np.bincount(extra)[::-1]).tolist()
         del extra
-        A_sorted = As[order]
-        poly = np.zeros_like(A_sorted)
+        As = A[small][order]
+        poly = np.zeros_like(As)
         k = 0
         for j, k_j in zip(range(s + len(running), s, -1), running):
             if k_j != k:
                 k = k_j
-                head, A_head = poly[:k], A_sorted[:k]
+                head, A_head = poly[:k], As[:k]
             head *= A_head
             head += 1.0 / j
-        del A_sorted, head, A_head
-        tail = np.empty_like(poly)
-        tail[order] = poly
-        lam[small] = -(As ** (s + 1)) * tail
+        # -(A^(s+1)) * poly in place, then back to the order of A[small]
+        As **= s + 1
+        np.negative(As, out=As)
+        As *= poly
+        poly[order] = As
+        lam[small] = poly
     return lam
 
 
