@@ -163,7 +163,6 @@ def _log_E(A: np.ndarray, log_one_minus: Callable[[np.ndarray], np.ndarray],
         # exactly 1/top.
         order = np.argsort(~extra, kind="stable")
         running = np.cumsum(np.bincount(extra)[::-1]).tolist()
-        del extra
         As = A[small][order]
         poly = np.zeros_like(As)
         k = 0
