@@ -51,7 +51,6 @@ class CountingError(ValueError):
 class ConditionReport:
     """Best constant for a per-node inequality over a finite sequence."""
 
-    condition_name: str
     best_constant: float
     witness_index: int
     holds_with: Optional[float] = None
@@ -131,13 +130,11 @@ def _korenblum_sums(seq: DiscSequence, delta: float) -> np.ndarray:
     return sums
 
 
-def _best_constant(name: str, numerators: np.ndarray, denominators: np.ndarray,
+def _best_constant(numerators: np.ndarray, denominators: np.ndarray,
                    constant: Optional[float]) -> ConditionReport:
-    if numerators.size == 0:
-        return ConditionReport(name, 0.0, 0, constant, ())
     ratios = numerators / denominators
     k = int(np.argmax(ratios))
-    return ConditionReport(name, float(ratios[k]), k, constant, tuple(ratios))
+    return ConditionReport(float(ratios[k]), k, constant, tuple(ratios))
 
 
 def check_concentration(seq: DiscSequence, gf: GrowthFunction, delta: float = 0.5,
@@ -148,7 +145,7 @@ def check_concentration(seq: DiscSequence, gf: GrowthFunction, delta: float = 0.
     if len(seq) == 0:
         raise CountingError("concentration check needs a nonempty sequence")
     nums = _counting_N_at_nodes(seq, delta)
-    return _best_constant("concentration", nums, _psi_at_nodes(seq, gf), constant)
+    return _best_constant(nums, _psi_at_nodes(seq, gf), constant)
 
 
 def check_korenblum_sum(seq: DiscSequence, gf: GrowthFunction, delta: float = 0.5,
@@ -163,7 +160,7 @@ def check_korenblum_sum(seq: DiscSequence, gf: GrowthFunction, delta: float = 0.
     if len(seq) == 0:
         raise CountingError("korenblum check needs a nonempty sequence")
     nums = _korenblum_sums(seq, delta)
-    return _best_constant("korenblum_sum", nums, _psi_at_nodes(seq, gf), constant)
+    return _best_constant(nums, _psi_at_nodes(seq, gf), constant)
 
 
 def _log_sigma_matrix(seq: DiscSequence) -> np.ndarray:
@@ -264,14 +261,12 @@ class EquivalenceReport:
     """Joint report for the concentration and korenblum-sum constants.
 
     ``pointwise_max`` is the per-node maximum of the korenblum sum divided
-    by its proven affine bound N_k(delta) + affine_factor * N_k(alpha delta);
-    it never exceeds 1.
+    by its proven affine bound N_k(delta) + c N_k(alpha delta), with
+    c = (ln(1/delta) + ln(2+delta)) / ln(alpha); it never exceeds 1.
     """
 
     C_concentration: float
     C_korenblum: float
-    C_concentration_enlarged: float
-    affine_factor: float
     pointwise_max: float
     lower_ok: bool
 
@@ -301,7 +296,6 @@ def concentration_korenblum_comparison(seq: DiscSequence, gf: GrowthFunction,
     n_large = _counting_N_at_nodes(seq, alpha * delta)
     c_small = float((n_small / psi_vals).max())
     c_kore = float((kore / psi_vals).max())
-    c_large = float((n_large / psi_vals).max())
     lower_ok = bool(np.all(n_small <= kore + 1e-12))
     bound = n_small + factor * n_large
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -309,8 +303,6 @@ def concentration_korenblum_comparison(seq: DiscSequence, gf: GrowthFunction,
     return EquivalenceReport(
         C_concentration=c_small,
         C_korenblum=c_kore,
-        C_concentration_enlarged=c_large,
-        affine_factor=factor,
         pointwise_max=float(point.max()) if point.size else 0.0,
         lower_ok=lower_ok,
     )
@@ -353,7 +345,7 @@ def counting_sandwich_check(seq: DiscSequence, gf: GrowthFunction,
         worst = max(worst, lower - mid)
         nums.append(float(counting_n(seq, z, 0.5 * one_minus)))
         dens.append(float(gf.psi(1.0 / one_minus)))
-    report = _best_constant("count_bound", np.asarray(nums), np.asarray(dens), None)
+    report = _best_constant(np.asarray(nums), np.asarray(dens), None)
     return SandwichReport(
         n_bound=report,
         max_lower_violation=float(worst),

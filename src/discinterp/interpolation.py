@@ -265,8 +265,7 @@ class Interpolant:
         logP = lam.sum(axis=0)
         with np.errstate(invalid="ignore"):
             logB = logP[None, :] - lam
-        hits = np.isneginf(lam.real)
-        _fill_hit_sums(logB, lam, hits)
+        _fill_hit_sums(logB, lam, np.isneginf(lam.real))
         zc = np.conj(cp.sequence.values)
         with np.errstate(divide="ignore", invalid="ignore"):
             L = (
@@ -279,25 +278,20 @@ class Interpolant:
                 + (self.exponents - 1)[:, None] * np.log(A)
                 - cp.log_P_prime_nodes[:, None]
             )
-        return {"lam": lam, "A": A, "onemA": onemA, "D": D,
-                "logP": logP, "L": L, "hits": hits}
+        return {"A": A, "onemA": onemA, "D": D, "logP": logP, "L": L}
 
     def _derivative_logs(self, parts: dict) -> np.ndarray:
         """Per-term logs of d/dz term_n via the smooth logarithmic factor.
 
         term_n'/term_n = S_n + (s_n - 1) conj(z_n)/D + conj(z_n)/D *
-        (1 + A + ... + A^s), where S_n is the off-factor log derivative;
-        every piece is regular at the nodes.
+        (1 + A + ... + A^s), where S_n is the off-factor log derivative.
+        The points are off the nodes (``_off_nodes``), so no factor vanishes.
         """
         cp = self.product
         A, onemA, D, L = parts["A"], parts["onemA"], parts["D"], parts["L"]
         with np.errstate(divide="ignore", invalid="ignore"):
             T = cp._deriv_terms(A, onemA)
-            full = T.sum(axis=0)
-            S = full[None, :] - T
-        hits = parts["hits"]
-        if hits.any():
-            _fill_hit_sums(S, np.where(np.isfinite(T), T, 0.0), hits)
+            S = T.sum(axis=0)[None, :] - T
         zcD = np.conj(cp.sequence.values)[:, None] / D
         # 1 + A + ... + A^s evaluated as a plain polynomial (exact at A = 1)
         geom = np.ones_like(A)
@@ -308,9 +302,6 @@ class Interpolant:
         dfac = S + (self.exponents - 1)[:, None] * zcD + zcD * geom
         with np.errstate(divide="ignore", invalid="ignore"):
             dL = L + np.log(dfac.astype(complex))
-        dead = np.isneginf(L.real)
-        if dead.any():
-            dL[dead] = complex(LOG_ZERO, 0.0)
         bad = np.isnan(dL)
         if bad.any():
             dL[bad] = complex(LOG_ZERO, 0.0)
@@ -334,15 +325,16 @@ class Interpolant:
         return logsumexp_complex(parts["L"])
 
     def derivative_many(self, z) -> np.ndarray:
-        parts = self._assemble(np.atleast_1d(np.asarray(z, dtype=complex)))
+        """f' at a batch of points away from the nodes."""
+        parts = self._assemble(self.product._off_nodes(z))
         lam = logsumexp_complex(self._derivative_logs(parts))
         with np.errstate(over="ignore"):
             out = np.where(np.isneginf(lam.real), 0.0, np.exp(lam))
         return out if np.ndim(z) else complex(out[0])
 
     def eval_and_derivative_many(self, z) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(values, derivative values, value logs, derivative logs) in one pass."""
-        parts = self._assemble(np.atleast_1d(np.asarray(z, dtype=complex)))
+        """(values, derivative values, value logs, derivative logs) in one pass, off the nodes."""
+        parts = self._assemble(self.product._off_nodes(z))
         lam_v = logsumexp_complex(parts["L"])
         lam_d = logsumexp_complex(self._derivative_logs(parts))
         with np.errstate(over="ignore"):

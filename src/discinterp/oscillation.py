@@ -91,10 +91,8 @@ class ResidualReport:
 class OscillationSolution:
     """Coefficient function with its product/interpolant decomposition."""
 
-    def __init__(self, product: CanonicalProduct, gprime: Interpolant, gf: GrowthFunction):
-        if gprime.product is not product:
-            raise OscillationError("gprime must be built on this product; residual_report reads P")
-        self.product = product
+    def __init__(self, gprime: Interpolant, gf: GrowthFunction):
+        self.product = gprime.product
         self.gprime = gprime
         self.gf = gf
 
@@ -259,7 +257,7 @@ def build_coefficient(seq: DiscSequence, gf: GrowthFunction, C0: float = 8.0) ->
     product = CanonicalProduct(seq, gf.genus)
     targets = osc_targets(product)
     gprime = build_interpolant(seq, targets, gf, C0=C0, product=product)
-    return OscillationSolution(product, gprime, gf)
+    return OscillationSolution(gprime, gf)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +287,6 @@ class WitnessReport:
 
 @dataclass(frozen=True)
 class IndexCancellationLogReport:
-    indices: tuple
     lhs: tuple
     rhs: tuple
     ratios: tuple
@@ -425,8 +422,7 @@ class SharpnessSequence:
         lhs = np.abs(ln_E.sum(axis=0) + N)
         rhs = (np.abs(A) ** (genus + 1)).sum(axis=0)
         return IndexCancellationLogReport(
-            indices=tuple(range(len(self))), lhs=tuple(lhs.tolist()),
-            rhs=tuple(rhs.tolist()), ratios=tuple((lhs / rhs).tolist()))
+            lhs=tuple(lhs.tolist()), rhs=tuple(rhs.tolist()), ratios=tuple((lhs / rhs).tolist()))
 
     def growth_witness(self, eps0: float) -> WitnessReport:
         """Crossing of the forced ln|g'(z_2n)| >= 2^(n rho) - ln 5 lower bound.

@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .counting import _counting_N_at_nodes, _one_minus_at_nodes, counting_n
+from .counting import _counting_N_at_nodes, _one_minus_at_nodes
 from .geometry import DiscSequence
 from .growth import GrowthFunction
 
@@ -279,25 +279,24 @@ class CanonicalProduct:
             out = np.exp(lam)
         return complex(out) if np.ndim(out) == 0 else out
 
-    def _check_pole(self, zb: np.ndarray) -> None:
+    def _off_nodes(self, z) -> np.ndarray:
+        """z as a batch for a derivative; a point within POLE_TOL of a node raises."""
+        zb = self._as_batch(z)[0]
         if self._near_nodes(zb).any():
-            raise ProductsError("logarithmic derivative evaluated at a node pole")
+            raise ProductsError("derivative evaluated at a node")
+        return zb
 
     def log_deriv_P_many(self, z) -> np.ndarray:
         """P'/P at a batch of points away from the nodes."""
-        zb, scalar = self._as_batch(z)
-        self._check_pole(zb)
-        A, onemA, _ = self._geometry(zb)
+        A, onemA, _ = self._geometry(self._off_nodes(z))
         out = self._deriv_terms(A, onemA).sum(axis=0)
-        return out[0] if scalar else out
+        return out if np.ndim(z) else out[0]
 
     def log_deriv_prime_many(self, z) -> np.ndarray:
         """(P'/P)' at a batch of points away from the nodes."""
-        zb, scalar = self._as_batch(z)
-        self._check_pole(zb)
-        A, onemA, _ = self._geometry(zb)
+        A, onemA, _ = self._geometry(self._off_nodes(z))
         out = self._deriv_prime_terms(A, onemA).sum(axis=0)
-        return out[0] if scalar else out
+        return out if np.ndim(z) else out[0]
 
     # -- node data --------------------------------------------------------------
 
@@ -362,17 +361,14 @@ class TsujiReport:
 class FactorSumGrowthReport:
     best_constant: float
     witness: complex
-    hypothesis_constant: float
 
 
 def factor_sum_growth_check(cp: CanonicalProduct, gf: GrowthFunction,
                             z_grid: Sequence[complex]) -> FactorSumGrowthReport:
     """Best constant bounding sum |A_n(z)|^(s+1) by psi_tilde(1/(1-|z|)) on a grid.
 
-    The report carries the hypothesis constant of the underlying estimate,
-    max over the grid of n_z((1-|z|)/2) / psi(1/(1-|z|)).  Diagnostic only:
-    the ratio degenerates as z -> 0 where psi_tilde vanishes, so grids
-    should stay in an annulus.
+    Diagnostic only: the ratio degenerates as z -> 0 where psi_tilde
+    vanishes, so grids should stay in an annulus.
     """
     z = np.asarray(list(z_grid), dtype=complex)
     if z.size == 0:
@@ -384,16 +380,7 @@ def factor_sum_growth_check(cp: CanonicalProduct, gf: GrowthFunction,
         raise ProductsError("grid contains points with vanishing psi_tilde; avoid z = 0")
     ratios = sums / denom
     i = int(np.argmax(ratios))
-    counts = np.array([
-        counting_n(cp.sequence, complex(zz), 0.5 * om)
-        for zz, om in zip(z, one_minus)
-    ], dtype=float)
-    hyp = counts / np.asarray(gf.psi(1.0 / one_minus), dtype=float)
-    return FactorSumGrowthReport(
-        best_constant=float(ratios[i]),
-        witness=complex(z[i]),
-        hypothesis_constant=float(hyp.max()),
-    )
+    return FactorSumGrowthReport(best_constant=float(ratios[i]), witness=complex(z[i]))
 
 
 @dataclass(frozen=True)
