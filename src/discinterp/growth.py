@@ -55,6 +55,8 @@ class GrowthFunction:
         if self.family not in FAMILIES:
             raise GrowthError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         p = float(self.param)
+        if not math.isfinite(p):
+            raise GrowthError(f"growth param must be finite, got {p}")
         if self.family == "power" and not p > 0:
             raise GrowthError("power family needs rho > 0")
         if self.family == "log_power" and not p >= 0:

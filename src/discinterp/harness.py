@@ -9,6 +9,7 @@ failure, 4 numeric overflow or underflow outside the log-only paths.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import os
@@ -114,8 +115,23 @@ def _count(value) -> int:
     return n
 
 
+def _seed(value) -> int:
+    n = int(value)
+    if n < 0:
+        raise ValueError("must be nonnegative")
+    return n
+
+
 def _points(pairs) -> list[complex]:
-    return [complex(p[0], p[1]) for p in pairs]
+    pts = [complex(p[0], p[1]) for p in pairs]
+    if not all(map(cmath.isfinite, pts)):
+        raise ValueError("values must be finite")
+    return pts
+
+
+def _sharpness_spec(spec: dict) -> tuple[float, int]:
+    """(rho, n_max) of a sharpness_pairs spec."""
+    return _read(spec, "rho", _positive), _read(spec, "n_max", _count)
 
 
 @dataclass
@@ -158,8 +174,8 @@ class Scenario:
         if samples < 1:
             raise ConfigError("field 'residual_samples': need at least 1")
         c0 = _read(data, "C0", float, 8.0)
-        if not c0 >= 2:
-            raise ConfigError("field 'C0': must be at least 2")
+        if not (math.isfinite(c0) and c0 >= 2):
+            raise ConfigError("field 'C0': must be finite and at least 2")
         targets_spec = data.get("targets")
         if isinstance(targets_spec, list):
             targets_spec = {"kind": "explicit", "values": targets_spec}
@@ -169,7 +185,7 @@ class Scenario:
             growth_spec=dict(growth) if growth else {"family": "power", "param": 1.0},
             targets_spec=dict(targets_spec) if isinstance(targets_spec, dict) else None,
             C0=c0,
-            seed=_read(data, "seed", int, 0),
+            seed=_read(data, "seed", _seed, 0),
             r_grid=r_grid,
             theta_count=theta,
             residual_samples=samples,
@@ -217,9 +233,7 @@ def generate_sequence(spec: dict, seed: int) -> DiscSequence:
                 one_minus *= q
             return DiscSequence(pts[:max_points])
         if kind == "sharpness_pairs":
-            rho = _read(spec, "rho", float)
-            n_max = _read(spec, "n_max", int)
-            return sharpness_sequence(rho, n_max).to_disc_sequence()
+            return sharpness_sequence(*_sharpness_spec(spec)).to_disc_sequence()
     except GeometryError as exc:
         raise ConfigError(f"generated sequence is invalid: {exc}") from exc
     raise ConfigError(f"unknown sequence kind {kind!r}")
@@ -379,8 +393,8 @@ def _task_sharpness(scn: Scenario, out: dict) -> int:
     spec = scn.sequence_spec
     if spec.get("kind") != "sharpness_pairs":
         raise ConfigError("sharpness task needs a sharpness_pairs sequence")
-    rho = _read(spec, "rho", float)
-    seq = sharpness_sequence(rho, _read(spec, "n_max", int))
+    rho, n_max = _sharpness_spec(spec)
+    seq = sharpness_sequence(rho, n_max)
     rows = [
         [str(r.n), _fmt(r.N_value), _fmt(r.target), _fmt(r.ratio)]
         for r in sharpness_counting_check(seq)
@@ -414,7 +428,7 @@ def run_scenario(config, out_dir: str, task: Optional[str] = None,
             data = config
         scn = Scenario.from_dict(data, task=task)
         if seed is not None:
-            scn.seed = int(seed)
+            scn.seed = _read({"seed": seed}, "seed", _seed)
         out: dict = {"csv": {}, "constants": {"task": scn.task, "seed": scn.seed}}
         if scn.task == "sharpness":
             code = _task_sharpness(scn, out)

@@ -14,7 +14,6 @@ from discinterp.geometry import DiscSequence
 from discinterp.growth import GrowthFunction
 from discinterp.harness import (
     EXIT_CONFIG,
-    EXIT_NUMERIC,
     EXIT_OK,
     ConfigError,
     generate_sequence,
@@ -190,13 +189,24 @@ class TestRunScenario:
          "eps0": math.inf},
         {"task": "sharpness", "sequence": {"kind": "sharpness_pairs", "rho": 1.0, "n_max": 4},
          "eps0": -0.1},
+        {"targets": [[math.nan, 0]]},
+        {"targets": [[math.inf, 0]]},
+        {"growth": {"family": "power", "param": math.inf}},
+        {"task": "sharpness", "sequence": {"kind": "sharpness_pairs", "rho": math.nan, "n_max": 4}},
+        {"sequence": {"kind": "sharpness_pairs", "rho": math.inf, "n_max": 4}},
+        {"task": "sharpness", "sequence": {"kind": "sharpness_pairs", "rho": 1.0, "n_max": 0}},
+        {"sequence": {"kind": "sharpness_pairs", "rho": 1.0, "n_max": 0}},
+        {"C0": math.inf},
+        {"seed": -1},
     ], ids=["sequence-kind", "growth-param", "theta_count", "seed", "r_grid",
             "targets-without-values", "targets-short-pair", "targets-constant",
             "lattice-rings", "sharpness-without-rho", "eps0",
             "spread-nan", "spread-inf", "spread-zero", "spread-negative",
             "max_points-zero", "max_points-negative",
             "constant-nan", "constant-inf", "constant-zero",
-            "eps0-nan", "eps0-inf", "eps0-negative"])
+            "eps0-nan", "eps0-inf", "eps0-negative",
+            "target-nan", "target-inf", "growth-param-inf", "rho-nan", "sequence-rho-inf",
+            "n_max-zero", "sequence-n_max-zero", "C0-inf", "seed-negative"])
     def test_bad_field_is_config_error(self, tmp_path, capsys, fields):
         cfg = write_config(tmp_path, "bad.json", {
             "task": "interpolate", "sequence": {"kind": "radial", "radii": [0.5]},
@@ -205,6 +215,17 @@ class TestRunScenario:
         assert run_scenario(cfg, out) == EXIT_CONFIG
         assert capsys.readouterr().out.startswith("config error: ")
         assert not os.path.exists(out)
+
+    def test_missing_targets_are_random_admissible_with_constant_one(self, tmp_path):
+        base = {k: v for k, v in BASE_INTERP.items() if k != "targets"}
+        default, explicit = tmp_path / "default", tmp_path / "explicit"
+        assert run_scenario(base, str(default)) == EXIT_OK
+        targets = {"kind": "random_admissible", "constant": 1.0}
+        assert run_scenario({**base, "targets": targets}, str(explicit)) == EXIT_OK
+        names = sorted(os.listdir(default))
+        assert names == sorted(os.listdir(explicit))
+        for name in names:
+            assert (default / name).read_bytes() == (explicit / name).read_bytes()
 
     def test_unknown_task_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "bad.json",
@@ -265,16 +286,6 @@ class TestRunScenario:
         constants = json.loads((tmp_path / "out" / "constants.json").read_text())
         assert constants["max_identity_error"] < 1e-8
 
-    def test_nonfinite_targets_exit_numeric(self, tmp_path):
-        cfg = write_config(tmp_path, "n.json", {
-            "task": "interpolate",
-            "sequence": [[0.5, 0.0], [0.0, 0.6]],
-            "targets": [[1e400, 0.0], [1.0, 0.0]],  # parses to infinity
-            "growth": {"family": "power", "param": 1.0},
-            "theta_count": 32,
-        })
-        assert run_scenario(cfg, str(tmp_path / "out")) == EXIT_NUMERIC
-
     def test_growth_curve_has_denser_grid(self, tmp_path):
         cfg = dict(BASE_INTERP)
         cfg["task"] = "growth-curve"
@@ -300,6 +311,13 @@ class TestCli:
         out = str(tmp_path / "out")
         assert cli_main(["check", "--config", cfg, "--out", out]) == EXIT_OK
         assert os.path.exists(os.path.join(out, "conditions.csv"))
+
+    def test_cli_negative_seed_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "a.json", BASE_INTERP)
+        out = str(tmp_path / "out")
+        assert cli_main(["interpolate", "--config", cfg, "--out", out, "--seed", "-1"]) == EXIT_CONFIG
+        assert capsys.readouterr().out.startswith("config error: ")
+        assert not os.path.exists(out)
 
     def test_cli_requires_task(self):
         with pytest.raises(SystemExit):
