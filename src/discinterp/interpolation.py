@@ -316,9 +316,7 @@ class Interpolant:
     def eval_and_log_P_many(self, z) -> tuple[np.ndarray, np.ndarray]:
         """(values, log P) at a batch of points from one factor evaluation."""
         parts = self._assemble(np.atleast_1d(np.asarray(z, dtype=complex)))
-        lam = logsumexp_complex(parts["L"])
-        with np.errstate(over="ignore"):
-            return np.where(np.isneginf(lam.real), 0.0, np.exp(lam)), parts["logP"]
+        return _exp_or_zero(logsumexp_complex(parts["L"])), parts["logP"]
 
     def eval_log_many(self, z) -> np.ndarray:
         parts = self._assemble(np.atleast_1d(np.asarray(z, dtype=complex)))
@@ -327,9 +325,7 @@ class Interpolant:
     def derivative_many(self, z) -> np.ndarray:
         """f' at a batch of points away from the nodes."""
         parts = self._assemble(self.product._off_nodes(z))
-        lam = logsumexp_complex(self._derivative_logs(parts))
-        with np.errstate(over="ignore"):
-            out = np.where(np.isneginf(lam.real), 0.0, np.exp(lam))
+        out = _exp_or_zero(logsumexp_complex(self._derivative_logs(parts)))
         return out if np.ndim(z) else complex(out[0])
 
     def eval_and_derivative_many(self, z) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -337,10 +333,7 @@ class Interpolant:
         parts = self._assemble(self.product._off_nodes(z))
         lam_v = logsumexp_complex(parts["L"])
         lam_d = logsumexp_complex(self._derivative_logs(parts))
-        with np.errstate(over="ignore"):
-            vals = np.where(np.isneginf(lam_v.real), 0.0, np.exp(lam_v))
-            dvals = np.where(np.isneginf(lam_d.real), 0.0, np.exp(lam_d))
-        return vals, dvals, lam_v, lam_d
+        return _exp_or_zero(lam_v), _exp_or_zero(lam_d), lam_v, lam_d
 
     def interpolation_errors(self) -> np.ndarray:
         """Relative identity error |f(z_k) - b_k| / (1 + |b_k|) at every node."""
@@ -348,6 +341,12 @@ class Interpolant:
         b = self.targets.values
         with np.errstate(invalid="ignore"):
             return np.abs(f_vals - b) / (1.0 + np.abs(b))
+
+
+def _exp_or_zero(lam: np.ndarray) -> np.ndarray:
+    """exp(lam), exactly 0 where the real part is -inf; overflow gives inf quietly."""
+    with np.errstate(over="ignore"):
+        return np.where(np.isneginf(lam.real), 0.0, np.exp(lam))
 
 
 def _fill_hit_sums(out: np.ndarray, terms: np.ndarray, hits: np.ndarray) -> None:

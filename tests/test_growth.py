@@ -173,6 +173,12 @@ class TestClassR:
     def test_exp_log_power_not_member(self):
         assert not class_R_check(GrowthFunction.exp_log_power(0.5), 1e5).member
 
+    def test_psi_underflowing_on_the_whole_grid(self):
+        # ln(x)**3000 is 0.0 in doubles on all of [1, 2], so no grid ratio exists
+        report = class_R_check(GrowthFunction.log_power(3000.0), 2.0)
+        assert not report.member
+        assert report.ratio_sup == 0.0
+
 
 class TestSerialization:
     def test_round_trip(self):

@@ -22,8 +22,8 @@ from discinterp.interpolation import (
     max_term_bound_report,
     select_exponents,
 )
-from discinterp.oscillation import osc_targets
-from discinterp.products import CanonicalProduct
+from discinterp.oscillation import build_coefficient, osc_targets
+from discinterp.products import CanonicalProduct, ProductsError
 
 from helpers import lattice_instance, scan_max_term, small_radial_instance, spiral_sequence
 
@@ -363,6 +363,36 @@ class TestNearNodeEvaluation:
             errs.append(abs(f.eval_many(z) - bk) / (1 + abs(bk)))
         assert errs[-1] < 1e-6
         assert errs[-1] <= errs[0] + 1e-12
+
+
+class TestDerivativeNodeRule:
+    """The derivatives refuse the nodes, as P'/P does, and stay right next to them."""
+
+    NODES = (0.5, 0.3 + 0.4j, -0.6j, 0.7)
+
+    @pytest.fixture(scope="class")
+    def interp(self):
+        return build_interpolant(DiscSequence(self.NODES), [1, -2 + 1j, 3j, 2], GF1, C0=2.0)
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_derivatives_raise_at_each_node(self, interp, k):
+        with pytest.raises(ProductsError):
+            interp.derivative_many(self.NODES[k])
+        with pytest.raises(ProductsError):
+            interp.eval_and_derivative_many([0.1, self.NODES[k]])
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_next_to_a_node_matches_a_central_difference(self, interp, k):
+        zk = self.NODES[k]
+        z = zk + 1e-9 * (1 - abs(zk))
+        h = 1e-5 * (1 - abs(zk))
+        fd = (interp.eval_many(z + h) - interp.eval_many(z - h)) / (2 * h)
+        assert interp.derivative_many(z) == pytest.approx(fd, rel=1e-5)
+
+    def test_coefficient_raises_at_a_node(self):
+        sol = build_coefficient(DiscSequence(self.NODES), GF1, C0=2.0)
+        with pytest.raises(ProductsError):
+            sol.coefficient_many(self.NODES[3])
 
 
 class TestTermDecayChain:

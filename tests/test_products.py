@@ -513,6 +513,15 @@ class TestPSecond:
         fd = (cp.P(z + h) - 2 * cp.P(z) + cp.P(z - h)) / h**2
         assert cp.P_second_many(z) == pytest.approx(fd, rel=1e-4)
 
+    def test_nodes_in_a_batch_with_other_points(self):
+        cp = CanonicalProduct(DiscSequence([0.5, 0.3 + 0.4j, -0.6j, 0.7]), 2)
+        z = np.array([0.1, 0.3 + 0.4j, -0.2 + 0.1j, 0.7, 0.5])
+        out = cp.P_second_many(z)
+        for m, k in ((1, 1), (3, 3), (4, 0)):
+            assert out[m] == cp.P_second_at_node(k)
+        # the off-node entries are those of a batch of the off-node points alone
+        assert (out[[0, 2]] == cp.P_second_many(z[[0, 2]])).all()
+
     def test_node_value_matches_cauchy(self):
         rng = np.random.default_rng(42)
         seq = random_sequence(rng, 10)
