@@ -9,7 +9,6 @@ failure, 4 numeric overflow or underflow outside the log-only paths.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 import os
@@ -124,13 +123,12 @@ def _seed(value) -> int:
 
 def _points(pairs) -> list[complex]:
     pts = [complex(p[0], p[1]) for p in pairs]
-    if not all(map(cmath.isfinite, pts)):
+    if not np.isfinite(pts).all():
         raise ValueError("values must be finite")
     return pts
 
 
 def _sharpness_spec(spec: dict) -> tuple[float, int]:
-    """(rho, n_max) of a sharpness_pairs spec."""
     return _read(spec, "rho", _positive), _read(spec, "n_max", _count)
 
 
