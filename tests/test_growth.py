@@ -174,10 +174,9 @@ class TestClassR:
         assert not class_R_check(GrowthFunction.exp_log_power(0.5), 1e5).member
 
     def test_psi_underflowing_on_the_whole_grid(self):
-        # ln(x)**3000 is 0.0 in doubles on all of [1, 2], so no grid ratio exists
-        report = class_R_check(GrowthFunction.log_power(3000.0), 2.0)
-        assert not report.member
-        assert report.ratio_sup == 0.0
+        # ln(x)**3000 is 0.0 in doubles on all of [1, 2]: no grid ratio
+        # exists, and the call still returns a report
+        assert not class_R_check(GrowthFunction.log_power(3000.0), 2.0).member
 
 
 class TestSerialization:
