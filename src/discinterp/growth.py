@@ -203,20 +203,24 @@ def class_R_check(gf: GrowthFunction, x_max: float) -> ClassRReport:
     Membership is decided from the closed form of each family: powers are
     members (the ratio tends to 1/rho); log powers and exp-log powers are
     not (the ratio is unbounded).  The grid sup is a finite-window
-    diagnostic, not the deciding quantity.
+    diagnostic, not the deciding quantity.  The ratio is
+    exp(ln psi_tilde - ln psi) on u = ln x, so it survives psi underflowing
+    (ln(x)**3000 on [1, 2]).  For log powers the difference is taken in
+    closed form, ln u - ln(p + 1), as both logs are -inf at x = 1.
     """
     if not x_max >= 2:
         raise GrowthError("x_max must be at least 2")
     grid = np.geomspace(1.0, float(x_max), 512)
-    psi_vals = np.asarray(gf.psi(grid), dtype=float)
-    tilde_vals = np.asarray(gf.psi_tilde(grid), dtype=float)
-    mask = psi_vals > 0
-    ratios = tilde_vals[mask] / psi_vals[mask]
-    if ratios.size == 0:
-        return ClassRReport(member=gf.family == "power", ratio_sup=0.0, x_at_sup=1.0)
+    u = np.log(grid)
+    with np.errstate(divide="ignore"):
+        if gf.family == "log_power":
+            # ln psi = p ln u and ln psi_tilde = (p + 1) ln u - ln(p + 1)
+            ratios = np.exp(np.log(u) - math.log(gf.param + 1.0))
+        else:
+            ratios = np.exp(np.log(gf.psi_tilde_log(u)) - np.log(gf.psi_log(u)))
     i = int(np.argmax(ratios))
     return ClassRReport(
         member=gf.family == "power",
         ratio_sup=float(ratios[i]),
-        x_at_sup=float(grid[mask][i]),
+        x_at_sup=float(grid[i]),
     )

@@ -56,9 +56,20 @@ LN2 = math.log(2.0)
 
 # 7-point, 6th order central second-derivative stencil
 _FD7 = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
+_STENCIL = np.arange(-3.0, 4.0)
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-# points per batched residual_report call; zero_count_circle takes as many
+# 8-point Gauss-Legendre rule on [0, 1] for each unit sub-segment of the stencil
+_x8, _w8 = np.polynomial.legendre.leggauss(8)
+_PANEL_TS, _PANEL_WEIGHTS = 0.5 * (_x8 + 1.0), 0.5 * _w8
+# points per residual sample: the stencil, then a panel on each of its 6 sub-segments
+_SAMPLE_POINTS = len(_STENCIL) + (len(_STENCIL) - 1) * len(_PANEL_TS)
+# points per evaluation call of residual_report and zero_counts
 EVAL_BLOCK = 1024
+# zero_counts' nested trapezoid rule: first and largest point counts per
+# circle, and the constant C of its roundoff floor C eps sum|w dz| / (2 pi)
+WINDING_START = 64
+WINDING_CAP = 1024
+WINDING_FLOOR = 256
 # relative tolerance of the panel-doubling quadrature for g
 G_TOL = 1e-11
 
@@ -167,7 +178,9 @@ class OscillationSolution:
         exp(g(z0)) scales out of the normalized residual, so no global
         quadrature enters.  The stencil step shrinks with every local rate
         (|h|, sqrt|a|, |P'/P|, 1/(1-|z|)) to balance truncation against
-        roundoff.
+        roundoff.  The increments g(z0 + j step) - g(z0) come from
+        ``_g_increments``: an 8-point Gauss-Legendre panel on each of the 6
+        sub-segments between adjacent stencil points, 55 points per sample.
         """
         rng = np.random.default_rng(seed)
         zs: list[complex] = []
@@ -183,6 +196,22 @@ class OscillationSolution:
             raise OscillationError("could not place residual sample points")
 
         z0 = np.asarray(zs)
+        a0, step = self._stencil_steps(z0)
+        chunk = EVAL_BLOCK // _SAMPLE_POINTS
+        residuals = np.empty(n_samples)
+        for lo in range(0, n_samples, chunk):
+            zc, hc = z0[lo:lo + chunk], step[lo:lo + chunk]
+            log_P, dg = self._g_increments(zc, hc)
+            with np.errstate(over="ignore"):
+                f_loc = np.exp(log_P) * np.exp(dg)
+            fd_second = (_FD7 * f_loc).sum(axis=1) / hc**2
+            ac, f0 = a0[lo:lo + chunk], f_loc[:, 3]
+            residuals[lo:lo + chunk] = np.abs(fd_second + ac * f0) / (
+                np.abs(fd_second) + np.abs(ac) * np.abs(f0) + 1e-300)
+        return ResidualReport(points=tuple(zs), residuals=tuple(residuals.tolist()))
+
+    def _stencil_steps(self, z0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(a(z0), stencil step) at each sample point: 0.02 over the sum of local rates."""
         h0, hp0, _, _ = self.gprime.eval_and_derivative_many(z0)
         lp = self.product.log_deriv_P_many(z0)
         lp2 = self.product.log_deriv_prime_many(z0)
@@ -190,41 +219,37 @@ class OscillationSolution:
         scale = (np.abs(h0) + np.sqrt(np.abs(a0)) + np.abs(lp)
                  + np.sqrt(np.abs(lp2)) + 2.0 / (1.0 - np.abs(z0)))
         step = 0.02 / scale
+        nodes = self.sequence.values
         if len(nodes):
             step = np.minimum(step, 0.05 * np.abs(nodes[:, None] - z0[None, :]).min(axis=0))
-        # per sample: 7 stencil points, and a 32-point panel from z0 to each for g's increment
-        seg_ts = 0.5 * (_GL_NODES + 1.0)
-        chunk = max(1, EVAL_BLOCK // (7 * (1 + len(seg_ts))))
-        residuals = np.empty(n_samples)
-        for lo in range(0, n_samples, chunk):
-            zc, hc = z0[lo:lo + chunk], step[lo:lo + chunk]
-            offsets = np.arange(-3, 4)[None, :] * hc[:, None]
-            pts = zc[:, None] + offsets
-            seg_pts = zc[:, None, None] + offsets[:, :, None] * seg_ts
-            seg_vals, log_P = self.gprime.eval_and_log_P_many(
-                np.concatenate([pts.ravel(), seg_pts.ravel()]))
-            dg = (seg_vals[pts.size:].reshape(seg_pts.shape)
-                  * (0.5 * _GL_WEIGHTS)).sum(axis=2) * offsets
-            with np.errstate(over="ignore"):
-                f_loc = np.exp(log_P[:pts.size].reshape(pts.shape)) * np.exp(dg)
-            fd_second = (_FD7 * f_loc).sum(axis=1) / hc**2
-            ac, f0 = a0[lo:lo + chunk], f_loc[:, 3]
-            residuals[lo:lo + chunk] = np.abs(fd_second + ac * f0) / (
-                np.abs(fd_second) + np.abs(ac) * np.abs(f0) + 1e-300)
-        return ResidualReport(points=tuple(zs), residuals=tuple(residuals.tolist()))
+        return a0, step
+
+    def _g_increments(self, z0: np.ndarray, step: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(log P, g - g(z0)) at the stencil points z0 + j step, j = -3..3; one row per sample.
+
+        h is integrated once over each unit sub-segment [j, j + 1] step by
+        the 8-point Gauss-Legendre rule, and the increments are cumulative
+        sums of those pieces outward from z0, so g(z0) - g(z0) = 0 exactly.
+        """
+        pts = z0[:, None] + _STENCIL * step[:, None]
+        seg = z0[:, None, None] + step[:, None, None] * (_STENCIL[:-1, None] + _PANEL_TS)
+        vals, log_P = self.gprime.eval_and_log_P_many(np.concatenate([pts.ravel(), seg.ravel()]))
+        pieces = (vals[pts.size:].reshape(seg.shape) * _PANEL_WEIGHTS).sum(axis=2) * step[:, None]
+        dg = np.zeros(pts.shape, dtype=complex)
+        dg[:, 4:] = np.cumsum(pieces[:, 3:], axis=1)
+        dg[:, 2::-1] = -np.cumsum(pieces[:, 2::-1], axis=1)
+        return log_P[:pts.size].reshape(pts.shape), dg
 
     def zero_count_circle(self, center: complex, radius: float,
                           n_points: int = 1024) -> float:
         """Argument-principle zero count of f inside a circle.
 
-        Integrates f'/f = P'/P + h by the trapezoid rule; e^g contributes
-        nothing.  Returns the raw (un-rounded) count so callers can check
-        quadrature quality.
+        Integrates f'/f = P'/P + h by the n_points trapezoid rule; e^g
+        contributes nothing.  Returns the raw (un-rounded) count so callers
+        can check quadrature quality.
         """
         thetas = 2.0 * math.pi * np.arange(n_points) / n_points
-        ring = center + radius * np.exp(1j * thetas)
-        w = self.product.log_deriv_P_many(ring) + self.gprime.eval_many(ring)
-        return float(np.mean(w * (ring - center)).real)
+        return float(self._circle_terms(np.array([center]), np.array([radius]), thetas).mean().real)
 
     def zero_counts(self) -> np.ndarray:
         """Winding number of f around each node on a safe private circle.
@@ -232,18 +257,74 @@ class OscillationSolution:
         The circle must stay inside the region where h keeps its node scale:
         the trapezoid cancels the analytic h contribution only down to the
         roundoff floor eps * max|h| * radius, and h grows like
-        exp(s_k |dz| / (1 - |z_k|)) away from the node.
+        exp(s_k |dz| / (1 - |z_k|)) away from the node.  So the radius is 0.4
+        times the least of the nearest gap, 1 - |z_k| and
+        5 (1 - |z_k|) / (1 + s_k).  All circles are integrated together by
+        the nested trapezoid rule of ``_winding_numbers``.
         """
+        return self._winding_numbers(self.sequence.values, self._winding_radii())[0]
+
+    def _winding_radii(self) -> np.ndarray:
+        """Radius of each node's private circle; the node gaps are taken in row blocks."""
         nodes = self.sequence.values
-        exps = self.gprime.exponents
-        counts = np.zeros(len(nodes))
-        for k, zk in enumerate(nodes):
-            others = np.delete(nodes, k)
-            gap = np.min(np.abs(others - zk)) if len(others) else np.inf
-            one_minus = 1.0 - abs(zk)
-            radius = 0.4 * min(gap, one_minus, 5.0 * one_minus / (1.0 + exps[k]))
-            counts[k] = self.zero_count_circle(complex(zk), float(radius))
-        return counts
+        gaps = np.empty(len(nodes))
+        for lo in range(0, len(nodes), EVAL_BLOCK):
+            d = np.abs(nodes[None, :] - nodes[lo:lo + EVAL_BLOCK, None])
+            d[np.arange(len(d)), lo + np.arange(len(d))] = np.inf
+            gaps[lo:lo + EVAL_BLOCK] = d.min(axis=1)
+        # hypot rounds as abs of a single complex does; np.abs of an array can differ
+        one_minus = 1.0 - np.hypot(nodes.real, nodes.imag)
+        return 0.4 * np.minimum(np.minimum(gaps, one_minus),
+                                5.0 * one_minus / (1.0 + self.gprime.exponents))
+
+    def _winding_numbers(self, centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(raw zero count of f in each circle, trapezoid points it used).
+
+        The rule is nested.  It starts at WINDING_START points, and a
+        doubling evaluates only the new odd-index points of the 2n-point
+        rule, on just the circles whose last two counts (at the start, the
+        n-point count and the n/2-point count from its even points) differ
+        by more than the roundoff floor WINDING_FLOOR eps sum|w dz| / (2 pi),
+        summed over the circle's current points.  The constant 256 is above
+        the largest difference measured between converged rules, 184 such
+        units at N = 139.  The trapezoid converges geometrically on these
+        circles, so an accepted count is far more accurate than that
+        difference.  A circle stops at WINDING_CAP points and keeps its
+        count there, for the caller's gate to judge.
+        """
+        n = WINDING_START
+        terms = self._circle_terms(centers, radii, 2.0 * math.pi * np.arange(n) / n)
+        total, size = terms.sum(axis=1), np.abs(terms).sum(axis=1)
+        counts, previous = total / n, terms[:, ::2].sum(axis=1) / (n // 2)
+        points = np.full(len(centers), n)
+        idx = np.arange(len(centers))
+        while True:
+            floor = WINDING_FLOOR * np.finfo(float).eps * size[idx] / n
+            idx = idx[np.abs(counts[idx] - previous) > floor]
+            if n == WINDING_CAP or not idx.size:
+                return counts.real, points
+            terms = self._circle_terms(centers[idx], radii[idx],
+                                       2.0 * math.pi * np.arange(1, 2 * n, 2) / (2 * n))
+            n *= 2
+            total[idx] += terms.sum(axis=1)
+            size[idx] += np.abs(terms).sum(axis=1)
+            previous, counts[idx] = counts[idx], total[idx] / n
+            points[idx] = n
+
+    def _circle_terms(self, centers: np.ndarray, radii: np.ndarray,
+                      thetas: np.ndarray) -> np.ndarray:
+        """w (z - c), w = P'/P + h, at z = c + r e^(i theta); a row per circle.
+
+        The points of all circles go through calls of nearly equal width,
+        at most EVAL_BLOCK points each.  So with 2 or more points no call has
+        width 1, where numpy would round the factor matrix's axis-0 sums
+        differently from a wider call.
+        """
+        ring = centers[:, None] + radii[:, None] * np.exp(1j * thetas)
+        blocks = np.array_split(ring.ravel(), max(1, -(-ring.size // EVAL_BLOCK)))
+        w = np.concatenate([self.product.log_deriv_P_many(b) + self.gprime.eval_many(b)
+                            for b in blocks])
+        return w.reshape(ring.shape) * (ring - centers[:, None])
 
     def growth_a_report(self, r_grid: Sequence[float], theta_count: int = 256) -> GrowthTable:
         """ln max |a| on circles against psi_tilde, fully in log space."""

@@ -174,9 +174,13 @@ class TestClassR:
         assert not class_R_check(GrowthFunction.exp_log_power(0.5), 1e5).member
 
     def test_psi_underflowing_on_the_whole_grid(self):
-        # ln(x)**3000 is 0.0 in doubles on all of [1, 2]: no grid ratio
-        # exists, and the call still returns a report
-        assert not class_R_check(GrowthFunction.log_power(3000.0), 2.0).member
+        # ln(x)**3000 is 0.0 in doubles on all of [1, 2]; the ratio
+        # psi_tilde / psi = ln(x) / 3001 is formed from logs, so the sup is
+        # still found, at x_max
+        report = class_R_check(GrowthFunction.log_power(3000.0), 2.0)
+        assert not report.member
+        assert report.ratio_sup == pytest.approx(math.log(2.0) / 3001.0, rel=1e-10)
+        assert report.x_at_sup == pytest.approx(2.0, rel=1e-12)
 
 
 class TestSerialization:

@@ -13,7 +13,11 @@ from discinterp.geometry import DiscSequence
 from discinterp import products
 from discinterp.growth import GrowthFunction
 from discinterp.harness import generate_sequence
+from discinterp.interpolation import Interpolant
 from discinterp.oscillation import (
+    EVAL_BLOCK,
+    WINDING_CAP,
+    WINDING_START,
     OscillationError,
     build_coefficient,
     osc_targets,
@@ -181,12 +185,19 @@ class TestBuildCoefficient:
             sol.growth_a_report([0.5, 1.5], theta_count=16)
 
 
+def shipped_oscillate(rings=None):
+    """(solution, config) of configs/oscillate.json, optionally with another ring count."""
+    with open(os.path.join(CONFIG_DIR, "oscillate.json"), encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    spec = cfg["sequence"] if rings is None else dict(cfg["sequence"], rings=rings,
+                                                      max_points=1000)
+    seq = generate_sequence(spec, cfg["seed"])
+    return build_coefficient(seq, GrowthFunction.from_dict(cfg["growth"]), C0=cfg["C0"]), cfg
+
+
 class TestResidualReportBatching:
     def test_shipped_config_calls_and_points(self, monkeypatch):
-        with open(os.path.join(CONFIG_DIR, "oscillate.json"), encoding="utf-8") as fh:
-            cfg = json.load(fh)
-        seq = generate_sequence(cfg["sequence"], cfg["seed"])
-        sol = build_coefficient(seq, GrowthFunction.from_dict(cfg["growth"]), C0=cfg["C0"])
+        sol, cfg = shipped_oscillate()
         calls = {"_factors": 0, "_log_E": 0}
 
         def counted(name, fn):
@@ -202,11 +213,84 @@ class TestResidualReportBatching:
         rep = sol.residual_report(n_samples=n, seed=cfg["seed"])
         digest = hashlib.sha256(np.asarray(rep.points, dtype=complex).tobytes()).hexdigest()
         assert digest == OSCILLATE_POINTS_SHA256
-        # one call for a(z0) at every sample, then one per block of 4 samples
-        bound = math.ceil(n / 4) + 4
+        # one call for a(z0) at every sample, then one per block of
+        # floor(1024 / 55) samples: 7 stencil points and 6 panels of 8 each
+        bound = math.ceil(n / (1024 // 55)) + 4
         assert 0 < calls["_factors"] <= bound
         assert 0 < calls["_log_E"] <= bound
         assert rep.max_residual < 1e-9
+
+    def test_g_increments_match_a_32_point_panel_per_offset(self):
+        # oracle: g(z0 + j step) - g(z0) by a separate 32-point Gauss-Legendre
+        # panel from z0 to each stencil point, as the report once computed it
+        sol, cfg = shipped_oscillate()
+        rep = sol.residual_report(n_samples=cfg["residual_samples"], seed=cfg["seed"])
+        z0 = np.asarray(rep.points)
+        _, step = sol._stencil_steps(z0)
+        _, dg = sol._g_increments(z0, step)
+        x, w = np.polynomial.legendre.leggauss(32)
+        offsets = np.arange(-3, 4)[None, :] * step[:, None]
+        pts = z0[:, None, None] + offsets[:, :, None] * (0.5 * (x + 1.0))
+        ref = (sol.gprime.eval_many(pts.ravel()).reshape(pts.shape) * (0.5 * w)).sum(axis=2) * offsets
+        assert np.all(dg[:, 3] == 0.0)
+        np.testing.assert_allclose(dg, ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.fixture
+def eval_widths(monkeypatch):
+    """Sizes of the batches passed to Interpolant.eval_many, in call order."""
+    widths = []
+    original = Interpolant.eval_many
+
+    def recorded(self, z):
+        widths.append(np.size(z))
+        return original(self, z)
+
+    monkeypatch.setattr(Interpolant, "eval_many", recorded)
+    return widths
+
+
+class TestWindingRule:
+    @pytest.mark.parametrize("rings", [None, 5])
+    def test_batched_counts_match_the_1024_point_rule(self, rings):
+        sol, _ = shipped_oscillate(rings)
+        if rings == 5:
+            assert len(sol.sequence) == 44
+        counts = sol.zero_counts()
+        radii = sol._winding_radii()
+        for k, zk in enumerate(sol.sequence.values):
+            one = sol.zero_count_circle(complex(zk), float(radii[k]), 1024)
+            assert abs(counts[k] - one) <= 1e-10
+
+    def test_radii_match_the_per_node_rule(self):
+        sol, _ = shipped_oscillate()
+        nodes, exps = sol.sequence.values, sol.gprime.exponents
+        radii = sol._winding_radii()
+        for k, zk in enumerate(nodes):
+            gap = np.min(np.abs(np.delete(nodes, k) - zk))
+            one_minus = 1.0 - abs(zk)
+            assert radii[k] == 0.4 * min(gap, one_minus, 5.0 * one_minus / (1.0 + exps[k]))
+
+    def test_doubling_stops_at_convergence_or_the_cap(self, eval_widths):
+        # nodes at 0.8 and 0.85 sit 1/0.875 and 1/0.9875 radii from the two
+        # circles, so the trapezoid error falls like 0.875^n and 0.9875^n
+        sol = build_coefficient(DiscSequence([0.2, 0.25j, 0.85, 0.8j]), GF1, C0=2.0)
+        counts, points = sol._winding_numbers(np.zeros(2, dtype=complex),
+                                              np.array([0.7, 0.79]))
+        assert WINDING_START < points[0] < WINDING_CAP
+        assert points[1] == WINDING_CAP
+        assert counts[0] == pytest.approx(2.0, abs=1e-12)
+        assert counts[1] == pytest.approx(2.0, abs=1e-3)
+        # each doubling evaluates only its new points
+        assert sum(eval_widths) == points.sum()
+        assert all(2 <= w <= EVAL_BLOCK for w in eval_widths)
+
+    def test_evaluation_blocks_are_at_least_two_wide(self, eval_widths):
+        # a width-1 call would round the axis-0 sums of the factor matrix
+        # differently from a wider one
+        sol, _ = shipped_oscillate(5)
+        sol.zero_counts()
+        assert eval_widths and all(2 <= w <= EVAL_BLOCK for w in eval_widths)
 
 
 class TestSharpnessSequence:
@@ -273,6 +357,15 @@ class TestSharpnessSequence:
             assert abs(r.ratio - 1.0) <= r.n * 2.0 ** (-r.n * rho) + 1e-9
         for a, b in zip(ratios[4:], ratios[5:]):
             assert b >= a - 1e-12
+
+    @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
+    def test_counting_ratio_closed_form(self, rho):
+        # N(z_2n) / 2^(n rho) = 1 - n ln2 / 2^(n rho): the window of
+        # criterion 7 excludes rho = 0.5, n = 10..15 by this formula
+        seq = sharpness_sequence(rho, 20)
+        for n in range(10, 21):
+            ratio = seq.counting_N_log(2 * n - 1, 0.5) / 2.0 ** (n * rho)
+            assert ratio == pytest.approx(1.0 - n * math.log(2.0) / 2.0 ** (n * rho), abs=1e-12)
 
     def test_ratio_rho_one_n_ten_within_five_percent(self):
         rows = sharpness_counting_check(sharpness_sequence(1.0, 10))
