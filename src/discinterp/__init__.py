@@ -4,11 +4,9 @@ from .geometry import (
     DiscPoint,
     DiscSequence,
     GeometryError,
-    mobius_factor,
-    pseudo_disc_radius,
     pseudo_dist,
 )
-from .growth import ClassRReport, GrowthError, GrowthFunction, class_R_check, polya_order_estimate
+from .growth import GrowthError, GrowthFunction
 from .counting import (
     ConditionReport,
     CountingError,
@@ -19,14 +17,12 @@ from .counting import (
     counting_N,
     counting_n,
     counting_sandwich_check,
-    seip_density_estimate,
     separation,
     sigma_log_comparison,
 )
 from .products import (
     CanonicalProduct,
     ProductsError,
-    factor_sum_growth_check,
     index_cancellation_check,
     prime_counting_criteria_check,
     weierstrass_E,

@@ -8,19 +8,17 @@ over sorted distances (the nearest point never contributes).
 All existential conditions are turned into best-constant computations over
 the finite sequence: a finite sequence always satisfies "there exists C",
 so the informative output is the smallest C together with a witness index.
-Quantities defined as suprema over the whole disc are evaluated on
-caller-supplied grids plus all nodes and labelled estimates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .geometry import DiscSequence, GeometryError
+from .geometry import DiscSequence
 from .growth import GrowthFunction
 
 __all__ = [
@@ -32,14 +30,12 @@ __all__ = [
     "check_korenblum_sum",
     "carleson_delta",
     "separation",
-    "seip_density_estimate",
     "EquivalenceReport",
     "concentration_korenblum_comparison",
     "sigma_log_comparison",
     "SigmaComparisonReport",
     "SandwichReport",
     "counting_sandwich_check",
-    "concentration_grid_constant",
 ]
 
 
@@ -190,39 +186,6 @@ def separation(seq: DiscSequence) -> float:
     return float(np.exp(log_sigma.min()))
 
 
-def seip_density_estimate(seq: DiscSequence, r_grid: Sequence[float],
-                          z_grid: Iterable[complex]) -> float:
-    """Finite-sample density estimate from annular pseudohyperbolic log sums.
-
-    Maximizes over the supplied grids the quotient of
-    sum over 1/2 < sigma(z, z_j) < r of ln(1 / sigma) by ln(1 / (1 - r)).
-    This is a diagnostic lower bound for the true limsup quantity, which is
-    not computable from finite data.
-    """
-    r_vals = np.asarray(list(r_grid), dtype=float)
-    z_vals = np.asarray(list(z_grid), dtype=complex)
-    if r_vals.size == 0 or z_vals.size == 0:
-        raise CountingError("both grids must be nonempty")
-    if np.any((r_vals <= 0) | (r_vals >= 1)):
-        raise CountingError("r grid must lie in (0, 1)")
-    if len(seq) == 0:
-        return 0.0
-    if np.any(np.abs(z_vals) >= 1.0):
-        raise GeometryError("z grid must lie inside the open unit disc")
-    v = seq.values
-    best = 0.0
-    for z in z_vals:
-        sig = np.abs(z - v) / np.abs(1.0 - np.conj(z) * v)
-        sig = sig[sig > 0.5]
-        if sig.size == 0:
-            continue
-        logs = -np.log(sig)
-        for r in r_vals:
-            num = float(logs[sig < r].sum())
-            best = max(best, num / math.log(1.0 / (1.0 - r)))
-    return best
-
-
 @dataclass(frozen=True)
 class SigmaComparisonReport:
     """Per-pair excess of ln(1/sigma) over the Euclidean log term."""
@@ -351,22 +314,3 @@ def counting_sandwich_check(seq: DiscSequence, gf: GrowthFunction,
         max_lower_violation=float(worst),
         sandwich_ok=worst <= 1e-12,
     )
-
-
-def concentration_grid_constant(seq: DiscSequence, gf: GrowthFunction,
-                                delta1: float = 0.5,
-                                z_points: Optional[Iterable[complex]] = None) -> float:
-    """All-z variant of the concentration constant on nodes plus a grid."""
-    if not 0 < delta1 < 1:
-        raise CountingError("delta1 must lie in (0, 1)")
-    pts = [complex(v) for v in seq.values]
-    if z_points is not None:
-        pts.extend(complex(z) for z in z_points)
-    best = 0.0
-    for z in pts:
-        one_minus = 1.0 - abs(z)
-        if one_minus <= 0:
-            raise CountingError("grid points must lie inside the disc")
-        val = counting_N(seq, z, delta1 * one_minus) / float(gf.psi(1.0 / one_minus))
-        best = max(best, val)
-    return best

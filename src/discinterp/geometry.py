@@ -19,8 +19,6 @@ __all__ = [
     "DiscPoint",
     "DiscSequence",
     "pseudo_dist",
-    "mobius_factor",
-    "pseudo_disc_radius",
     "MIN_NODE_MODULUS",
     "DUPLICATE_TOL",
 ]
@@ -129,35 +127,3 @@ def pseudo_dist(z: PointLike, w: PointLike) -> float:
         if not abs(v) < 1.0:
             raise GeometryError(f"point {v} is not inside the open unit disc")
     return abs(zv - wv) / abs(1.0 - zv.conjugate() * wv)
-
-
-def mobius_factor(z: complex, node: PointLike) -> complex:
-    """Moebius factor A(z) = (1 - |node|^2) / (1 - conj(node) z).
-
-    The denominator is formed as (1 - |node|^2) + conj(node) (node - z), so
-    A equals 1 exactly at z = node; A is analytic in z wherever the
-    denominator does not vanish.
-    """
-    nv = _value(node)
-    m = abs(nv)
-    if m < MIN_NODE_MODULUS:
-        raise GeometryError(
-            "degenerate node at the origin: the Moebius factor is constant"
-        )
-    oms = (1.0 - m) * (1.0 + m)
-    denom = oms + nv.conjugate() * (nv - complex(z))
-    if denom == 0:
-        raise GeometryError(f"Moebius factor pole at z = {z}")
-    return oms / denom
-
-
-def pseudo_disc_radius(delta: float) -> float:
-    """Pseudohyperbolic radius delta / (2 + delta) fitting inside a Euclidean one.
-
-    Every w with sigma(z, w) < delta/(2+delta) satisfies
-    |w - z| < (1 - |z|) * delta, converting Euclidean neighbourhoods into
-    pseudohyperbolic ones.
-    """
-    if not 0.0 < delta < 1.0:
-        raise GeometryError(f"delta must lie in (0, 1), got {delta}")
-    return delta / (2.0 + delta)

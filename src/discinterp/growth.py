@@ -24,10 +24,6 @@ from scipy.special import hyp1f1
 __all__ = [
     "GrowthError",
     "GrowthFunction",
-    "PolyaEstimate",
-    "ClassRReport",
-    "polya_order_estimate",
-    "class_R_check",
 ]
 
 FAMILIES = ("power", "log_power", "exp_log_power")
@@ -162,65 +158,3 @@ class GrowthFunction:
         except (TypeError, ValueError) as exc:
             raise GrowthError(f"growth spec field 'param': {exc}") from exc
         return cls(family, param)
-
-
-@dataclass(frozen=True)
-class PolyaEstimate:
-    """Analytic doubling order together with a dyadic-grid cross-check."""
-
-    analytic: float
-    dyadic_sup: float
-
-
-def polya_order_estimate(gf: GrowthFunction) -> PolyaEstimate:
-    """Doubling order of psi with a numerical estimate on a dyadic tail grid.
-
-    The estimate is sup over x = 2**j, j in [30, 60], of
-    log2(psi(2x) / psi(x)); the limit property lives at large x, hence the
-    tail grid.
-    """
-    js = np.arange(30, 61, dtype=float)
-    log_x = js * math.log(2.0)
-    ratios = np.log2(
-        np.asarray(gf.psi_log(log_x + math.log(2.0)))
-        / np.asarray(gf.psi_log(log_x))
-    )
-    return PolyaEstimate(analytic=gf.polya_order, dyadic_sup=float(ratios.max()))
-
-
-@dataclass(frozen=True)
-class ClassRReport:
-    """Boundedness diagnostics for psi_tilde / psi."""
-
-    member: bool
-    ratio_sup: float
-    x_at_sup: float
-
-
-def class_R_check(gf: GrowthFunction, x_max: float) -> ClassRReport:
-    """Check whether psi_tilde = O(psi), reporting the ratio sup on 512 points of [1, x_max].
-
-    Membership is decided from the closed form of each family: powers are
-    members (the ratio tends to 1/rho); log powers and exp-log powers are
-    not (the ratio is unbounded).  The grid sup is a finite-window
-    diagnostic, not the deciding quantity.  The ratio is
-    exp(ln psi_tilde - ln psi) on u = ln x, so it survives psi underflowing
-    (ln(x)**3000 on [1, 2]).  For log powers the difference is taken in
-    closed form, ln u - ln(p + 1), as both logs are -inf at x = 1.
-    """
-    if not x_max >= 2:
-        raise GrowthError("x_max must be at least 2")
-    grid = np.geomspace(1.0, float(x_max), 512)
-    u = np.log(grid)
-    with np.errstate(divide="ignore"):
-        if gf.family == "log_power":
-            # ln psi = p ln u and ln psi_tilde = (p + 1) ln u - ln(p + 1)
-            ratios = np.exp(np.log(u) - math.log(gf.param + 1.0))
-        else:
-            ratios = np.exp(np.log(gf.psi_tilde_log(u)) - np.log(gf.psi_log(u)))
-    i = int(np.argmax(ratios))
-    return ClassRReport(
-        member=gf.family == "power",
-        ratio_sup=float(ratios[i]),
-        x_at_sup=float(grid[i]),
-    )

@@ -119,13 +119,10 @@ class CoefficientLadder:
     def n_max(self) -> int:
         return len(self.log_coeffs) - 1
 
-    def log_max_term(self, log_t: float) -> tuple[float, int]:
-        """(ln mu(t), attaining index) at t = exp(log_t), ties to the larger index."""
-        values, indices = self.log_max_terms([log_t])
-        return float(values[0]), int(indices[0])
-
     def log_max_terms(self, log_t) -> tuple[np.ndarray, np.ndarray]:
-        """``log_max_term`` at each log_t: max of c_n + n log_t over one slice.
+        """(ln mu(t), attaining index) at each t = exp(log_t), ties to the larger index.
+
+        ln mu(t) is the max of c_n + n log_t, taken over one slice per t.
 
         Rounding is monotone, so with M the block maximum of c and e its last
         (log_t >= 0) or first (log_t < 0) index, every c_n + n log_t of a block

@@ -4,11 +4,11 @@ Writing a solution as f = P e^g with P the canonical product over the zero
 set turns the equation into
 a = -P''/P - 2 g' P'/P - (g')^2 - g'',
 which is analytic across the nodes exactly when h = g' interpolates
-h(z_k) = -P''(z_k) / (2 P'(z_k)).  The interpolation module supplies h; g is
-the radial primitive anchored at g(0) = 0 (the free additive constant only
-rescales f) and h' comes from term-wise analytic differentiation of the
-series, never from finite differences, so residual checks keep an
-independent error source.
+h(z_k) = -P''(z_k) / (2 P'(z_k)).  The interpolation module supplies h.  g
+is a primitive of h whose free additive constant only rescales f, so the
+residual check anchors it at each sample point.  h' comes from term-wise
+analytic differentiation of the series, never from finite differences, so
+residual checks keep an independent error source.
 
 The sharpness pair sequence packs two points per dyadic level with gaps
 eps_n = exp(-2**(n rho)) / 2.  The gaps underflow doubles almost
@@ -57,7 +57,6 @@ LN2 = math.log(2.0)
 # 7-point, 6th order central second-derivative stencil
 _FD7 = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
 _STENCIL = np.arange(-3.0, 4.0)
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 # 8-point Gauss-Legendre rule on [0, 1] for each unit sub-segment of the stencil
 _x8, _w8 = np.polynomial.legendre.leggauss(8)
 _PANEL_TS, _PANEL_WEIGHTS = 0.5 * (_x8 + 1.0), 0.5 * _w8
@@ -70,12 +69,10 @@ EVAL_BLOCK = 1024
 WINDING_START = 64
 WINDING_CAP = 1024
 WINDING_FLOOR = 256
-# relative tolerance of the panel-doubling quadrature for g
-G_TOL = 1e-11
 
 
 class OscillationError(ValueError):
-    """Invalid oscillation construction or failed quadrature."""
+    """Invalid oscillation construction or parameter."""
 
 
 def osc_targets(cp: CanonicalProduct) -> np.ndarray:
@@ -136,36 +133,6 @@ class OscillationSolution:
                 lam_h + np.log(2.0 * lp) + 1j * math.pi,
             ])
         return logsumexp_complex(comp)
-
-    # -- the primitive g ---------------------------------------------------
-
-    def _h_segment_integral(self, a: complex, b: complex) -> complex:
-        """Integral of h along the straight segment [a, b], panel-doubling GL."""
-        if a == b:
-            return 0.0 + 0.0j
-        prev = None
-        panels = 8
-        while panels <= 4096:
-            edges = np.linspace(0.0, 1.0, panels + 1)
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            half = 0.5 * (edges[1] - edges[0])
-            ts = (mid[:, None] + half * _GL_NODES[None, :]).ravel()
-            pts = a + (b - a) * ts
-            vals = self.gprime.eval_many(pts).reshape(panels, -1)
-            total = complex((vals * _GL_WEIGHTS[None, :]).sum() * half * (b - a))
-            if prev is not None and abs(total - prev) <= G_TOL * (1.0 + abs(total)):
-                return total
-            prev = total
-            panels *= 2
-        raise OscillationError("segment quadrature for g did not converge")
-
-    def eval_g(self, z: complex) -> complex:
-        """g(z) = integral of h along the radial segment from 0, g(0) = 0."""
-        return self._h_segment_integral(0.0, complex(z))
-
-    def eval_g_via(self, z: complex, via: complex) -> complex:
-        """g(z) along the two-segment path 0 -> via -> z (path independence)."""
-        return self._h_segment_integral(0.0, via) + self._h_segment_integral(via, z)
 
     # -- diagnostics --------------------------------------------------------
 
@@ -463,17 +430,10 @@ class SharpnessSequence:
 
     # -- conversions --------------------------------------------------------
 
-    def representable_values(self) -> list[complex]:
-        """Nodes usable for complex-plane evaluation; an upper twin needs a gap >= 2e-15."""
-        vals: list[complex] = []
-        for m in range(len(self)):
-            if self.is_upper[m] and (self.log_only[m] or self.eps[m] < 2e-15):
-                continue
-            vals.append(complex(self.positions[m]))
-        return vals
-
     def to_disc_sequence(self) -> DiscSequence:
-        return DiscSequence(self.representable_values())
+        """The nodes usable for complex-plane evaluation; an upper twin needs a gap >= 2e-15."""
+        dropped = self.is_upper & (self.log_only | (self.eps < 2e-15))
+        return DiscSequence(self.positions[~dropped])
 
     # -- log-space product diagnostics ---------------------------------------
 

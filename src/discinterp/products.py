@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -47,8 +47,6 @@ __all__ = [
     "log_weierstrass_E",
     "CanonicalProduct",
     "TsujiReport",
-    "FactorSumGrowthReport",
-    "factor_sum_growth_check",
     "IndexCancellationReport",
     "index_cancellation_check",
     "PrimeCountingReport",
@@ -358,32 +356,6 @@ class TsujiReport:
 
 
 @dataclass(frozen=True)
-class FactorSumGrowthReport:
-    best_constant: float
-    witness: complex
-
-
-def factor_sum_growth_check(cp: CanonicalProduct, gf: GrowthFunction,
-                            z_grid: Sequence[complex]) -> FactorSumGrowthReport:
-    """Best constant bounding sum |A_n(z)|^(s+1) by psi_tilde(1/(1-|z|)) on a grid.
-
-    Diagnostic only: the ratio degenerates as z -> 0 where psi_tilde
-    vanishes, so grids should stay in an annulus.
-    """
-    z = np.asarray(list(z_grid), dtype=complex)
-    if z.size == 0:
-        raise ProductsError("z grid must be nonempty")
-    sums = cp.factor_abs_power_sum(z)
-    one_minus = 1.0 - np.abs(z)
-    denom = np.asarray(gf.psi_tilde(1.0 / one_minus), dtype=float)
-    if np.any(denom <= 0):
-        raise ProductsError("grid contains points with vanishing psi_tilde; avoid z = 0")
-    ratios = sums / denom
-    i = int(np.argmax(ratios))
-    return FactorSumGrowthReport(best_constant=float(ratios[i]), witness=complex(z[i]))
-
-
-@dataclass(frozen=True)
 class IndexCancellationReport:
     """Cancellation between ln|B_k(z_k)| and the counting integral at each node."""
 
@@ -422,10 +394,6 @@ class PrimeCountingReport:
     count_constant: float
     ln_prime_constant: float
     class_R_member: bool
-
-    @property
-    def warn_not_class_R(self) -> bool:
-        return not self.class_R_member
 
 
 def prime_counting_criteria_check(cp: CanonicalProduct, gf: GrowthFunction) -> PrimeCountingReport:

@@ -11,12 +11,10 @@ from discinterp.counting import (
     carleson_delta,
     check_concentration,
     check_korenblum_sum,
-    concentration_grid_constant,
     concentration_korenblum_comparison,
     counting_N,
     counting_n,
     counting_sandwich_check,
-    seip_density_estimate,
     separation,
     sigma_log_comparison,
 )
@@ -191,36 +189,6 @@ class TestCarlesonAndSeparation:
         assert separation(seq) == pytest.approx(gamma, rel=1e-12)
 
 
-class TestSeipEstimate:
-    def test_singleton(self):
-        # grid at the node and sigma-close to it: the annulus never fills
-        val = seip_density_estimate(DiscSequence([0.5]), [0.9], [0.5, 0.52])
-        assert val == 0.0
-
-    def test_tight_cluster_empty_annulus(self):
-        seq = DiscSequence([0.5, 0.52, 0.5 + 0.02j])
-        assert max(pseudo_dist(a.value, b.value)
-                   for a in seq for b in seq) <= 0.5
-        assert seip_density_estimate(seq, [0.9, 0.99], [0.5, 0.51]) == 0.0
-
-    def test_against_double_loop(self):
-        rng = np.random.default_rng(25)
-        seq = random_sequence(rng, 20)
-        z_grid = [0.0, 0.4 + 0.1j, -0.6j]
-        r_grid = [0.7, 0.9, 0.99]
-        got = seip_density_estimate(seq, r_grid, z_grid)
-        best = 0.0
-        for z in z_grid:
-            for r in r_grid:
-                num = 0.0
-                for p in seq:
-                    s = pseudo_dist(z, p.value)
-                    if 0.5 < s < r:
-                        num += math.log(1 / s)
-                best = max(best, num / math.log(1 / (1 - r)))
-        assert got == pytest.approx(best, rel=1e-12)
-
-
 class TestComparisonAndSandwich:
     def test_singleton_comparison(self):
         rep = concentration_korenblum_comparison(DiscSequence([0.5]), GF)
@@ -323,13 +291,3 @@ class TestCrossChecks:
         witness_sum = rep.best_constant * float(GF.psi(
             1 / (1 - seq[rep.witness_index].modulus)))
         assert carleson_delta(seq) <= math.exp(-witness_sum) + 1e-12
-
-    def test_node_and_grid_constants_comparable(self):
-        rng = np.random.default_rng(30)
-        seq = random_sequence(rng, 20, min_gap=0.01)
-        node_c = check_concentration(seq, GF).best_constant
-        grid = [complex(z) for z in 0.9 * np.sqrt(rng.uniform(size=50))
-                * np.exp(2j * np.pi * rng.uniform(size=50))]
-        grid_c = concentration_grid_constant(seq, GF, 0.5, grid)
-        assert math.isfinite(grid_c)
-        assert grid_c >= node_c - 1e-12  # the grid includes every node

@@ -8,13 +8,11 @@ import pytest
 
 from discinterp.geometry import (
     DUPLICATE_TOL,
-    DiscPoint,
     DiscSequence,
     GeometryError,
-    mobius_factor,
-    pseudo_disc_radius,
     pseudo_dist,
 )
+from discinterp.products import CanonicalProduct
 
 
 def random_disc_points(rng, n, r_max=0.999):
@@ -60,60 +58,27 @@ class TestPseudoDist:
 
 
 class TestMobiusFactor:
-    def test_equals_one_at_its_node(self):
-        node = DiscPoint(0.3 + 0.6j)
-        assert mobius_factor(node.value, node) == pytest.approx(1.0, abs=1e-15)
+    """A_n(z) as every canonical product forms it, in ``CanonicalProduct._geometry``."""
+
+    @staticmethod
+    def factors(nodes, zs):
+        cp = CanonicalProduct(DiscSequence(nodes), 1)
+        return cp._geometry(np.asarray(zs, dtype=complex))[0]
 
     def test_exactly_one_at_near_boundary_nodes(self):
         rng = np.random.default_rng(14)
-        for _ in range(200):
-            node = (1.0 - 10.0 ** rng.uniform(-8, -1)) * np.exp(2j * np.pi * rng.uniform())
-            assert mobius_factor(complex(node), complex(node)) == 1.0
+        nodes = [(1.0 - 10.0 ** rng.uniform(-8, -1)) * np.exp(2j * np.pi * rng.uniform())
+                 for _ in range(200)]
+        assert np.all(np.diag(self.factors(nodes, nodes)) == 1.0)
 
     def test_at_origin(self):
-        node = DiscPoint(0.8j)
-        assert mobius_factor(0.0, node) == pytest.approx(1 - 0.64, abs=1e-15)
+        assert self.factors([0.8j], [0.0])[0, 0] == pytest.approx(1 - 0.64, abs=1e-15)
 
     def test_sup_over_grid_at_most_two(self):
         rng = np.random.default_rng(13)
         nodes = random_disc_points(rng, 40, 0.999)
         zs = random_disc_points(rng, 500, 0.9999)
-        sup = max(abs(mobius_factor(z, DiscPoint(n))) for n in nodes for z in zs[:50])
-        for n in nodes:
-            for z in zs:
-                assert abs(mobius_factor(z, DiscPoint(n))) <= 2.0 + 1e-12
-        assert sup <= 2.0 + 1e-12
-
-    def test_degenerate_node_rejected(self):
-        with pytest.raises(GeometryError):
-            mobius_factor(0.5, 0.0)
-
-
-class TestPseudoDiscRadius:
-    def test_boundary_rejected(self):
-        with pytest.raises(GeometryError):
-            pseudo_disc_radius(1.0)
-        with pytest.raises(GeometryError):
-            pseudo_disc_radius(0.0)
-
-    def test_half_gives_one_fifth(self):
-        assert pseudo_disc_radius(0.5) == pytest.approx(0.2, abs=1e-16)
-
-    def test_inclusion_monte_carlo(self):
-        # every w with sigma(z, w) < delta/(2+delta) lies in the Euclidean
-        # disc of radius (1 - |z|) delta around z
-        rng = np.random.default_rng(14)
-        delta = 0.43
-        rad = pseudo_disc_radius(delta)
-        count = 0
-        while count < 10_000:
-            z = complex(random_disc_points(rng, 1, 0.995)[0])
-            u = complex(rad * math.sqrt(rng.uniform())
-                        * cmath.exp(2j * math.pi * rng.uniform()))
-            w = (u + z) / (1 + np.conj(z) * u)  # sigma(z, w) = |u| < rad
-            assert pseudo_dist(z, w) < rad + 1e-15
-            assert abs(w - z) < (1 - abs(z)) * delta + 1e-12
-            count += 1
+        assert np.abs(self.factors(nodes, zs)).max() <= 2.0 + 1e-12
 
 
 class TestDenominatorBounds:

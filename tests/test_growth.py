@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from discinterp.growth import (
-    GrowthError,
-    GrowthFunction,
-    class_R_check,
-    polya_order_estimate,
-)
+from discinterp.growth import GrowthError, GrowthFunction
 
 from helpers import psi_tilde_log_quad
 
@@ -129,20 +124,14 @@ class TestPsiTilde:
 
 
 class TestPolyaOrder:
-    def test_power_analytic_and_numeric(self):
-        est = polya_order_estimate(GrowthFunction.power(3.0))
-        assert est.analytic == 3.0
-        assert est.dyadic_sup == pytest.approx(3.0, abs=1e-9)
+    def test_power_order_is_rho(self):
+        assert GrowthFunction.power(3.0).polya_order == 3.0
 
     def test_log_power_vanishes(self):
-        est = polya_order_estimate(GrowthFunction.log_power(2.0))
-        assert est.analytic == 0.0
-        assert est.dyadic_sup < 0.15
+        assert GrowthFunction.log_power(2.0).polya_order == 0.0
 
     def test_exp_log_power_vanishes(self):
-        est = polya_order_estimate(GrowthFunction.exp_log_power(0.5))
-        assert est.analytic == 0.0
-        assert est.dyadic_sup < 0.15
+        assert GrowthFunction.exp_log_power(0.5).polya_order == 0.0
 
     def test_genus(self):
         assert GrowthFunction.power(0.5).genus == 1
@@ -150,37 +139,6 @@ class TestPolyaOrder:
         assert GrowthFunction.power(2.0).genus == 3
         assert GrowthFunction.log_power(2.0).genus == 1
         assert GrowthFunction.exp_log_power(0.5).genus == 1
-
-
-class TestClassR:
-    def test_power_is_member_with_small_ratio(self):
-        report = class_R_check(GrowthFunction.power(1.0), 1e6)
-        assert report.member
-        assert report.ratio_sup <= 1.0 + 1e-12
-
-    def test_constant_log_power_not_member(self):
-        report = class_R_check(GrowthFunction.log_power(0.0), 1e6)
-        assert not report.member
-        # psi = 1, psi_tilde = ln x: the ratio is the unbounded ln x_max
-        assert report.ratio_sup == pytest.approx(math.log(1e6), rel=1e-6)
-
-    def test_power_two_window_maximum(self):
-        # (x^2 - 1) / (2 x^2) is increasing, so the sup on [1, 2] sits at 2
-        report = class_R_check(GrowthFunction.power(2.0), 2.0)
-        assert report.ratio_sup == pytest.approx(3.0 / 8.0, rel=1e-10)
-        assert report.x_at_sup == pytest.approx(2.0, rel=1e-12)
-
-    def test_exp_log_power_not_member(self):
-        assert not class_R_check(GrowthFunction.exp_log_power(0.5), 1e5).member
-
-    def test_psi_underflowing_on_the_whole_grid(self):
-        # ln(x)**3000 is 0.0 in doubles on all of [1, 2]; the ratio
-        # psi_tilde / psi = ln(x) / 3001 is formed from logs, so the sup is
-        # still found, at x_max
-        report = class_R_check(GrowthFunction.log_power(3000.0), 2.0)
-        assert not report.member
-        assert report.ratio_sup == pytest.approx(math.log(2.0) / 3001.0, rel=1e-10)
-        assert report.x_at_sup == pytest.approx(2.0, rel=1e-12)
 
 
 class TestSerialization:

@@ -140,7 +140,8 @@ class TestPrunedMaxTermScan:
         beyond = kappas[-1] + 1.0
         self.assert_matches_scan(ladder, [*kappas[ms], 0.0, beyond])
         assert scan_max_term(ladder, beyond)[1] == ladder.n_max
-        assert ladder.log_max_term(beyond) == scan_max_term(ladder, beyond)
+        (value,), (index,) = ladder.log_max_terms([beyond])
+        assert (value, index) == scan_max_term(ladder, beyond)
 
     @pytest.mark.parametrize("gf", SPIRAL_FAMILIES, ids=lambda g: g.family)
     def test_spiked_ladders_raise_as_the_full_scan(self, gf):
@@ -404,9 +405,9 @@ class TestTermDecayChain:
         rng = np.random.default_rng(51)
         for z in 0.95 * np.sqrt(rng.uniform(size=30)) * np.exp(
                 2j * np.pi * rng.uniform(size=30)):
-            mu_z, _ = ladder.log_max_term(math.log(2.0) - math.log1p(-abs(z)))
+            (mu_z,), _ = ladder.log_max_terms([math.log(2.0) - math.log1p(-abs(z))])
             for k, p in enumerate(seq):
-                mu_n, _ = ladder.log_max_term(-math.log1p(-p.modulus))
+                (mu_n,), _ = ladder.log_max_terms([-math.log1p(-p.modulus)])
                 a_abs = abs((1 - p.modulus**2) / (1 - np.conj(p.value) * z))
                 assert f.exponents[k] * math.log(a_abs) <= mu_z - mu_n + 1e-9
 
@@ -422,12 +423,12 @@ class TestTermDecayChain:
             2j * np.pi * rng.uniform(size=15))
         L = f._assemble(np.asarray(zs, dtype=complex))["L"]
         for i, z in enumerate(zs):
-            mu_z, _ = ladder.log_max_term(math.log(2.0) - math.log1p(-abs(z)))
+            (mu_z,), _ = ladder.log_max_terms([math.log(2.0) - math.log1p(-abs(z))])
             full_sum = float(cp.factor_abs_power_sum(z))
             for k, p in enumerate(seq):
                 a_abs = abs((1 - p.modulus**2) / (1 - np.conj(p.value) * z))
                 rest = full_sum - a_abs ** (s + 1)
-                mu_n, _ = ladder.log_max_term(-math.log1p(-p.modulus))
+                (mu_n,), _ = ladder.log_max_terms([-math.log1p(-p.modulus)])
                 bound = (
                     math.log(abs(targets[k]))
                     + 2.0 ** (s + 2) * rest

@@ -136,22 +136,6 @@ class TestBuildCoefficient:
             assert maxima[-1] <= maxima[0] * (1 + 1e-3) + 1e-9
             assert all(math.isfinite(m) for m in maxima)
 
-    def test_g_anchored_at_zero(self):
-        seq, _ = lattice_instance(seed=66, gf=GF1, max_points=8)
-        sol = build_coefficient(seq, GF1, C0=2.0)
-        assert sol.eval_g(0.0) == 0.0
-
-    def test_g_path_independence(self):
-        seq, _ = lattice_instance(seed=67, gf=GF1, max_points=10)
-        sol = build_coefficient(seq, GF1, C0=2.0)
-        rng = np.random.default_rng(68)
-        for _ in range(5):
-            z = 0.75 * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-            via = 0.5 * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-            direct = sol.eval_g(complex(z))
-            detour = sol.eval_g_via(complex(z), complex(via))
-            assert abs(direct - detour) < 1e-9
-
     def test_gprime_derivative_matches_finite_difference(self):
         seq, _ = lattice_instance(seed=69, gf=GF1, max_points=10)
         sol = build_coefficient(seq, GF1, C0=2.0)

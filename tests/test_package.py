@@ -1,0 +1,37 @@
+"""Tests for the package surface: each module's ``__all__`` and the top-level imports."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import discinterp
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(discinterp.__path__))
+
+
+def init_imports() -> dict:
+    """Names ``discinterp/__init__.py`` imports, keyed by the module they come from."""
+    tree = ast.parse(Path(discinterp.__file__).read_text())
+    names: dict = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names.setdefault(node.module, []).extend(a.name for a in node.names)
+    return names
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_name_in_all_resolves(name):
+    module = importlib.import_module(f"discinterp.{name}")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_package_imports_only_names_in_all(name):
+    module = importlib.import_module(f"discinterp.{name}")
+    imported = init_imports().get(name, [])
+    assert [n for n in imported if n not in getattr(module, "__all__", ())] == []
+

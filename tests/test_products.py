@@ -14,7 +14,6 @@ from discinterp.growth import GrowthFunction
 from discinterp.products import (
     CanonicalProduct,
     ProductsError,
-    factor_sum_growth_check,
     index_cancellation_check,
     log_weierstrass_E,
     logsumexp_complex,
@@ -402,29 +401,6 @@ class TestTsuji:
                       <= cp.factor_abs_power_sum(zs) + 1e-15)
 
 
-class TestFactorSumGrowth:
-    def test_empty(self):
-        cp = CanonicalProduct(DiscSequence([]), 1)
-        rep = factor_sum_growth_check(cp, GrowthFunction.power(1.0),
-                                      [0.3, 0.6, 0.9])
-        assert rep.best_constant == 0.0
-
-    def test_singleton_finite(self):
-        cp = CanonicalProduct(DiscSequence([0.6]), 1)
-        grid = [r * np.exp(1j * t) for r in (0.3, 0.6, 0.9, 0.99)
-                for t in np.linspace(0, 6.2, 20)]
-        rep = factor_sum_growth_check(cp, GrowthFunction.power(1.0), grid)
-        assert math.isfinite(rep.best_constant) and rep.best_constant > 0
-
-    def test_sharpness_sequence_bounded(self):
-        seq = sharpness_sequence(1.0, 5).to_disc_sequence()
-        cp = CanonicalProduct(seq, 2)
-        grid = [r * np.exp(1j * t) for r in (0.5, 0.9, 0.99)
-                for t in np.linspace(0, 6.2, 40)]
-        rep = factor_sum_growth_check(cp, GrowthFunction.power(1.0), grid)
-        assert math.isfinite(rep.best_constant)
-
-
 class TestPrimeAtNode:
     def test_singleton_closed_form(self):
         z1 = 0.4 + 0.3j
@@ -615,7 +591,13 @@ class TestPrimeCountingCriteria:
         assert rep.count_constant == float((counts / psi).max())
         assert rep.ln_prime_constant == float((ln_prime / psi).max())
 
-    def test_not_class_R_warns(self):
-        cp = CanonicalProduct(DiscSequence([0.5]), 1)
-        rep = prime_counting_criteria_check(cp, GrowthFunction.log_power(2.0))
-        assert rep.warn_not_class_R
+    @pytest.mark.parametrize("gf, member", [
+        (GrowthFunction.power(1.0), True),
+        (GrowthFunction.log_power(0.0), False),
+        (GrowthFunction.log_power(2.0), False),
+        (GrowthFunction.exp_log_power(0.5), False),
+    ], ids=["power", "log_power0", "log_power2", "exp_log_power"])
+    def test_class_R_member(self, gf, member):
+        # powers are in class R (psi_tilde / psi tends to 1/rho); the slow families are not
+        cp = CanonicalProduct(DiscSequence([0.5]), gf.genus)
+        assert prime_counting_criteria_check(cp, gf).class_R_member is member
