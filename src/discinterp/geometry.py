@@ -103,10 +103,6 @@ class DiscSequence:
     def moduli(self) -> np.ndarray:
         return self._moduli
 
-    @property
-    def min_modulus(self) -> float:
-        return float(self._moduli.min()) if len(self._points) else 1.0
-
     def __len__(self) -> int:
         return len(self._points)
 

@@ -146,9 +146,6 @@ class GrowthFunction:
 
     # -- serialization -----------------------------------------------------
 
-    def to_dict(self) -> dict:
-        return {"family": self.family, "param": self.param}
-
     @classmethod
     def from_dict(cls, data: dict) -> "GrowthFunction":
         try:

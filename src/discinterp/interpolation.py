@@ -262,7 +262,9 @@ class Interpolant:
         logP = lam.sum(axis=0)
         with np.errstate(invalid="ignore"):
             logB = logP[None, :] - lam
-        _fill_hit_sums(logB, lam, np.isneginf(lam.real))
+        # at a hit of node n the n-th term reads the cached B_n(z_n), as P'(z_n) does
+        hits = np.isneginf(lam.real)
+        logB[hits] = cp.log_B_nodes[hits.nonzero()[0]]
         zc = np.conj(cp.sequence.values)
         with np.errstate(divide="ignore", invalid="ignore"):
             L = (
@@ -277,18 +279,20 @@ class Interpolant:
             )
         return {"A": A, "onemA": onemA, "D": D, "logP": logP, "L": L}
 
-    def _derivative_logs(self, parts: dict) -> np.ndarray:
-        """Per-term logs of d/dz term_n via the smooth logarithmic factor.
+    def _derivative_logs(self, parts: dict) -> tuple[np.ndarray, np.ndarray]:
+        """(per-term logs of d/dz term_n, P'/P) via the smooth logarithmic factor.
 
         term_n'/term_n = S_n + (s_n - 1) conj(z_n)/D + conj(z_n)/D *
-        (1 + A + ... + A^s), where S_n is the off-factor log derivative.
-        The points are off the nodes (``_off_nodes``), so no factor vanishes.
+        (1 + A + ... + A^s), where S_n is P'/P, the column sum of the factor
+        log derivatives, less the n-th one.  The points are off the nodes
+        (``_off_nodes``), so no factor vanishes.
         """
         cp = self.product
         A, onemA, D, L = parts["A"], parts["onemA"], parts["D"], parts["L"]
         with np.errstate(divide="ignore", invalid="ignore"):
             T = cp._deriv_terms(A, onemA)
-            S = T.sum(axis=0)[None, :] - T
+            lp = T.sum(axis=0)
+            S = lp[None, :] - T
         zcD = np.conj(cp.sequence.values)[:, None] / D
         # 1 + A + ... + A^s evaluated as a plain polynomial (exact at A = 1)
         geom = np.ones_like(A)
@@ -302,7 +306,7 @@ class Interpolant:
         bad = np.isnan(dL)
         if bad.any():
             dL[bad] = complex(LOG_ZERO, 0.0)
-        return dL
+        return dL, lp
 
     # -- evaluation ------------------------------------------------------------
 
@@ -322,18 +326,29 @@ class Interpolant:
     def derivative_many(self, z) -> np.ndarray:
         """f' at a batch of points away from the nodes."""
         parts = self._assemble(self.product._off_nodes(z))
-        out = _exp_or_zero(logsumexp_complex(self._derivative_logs(parts)))
+        out = _exp_or_zero(logsumexp_complex(self._derivative_logs(parts)[0]))
         return out if np.ndim(z) else complex(out[0])
 
-    def eval_and_derivative_many(self, z) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(values, derivative values, value logs, derivative logs) in one pass, off the nodes."""
+    def eval_and_derivative_many(self, z) -> tuple[np.ndarray, ...]:
+        """(f, f', log f, log f', P'/P, (P'/P)') from one factor pass, off the nodes.
+
+        The last two are the bits ``log_deriv_P_many`` and ``log_deriv_prime_many`` give.
+        """
         parts = self._assemble(self.product._off_nodes(z))
-        lam_v = logsumexp_complex(parts["L"])
-        lam_d = logsumexp_complex(self._derivative_logs(parts))
-        return _exp_or_zero(lam_v), _exp_or_zero(lam_d), lam_v, lam_d
+        dL, lp = self._derivative_logs(parts)
+        lam_v, lam_d = logsumexp_complex(parts["L"]), logsumexp_complex(dL)
+        lp2 = self.product._deriv_prime_terms(parts["A"], parts["onemA"]).sum(axis=0)
+        return _exp_or_zero(lam_v), _exp_or_zero(lam_d), lam_v, lam_d, lp, lp2
 
     def interpolation_errors(self) -> np.ndarray:
-        """Relative identity error |f(z_k) - b_k| / (1 + |b_k|) at every node."""
+        """Relative identity error |f(z_k) - b_k| / (1 + |b_k|) at every node.
+
+        At a node every other term is an exact zero (log P = -inf), so f(z_k)
+        is the k-th term alone, formed from the cached B_k(z_k) and P'(z_k),
+        and a gate on this error measures that term's rounding.  The whole
+        series is tested next to the nodes (against mpmath, on a walk onto a
+        node) and off them (the growth rings, the ODE residual).
+        """
         f_vals = self.eval_many(self.sequence.values)
         b = self.targets.values
         with np.errstate(invalid="ignore"):
@@ -344,17 +359,6 @@ def _exp_or_zero(lam: np.ndarray) -> np.ndarray:
     """exp(lam), exactly 0 where the real part is -inf; overflow gives inf quietly."""
     with np.errstate(over="ignore"):
         return np.where(np.isneginf(lam.real), 0.0, np.exp(lam))
-
-
-def _fill_hit_sums(out: np.ndarray, terms: np.ndarray, hits: np.ndarray) -> None:
-    """out[n, m] = sum of terms[:, m] without row n, at every hit cell (n, m).
-
-    One ``np.delete(...).sum()`` per hit; a vectorized gather gives the same
-    bits but needs an (n_hits, n_nodes) temporary, which at node evaluation
-    is as large as the factor matrix.
-    """
-    for nrow, m in zip(*np.nonzero(hits)):
-        out[nrow, m] = np.delete(terms[:, m], nrow).sum()
 
 
 def build_interpolant(seq: DiscSequence, values: Sequence[complex],

@@ -111,20 +111,18 @@ class OscillationSolution:
     # -- the coefficient --------------------------------------------------
 
     def coefficient_many(self, z) -> np.ndarray:
-        """a(z) = -P''/P - 2 h P'/P - h^2 - h' as plain complex values."""
-        zb = np.atleast_1d(np.asarray(z, dtype=complex))
-        h, hp, _, _ = self.gprime.eval_and_derivative_many(zb)
-        lp = self.product.log_deriv_P_many(zb)
-        lp2 = self.product.log_deriv_prime_many(zb)
-        out = -(lp**2 + lp2) - 2.0 * h * lp - h**2 - hp
+        """a(z) as plain complex values."""
+        out = self._coefficient(z)[0]
         return out if np.ndim(z) else complex(out[0])
 
+    def _coefficient(self, z) -> tuple[np.ndarray, ...]:
+        """(a, h, P'/P, (P'/P)') from one factor pass; a = -P''/P - 2 h P'/P - h^2 - h'."""
+        h, hp, _, _, lp, lp2 = self.gprime.eval_and_derivative_many(z)
+        return -(lp**2 + lp2) - 2.0 * h * lp - h**2 - hp, h, lp, lp2
+
     def coefficient_log_many(self, z) -> np.ndarray:
-        """Complex log of a(z); survives radii where h overflows doubles."""
-        zb = np.atleast_1d(np.asarray(z, dtype=complex))
-        _, _, lam_h, lam_hp = self.gprime.eval_and_derivative_many(zb)
-        lp = self.product.log_deriv_P_many(zb)
-        lp2 = self.product.log_deriv_prime_many(zb)
+        """Complex log of a(z), term by term; survives radii where h overflows doubles."""
+        _, _, lam_h, lam_hp, lp, lp2 = self.gprime.eval_and_derivative_many(z)
         with np.errstate(divide="ignore", invalid="ignore"):
             comp = np.stack([
                 2.0 * lam_h + 1j * math.pi,
@@ -179,10 +177,7 @@ class OscillationSolution:
 
     def _stencil_steps(self, z0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(a(z0), stencil step) at each sample point: 0.02 over the sum of local rates."""
-        h0, hp0, _, _ = self.gprime.eval_and_derivative_many(z0)
-        lp = self.product.log_deriv_P_many(z0)
-        lp2 = self.product.log_deriv_prime_many(z0)
-        a0 = -(lp**2 + lp2) - 2.0 * h0 * lp - h0**2 - hp0
+        a0, h0, lp, lp2 = self._coefficient(z0)
         scale = (np.abs(h0) + np.sqrt(np.abs(a0)) + np.abs(lp)
                  + np.sqrt(np.abs(lp2)) + 2.0 / (1.0 - np.abs(z0)))
         step = 0.02 / scale
@@ -327,10 +322,6 @@ class WitnessReport:
 
     rows: tuple
     crossing_index: Optional[int]
-
-    @property
-    def has_witness(self) -> bool:
-        return self.crossing_index is not None
 
 
 @dataclass(frozen=True)

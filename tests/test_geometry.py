@@ -118,12 +118,12 @@ class TestDiscSequence:
         assert len(seq) == 3
         for k, v in enumerate(vals):
             assert seq[k].value == complex(v)
-        assert seq.min_modulus == pytest.approx(abs(0.1 + 0.1j))
+        assert seq.moduli.min() == pytest.approx(abs(0.1 + 0.1j))
 
     def test_empty_sequence_allowed(self):
         seq = DiscSequence([])
         assert len(seq) == 0
-        assert seq.min_modulus == 1.0
+        assert seq.moduli.shape == (0,)
 
     def test_values_read_only(self):
         seq = DiscSequence([0.5])

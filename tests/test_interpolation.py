@@ -23,7 +23,7 @@ from discinterp.interpolation import (
     select_exponents,
 )
 from discinterp.oscillation import build_coefficient, osc_targets
-from discinterp.products import CanonicalProduct, ProductsError
+from discinterp.products import ProductsError
 
 from helpers import lattice_instance, scan_max_term, small_radial_instance, spiral_sequence
 
@@ -250,7 +250,7 @@ class TestInterpolationIdentity:
         ("eval_many", [0.0]),
         ("eval_log_many", [-math.inf]),
         ("derivative_many", [0.0]),
-        ("eval_and_derivative_many", [0.0, 0.0, -math.inf, -math.inf]),
+        ("eval_and_derivative_many", [0.0, 0.0, -math.inf, -math.inf, 0.0, 0.0]),
         ("eval_and_log_P_many", [0.0, 0.0]),
         ("interpolation_errors", [0.0]),
         ("log_deriv_prime_many", [0.0]),
@@ -312,6 +312,17 @@ class TestInterpolationIdentity:
         # the k-th term cancels the cached node derivative exactly and the
         # other terms vanish identically, so only log-sum rounding remains
         assert np.all(np.abs(vals - targets) <= 1e-10 * (1 + np.abs(targets)))
+
+    def test_node_terms_read_the_cached_reduced_products(self, monkeypatch):
+        # P'(z_k) was cached from the unshifted B_k(z_k), so a node term that
+        # reads the shifted cache gives 2 b_k; points off the nodes never read it
+        seq, targets = small_radial_instance(GF1)
+        f = build_interpolant(seq, targets, GF1)
+        off = np.array([0.1 + 0.2j, -0.5, 0.3 + 1e-6, 0.69j])
+        before = f.eval_many(off)
+        monkeypatch.setattr(f.product, "log_B_nodes", f.product.log_B_nodes + math.log(2.0))
+        assert f.eval_many(seq.values) == pytest.approx(2.0 * targets, rel=1e-12)
+        assert np.array_equal(f.eval_many(off), before)
 
 
 class TestNearNodeEvaluation:

@@ -179,6 +179,41 @@ def shipped_oscillate(rings=None):
     return build_coefficient(seq, GrowthFunction.from_dict(cfg["growth"]), C0=cfg["C0"]), cfg
 
 
+class TestOneFactorPass:
+    """The coefficient's single evaluation gives the bits of the separate passes."""
+
+    @pytest.fixture(scope="class", params=["four-nodes", "shipped-lattice"])
+    def case(self, request):
+        if request.param == "four-nodes":
+            sol = build_coefficient(DiscSequence([0.5, 0.3 + 0.4j, -0.6j, 0.7]), GF1, C0=2.0)
+        else:
+            sol = shipped_oscillate()[0]
+        rng = np.random.default_rng(13)
+        zs = 0.95 * np.sqrt(rng.uniform(size=300)) * np.exp(2j * np.pi * rng.uniform(size=300))
+        # and a ring next to the first node
+        zk = sol.sequence.values[0]
+        zs = np.concatenate([zs, zk + 1e-6 * (1 - abs(zk)) * np.exp(0.5j + np.arange(8))])
+        return sol, zs
+
+    def test_log_derivatives_equal_the_product_passes(self, case):
+        sol, zs = case
+        *_, lp, lp2 = sol.gprime.eval_and_derivative_many(zs)
+        assert np.array_equal(lp, sol.product.log_deriv_P_many(zs))
+        assert np.array_equal(lp2, sol.product.log_deriv_prime_many(zs))
+
+    def test_coefficient_equals_the_three_call_formula(self, case):
+        sol, zs = case
+        h, hp, lam_h, lam_hp = sol.gprime.eval_and_derivative_many(zs)[:4]
+        lp = sol.product.log_deriv_P_many(zs)
+        lp2 = sol.product.log_deriv_prime_many(zs)
+        assert np.array_equal(sol.coefficient_many(zs),
+                              -(lp**2 + lp2) - 2.0 * h * lp - h**2 - hp)
+        comp = np.stack([2.0 * lam_h + 1j * math.pi, lam_hp + 1j * math.pi,
+                         np.log(lp**2 + lp2) + 1j * math.pi,
+                         lam_h + np.log(2.0 * lp) + 1j * math.pi])
+        assert np.array_equal(sol.coefficient_log_many(zs), products.logsumexp_complex(comp))
+
+
 class TestResidualReportBatching:
     def test_shipped_config_calls_and_points(self, monkeypatch):
         sol, cfg = shipped_oscillate()
@@ -386,4 +421,3 @@ class TestGrowthWitness:
     def test_no_witness_at_equal_scales(self):
         rep = sharpness_growth_witness(sharpness_sequence(1.0, 10), 0.0)
         assert rep.crossing_index is None
-        assert not rep.has_witness

@@ -29,6 +29,17 @@ def test_every_name_in_all_resolves(name):
     assert missing == []
 
 
+@pytest.mark.parametrize("path", sorted(Path(__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_test_modules_use_every_name_they_import_from_the_package(path):
+    tree = ast.parse(path.read_text())
+    imported = {a.asname or a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "discinterp"
+                for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_package_imports_only_names_in_all(name):
     module = importlib.import_module(f"discinterp.{name}")

@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from discinterp.counting import check_concentration, counting_N, counting_n
+from discinterp.counting import check_concentration, counting_n
 from discinterp.geometry import DiscSequence
 from discinterp.growth import GrowthFunction
 from discinterp.products import (
