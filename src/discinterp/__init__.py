@@ -1,7 +1,6 @@
 """Constructive free interpolation and ODE oscillation in the unit disc."""
 
 from .geometry import (
-    DiscPoint,
     DiscSequence,
     GeometryError,
     pseudo_dist,

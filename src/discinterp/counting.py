@@ -63,8 +63,6 @@ def counting_n(seq: DiscSequence, z: complex, t: float) -> int:
     """Number of sequence points in the closed disc of radius t around z."""
     if t < 0:
         raise CountingError("radius t must be nonnegative")
-    if len(seq) == 0:
-        return 0
     return int(np.count_nonzero(np.abs(seq.values - complex(z)) <= t))
 
 
@@ -77,12 +75,8 @@ def counting_N(seq: DiscSequence, z: complex, r: float) -> float:
     """
     if not r > 0:
         raise CountingError("radius r must be positive")
-    if len(seq) <= 1:
-        return 0.0
     d = np.sort(np.abs(seq.values - complex(z)))[1:]
     inside = d[d <= r]
-    if inside.size == 0:
-        return 0.0
     return float(np.sum(np.log(r / inside)))
 
 
@@ -92,7 +86,8 @@ def _psi_at_nodes(seq: DiscSequence, gf: GrowthFunction) -> np.ndarray:
 
 def _counting_N_at_nodes(seq: DiscSequence, factor: float) -> np.ndarray:
     """N_{z_k}(factor (1 - |z_k|)) at every node k, one counting_N call each."""
-    return np.array([counting_N(seq, p.value, factor * (1.0 - p.modulus)) for p in seq])
+    radii = factor * (1.0 - seq.moduli)
+    return np.array([counting_N(seq, z, r) for z, r in zip(seq.values, radii)])
 
 
 def _pairwise(seq: DiscSequence) -> tuple[np.ndarray, np.ndarray]:
@@ -101,11 +96,6 @@ def _pairwise(seq: DiscSequence) -> tuple[np.ndarray, np.ndarray]:
     d = np.abs(v[None, :] - v[:, None])
     denom = np.abs(1.0 - np.conj(v[:, None]) * v[None, :])
     return d, denom
-
-
-def _one_minus_at_nodes(seq: DiscSequence) -> np.ndarray:
-    """1 - |z_k| from the moduli the per-node N loop uses (np.abs rounds differently)."""
-    return 1.0 - np.array([p.modulus for p in seq])
 
 
 def _korenblum_sums(seq: DiscSequence, delta: float) -> np.ndarray:
@@ -118,7 +108,7 @@ def _korenblum_sums(seq: DiscSequence, delta: float) -> np.ndarray:
     """
     v = seq.values
     d = np.abs(v[None, :] - v[:, None])
-    close = (d > 0) & (d < delta * _one_minus_at_nodes(seq)[:, None])
+    close = (d > 0) & (d < delta * (1.0 - seq.moduli)[:, None])
     sums = np.zeros(len(seq))
     for k in np.flatnonzero(close.any(axis=1)):
         near = close[k]
@@ -210,7 +200,7 @@ def sigma_log_comparison(seq: DiscSequence, delta: float = 0.5) -> SigmaComparis
     if not 0 < delta < 1:
         raise CountingError("delta must lie in (0, 1)")
     d, denom = _pairwise(seq)
-    one_minus = _one_minus_at_nodes(seq)
+    one_minus = 1.0 - seq.moduli
     rows, cols = np.nonzero((d > 0) & (d <= delta * one_minus[:, None]))
     if rows.size == 0:
         return SigmaComparisonReport(0.0, 0.0, math.log(2.0 + delta), 0)
@@ -266,7 +256,7 @@ def concentration_korenblum_comparison(seq: DiscSequence, gf: GrowthFunction,
     return EquivalenceReport(
         C_concentration=c_small,
         C_korenblum=c_kore,
-        pointwise_max=float(point.max()) if point.size else 0.0,
+        pointwise_max=float(point.max()),
         lower_ok=lower_ok,
     )
 
@@ -291,24 +281,23 @@ def counting_sandwich_check(seq: DiscSequence, gf: GrowthFunction,
     """
     if not (0 < delta < 1 and alpha > 1 and delta / alpha > 0):
         raise CountingError("need 0 < delta < 1 < alpha")
-    pts = [complex(v) for v in seq.values]
-    if z_points is not None:
-        pts.extend(complex(z) for z in z_points)
-    if not pts:
+    extra = [complex(z) for z in z_points] if z_points is not None else []
+    pts = np.concatenate([seq.values, np.array(extra, dtype=complex)])
+    if not pts.size:
         raise CountingError("no evaluation points")
+    moduli = np.abs(pts)
+    if not np.all(moduli < 1.0):
+        raise CountingError("sandwich points must lie inside the disc")
+    one_minus = 1.0 - moduli
     worst = -math.inf
-    nums, dens = [], []
-    for z in pts:
-        az = abs(z)
-        if az >= 1.0:
-            raise CountingError("sandwich points must lie inside the disc")
-        one_minus = 1.0 - az
-        lower = max(counting_n(seq, z, (delta / alpha) * one_minus) - 1, 0) * math.log(alpha)
-        mid = counting_N(seq, z, delta * one_minus)
+    nums = []
+    for z, om in zip(pts, one_minus):
+        lower = max(counting_n(seq, z, (delta / alpha) * om) - 1, 0) * math.log(alpha)
+        mid = counting_N(seq, z, delta * om)
         worst = max(worst, lower - mid)
-        nums.append(float(counting_n(seq, z, 0.5 * one_minus)))
-        dens.append(float(gf.psi(1.0 / one_minus)))
-    report = _best_constant(np.asarray(nums), np.asarray(dens), None)
+        nums.append(float(counting_n(seq, z, 0.5 * om)))
+    dens = np.asarray(gf.psi(1.0 / one_minus), dtype=float)
+    report = _best_constant(np.asarray(nums), dens, None)
     return SandwichReport(
         n_bound=report,
         max_lower_violation=float(worst),

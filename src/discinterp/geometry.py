@@ -9,14 +9,12 @@ block of every canonical product in this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Union
+from typing import Iterable
 
 import numpy as np
 
 __all__ = [
     "GeometryError",
-    "DiscPoint",
     "DiscSequence",
     "pseudo_dist",
     "MIN_NODE_MODULUS",
@@ -36,51 +34,33 @@ class GeometryError(ValueError):
     """Point or parameter outside the supported disc-geometry domain."""
 
 
-PointLike = Union[complex, float, "DiscPoint"]
-
-
-def _value(p: PointLike) -> complex:
-    return p.value if isinstance(p, DiscPoint) else complex(p)
-
-
-@dataclass(frozen=True)
-class DiscPoint:
-    """A point of the open unit disc with its modulus cached."""
-
-    value: complex
-    modulus: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        v = complex(self.value)
-        m = abs(v)
-        if not m < 1.0:
-            raise GeometryError(f"point {v} is not inside the open unit disc")
-        object.__setattr__(self, "value", v)
-        object.__setattr__(self, "modulus", m)
-
-
 class DiscSequence:
     """Finite ordered sequence of distinct nonzero points in the disc.
 
-    The index of a point is its identity throughout the package.  Points
-    within ``DUPLICATE_TOL`` of each other are rejected as duplicates and
-    points with modulus below ``MIN_NODE_MODULUS`` are rejected as degenerate
-    (their Moebius factor would be constant).  Instances are immutable and
-    safe for concurrent reads.
+    The node geometry is two read-only arrays: ``values`` and ``moduli``
+    (``np.abs(values)``), the one modulus every check and every consumer
+    reads.  The index of a point is its identity throughout the package.
+    Points with modulus not below 1 (or NaN) are outside the disc, points
+    with modulus below ``MIN_NODE_MODULUS`` are degenerate (their Moebius
+    factor would be constant) and points within ``DUPLICATE_TOL`` of each
+    other are duplicates; all three are rejected, in that order.  Instances
+    are immutable and safe for concurrent reads.
     """
 
-    def __init__(self, points: Iterable[PointLike]):
-        pts = tuple(
-            p if isinstance(p, DiscPoint) else DiscPoint(complex(p)) for p in points
-        )
-        for k, p in enumerate(pts):
-            if p.modulus < MIN_NODE_MODULUS:
-                raise GeometryError(
-                    f"node {k} at {p.value} is too close to the origin "
-                    f"(|z| < {MIN_NODE_MODULUS:g})"
-                )
-        values = np.array([p.value for p in pts], dtype=complex)
-        if len(pts) >= 2:
+    def __init__(self, points: Iterable[complex]):
+        values = np.array([complex(p) for p in points], dtype=complex)
+        moduli = np.abs(values)
+        inside = moduli < 1.0
+        if not inside.all():
+            k = int(np.argmin(inside))
+            raise GeometryError(f"point {complex(values[k])} is not inside the open unit disc")
+        if np.any(moduli < MIN_NODE_MODULUS):
+            k = int(np.argmax(moduli < MIN_NODE_MODULUS))
+            raise GeometryError(
+                f"node {k} at {complex(values[k])} is too close to the origin "
+                f"(|z| < {MIN_NODE_MODULUS:g})"
+            )
+        if len(values) >= 2:
             diff = np.abs(values[:, None] - values[None, :])
             diff[np.diag_indices_from(diff)] = np.inf
             if diff.min() < DUPLICATE_TOL:
@@ -88,11 +68,10 @@ class DiscSequence:
                 raise GeometryError(
                     f"nodes {i} and {j} coincide within {DUPLICATE_TOL:g}"
                 )
-        self._points = pts
+        values.flags.writeable = False
+        moduli.flags.writeable = False
         self._values = values
-        self._moduli = np.abs(values)
-        self._values.flags.writeable = False
-        self._moduli.flags.writeable = False
+        self._moduli = moduli
 
     @property
     def values(self) -> np.ndarray:
@@ -101,24 +80,19 @@ class DiscSequence:
 
     @property
     def moduli(self) -> np.ndarray:
+        """np.abs(values) as a read-only array: the modulus of each node."""
         return self._moduli
 
     def __len__(self) -> int:
-        return len(self._points)
-
-    def __getitem__(self, k: int) -> DiscPoint:
-        return self._points[k]
-
-    def __iter__(self) -> Iterator[DiscPoint]:
-        return iter(self._points)
+        return len(self._values)
 
     def __repr__(self) -> str:
         return f"DiscSequence({list(self._values)!r})"
 
 
-def pseudo_dist(z: PointLike, w: PointLike) -> float:
+def pseudo_dist(z: complex, w: complex) -> float:
     """Pseudohyperbolic distance |z - w| / |1 - conj(z) w| in [0, 1)."""
-    zv, wv = _value(z), _value(w)
+    zv, wv = complex(z), complex(w)
     for v in (zv, wv):
         if not abs(v) < 1.0:
             raise GeometryError(f"point {v} is not inside the open unit disc")

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import hyp1f1
 
 __all__ = [
     "GrowthError",
@@ -118,6 +117,7 @@ class GrowthFunction:
         elif self.family == "log_power":
             out = u ** (self.param + 1) / (self.param + 1)
         else:
+            from scipy.special import hyp1f1  # imported here: only this family needs scipy
             # t = e^v and v = u w^(1/beta) turn the integral of exp(v^beta)
             # over [0, u] into u 1F1(1/beta; 1/beta + 1; u^beta)
             a = 1.0 / self.param

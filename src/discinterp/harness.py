@@ -399,7 +399,7 @@ def _task_sharpness(scn: Scenario, out: dict) -> int:
     ]
     out["csv"]["sharpness.csv"] = (["n", "N_value", "target", "ratio"], rows)
     out["constants"]["rho"] = rho
-    out["constants"]["final_ratio"] = float(rows[-1][3]) if rows else float("nan")
+    out["constants"]["final_ratio"] = float(rows[-1][3])
     if scn.eps0 is not None:
         witness = sharpness_growth_witness(seq, scn.eps0)
         rows_w = [[str(n), _fmt(lo), _fmt(up)] for n, lo, up in witness.rows]

@@ -234,8 +234,7 @@ class OscillationSolution:
             d = np.abs(nodes[None, :] - nodes[lo:lo + EVAL_BLOCK, None])
             d[np.arange(len(d)), lo + np.arange(len(d))] = np.inf
             gaps[lo:lo + EVAL_BLOCK] = d.min(axis=1)
-        # hypot rounds as abs of a single complex does; np.abs of an array can differ
-        one_minus = 1.0 - np.hypot(nodes.real, nodes.imag)
+        one_minus = 1.0 - self.sequence.moduli
         return 0.4 * np.minimum(np.minimum(gaps, one_minus),
                                 5.0 * one_minus / (1.0 + self.gprime.exponents))
 

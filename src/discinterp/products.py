@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .counting import _counting_N_at_nodes, _one_minus_at_nodes
+from .counting import _counting_N_at_nodes
 from .geometry import DiscSequence
 from .growth import GrowthFunction
 
@@ -322,11 +322,11 @@ class CanonicalProduct:
         at_node = self._near_nodes(zb).any(axis=0)
         away = ~at_node
         if away.any():
-            za = zb[away]
-            lp = self.log_deriv_P_many(za)
-            lp2 = self.log_deriv_prime_many(za)
+            lam, A, onemA, _ = self._factors(zb[away])
+            lp = self._deriv_terms(A, onemA).sum(axis=0)
+            lp2 = self._deriv_prime_terms(A, onemA).sum(axis=0)
             with np.errstate(over="ignore"):
-                out[away] = np.exp(self.log_P_many(za)) * (lp**2 + lp2)
+                out[away] = np.exp(lam.sum(axis=0)) * (lp**2 + lp2)
         for m in np.where(at_node)[0]:
             k = int(np.argmin(np.abs(self._zn - zb[m])))
             out[m] = self.P_second_at_node(k)
@@ -405,7 +405,7 @@ def prime_counting_criteria_check(cp: CanonicalProduct, gf: GrowthFunction) -> P
     seq = cp.sequence
     psi_vals = np.asarray(gf.psi(1.0 / (1.0 - seq.moduli)), dtype=float)
     conc = _counting_N_at_nodes(seq, 0.5)
-    one_minus = _one_minus_at_nodes(seq)
+    one_minus = 1.0 - seq.moduli
     # n_{z_k}(r_k) for every k from the rows |z_j - z_k|, as counting_n forms them
     d = np.abs(seq.values[None, :] - seq.values[:, None])
     counts = np.count_nonzero(d <= 0.5 * one_minus[:, None], axis=1).astype(float)

@@ -45,6 +45,24 @@ def spiral_sequence(n: int = 200, depth: float = 1e-4) -> DiscSequence:
                              * np.exp(1j * math.pi * (3.0 - math.sqrt(5.0)) * np.arange(n))))
 
 
+def abs_split_sequence(n: int = 60) -> DiscSequence:
+    """Random nodes with close pairs; on some, np.abs and scalar abs differ in the last bit.
+
+    Scalar abs is libm hypot, while numpy's complex abs rounds on its own, so
+    a node's modulus depends on which one a loop reads.  The package reads
+    ``moduli`` (np.abs) everywhere, and the oracles below must too.
+    """
+    rng = np.random.default_rng(25)
+    pts: list[complex] = []
+    while len(pts) < n:
+        z = rng.uniform(0.3, 0.95) * np.exp(2j * np.pi * rng.uniform())
+        if all(abs(z - w) > 0.002 for w in pts):
+            pts.append(complex(z))
+    seq = DiscSequence(pts)
+    assert any(abs(complex(z)) != m for z, m in zip(seq.values, seq.moduli))
+    return seq
+
+
 def factors_all_cells(cp, z):
     """``cp._factors(z)`` with log(1 - A) taken on every cell, then read on the big ones."""
     A, onemA, D = cp._geometry(z)

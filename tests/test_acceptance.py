@@ -105,13 +105,13 @@ def test_criterion_3_derivative_closed_form(bank):
     for seq, gf, targets, interp in bank:
         cp = interp.product
         thetas = 2 * np.pi * np.arange(512) / 512
-        for k, p in enumerate(seq):
+        for k, (zk, m) in enumerate(zip(seq.values, seq.moduli)):
             closed = cp.P_prime_at_node(k)
-            h = 1e-6 * (1 - p.modulus)
-            fd = (cp.P(p.value + h) - cp.P(p.value - h)) / (2 * h)
+            h = 1e-6 * (1 - m)
+            fd = (cp.P(zk + h) - cp.P(zk - h)) / (2 * h)
             worst_fd = max(worst_fd, abs(fd - closed) / abs(closed))
-            r = (1 - p.modulus) / 4
-            ring = p.value + r * np.exp(1j * thetas)
+            r = (1 - m) / 4
+            ring = zk + r * np.exp(1j * thetas)
             cauchy = complex(np.mean(cp.P(ring) * np.exp(-1j * thetas)) / r)
             worst_cauchy = max(worst_cauchy, abs(cauchy - closed) / abs(closed))
     ok = worst_fd < 1e-5 and worst_cauchy < 1e-8

@@ -21,6 +21,8 @@ from discinterp.counting import (
 from discinterp.geometry import DiscSequence, pseudo_dist
 from discinterp.growth import GrowthFunction
 
+from helpers import abs_split_sequence
+
 
 def random_sequence(rng, n, r_lo=0.2, r_hi=0.9, min_gap=0.02):
     pts = []
@@ -124,11 +126,11 @@ class TestKorenblum:
         seq = random_sequence(rng, 60, r_lo=0.3, r_hi=0.95, min_gap=0.002)
         v = seq.values
         sums = np.zeros(len(seq))
-        for k, p in enumerate(seq):
-            d = np.abs(v - p.value)
-            close = (d > 0) & (d < delta * (1.0 - p.modulus))
+        for k in range(len(seq)):
+            d = np.abs(v - v[k])
+            close = (d > 0) & (d < delta * (1.0 - seq.moduli[k]))
             if close.any():
-                sums[k] = -np.sum(np.log(d[close] / np.abs(1.0 - np.conj(p.value) * v[close])))
+                sums[k] = -np.sum(np.log(d[close] / np.abs(1.0 - np.conj(v[k]) * v[close])))
         assert max(np.count_nonzero(np.abs(v - z) < delta * (1 - abs(z))) for z in v) > 9
         psi = np.asarray(GF.psi(1.0 / (1.0 - seq.moduli)), dtype=float)
         assert check_korenblum_sum(seq, GF, delta).values == tuple(sums / psi)
@@ -139,13 +141,14 @@ class TestKorenblum:
         rep = check_korenblum_sum(seq, GF)
         best = 0.0
         witness = 0
-        for k, p in enumerate(seq):
+        v, m = seq.values, seq.moduli
+        for k in range(len(seq)):
             total = 0.0
-            for j, q in enumerate(seq):
-                gap = abs(q.value - p.value)
-                if j != k and 0 < gap < 0.5 * (1 - p.modulus):
-                    total += math.log(1.0 / pseudo_dist(p.value, q.value))
-            c = total / float(GF.psi(1 / (1 - p.modulus)))
+            for j in range(len(seq)):
+                gap = abs(v[j] - v[k])
+                if j != k and 0 < gap < 0.5 * (1 - m[k]):
+                    total += math.log(1.0 / pseudo_dist(v[k], v[j]))
+            c = total / float(GF.psi(1 / (1 - m[k])))
             if c > best:
                 best, witness = c, k
         assert rep.best_constant == pytest.approx(best, rel=1e-12)
@@ -222,10 +225,11 @@ class TestComparisonAndSandwich:
         rng = np.random.default_rng(31)
         for seq in (random_sequence(rng, 40, min_gap=0.004),
                     sharpness_sequence(1.0, 5).to_disc_sequence()):
+            v, m = seq.values, seq.moduli
             excess = [
-                math.log(abs(1 - q.value.conjugate() * p.value) / (1 - p.modulus))
-                for p in seq for q in seq
-                if 0 < abs(q.value - p.value) <= delta * (1 - p.modulus)
+                math.log(abs(1 - v[j].conjugate() * v[k]) / (1 - m[k]))
+                for k in range(len(seq)) for j in range(len(seq))
+                if 0 < abs(v[j] - v[k]) <= delta * (1 - m[k])
             ]
             rep = sigma_log_comparison(seq, delta)
             assert rep.pair_count == len(excess) > 0
@@ -283,11 +287,60 @@ class TestSharpnessSequenceConditions:
         assert rep.lower_ok and rep.upper_ok
 
 
+class TestOneModulus:
+    """Every per-node radius is delta (1 - seq.moduli[k]), to the last bit."""
+
+    @pytest.mark.parametrize("delta", [0.5, 0.9])
+    def test_N_sums_equal_the_loop_on_moduli(self, delta):
+        seq = abs_split_sequence()
+        v = seq.values
+        sums = np.zeros(len(seq))
+        for k in range(len(seq)):
+            r = delta * (1.0 - seq.moduli[k])
+            d = np.sort(np.abs(v - v[k]))[1:]
+            sums[k] = np.sum(np.log(r / d[d <= r]))
+        psi = np.asarray(GF.psi(1.0 / (1.0 - seq.moduli)), dtype=float)
+        assert np.count_nonzero(sums) > len(seq) // 2
+        assert check_concentration(seq, GF, delta).values == tuple(sums / psi)
+
+    def test_a_neighbour_on_the_korenblum_radius_is_not_close(self):
+        # the neighbour sits exactly at delta (1 - np.abs(z_k)), which the
+        # strict korenblum mask excludes; abs(z_k) is an ulp smaller here
+        zk = -0.5481736768171097 + 0.28941791760788355j
+        r = 0.5 * (1.0 - np.abs(np.array([zk]))[0])
+        seq = DiscSequence([zk, zk + r])
+        assert abs(zk) < seq.moduli[0]
+        assert np.abs(seq.values[1] - seq.values[0]) == r
+        assert check_korenblum_sum(seq, GF).values[0] == 0.0
+
+    def test_sandwich_equals_the_loop_on_moduli(self):
+        seq = abs_split_sequence()
+        rng = np.random.default_rng(32)
+        grid = 0.92 * np.sqrt(rng.uniform(size=32)) * np.exp(2j * np.pi * rng.uniform(size=32))
+        points = np.concatenate([seq.values, grid])
+        moduli = np.concatenate([seq.moduli, np.abs(grid)])
+        worst, nums, dens = -math.inf, [], []
+        for z, m in zip(points, moduli):
+            lower = max(counting_n(seq, z, 0.25 * (1.0 - m)) - 1, 0) * math.log(2.0)
+            worst = max(worst, lower - counting_N(seq, z, 0.5 * (1.0 - m)))
+            nums.append(float(counting_n(seq, z, 0.5 * (1.0 - m))))
+            dens.append(float(GF.psi(1.0 / (1.0 - m))))
+        rep = counting_sandwich_check(seq, GF, z_points=grid)
+        assert rep.n_bound.values == tuple(np.array(nums) / np.array(dens))
+        assert rep.max_lower_violation == worst
+
+    def test_sandwich_rejects_points_off_the_disc(self):
+        seq = DiscSequence([0.5])
+        for z in (1.0, 1.5j, complex(math.nan, 0.0)):
+            with pytest.raises(CountingError):
+                counting_sandwich_check(seq, GF, z_points=[0.1, z])
+
+
 class TestCrossChecks:
     def test_carleson_below_exp_of_minus_korenblum_witness(self):
         rng = np.random.default_rng(29)
         seq = random_sequence(rng, 20, min_gap=0.01)
         rep = check_korenblum_sum(seq, GF)
         witness_sum = rep.best_constant * float(GF.psi(
-            1 / (1 - seq[rep.witness_index].modulus)))
+            1 / (1 - seq.moduli[rep.witness_index])))
         assert carleson_delta(seq) <= math.exp(-witness_sum) + 1e-12

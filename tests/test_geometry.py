@@ -112,12 +112,41 @@ class TestDiscSequence:
         with pytest.raises(GeometryError):
             DiscSequence([0.5, 1.2])
 
+    def test_modulus_one_in_np_abs_rejected(self):
+        # scalar abs (libm hypot) rounds this node to 0.9999999999999999, but
+        # np.abs, the modulus every consumer reads, gives exactly 1.0
+        z = -0.8416209805657928 + 0.5400686299642603j
+        assert np.abs(np.array([z]))[0] == 1.0
+        with pytest.raises(GeometryError, match="not inside the open unit disc"):
+            DiscSequence([z, 0.3])
+
+    def test_nan_rejected(self):
+        with pytest.raises(GeometryError, match="not inside the open unit disc"):
+            DiscSequence([0.5, complex(math.nan, 0.0)])
+
+    def test_checks_run_in_order(self):
+        # outside the disc before too close to the origin before duplicates
+        with pytest.raises(GeometryError, match="not inside"):
+            DiscSequence([0.5, 0.5, 1e-12, 1.5])
+        with pytest.raises(GeometryError, match=r"node 2 at \(1e-12\+0j\) is too close"):
+            DiscSequence([0.5, 0.5, 1e-12])
+        with pytest.raises(GeometryError, match="nodes 0 and 1 coincide"):
+            DiscSequence([0.5, 0.5])
+
+    def test_moduli_are_np_abs_and_read_only(self):
+        vals = np.array([0.5, -0.25j, 0.1 + 0.1j, -0.8416209805657928 + 0.5j])
+        seq = DiscSequence(vals)
+        assert np.array_equal(seq.moduli, np.abs(vals))
+        with pytest.raises(ValueError):
+            seq.moduli[0] = 0.1
+        assert vals.flags.writeable
+
     def test_indices_are_stable(self):
         vals = [0.5, -0.25j, 0.1 + 0.1j]
         seq = DiscSequence(vals)
         assert len(seq) == 3
         for k, v in enumerate(vals):
-            assert seq[k].value == complex(v)
+            assert seq.values[k] == complex(v)
         assert seq.moduli.min() == pytest.approx(abs(0.1 + 0.1j))
 
     def test_empty_sequence_allowed(self):

@@ -216,6 +216,17 @@ class TestRunScenario:
         assert capsys.readouterr().out.startswith("config error: ")
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("task", ["check", "interpolate", "oscillate", "growth-curve"])
+    def test_node_of_modulus_one_in_np_abs_is_config_error(self, tmp_path, capsys, task):
+        # abs(z) = 0.9999999999999999 but np.abs(z) = 1.0: the node is on the circle
+        z = -0.8416209805657928 + 0.5400686299642603j
+        cfg = {"task": task, "sequence": [[z.real, z.imag], [0.3, 0.0]],
+               "growth": {"family": "power", "param": 1.0}}
+        out = str(tmp_path / "o")
+        assert run_scenario(cfg, out) == EXIT_CONFIG
+        assert capsys.readouterr().out.startswith("config error: ")
+        assert not os.path.exists(out)
+
     def test_missing_targets_are_random_admissible_with_constant_one(self, tmp_path):
         base = {k: v for k, v in BASE_INTERP.items() if k != "targets"}
         default, explicit = tmp_path / "default", tmp_path / "explicit"

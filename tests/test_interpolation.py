@@ -40,8 +40,8 @@ def spiral_ladders():
 
 def oracle_select_error(ladder, seq):
     """The message select_exponents must raise, from full scans, or None."""
-    for p in seq:
-        log_t = -math.log1p(-p.modulus)
+    for m in seq.moduli:
+        log_t = -math.log1p(-m)
         b = int(np.searchsorted(ladder.log_kappas, log_t, side="right")) - 1
         top, best = scan_max_term(ladder, log_t)
         at_b = ladder.log_coeffs[b] + b * log_t
@@ -93,8 +93,8 @@ class TestSelectExponents:
         seq = DiscSequence([0.3, 0.6, 0.85, 0.93])
         ladder = ladder_for_sequence(GF1, 8.0, seq)
         s = select_exponents(ladder, seq)
-        for k, p in enumerate(seq):
-            _, best = scan_max_term(ladder, -math.log1p(-p.modulus))
+        for k in range(len(seq)):
+            _, best = scan_max_term(ladder, -math.log1p(-seq.moduli[k]))
             assert s[k] == best
 
     def test_monotone_in_modulus(self):
@@ -355,8 +355,8 @@ class TestNearNodeEvaluation:
         targets = np.array([1.5, -2.0 + 1j, 3j, 0.7])
         f = build_interpolant(seq, targets, gf, C0=2.0)
         for k in (0, 2):
-            zk = seq[k].value
-            z = zk + 1e-9 * (1 - seq[k].modulus)
+            zk = seq.values[k]
+            z = zk + 1e-9 * (1 - seq.moduli[k])
             ours = f.eval_many(z)
             oracle = self._mp_eval(seq, gf.genus, f.exponents, targets, mpmath.mpc(z))
             assert ours == pytest.approx(oracle, rel=1e-8)
@@ -368,10 +368,10 @@ class TestNearNodeEvaluation:
         # moderate C0 keeps the exponents, hence the local slope, small
         f = build_interpolant(seq, targets, GF1, C0=2.0)
         k = 1
-        zk, bk = seq[k].value, targets[k]
+        zk, bk = seq.values[k], targets[k]
         errs = []
         for expo in (4, 6, 9):
-            z = zk + 10.0**(-expo) * (1 - seq[k].modulus)
+            z = zk + 10.0**(-expo) * (1 - seq.moduli[k])
             errs.append(abs(f.eval_many(z) - bk) / (1 + abs(bk)))
         assert errs[-1] < 1e-6
         assert errs[-1] <= errs[0] + 1e-12
@@ -417,9 +417,9 @@ class TestTermDecayChain:
         for z in 0.95 * np.sqrt(rng.uniform(size=30)) * np.exp(
                 2j * np.pi * rng.uniform(size=30)):
             (mu_z,), _ = ladder.log_max_terms([math.log(2.0) - math.log1p(-abs(z))])
-            for k, p in enumerate(seq):
-                (mu_n,), _ = ladder.log_max_terms([-math.log1p(-p.modulus)])
-                a_abs = abs((1 - p.modulus**2) / (1 - np.conj(p.value) * z))
+            for k, (zn, m) in enumerate(zip(seq.values, seq.moduli)):
+                (mu_n,), _ = ladder.log_max_terms([-math.log1p(-m)])
+                a_abs = abs((1 - m**2) / (1 - np.conj(zn) * z))
                 assert f.exponents[k] * math.log(a_abs) <= mu_z - mu_n + 1e-9
 
     def test_full_term_bound(self):
@@ -436,10 +436,10 @@ class TestTermDecayChain:
         for i, z in enumerate(zs):
             (mu_z,), _ = ladder.log_max_terms([math.log(2.0) - math.log1p(-abs(z))])
             full_sum = float(cp.factor_abs_power_sum(z))
-            for k, p in enumerate(seq):
-                a_abs = abs((1 - p.modulus**2) / (1 - np.conj(p.value) * z))
+            for k, (zn, m) in enumerate(zip(seq.values, seq.moduli)):
+                a_abs = abs((1 - m**2) / (1 - np.conj(zn) * z))
                 rest = full_sum - a_abs ** (s + 1)
-                (mu_n,), _ = ladder.log_max_terms([-math.log1p(-p.modulus)])
+                (mu_n,), _ = ladder.log_max_terms([-math.log1p(-m)])
                 bound = (
                     math.log(abs(targets[k]))
                     + 2.0 ** (s + 2) * rest

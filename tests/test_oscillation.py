@@ -27,7 +27,7 @@ from discinterp.oscillation import (
 )
 from discinterp.products import CanonicalProduct
 
-from helpers import lattice_instance
+from helpers import abs_split_sequence, lattice_instance
 
 GF1 = GrowthFunction.power(1.0)
 
@@ -39,8 +39,8 @@ OSCILLATE_POINTS_SHA256 = "0262ba505f6f78806a86f399b19e8d349da0f2d325a91face1c3e
 
 def cauchy_ratio_targets(cp, k, n_points=1024):
     """Contour oracle for -P''(z_k) / (2 P'(z_k))."""
-    zk = cp.sequence[k].value
-    r = (1 - cp.sequence[k].modulus) / 4
+    zk = cp.sequence.values[k]
+    r = (1 - cp.sequence.moduli[k]) / 4
     thetas = 2 * np.pi * np.arange(n_points) / n_points
     ring = zk + r * np.exp(1j * thetas)
     vals = cp.P(ring)
@@ -104,8 +104,8 @@ class TestBuildCoefficient:
     def test_f_vanishes_exactly_on_nodes(self):
         seq, _ = lattice_instance(seed=63, gf=GF1, max_points=12)
         sol = build_coefficient(seq, GF1, C0=2.0)
-        for p in seq:
-            assert np.isneginf(sol.product.log_P_many(p.value).real)
+        for zk in seq.values:
+            assert np.isneginf(sol.product.log_P_many(zk).real)
 
     def test_argument_principle_counts(self):
         seq, _ = lattice_instance(seed=64, gf=GF1, max_points=12)
@@ -127,8 +127,8 @@ class TestBuildCoefficient:
         sol = build_coefficient(seq, GF1, C0=2.0)
         thetas = np.exp(2j * np.pi * np.arange(64) / 64)
         for k in (0, len(seq) - 1):
-            zk = seq[k].value
-            gap = 1 - abs(zk)
+            zk = seq.values[k]
+            gap = 1 - seq.moduli[k]
             maxima = []
             for frac in (1e-1, 1e-2, 1e-3, 1e-4):
                 ring = zk + frac * gap * thetas
@@ -281,14 +281,20 @@ class TestWindingRule:
             one = sol.zero_count_circle(complex(zk), float(radii[k]), 1024)
             assert abs(counts[k] - one) <= 1e-10
 
-    def test_radii_match_the_per_node_rule(self):
-        sol, _ = shipped_oscillate()
+    @staticmethod
+    def assert_per_node_rule(sol):
         nodes, exps = sol.sequence.values, sol.gprime.exponents
         radii = sol._winding_radii()
         for k, zk in enumerate(nodes):
             gap = np.min(np.abs(np.delete(nodes, k) - zk))
-            one_minus = 1.0 - abs(zk)
+            one_minus = 1.0 - sol.sequence.moduli[k]
             assert radii[k] == 0.4 * min(gap, one_minus, 5.0 * one_minus / (1.0 + exps[k]))
+
+    def test_radii_match_the_per_node_rule(self):
+        self.assert_per_node_rule(shipped_oscillate()[0])
+
+    def test_radii_follow_moduli_where_abs_rounds_differently(self):
+        self.assert_per_node_rule(build_coefficient(abs_split_sequence(12), GF1, C0=2.0))
 
     def test_doubling_stops_at_convergence_or_the_cap(self, eval_widths):
         # nodes at 0.8 and 0.85 sit 1/0.875 and 1/0.9875 radii from the two

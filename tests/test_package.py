@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +49,13 @@ def test_package_imports_only_names_in_all(name):
     imported = init_imports().get(name, [])
     assert [n for n in imported if n not in getattr(module, "__all__", ())] == []
 
+
+
+def test_harness_import_does_not_load_scipy():
+    # only psi_tilde of exp_log_power needs scipy, and it imports it on use
+    src = str(Path(discinterp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, discinterp.harness; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

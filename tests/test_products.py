@@ -38,8 +38,8 @@ def random_sequence(rng, n, r_lo=0.2, r_hi=0.9, min_gap=0.02):
 
 def naive_product(seq, z, s):
     out = 1.0 + 0j
-    for p in seq:
-        w = (1 - p.modulus**2) / (1 - np.conj(p.value) * z)
+    for zn, m in zip(seq.values, seq.moduli):
+        w = (1 - m**2) / (1 - np.conj(zn) * z)
         q = sum(w**j / j for j in range(1, s + 1))
         out *= (1 - w) * cmath.exp(q)
     return out
@@ -47,8 +47,8 @@ def naive_product(seq, z, s):
 
 def cauchy_derivative(cp, k, order, n_points=512):
     """Contour-quadrature oracle for P'(z_k) or P''(z_k)."""
-    zk = cp.sequence[k].value
-    r = (1 - cp.sequence[k].modulus) / 4
+    zk = cp.sequence.values[k]
+    r = (1 - cp.sequence.moduli[k]) / 4
     thetas = 2 * np.pi * np.arange(n_points) / n_points
     ring = zk + r * np.exp(1j * thetas)
     vals = cp.P(ring)
@@ -346,9 +346,9 @@ class TestLogP:
         rng = np.random.default_rng(34)
         seq = random_sequence(rng, 8)
         cp = CanonicalProduct(seq, 1)
-        for p in seq:
-            assert abs(cp.P(p.value + 1e-14)) < 1e-12
-            off = p.value + 1e-6 * (1 - p.modulus)
+        for zk, m in zip(seq.values, seq.moduli):
+            assert abs(cp.P(zk + 1e-14)) < 1e-12
+            off = zk + 1e-6 * (1 - m)
             assert np.isfinite(cp.log_P_many(off).real)
 
     def test_genus_validation(self):
@@ -414,9 +414,9 @@ class TestPrimeAtNode:
         rng = np.random.default_rng(37)
         seq = random_sequence(rng, 12)
         cp = CanonicalProduct(seq, 2)
-        for k, p in enumerate(seq):
-            h = 1e-6 * (1 - p.modulus)
-            fd = (cp.P(p.value + h) - cp.P(p.value - h)) / (2 * h)
+        for k, (zk, m) in enumerate(zip(seq.values, seq.moduli)):
+            h = 1e-6 * (1 - m)
+            fd = (cp.P(zk + h) - cp.P(zk - h)) / (2 * h)
             assert cp.P_prime_at_node(k) == pytest.approx(fd, rel=1e-5)
 
     def test_matches_richardson_slope(self):
@@ -424,9 +424,9 @@ class TestPrimeAtNode:
         rng = np.random.default_rng(38)
         seq = random_sequence(rng, 8)
         cp = CanonicalProduct(seq, 1)
-        for k, p in enumerate(seq):
-            h0 = 1e-3 * (1 - p.modulus)
-            slopes = [cp.P(p.value + h0 / 2**i) / (h0 / 2**i) for i in range(4)]
+        for k, (zk, m) in enumerate(zip(seq.values, seq.moduli)):
+            h0 = 1e-3 * (1 - m)
+            slopes = [cp.P(zk + h0 / 2**i) / (h0 / 2**i) for i in range(4)]
             table = list(slopes)
             for j in range(1, 4):
                 table = [(2**j * table[i + 1] - table[i]) / (2**j - 1)
@@ -457,9 +457,9 @@ class TestLogDeriv:
         rng = np.random.default_rng(40)
         seq = random_sequence(rng, 6)
         cp = CanonicalProduct(seq, 1)
-        zk = seq[2].value
+        zk = seq.values[2]
         for ang in (0, np.pi / 2, np.pi, 3 * np.pi / 2):
-            d = 1e-7 * (1 - abs(zk)) * np.exp(1j * ang)
+            d = 1e-7 * (1 - seq.moduli[2]) * np.exp(1j * ang)
             val = d * cp.log_deriv_P_many(zk + d)
             assert val == pytest.approx(1.0, abs=1e-5)
 
@@ -497,6 +497,16 @@ class TestPSecond:
             assert out[m] == cp.P_second_at_node(k)
         # the off-node entries are those of a batch of the off-node points alone
         assert (out[[0, 2]] == cp.P_second_many(z[[0, 2]])).all()
+
+    def test_one_factor_pass_per_call(self, monkeypatch):
+        cp = CanonicalProduct(DiscSequence([0.5, 0.3 + 0.4j, -0.6j, 0.7]), 2)
+        calls = []
+        geometry = CanonicalProduct._geometry
+        monkeypatch.setattr(CanonicalProduct, "_geometry",
+                            lambda self, z: calls.append(len(z)) or geometry(self, z))
+        cp.P_second_many(np.array([0.1, 0.3 + 0.4j, -0.2 + 0.1j, 0.7, 0.5]))
+        cp.P_second_many(-0.2 + 0.1j)
+        assert calls == [2, 1]
 
     def test_node_value_matches_cauchy(self):
         rng = np.random.default_rng(42)
@@ -583,10 +593,10 @@ class TestPrimeCountingCriteria:
         cp = CanonicalProduct(seq, gf.genus)
         rep = prime_counting_criteria_check(cp, gf)
         psi = np.asarray(gf.psi(1.0 / (1.0 - seq.moduli)), dtype=float)
-        counts = np.array([counting_n(seq, p.value, 0.5 * (1.0 - p.modulus)) for p in seq],
-                          dtype=float)
-        ln_prime = np.array([abs(math.log(1.0 - p.modulus) + cp.log_P_prime_nodes[k].real)
-                             for k, p in enumerate(seq)])
+        counts = np.array([counting_n(seq, seq.values[k], 0.5 * (1.0 - seq.moduli[k]))
+                           for k in range(len(seq))], dtype=float)
+        ln_prime = np.array([abs(math.log(1.0 - seq.moduli[k]) + cp.log_P_prime_nodes[k].real)
+                             for k in range(len(seq))])
         assert counts.max() > 1
         assert rep.count_constant == float((counts / psi).max())
         assert rep.ln_prime_constant == float((ln_prime / psi).max())
