@@ -49,14 +49,7 @@ class ConditionReport:
 
     best_constant: float
     witness_index: int
-    holds_with: Optional[float] = None
-    values: tuple = field(default=(), repr=False)
-
-    @property
-    def holds(self) -> Optional[bool]:
-        if self.holds_with is None:
-            return None
-        return self.best_constant <= self.holds_with
+    values: tuple = field(repr=False)
 
 
 def counting_n(seq: DiscSequence, z: complex, t: float) -> int:
@@ -116,26 +109,25 @@ def _korenblum_sums(seq: DiscSequence, delta: float) -> np.ndarray:
     return sums
 
 
-def _best_constant(numerators: np.ndarray, denominators: np.ndarray,
-                   constant: Optional[float]) -> ConditionReport:
+def _best_constant(numerators: np.ndarray, denominators: np.ndarray) -> ConditionReport:
     ratios = numerators / denominators
     k = int(np.argmax(ratios))
-    return ConditionReport(float(ratios[k]), k, constant, tuple(ratios))
+    return ConditionReport(float(ratios[k]), k, tuple(ratios))
 
 
-def check_concentration(seq: DiscSequence, gf: GrowthFunction, delta: float = 0.5,
-                        constant: Optional[float] = None) -> ConditionReport:
+def check_concentration(seq: DiscSequence, gf: GrowthFunction,
+                        delta: float = 0.5) -> ConditionReport:
     """Best C in N_{z_k}(delta (1 - |z_k|)) <= C psi(1 / (1 - |z_k|))."""
     if not 0 < delta < 1:
         raise CountingError("delta must lie in (0, 1)")
     if len(seq) == 0:
         raise CountingError("concentration check needs a nonempty sequence")
     nums = _counting_N_at_nodes(seq, delta)
-    return _best_constant(nums, _psi_at_nodes(seq, gf), constant)
+    return _best_constant(nums, _psi_at_nodes(seq, gf))
 
 
-def check_korenblum_sum(seq: DiscSequence, gf: GrowthFunction, delta: float = 0.5,
-                        constant: Optional[float] = None) -> ConditionReport:
+def check_korenblum_sum(seq: DiscSequence, gf: GrowthFunction,
+                        delta: float = 0.5) -> ConditionReport:
     """Best C in the pseudohyperbolic log-sum over close pairs <= C psi.
 
     For each node k the sum runs over 0 < |z_j - z_k| < delta (1 - |z_k|)
@@ -146,7 +138,7 @@ def check_korenblum_sum(seq: DiscSequence, gf: GrowthFunction, delta: float = 0.
     if len(seq) == 0:
         raise CountingError("korenblum check needs a nonempty sequence")
     nums = _korenblum_sums(seq, delta)
-    return _best_constant(nums, _psi_at_nodes(seq, gf), constant)
+    return _best_constant(nums, _psi_at_nodes(seq, gf))
 
 
 def _log_sigma_matrix(seq: DiscSequence) -> np.ndarray:
@@ -211,15 +203,16 @@ def sigma_log_comparison(seq: DiscSequence, delta: float = 0.5) -> SigmaComparis
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Joint report for the concentration and korenblum-sum constants.
+    """Pointwise comparison of the concentration and korenblum-sum numerators.
 
+    ``lower_ok`` says N_k(delta) never exceeds the korenblum sum at node k.
     ``pointwise_max`` is the per-node maximum of the korenblum sum divided
     by its proven affine bound N_k(delta) + c N_k(alpha delta), with
-    c = (ln(1/delta) + ln(2+delta)) / ln(alpha); it never exceeds 1.
+    c = (ln(1/delta) + ln(2+delta)) / ln(alpha); it never exceeds 1.  The
+    two best constants are those of ``check_concentration`` and
+    ``check_korenblum_sum``.
     """
 
-    C_concentration: float
-    C_korenblum: float
     pointwise_max: float
     lower_ok: bool
 
@@ -228,8 +221,8 @@ class EquivalenceReport:
         return self.pointwise_max <= 1.0 + 1e-12
 
 
-def concentration_korenblum_comparison(seq: DiscSequence, gf: GrowthFunction,
-                                       delta: float = 0.5, alpha: float = 2.0) -> EquivalenceReport:
+def concentration_korenblum_comparison(seq: DiscSequence, delta: float = 0.5,
+                                       alpha: float = 2.0) -> EquivalenceReport:
     """Two-sided comparison of the concentration and korenblum-sum conditions.
 
     Direction one: every node satisfies N_k(delta (1-|z_k|)) <= korenblum sum,
@@ -242,23 +235,15 @@ def concentration_korenblum_comparison(seq: DiscSequence, gf: GrowthFunction,
         raise CountingError("need 0 < delta < 1 < alpha with alpha * delta <= 1")
     if len(seq) == 0:
         raise CountingError("comparison needs a nonempty sequence")
-    psi_vals = _psi_at_nodes(seq, gf)
     factor = (math.log(1.0 / delta) + math.log(2.0 + delta)) / math.log(alpha)
     kore = _korenblum_sums(seq, delta)
     n_small = _counting_N_at_nodes(seq, delta)
     n_large = _counting_N_at_nodes(seq, alpha * delta)
-    c_small = float((n_small / psi_vals).max())
-    c_kore = float((kore / psi_vals).max())
     lower_ok = bool(np.all(n_small <= kore + 1e-12))
     bound = n_small + factor * n_large
     with np.errstate(invalid="ignore", divide="ignore"):
         point = np.where(kore > 0, kore / np.maximum(bound, 1e-300), 0.0)
-    return EquivalenceReport(
-        C_concentration=c_small,
-        C_korenblum=c_kore,
-        pointwise_max=float(point.max()),
-        lower_ok=lower_ok,
-    )
+    return EquivalenceReport(pointwise_max=float(point.max()), lower_ok=lower_ok)
 
 
 @dataclass(frozen=True)
@@ -297,7 +282,7 @@ def counting_sandwich_check(seq: DiscSequence, gf: GrowthFunction,
         worst = max(worst, lower - mid)
         nums.append(float(counting_n(seq, z, 0.5 * om)))
     dens = np.asarray(gf.psi(1.0 / one_minus), dtype=float)
-    report = _best_constant(np.asarray(nums), dens, None)
+    report = _best_constant(np.asarray(nums), dens)
     return SandwichReport(
         n_bound=report,
         max_lower_violation=float(worst),

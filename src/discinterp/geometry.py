@@ -94,6 +94,6 @@ def pseudo_dist(z: complex, w: complex) -> float:
     """Pseudohyperbolic distance |z - w| / |1 - conj(z) w| in [0, 1)."""
     zv, wv = complex(z), complex(w)
     for v in (zv, wv):
-        if not abs(v) < 1.0:
+        if not np.abs(v) < 1.0:
             raise GeometryError(f"point {v} is not inside the open unit disc")
     return abs(zv - wv) / abs(1.0 - zv.conjugate() * wv)

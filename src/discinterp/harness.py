@@ -137,13 +137,13 @@ class Scenario:
     task: str
     sequence_spec: dict
     growth_spec: dict
-    targets_spec: Optional[dict] = None
-    C0: float = 8.0
-    seed: int = 0
-    r_grid: tuple = (0.5, 0.9, 0.99, 0.999)
-    theta_count: int = 256
-    residual_samples: int = 200
-    eps0: Optional[float] = None
+    targets_spec: Optional[dict]
+    C0: float
+    seed: int
+    r_grid: tuple
+    theta_count: int
+    residual_samples: int
+    eps0: Optional[float]
 
     @classmethod
     def from_dict(cls, data: dict, task: Optional[str] = None) -> "Scenario":
@@ -294,7 +294,7 @@ def _task_check(scn: Scenario, seq: DiscSequence, gf: GrowthFunction, out: dict)
         sep = separation(seq)
         rows.append(["separation", _fmt(sep), ""])
         constants["separation"] = sep
-    comp = concentration_korenblum_comparison(seq, gf)
+    comp = concentration_korenblum_comparison(seq)
     rows.append(["korenblum_vs_concentration", _fmt(comp.pointwise_max), ""])
     constants["comparison_pointwise_max"] = comp.pointwise_max
     constants["comparison_lower_ok"] = comp.lower_ok

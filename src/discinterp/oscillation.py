@@ -35,7 +35,7 @@ from .interpolation import (
     _ring_growth_table,
     build_interpolant,
 )
-from .products import CanonicalProduct, logsumexp_complex
+from .products import CanonicalProduct, IndexCancellationReport, logsumexp_complex
 
 __all__ = [
     "OscillationError",
@@ -49,7 +49,6 @@ __all__ = [
     "sharpness_counting_check",
     "WitnessReport",
     "sharpness_growth_witness",
-    "IndexCancellationLogReport",
 ]
 
 LN2 = math.log(2.0)
@@ -323,17 +322,6 @@ class WitnessReport:
     crossing_index: Optional[int]
 
 
-@dataclass(frozen=True)
-class IndexCancellationLogReport:
-    lhs: tuple
-    rhs: tuple
-    ratios: tuple
-
-    @property
-    def constant(self) -> float:
-        return max(self.ratios) if self.ratios else 0.0
-
-
 class SharpnessSequence:
     """Paired dyadic sequence z = 1 - 2^-n and its eps_n-shifted twin.
 
@@ -427,7 +415,8 @@ class SharpnessSequence:
 
     # -- log-space product diagnostics ---------------------------------------
 
-    def index_cancellation_log_report(self, genus: int, delta: float = 0.5) -> IndexCancellationLogReport:
+    def index_cancellation_log_report(self, genus: int,
+                                      delta: float = 0.5) -> IndexCancellationReport:
         """|ln|B_k| + N_k| against sum |A_n|^(s+1), with exact gap logs.
 
         The log-factor kernel takes ln(1 - A) from the exact gap logs, so the
@@ -452,8 +441,9 @@ class SharpnessSequence:
         N = np.array([self.counting_N_log(k, delta) for k in range(len(self))])
         lhs = np.abs(ln_E.sum(axis=0) + N)
         rhs = (np.abs(A) ** (genus + 1)).sum(axis=0)
-        return IndexCancellationLogReport(
-            lhs=tuple(lhs.tolist()), rhs=tuple(rhs.tolist()), ratios=tuple((lhs / rhs).tolist()))
+        ratios = lhs / rhs
+        return IndexCancellationReport(tuple(lhs.tolist()), tuple(rhs.tolist()),
+                                       tuple(ratios.tolist()), float(ratios.max(initial=0.0)))
 
     def growth_witness(self, eps0: float) -> WitnessReport:
         """Crossing of the forced ln|g'(z_2n)| >= 2^(n rho) - ln 5 lower bound.

@@ -388,35 +388,29 @@ def index_cancellation_check(cp: CanonicalProduct, delta: float = 0.5) -> IndexC
 
 @dataclass(frozen=True)
 class PrimeCountingReport:
-    """Joint best constants for the counting and node-derivative conditions."""
+    """Best constant for the node-derivative condition of the interpolation theorem.
 
-    concentration_constant: float
-    count_constant: float
+    The two counting conditions it is tied to have their own checks:
+    ``counting.check_concentration`` for the N-bound and
+    ``counting.counting_sandwich_check`` (its ``n_bound``) for the count bound.
+    """
+
     ln_prime_constant: float
     class_R_member: bool
 
 
 def prime_counting_criteria_check(cp: CanonicalProduct, gf: GrowthFunction) -> PrimeCountingReport:
-    """Best constants for the N-bound, the count bound and |ln((1-|z_k|)|P'(z_k)|)|.
+    """Best C in |ln((1-|z_k|)|P'(z_k)|)| <= C psi(1/(1-|z_k|)) over the nodes.
 
     For growth functions outside the regular class the joint equivalence is
     not claimed; the report flags that case instead of raising.
     """
-    seq = cp.sequence
-    psi_vals = np.asarray(gf.psi(1.0 / (1.0 - seq.moduli)), dtype=float)
-    conc = _counting_N_at_nodes(seq, 0.5)
-    one_minus = 1.0 - seq.moduli
-    # n_{z_k}(r_k) for every k from the rows |z_j - z_k|, as counting_n forms them
-    d = np.abs(seq.values[None, :] - seq.values[:, None])
-    counts = np.count_nonzero(d <= 0.5 * one_minus[:, None], axis=1).astype(float)
+    one_minus = 1.0 - cp.sequence.moduli
+    psi_vals = np.asarray(gf.psi(1.0 / one_minus), dtype=float)
     # math.log per node keeps ln_prime_bound on libm's rounding; np.log can differ in the last bit
     ln_prime = np.abs(np.array([math.log(om) for om in one_minus.tolist()])
                       + cp.log_P_prime_nodes.real)
-    def best(v: np.ndarray) -> float:
-        return float((v / psi_vals).max(initial=0.0))
     return PrimeCountingReport(
-        concentration_constant=best(conc),
-        count_constant=best(counts),
-        ln_prime_constant=best(ln_prime),
+        ln_prime_constant=float((ln_prime / psi_vals).max(initial=0.0)),
         class_R_member=gf.family == "power",
     )

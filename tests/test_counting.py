@@ -105,8 +105,7 @@ class TestConcentration:
     def test_holds_with(self):
         rng = np.random.default_rng(23)
         seq = random_sequence(rng, 10)
-        rep = check_concentration(seq, GF, constant=1e6)
-        assert rep.holds is True
+        rep = check_concentration(seq, GF)
         assert rep.witness_index in range(len(seq))
 
 
@@ -194,19 +193,16 @@ class TestCarlesonAndSeparation:
 
 class TestComparisonAndSandwich:
     def test_singleton_comparison(self):
-        rep = concentration_korenblum_comparison(DiscSequence([0.5]), GF)
-        assert rep.C_concentration == 0.0
-        assert rep.C_korenblum == 0.0
+        rep = concentration_korenblum_comparison(DiscSequence([0.5]))
         assert rep.lower_ok and rep.upper_ok
 
     def test_per_term_and_affine_bounds(self):
         rng = np.random.default_rng(26)
         for trial in range(5):
             seq = random_sequence(rng, 25, min_gap=0.005)
-            rep = concentration_korenblum_comparison(seq, GF)
+            rep = concentration_korenblum_comparison(seq)
             assert rep.lower_ok
             assert rep.upper_ok
-            assert rep.C_concentration <= rep.C_korenblum + 1e-12
 
     def test_sigma_log_comparison_bounds(self):
         rng = np.random.default_rng(27)
@@ -281,9 +277,8 @@ class TestSharpnessSequenceConditions:
         from discinterp.oscillation import sharpness_sequence
 
         seq = sharpness_sequence(1.0, 5).to_disc_sequence()
-        rep = concentration_korenblum_comparison(seq, GrowthFunction.power(1.0))
-        assert math.isfinite(rep.C_concentration)
-        assert math.isfinite(rep.C_korenblum)
+        rep = concentration_korenblum_comparison(seq)
+        assert math.isfinite(rep.pointwise_max)
         assert rep.lower_ok and rep.upper_ok
 
 

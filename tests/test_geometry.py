@@ -56,6 +56,14 @@ class TestPseudoDist:
         with pytest.raises(GeometryError):
             pseudo_dist(1.0, 0.5)
 
+    def test_rejects_a_point_whose_np_abs_is_one(self):
+        # scalar abs gives 0.9999999999999999 here, np.abs (as DiscSequence reads it) 1.0
+        z = complex(-0.8416209805657928, 0.5400686299642603)
+        with pytest.raises(GeometryError):
+            pseudo_dist(z, 0.3)
+        with pytest.raises(GeometryError):
+            pseudo_dist(0.3, z)
+
 
 class TestMobiusFactor:
     """A_n(z) as every canonical product forms it, in ``CanonicalProduct._geometry``."""

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from discinterp import harness
+from discinterp import counting, harness
 from discinterp.cli import main as cli_main
 from discinterp.counting import carleson_delta
 from discinterp.geometry import DiscSequence
@@ -20,6 +20,9 @@ from discinterp.harness import (
     generate_targets,
     run_scenario,
 )
+
+
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
 
 
 def write_config(tmp_path, name, data):
@@ -153,6 +156,19 @@ class TestRunScenario:
         assert "korenblum_sum,0,0" in rows
         assert "korenblum_vs_concentration,0," in rows
         assert len(calls) == 1
+
+    def test_check_task_counting_calls(self, tmp_path, monkeypatch):
+        # check_concentration N, the comparison 2N (radii delta and alpha delta),
+        # the sandwich N + 32 (the nodes and its 32-point grid)
+        calls = []
+        counting_N = counting.counting_N
+        monkeypatch.setattr(counting, "counting_N", lambda *a: calls.append(a) or counting_N(*a))
+        path = os.path.join(CONFIG_DIR, "check.json")
+        with open(path) as fh:
+            data = json.load(fh)
+        seq = generate_sequence(data["sequence"], data["seed"])
+        assert run_scenario(path, str(tmp_path / "out")) == EXIT_OK
+        assert len(calls) == 4 * len(seq) + 32
 
     def test_malformed_json_is_config_error(self, tmp_path):
         path = tmp_path / "bad.json"

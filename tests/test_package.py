@@ -50,6 +50,21 @@ def test_package_imports_only_names_in_all(name):
     assert [n for n in imported if n not in getattr(module, "__all__", ())] == []
 
 
+def test_public_defaulted_parameter_count():
+    # defaulted parameters of public functions and methods (and __init__);
+    # a change that adds or removes a knob updates this pin
+    def public(name):
+        return not name.startswith("_") or name == "__init__"
+
+    count = 0
+    for path in Path(discinterp.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        classes = [n for n in tree.body if isinstance(n, ast.ClassDef)]
+        for fn in tree.body + [m for c in classes for m in c.body]:
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and public(fn.name):
+                count += len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
+    assert count == 26
+
 
 def test_harness_import_does_not_load_scipy():
     # only psi_tilde of exp_log_power needs scipy, and it imports it on use

@@ -8,7 +8,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from discinterp.counting import check_concentration, counting_n
+from discinterp import counting
+from discinterp.counting import counting_n, counting_sandwich_check
 from discinterp.geometry import DiscSequence
 from discinterp.growth import GrowthFunction
 from discinterp.products import (
@@ -573,18 +574,7 @@ class TestPrimeCountingCriteria:
         gf = GrowthFunction.power(1.0)
         cp = CanonicalProduct(seq, gf.genus)
         rep = prime_counting_criteria_check(cp, gf)
-        assert math.isfinite(rep.concentration_constant)
-        assert math.isfinite(rep.count_constant)
         assert math.isfinite(rep.ln_prime_constant)
-
-    def test_concentration_matches_counting_module(self):
-        rng = np.random.default_rng(44)
-        seq = random_sequence(rng, 15)
-        gf = GrowthFunction.power(1.0)
-        cp = CanonicalProduct(seq, gf.genus)
-        rep = prime_counting_criteria_check(cp, gf)
-        assert rep.concentration_constant == pytest.approx(
-            check_concentration(seq, gf).best_constant, rel=1e-13)
 
     def test_counts_and_ln_prime_match_the_per_node_loop(self):
         rng = np.random.default_rng(45)
@@ -598,8 +588,18 @@ class TestPrimeCountingCriteria:
         ln_prime = np.array([abs(math.log(1.0 - seq.moduli[k]) + cp.log_P_prime_nodes[k].real)
                              for k in range(len(seq))])
         assert counts.max() > 1
-        assert rep.count_constant == float((counts / psi).max())
+        # the node-only count bound is the sandwich's n_bound
+        assert counting_sandwich_check(seq, gf).n_bound.best_constant == float((counts / psi).max())
         assert rep.ln_prime_constant == float((ln_prime / psi).max())
+
+    def test_makes_no_counting_call(self, monkeypatch):
+        calls = []
+        counting_N = counting.counting_N
+        monkeypatch.setattr(counting, "counting_N", lambda *a: calls.append(a) or counting_N(*a))
+        seq = random_sequence(np.random.default_rng(44), 15)
+        gf = GrowthFunction.power(1.0)
+        prime_counting_criteria_check(CanonicalProduct(seq, gf.genus), gf)
+        assert calls == []
 
     @pytest.mark.parametrize("gf, member", [
         (GrowthFunction.power(1.0), True),
