@@ -1,10 +1,6 @@
 """Constructive free interpolation and ODE oscillation in the unit disc."""
 
-from .geometry import (
-    DiscSequence,
-    GeometryError,
-    pseudo_dist,
-)
+from .geometry import DiscSequence, GeometryError
 from .growth import GrowthError, GrowthFunction
 from .counting import (
     ConditionReport,
@@ -22,9 +18,7 @@ from .counting import (
 from .products import (
     CanonicalProduct,
     ProductsError,
-    index_cancellation_check,
     prime_counting_criteria_check,
-    weierstrass_E,
 )
 from .interpolation import (
     CoefficientLadder,

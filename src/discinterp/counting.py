@@ -151,12 +151,9 @@ def _log_sigma_matrix(seq: DiscSequence) -> np.ndarray:
 
 
 def carleson_delta(seq: DiscSequence) -> float:
-    """inf over k of the product of sigma(z_j, z_k), j != k, via log sums."""
-    if len(seq) <= 1:
-        return 1.0
-    log_sigma = _log_sigma_matrix(seq)
-    sums = log_sigma.sum(axis=0)
-    return float(np.exp(sums.min()))
+    """inf over k of the product of sigma(z_j, z_k), j != k, via log sums; 1 for N <= 1."""
+    sums = _log_sigma_matrix(seq).sum(axis=0)
+    return float(np.exp(sums.min(initial=0.0)))
 
 
 def separation(seq: DiscSequence) -> float:

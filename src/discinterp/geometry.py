@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "GeometryError",
     "DiscSequence",
-    "pseudo_dist",
     "MIN_NODE_MODULUS",
     "DUPLICATE_TOL",
 ]
@@ -88,12 +87,3 @@ class DiscSequence:
 
     def __repr__(self) -> str:
         return f"DiscSequence({list(self._values)!r})"
-
-
-def pseudo_dist(z: complex, w: complex) -> float:
-    """Pseudohyperbolic distance |z - w| / |1 - conj(z) w| in [0, 1)."""
-    zv, wv = complex(z), complex(w)
-    for v in (zv, wv):
-        if not np.abs(v) < 1.0:
-            raise GeometryError(f"point {v} is not inside the open unit disc")
-    return abs(zv - wv) / abs(1.0 - zv.conjugate() * wv)

@@ -201,17 +201,6 @@ class OscillationSolution:
         dg[:, 2::-1] = -np.cumsum(pieces[:, 2::-1], axis=1)
         return log_P[:pts.size].reshape(pts.shape), dg
 
-    def zero_count_circle(self, center: complex, radius: float,
-                          n_points: int = 1024) -> float:
-        """Argument-principle zero count of f inside a circle.
-
-        Integrates f'/f = P'/P + h by the n_points trapezoid rule; e^g
-        contributes nothing.  Returns the raw (un-rounded) count so callers
-        can check quadrature quality.
-        """
-        thetas = 2.0 * math.pi * np.arange(n_points) / n_points
-        return float(self._circle_terms(np.array([center]), np.array([radius]), thetas).mean().real)
-
     def zero_counts(self) -> np.ndarray:
         """Winding number of f around each node on a safe private circle.
 

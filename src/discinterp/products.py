@@ -36,19 +36,15 @@ from typing import Callable
 
 import numpy as np
 
-from .counting import _counting_N_at_nodes
 from .geometry import DiscSequence
 from .growth import GrowthFunction
 
 __all__ = [
     "ProductsError",
     "logsumexp_complex",
-    "weierstrass_E",
-    "log_weierstrass_E",
     "CanonicalProduct",
     "TsujiReport",
     "IndexCancellationReport",
-    "index_cancellation_check",
     "PrimeCountingReport",
     "prime_counting_criteria_check",
 ]
@@ -90,19 +86,6 @@ def logsumexp_complex(lams: np.ndarray) -> np.ndarray:
     return out[0] if squeeze else out
 
 
-def weierstrass_E(w: complex, s: int) -> complex:
-    """Genus-s primary factor (1 - w) exp(w + w^2/2 + ... + w^s/s)."""
-    if s < 0:
-        raise ProductsError("genus must be nonnegative")
-    w = complex(w)
-    q = 0.0 + 0.0j
-    wj = 1.0 + 0.0j
-    for j in range(1, s + 1):
-        wj *= w
-        q += wj / j
-    return (1.0 - w) * np.exp(q) if s else (1.0 - w)
-
-
 def _poly_q(A: np.ndarray, s: int) -> np.ndarray:
     """w + w^2/2 + ... + w^s/s, vectorized."""
     q = np.zeros_like(A)
@@ -111,16 +94,6 @@ def _poly_q(A: np.ndarray, s: int) -> np.ndarray:
         wj = wj * A
         q = q + wj / j
     return q
-
-
-def log_weierstrass_E(w: complex, s: int) -> complex:
-    """Complex log of the primary factor, stable for small and near-1 w.
-
-    The real part is -inf exactly where the factor vanishes (w = 1).
-    """
-    A = np.asarray([w], dtype=complex)
-    onemA = 1.0 - A
-    return complex(_log_E(A, lambda big: _log_one_minus(onemA[big]), s)[0])
 
 
 def _log_one_minus(one_minus_A: np.ndarray) -> np.ndarray:
@@ -341,17 +314,22 @@ class CanonicalProduct:
         out = (np.abs(A) ** (self.genus + 1)).sum(axis=0)
         return float(out[0]) if scalar else out
 
-    def tsuji_bound_check(self, z: complex) -> "TsujiReport":
-        """log|P(z)| against the universal factor-sum bound 2^(s+2) sum |A_n|^(s+1)."""
-        lhs = float(self.log_P_many(z).real)
+    def tsuji_bound_check(self, z) -> "TsujiReport":
+        """log|P| against the universal factor-sum bound 2^(s+2) sum |A_n|^(s+1) at a batch."""
+        lhs = self.log_P_many(z).real
         rhs = 2.0 ** (self.genus + 2) * self.factor_abs_power_sum(z)
-        return TsujiReport(lhs=lhs, rhs=float(rhs), holds=lhs <= rhs + 1e-9)
+        return TsujiReport(lhs=lhs, rhs=rhs, holds=bool(np.all(lhs <= rhs + 1e-9)))
 
 
 @dataclass(frozen=True)
 class TsujiReport:
-    lhs: float
-    rhs: float
+    """Both sides of the Tsuji bound at each point (scalars for a scalar point).
+
+    ``holds`` is whether the bound holds at every point.
+    """
+
+    lhs: np.ndarray
+    rhs: np.ndarray
     holds: bool
 
 
@@ -367,23 +345,6 @@ class IndexCancellationReport:
     @property
     def finite(self) -> bool:
         return all(math.isfinite(v) for v in self.ratios)
-
-
-def index_cancellation_check(cp: CanonicalProduct, delta: float = 0.5) -> IndexCancellationReport:
-    """|ln|B_k(z_k)| + N_{z_k}(delta (1-|z_k|))| against sum |A_n(z_k)|^(s+1).
-
-    The individually huge terms cancel; the residual stays comparable to the
-    factor sum.  The constant is reported, not asserted against a theoretical
-    value (none is explicit).
-    """
-    if not 0 < delta < 1:
-        raise ProductsError("delta must lie in (0, 1)")
-    seq = cp.sequence
-    lhs = np.abs(cp.log_B_nodes.real + _counting_N_at_nodes(seq, delta))
-    rhs = cp.factor_abs_power_sum(seq.values)
-    ratios = lhs / rhs
-    return IndexCancellationReport(tuple(lhs.tolist()), tuple(rhs.tolist()),
-                                   tuple(ratios.tolist()), float(ratios.max(initial=0.0)))
 
 
 @dataclass(frozen=True)

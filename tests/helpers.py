@@ -1,14 +1,21 @@
-"""Shared instance builders for the test suite."""
+"""Shared instance builders and scalar reference oracles for the test suite."""
 
 import math
 
 import numpy as np
 from scipy.integrate import quad
 
-from discinterp.geometry import DiscSequence
+from discinterp.counting import counting_N
+from discinterp.geometry import DiscSequence, GeometryError
 from discinterp.growth import GrowthFunction
 from discinterp.harness import generate_sequence, generate_targets
-from discinterp.products import _log_E, _log_one_minus, _poly_q
+from discinterp.products import (
+    IndexCancellationReport,
+    ProductsError,
+    _log_E,
+    _log_one_minus,
+    _poly_q,
+)
 
 FAMILY_CYCLE = (
     GrowthFunction.power(0.5),
@@ -132,3 +139,55 @@ def acceptance_instances():
         )
         bank.append((seq, gf, targets))
     return bank
+
+
+# -- scalar reference oracles ---------------------------------------------------
+
+
+def pseudo_dist(z: complex, w: complex) -> float:
+    """Pseudohyperbolic distance |z - w| / |1 - conj(z) w| in [0, 1)."""
+    zv, wv = complex(z), complex(w)
+    for v in (zv, wv):
+        if not np.abs(v) < 1.0:
+            raise GeometryError(f"point {v} is not inside the open unit disc")
+    return abs(zv - wv) / abs(1.0 - zv.conjugate() * wv)
+
+
+def weierstrass_E(w: complex, s: int) -> complex:
+    """Genus-s primary factor (1 - w) exp(w + w^2/2 + ... + w^s/s)."""
+    if s < 0:
+        raise ProductsError("genus must be nonnegative")
+    w = complex(w)
+    q = 0.0 + 0.0j
+    wj = 1.0 + 0.0j
+    for j in range(1, s + 1):
+        wj *= w
+        q += wj / j
+    return (1.0 - w) * np.exp(q) if s else (1.0 - w)
+
+
+def index_cancellation_check(cp, delta: float = 0.5) -> IndexCancellationReport:
+    """|ln|B_k(z_k)| + N_{z_k}(delta (1-|z_k|))| against sum |A_n(z_k)|^(s+1), in doubles.
+
+    The individually huge terms cancel; the residual stays comparable to the
+    factor sum.  The counts come from one ``counting_N`` call per node.
+    """
+    seq = cp.sequence
+    counts = np.array([counting_N(seq, z, delta * (1.0 - m))
+                       for z, m in zip(seq.values, seq.moduli)])
+    lhs = np.abs(cp.log_B_nodes.real + counts)
+    rhs = cp.factor_abs_power_sum(seq.values)
+    ratios = lhs / rhs
+    return IndexCancellationReport(tuple(lhs.tolist()), tuple(rhs.tolist()),
+                                   tuple(ratios.tolist()), float(ratios.max(initial=0.0)))
+
+
+def zero_count_circle(sol, center: complex, radius: float, n_points: int) -> float:
+    """Argument-principle zero count of f = P e^g inside a circle, un-rounded.
+
+    The n_points trapezoid rule on (P'/P + h)(z - c), from one call each of
+    ``log_deriv_P_many`` and ``eval_many``; e^g contributes nothing.
+    """
+    ring = center + radius * np.exp(2j * math.pi * np.arange(n_points) / n_points)
+    w = sol.product.log_deriv_P_many(ring) + sol.gprime.eval_many(ring)
+    return float((w * (ring - center)).mean().real)

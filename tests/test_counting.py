@@ -18,10 +18,10 @@ from discinterp.counting import (
     separation,
     sigma_log_comparison,
 )
-from discinterp.geometry import DiscSequence, pseudo_dist
+from discinterp.geometry import DiscSequence
 from discinterp.growth import GrowthFunction
 
-from helpers import abs_split_sequence
+from helpers import abs_split_sequence, pseudo_dist
 
 
 def random_sequence(rng, n, r_lo=0.2, r_hi=0.9, min_gap=0.02):
@@ -157,6 +157,7 @@ class TestKorenblum:
 class TestCarlesonAndSeparation:
     def test_singleton_product(self):
         assert carleson_delta(DiscSequence([0.5])) == 1.0
+        assert carleson_delta(DiscSequence([])) == 1.0
 
     def test_two_points(self):
         seq = DiscSequence([0.5, 0.75])

@@ -6,13 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from discinterp.geometry import (
-    DUPLICATE_TOL,
-    DiscSequence,
-    GeometryError,
-    pseudo_dist,
-)
+from discinterp.geometry import DUPLICATE_TOL, DiscSequence, GeometryError
 from discinterp.products import CanonicalProduct
+
+from helpers import pseudo_dist
 
 
 def random_disc_points(rng, n, r_max=0.999):

@@ -63,7 +63,32 @@ def test_public_defaulted_parameter_count():
         for fn in tree.body + [m for c in classes for m in c.body]:
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and public(fn.name):
                 count += len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
-    assert count == 26
+    assert count == 24
+
+
+def test_module_graph():
+    # each module's relative imports, read from its source: products needs
+    # only geometry and growth, and counting serves only harness and the package
+    graph = {}
+    for path in Path(discinterp.__file__).parent.glob("*.py"):
+        deps = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                deps |= {node.module} if node.module else {a.name for a in node.names}
+        graph[path.stem] = sorted(deps)
+    assert graph == {
+        "__init__": ["counting", "geometry", "growth", "harness", "interpolation",
+                     "oscillation", "products"],
+        "cli": ["harness"],
+        "counting": ["geometry", "growth"],
+        "geometry": [],
+        "growth": [],
+        "harness": ["counting", "geometry", "growth", "interpolation", "oscillation",
+                    "products"],
+        "interpolation": ["geometry", "growth", "products"],
+        "oscillation": ["geometry", "growth", "interpolation", "products"],
+        "products": ["geometry", "growth"],
+    }
 
 
 def test_harness_import_does_not_load_scipy():

@@ -15,17 +15,20 @@ from discinterp.growth import GrowthFunction
 from discinterp.products import (
     CanonicalProduct,
     ProductsError,
-    index_cancellation_check,
-    log_weierstrass_E,
     logsumexp_complex,
     prime_counting_criteria_check,
-    weierstrass_E,
     _log_E,
     _log_one_minus,
 )
 from discinterp.oscillation import sharpness_sequence
 
-from helpers import factors_all_cells, log_E_batch_degree, spiral_sequence
+from helpers import (
+    factors_all_cells,
+    index_cancellation_check,
+    log_E_batch_degree,
+    spiral_sequence,
+    weierstrass_E,
+)
 
 
 def random_sequence(rng, n, r_lo=0.2, r_hi=0.9, min_gap=0.02):
@@ -120,8 +123,9 @@ class TestWeierstrassE:
         for w in (0.001, 0.4j, -1.5 + 0.2j, 0.95, 1 + 1e-8j):
             for s in (0, 1, 3):
                 direct = weierstrass_E(w, s)
-                assert np.exp(log_weierstrass_E(w, s)) == pytest.approx(
-                    complex(direct), rel=1e-12, abs=1e-300)
+                A = np.array([w], dtype=complex)
+                lam = _log_E(A, lambda big: _log_one_minus(1.0 - A[big]), s)[0]
+                assert np.exp(lam) == pytest.approx(complex(direct), rel=1e-12, abs=1e-300)
 
 
 def mp_log_E(A, s, one_minus_A=None):
@@ -207,7 +211,8 @@ class TestLogEKernel:
         # 1 - A = 0 is a zero of E, and a NaN 1 - A is an exact log zero
         assert list(np.isneginf(lam.real)) == [True, False, True, False, True]
         assert np.all(np.isfinite(lam[[1, 3]]))
-        assert np.isneginf(log_weierstrass_E(1.0, s).real)
+        one = np.array([1.0 + 0j])
+        assert np.isneginf(_log_E(one, lambda big: _log_one_minus(1.0 - one[big]), s)[0].real)
 
 
 class TestLazyLogOneMinus:
@@ -390,6 +395,8 @@ class TestTsuji:
             lhs = cp.log_P_many(zs).real
             rhs = 2.0 ** (cp.genus + 2) * cp.factor_abs_power_sum(zs)
             assert np.all(lhs <= rhs + 1e-9)
+            rep = cp.tsuji_bound_check(zs)
+            assert rep.holds and np.array_equal(rep.lhs, lhs) and np.array_equal(rep.rhs, rhs)
 
     def test_subproduct_monotonicity(self):
         rng = np.random.default_rng(36)
