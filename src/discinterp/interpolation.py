@@ -62,13 +62,15 @@ class LadderError(ValueError):
     """The coefficient ladder cannot be built or is too short."""
 
 
-# hard cap on ladder length: beyond this the conjugate arrays stop fitting
-# in memory; reachable only for fast growth with nodes hugging the boundary
-MAX_LADDER_LENGTH = 5_000_000
+# rounding margin of the ladder windows relative to their scale, 2^-47 = 64 eps
+_MARGIN = 2.0 ** -47
 
-# cells per block of the pruned maximal-term scan; any value gives the same
-# results, it only moves time between the block bounds and the scan
-_BLOCK = 256
+# cells per block of a window scan; any value gives the same results
+_CHUNK = 1 << 16
+
+# most cells one scan reads (about a second of scanning): past it the margin
+# spans too many increments to resolve a bucket
+_WINDOW_CELLS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -97,110 +99,146 @@ class TargetData:
 
 @dataclass(frozen=True)
 class CoefficientLadder:
-    """Log-concave coefficient ladder with its ratio sequence.
+    """Log-concave coefficient ladder ln phi_n = -v(n), 0 <= n <= n_max, held implicitly.
 
-    ``log_coeffs[n]`` is ln phi_n; ``log_kappas[n]`` is ln(phi_{n-1}/phi_n)
-    with a -inf sentinel at n = 0.  Log-concavity of the coefficients is
-    enforced exactly, so the kappa sequence is nondecreasing.  The maximal
-    term is found by an exact scan that reads only the blocks of ``_BLOCK``
-    cells able to reach the term at the kappa bucket (``log_max_terms``).
+    v(n) = n u_n - C0 psi_tilde(C0 e^{u_n}) is the Young conjugate at its
+    maximizer u_n, formed elementwise where a query needs it, so no value
+    depends on its batch.  v is convex with increments delta_n = ln kappa_n
+    in [u_{n-1}, u_n]; t = e^L falls in bucket b = (first n with
+    delta_n > L) - 1, as the running maximum of the increments gives, and the
+    maximal term ln mu(t) = max_n (ln phi_n + n L) sits there.
+
+    *Margin.*  With x = log C0 + u_n and the nondecreasing scale
+    S(n) = x (n + C0 psi(C0 e^{u_n})) + C0 psi_tilde(C0 e^{u_n}), the computed
+    v(n) is within K eps S(n) of v(n), eps = 2^-53: the rounded x moves n u by
+    2 eps n x against its psi_tilde, psi_tilde adds eps x C0 psi for its
+    argument and k eps C0 psi_tilde for its k ulps, three roundings add
+    2 eps (n u + C0 psi_tilde), and the error of u_n counts in second order.
+    K = max(4, k + 2) is 4 for power and log_power (one expm1 or pow); for
+    exp_log_power it rests on hyp1f1, which the tests measure against mpmath.
+    So a computed delta_j exceeds a later computed delta_m by at most
+    D = (4 K + 2) eps S(n_max), a term ln phi_n + n L is rounded by at most
+    R = eps (S(n_max) + 3 n_max |L|), and E = 2^-47 (S(n_max) + n_max |L|)
+    exceeds D + 2 R while K < 15.
+
+    *Windows.*  ``scan`` finds per t an edge p = 0 or with delta_p <= L - E,
+    and q = n_max + 1 or with delta_q >= L + E.  No delta_j with j <= p
+    exceeds L, delta_q does, and every term left of p (right of q - 1) is
+    more than 2 R below the one at p (at q - 1).  So the bucket and the
+    maximal term with its ties lie in [p, q - 1], and a scan of that window
+    equals a scan of the whole ladder bit for bit.
     """
 
     gf: GrowthFunction
     C0: float
-    log_coeffs: np.ndarray = field(repr=False)
-    log_kappas: np.ndarray = field(repr=False)
+    n_max: int
+    _scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for arr in (self.log_coeffs, self.log_kappas):
-            arr.flags.writeable = False
+        if not self.C0 >= 2:
+            raise LadderError(f"C0 must be at least 2, got {self.C0}")
+        if not 1 <= self.n_max < 2**53:
+            raise LadderError(f"ladder length {self.n_max} outside [1, 2^53), where float64 "
+                              "indices are exact; reduce C0 or keep nodes off the boundary")
+        n = float(self.n_max)
+        _, x, t2 = self._conjugate(np.array([n]))  # raises what any index would
+        slope = self.C0 * float(self.gf.psi_log(math.log(self.C0)))
+        object.__setattr__(self, "_scale", float(x[0] * (n + max(n, slope)) + t2[0]))
 
-    @property
-    def n_max(self) -> int:
-        return len(self.log_coeffs) - 1
+    def _conjugate(self, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(v(n), x, C0 psi_tilde(C0 e^{u_n})) at float indices n; u_n solves C0 psi(C0 e^u) = n."""
+        log_C0 = math.log(self.C0)
+        u = np.zeros(n.shape)
+        above = n > self.C0 * float(self.gf.psi_log(log_C0))
+        if above.any():
+            try:
+                u[above] = np.maximum(
+                    np.asarray(self.gf.psi_inverse_log(n[above] / self.C0)) - log_C0, 0.0
+                )
+            except GrowthError as exc:
+                raise LadderError(
+                    f"growth function too slow for n_max = {self.n_max}: {exc}"
+                ) from exc
+        if not np.all(np.isfinite(u)):
+            raise LadderError("unbounded conjugate: growth function too slow")
+        x = log_C0 + u
+        t2 = self.C0 * np.asarray(self.gf.psi_tilde_log(x), dtype=float)
+        return n * u - t2, x, t2
+
+    def _edges(self, bound: np.ndarray, start: np.ndarray, side: int) -> np.ndarray:
+        """Per t, the first k = start + side 2^j (j >= 1) that is a left (side -1) or right edge."""
+        edge = np.empty_like(start)
+        todo, step = np.arange(len(start)), 2
+        while todo.size:
+            k = np.clip(start[todo] + side * step, 0, self.n_max + 1)
+            done = (k == 0) | (k > self.n_max)
+            inner = np.flatnonzero(~done)
+            v = self._conjugate(np.concatenate((k[inner] - 1, k[inner])).astype(float))[0]
+            d, b = v[len(inner):] - v[:len(inner)], bound[todo[inner]]
+            done[inner] = d <= b if side < 0 else d >= b
+            edge[todo[done]] = k[done]
+            todo, step = todo[~done], 2 * step
+        return edge
+
+    def scan(self, log_t) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(bucket b, ln phi_b + b L, ln mu(t), its index) at each t = e^L, L = log_t.
+
+        Ties of the maximal term go to the larger index.  Windows are read in
+        blocks of ``_CHUNK`` cells, each with the cell before it.
+        """
+        L = np.atleast_1d(np.asarray(log_t, dtype=float))
+        if not np.all(np.isfinite(L)):
+            raise LadderError("log t must be finite")
+        N = self.n_max
+        E = _MARGIN * (self._scale + N * np.abs(L))
+        # u_n exceeds L from m0 on, so the first delta_n above L is at m0 or m0 + 1
+        with np.errstate(over="ignore"):
+            cross = self.C0 * np.asarray(self.gf.psi_log(math.log(self.C0) + np.maximum(L, 0.0)))
+        m0 = np.minimum(np.floor(cross), N).astype(np.int64) + 1
+        p, q = self._edges(L - E, m0, -1), self._edges(L + E, m0, 1)
+        lens = np.minimum(q, N) - p + 1
+        ends = np.cumsum(lens)
+        starts, total = ends - lens, int(lens.sum())
+        if total > _WINDOW_CELLS:
+            raise LadderError(
+                f"ladder increments near n = {m0[np.argmax(lens)]} are not resolved in double "
+                f"precision: their rounding margin spans more than {_WINDOW_CELLS} cells")
+        first = np.full(len(L), total)  # flat position of each window's first rise
+        best, best_at = np.full(len(L), -np.inf), np.zeros(len(L), dtype=np.int64)
+        for lo in range(0, total, _CHUNK):
+            pos = np.arange(max(lo - 1, 0), min(lo + _CHUNK, total))
+            w = np.searchsorted(ends, pos, side="right")
+            n = p[w] + (pos - starts[w])
+            v = self._conjugate(n.astype(float))[0]
+            rise = np.flatnonzero((w[1:] == w[:-1]) & (v[1:] - v[:-1] > L[w[1:]])) + 1
+            np.minimum.at(first, w[rise], pos[rise])
+            own = (pos >= lo) & (n < q[w])
+            w, pos, terms = w[own], pos[own], -v[own] + n[own] * L[w[own]]
+            np.maximum.at(best, w, terms)
+            tie = terms == best[w]
+            np.maximum.at(best_at, w[tie], pos[tie])
+        buckets = np.where(first < total, p + (first - starts) - 1, N)
+        bucket_terms = -self._conjugate(buckets.astype(float))[0] + buckets * L
+        return buckets, bucket_terms, best, p + (best_at - starts)
 
     def log_max_terms(self, log_t) -> tuple[np.ndarray, np.ndarray]:
-        """(ln mu(t), attaining index) at each t = exp(log_t), ties to the larger index.
-
-        ln mu(t) is the max of c_n + n log_t, taken over one slice per t.
-
-        Rounding is monotone, so with M the block maximum of c and e its last
-        (log_t >= 0) or first (log_t < 0) index, every c_n + n log_t of a block
-        is <= M + e log_t.  A block whose bound is below the term at the kappa
-        bucket holds neither the maximum nor a tie; the rest are scanned.
-        """
-        c = self.log_coeffs
-        log_t = np.asarray(log_t, dtype=float)
-        starts = np.arange(0, len(c), _BLOCK)
-        block_max = np.maximum.reduceat(c, starts)
-        ends = np.minimum(starts + _BLOCK, len(c)) - 1
-        buckets = np.searchsorted(self.log_kappas, log_t, side="right") - 1
-        refs = c[buckets] + buckets * log_t
-        values = np.empty(len(log_t))
-        indices = np.empty(len(log_t), dtype=int)
-        for i, (t, ref) in enumerate(zip(log_t.tolist(), refs.tolist())):
-            # a NaN bound (from NaN or inf in c or t) keeps its block, as in a full scan
-            kept = np.flatnonzero(~(block_max + (ends if t >= 0 else starts) * t < ref))
-            lo, hi = int(starts[kept[0]]), int(ends[kept[-1]]) + 1
-            arr = c[lo:hi] + np.arange(lo, hi) * t
-            idx = len(arr) - 1 - int(np.argmax(arr[::-1]))
-            values[i], indices[i] = arr[idx], lo + idx
-        return values, indices
+        """(ln mu(t), attaining index) at each t = exp(log_t), ties to the larger index."""
+        return self.scan(log_t)[2:]
 
 
 def build_ladder(gf: GrowthFunction, C0: float, n_max: int) -> CoefficientLadder:
-    """Ladder coefficients ln phi_n = -sup_{u >= 0} (n u - C0 psi_tilde(C0 e^u)).
-
-    The objective is concave in u with derivative n - C0 psi(C0 e^u), so the
-    supremum sits where the nondecreasing function C0 psi(C0 e^u) crosses n;
-    the crossing is inverted in closed form per family (log domain, so no
-    intermediate overflow).  Convexity of the conjugate is then enforced
-    exactly by a running-maximum pass over its increments.
-    """
-    if not C0 >= 2:
-        raise LadderError(f"C0 must be at least 2, got {C0}")
-    if n_max < 1:
-        raise LadderError("n_max must be at least 1")
-    if n_max > MAX_LADDER_LENGTH:
-        raise LadderError(
-            f"ladder length {n_max} exceeds {MAX_LADDER_LENGTH}; "
-            "reduce C0 or keep nodes further from the boundary"
-        )
-    n = np.arange(n_max + 1, dtype=float)
-    log_C0 = math.log(C0)
-    slope_at_zero = C0 * float(gf.psi_log(log_C0))
-    u = np.zeros(n_max + 1)
-    above = n > slope_at_zero
-    if above.any():
-        try:
-            u[above] = np.maximum(
-                np.asarray(gf.psi_inverse_log(n[above] / C0)) - log_C0, 0.0
-            )
-        except GrowthError as exc:
-            raise LadderError(
-                f"growth function too slow for n_max = {n_max}: {exc}"
-            ) from exc
-    if not np.all(np.isfinite(u)):
-        raise LadderError("unbounded conjugate: growth function too slow")
-    v_at_u = C0 * np.asarray(gf.psi_tilde_log(log_C0 + u), dtype=float)
-    v_star = n * u - v_at_u
-    # exact log-concavity: lift the increments to their running maximum
-    incr = np.maximum.accumulate(np.diff(v_star))
-    v_star = np.concatenate(([v_star[0]], v_star[0] + np.cumsum(incr)))
-    log_kappas = np.concatenate(([LOG_ZERO], incr))
-    return CoefficientLadder(gf=gf, C0=float(C0),
-                             log_coeffs=-v_star, log_kappas=log_kappas)
+    """The ladder ln phi_n = -sup_{u >= 0} (n u - C0 psi_tilde(C0 e^u)), 0 <= n <= n_max."""
+    return CoefficientLadder(gf=gf, C0=float(C0), n_max=int(n_max))
 
 
 def ladder_for_sequence(gf: GrowthFunction, C0: float, seq: DiscSequence) -> CoefficientLadder:
     """Smallest ladder whose last kappa exceeds twice the largest 1/(1-|z_k|)."""
-    if len(seq) == 0:
-        return build_ladder(gf, C0, 1)
-    target_log = math.log(2.0) - math.log1p(-float(seq.moduli.max()))
+    target_log = math.log(2.0) - math.log1p(-float(seq.moduli.max(initial=0.0)))
     n_max = max(8, int(C0 * float(gf.psi_log(math.log(C0) + target_log))) + 8)
     for _ in range(40):  # doublings of n_max
         ladder = build_ladder(gf, C0, n_max)
-        if ladder.log_kappas[-1] > target_log:
+        # kappa_{n_max}, the running maximum, exceeds the target where some delta_n does
+        if ladder.scan(target_log)[0][0] < n_max:
             return ladder
         n_max *= 2
     raise LadderError("kappa sequence grows too slowly to cover the node set")
@@ -210,20 +248,17 @@ def select_exponents(ladder: CoefficientLadder, seq: DiscSequence) -> np.ndarray
     """Exponent s_n per node from its kappa bucket, clamped to at least 1.
 
     Verifies that the maximal term at t = 1/(1 - |z_n|) is attained at the
-    bucket index (ties resolved to the larger index).  The maximal terms come
-    from one ``log_max_terms`` call, whose block-pruned scan is exact, so a
-    ladder that is not log-concave is caught as by a scan of the whole ladder
-    while a node costs about the blocks around its bucket, not n_max cells.
+    bucket index (ties resolved to the larger index).  ``scan`` reads each
+    node's window, which holds the maximum of the whole ladder and its ties,
+    so a ladder that is not log-concave there is caught as by a full scan.
     """
     log_t = -np.log1p(-seq.moduli)
-    buckets = np.searchsorted(ladder.log_kappas, log_t, side="right") - 1
+    buckets, bucket_terms, best_terms, best = ladder.scan(log_t)
     if np.any(buckets >= ladder.n_max):
         raise LadderError(
             "ladder too short for the node set: extend n_max beyond "
             f"{ladder.n_max}"
         )
-    best_terms, best = ladder.log_max_terms(log_t)
-    bucket_terms = ladder.log_coeffs[buckets] + buckets * log_t
     off = (best != buckets) & (
         best_terms - bucket_terms > 1e-9 * np.maximum(1.0, np.abs(bucket_terms)))
     if off.any():
@@ -425,10 +460,6 @@ def _ring_growth_table(log_many, gf: GrowthFunction, r_grid: Sequence[float],
 class MaxTermBoundRow:
     t: float
     log_mu: float
-    upper_literal: float
-    lower_literal: float
-    upper_scaled: float
-    lower_scaled: float
 
 
 @dataclass(frozen=True)
@@ -455,29 +486,16 @@ def max_term_bound_report(ladder: CoefficientLadder, t_grid: Sequence[float]) ->
     if not all(1.0 <= t < math.inf for t in ts):
         raise LadderError("t grid must lie in [1, inf)")
     log_mus, _ = ladder.log_max_terms([math.log(t) for t in ts])
-    rows = []
-    for t, log_mu in zip(ts, log_mus.tolist()):
-        base = float(gf.psi_tilde_log(math.log(C0 * t)))
-        half = float(gf.psi_tilde_log(math.log(C0 * t / 2.0)))
-        rows.append(MaxTermBoundRow(
-            t=t, log_mu=log_mu,
-            upper_literal=2.0 * base, lower_literal=0.25 * half,
-            upper_scaled=2.0 * C0 * base, lower_scaled=(C0 / 4.0) * half,
-        ))
+    base = np.array([float(gf.psi_tilde_log(math.log(C0 * t))) for t in ts])
+    half = np.array([float(gf.psi_tilde_log(math.log(C0 * t / 2.0))) for t in ts])
 
-    def first_threshold(upper_key: str, lower_key: str) -> Optional[float]:
-        ok = [
-            row.log_mu <= getattr(row, upper_key) + 1e-6
-            and row.log_mu >= getattr(row, lower_key) - 1e-6
-            for row in rows
-        ]
-        for i in range(len(rows)):
-            if all(ok[i:]):
-                return rows[i].t
-        return None
+    def first_threshold(upper: np.ndarray, lower: np.ndarray) -> Optional[float]:
+        bad = np.flatnonzero(~((log_mus <= upper + 1e-6) & (log_mus >= lower - 1e-6)))
+        start = int(bad[-1]) + 1 if bad.size else 0
+        return ts[start] if start < len(ts) else None
 
     return MaxTermBoundReport(
-        rows=tuple(rows),
-        t0_literal=first_threshold("upper_literal", "lower_literal"),
-        t0_scaled=first_threshold("upper_scaled", "lower_scaled"),
+        rows=tuple(MaxTermBoundRow(t, mu) for t, mu in zip(ts, log_mus.tolist())),
+        t0_literal=first_threshold(2.0 * base, 0.25 * half),
+        t0_scaled=first_threshold(2.0 * C0 * base, (C0 / 4.0) * half),
     )

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -156,10 +157,11 @@ class CanonicalProduct:
     """Canonical product over a node sequence with fixed genus.
 
     Immutable after construction.  Per-node data is cached once as read-only
-    complex-log arrays: ``log_B_nodes`` (reduced products B_k(z_k)),
-    ``logderiv_rest_nodes`` (B_k'(z_k)/B_k(z_k), a plain complex value) and
-    ``log_P_prime_nodes`` (node derivatives P'(z_k)).  Evaluation at distinct
-    points is pure and batched; a scalar point gives a scalar result.
+    complex-log arrays: ``log_B_nodes`` (reduced products B_k(z_k)) and
+    ``log_P_prime_nodes`` (node derivatives P'(z_k)).  ``logderiv_rest_nodes``
+    (B_k'(z_k)/B_k(z_k), a plain complex value) is formed on first read, since
+    only the ODE coefficient needs it.  Evaluation at distinct points is pure
+    and batched; a scalar point gives a scalar result.
     """
 
     def __init__(self, sequence: DiscSequence, genus: int):
@@ -174,13 +176,9 @@ class CanonicalProduct:
         # 1 - |z_n|^2 without cancellation near the boundary
         self._oms = (1.0 - sequence.moduli) * (1.0 + sequence.moduli)
 
-        lam, A, onemA, _ = self._factors(zn)
+        lam = self._factors(zn)[0]
         np.fill_diagonal(lam, 0.0)
         self.log_B_nodes = lam.sum(axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            T = self._deriv_terms(A, onemA)
-        np.fill_diagonal(T, 0.0)
-        self.logderiv_rest_nodes = T.sum(axis=0)
         self.log_P_prime_nodes = (
             self.log_B_nodes
             + self.harmonic
@@ -188,8 +186,19 @@ class CanonicalProduct:
             - np.log(self._oms.astype(complex))
             + 1j * math.pi
         )
-        for arr in (self.log_B_nodes, self.logderiv_rest_nodes, self.log_P_prime_nodes):
+        for arr in (self.log_B_nodes, self.log_P_prime_nodes):
             arr.flags.writeable = False
+
+    @cached_property
+    def logderiv_rest_nodes(self) -> np.ndarray:
+        """B_k'(z_k)/B_k(z_k) per node: the factor log derivatives at z_k less the k-th."""
+        A, onemA, _ = self._geometry(self._zn)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            T = self._deriv_terms(A, onemA)
+        np.fill_diagonal(T, 0.0)
+        out = T.sum(axis=0)
+        out.flags.writeable = False
+        return out
 
     # -- batched internals ---------------------------------------------------
 
@@ -315,10 +324,15 @@ class CanonicalProduct:
         return float(out[0]) if scalar else out
 
     def tsuji_bound_check(self, z) -> "TsujiReport":
-        """log|P| against the universal factor-sum bound 2^(s+2) sum |A_n|^(s+1) at a batch."""
-        lhs = self.log_P_many(z).real
-        rhs = 2.0 ** (self.genus + 2) * self.factor_abs_power_sum(z)
-        return TsujiReport(lhs=lhs, rhs=rhs, holds=bool(np.all(lhs <= rhs + 1e-9)))
+        """log|P| against the universal bound 2^(s+2) sum |A_n|^(s+1), from one factor pass."""
+        zb, scalar = self._as_batch(z)
+        lam, A, _, _ = self._factors(zb)
+        lhs = lam.sum(axis=0).real
+        rhs = 2.0 ** (self.genus + 2) * (np.abs(A) ** (self.genus + 1)).sum(axis=0)
+        holds = bool(np.all(lhs <= rhs + 1e-9))
+        if scalar:
+            lhs, rhs = float(lhs[0]), float(rhs[0])
+        return TsujiReport(lhs=lhs, rhs=rhs, holds=holds)
 
 
 @dataclass(frozen=True)

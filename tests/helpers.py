@@ -1,6 +1,7 @@
 """Shared instance builders and scalar reference oracles for the test suite."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -110,11 +111,87 @@ def psi_tilde_log_quad(beta: float, u) -> np.ndarray:
                      for ui in np.atleast_1d(np.asarray(u, dtype=float))])
 
 
-def scan_max_term(ladder, log_t: float) -> tuple[float, int]:
-    """(ln mu(t), attaining index) by a scan of the whole ladder, ties to the larger index."""
-    arr = ladder.log_coeffs + np.arange(len(ladder.log_coeffs)) * log_t
+def scan_max_term(log_coeffs: np.ndarray, log_t: float) -> tuple[float, int]:
+    """(ln mu(t), attaining index) by a scan of a whole ladder, ties to the larger index."""
+    arr = log_coeffs + np.arange(len(log_coeffs)) * log_t
     idx = len(arr) - 1 - int(np.argmax(arr[::-1]))
     return float(arr[idx]), idx
+
+
+# cells per block of the dense ladder's pruned maximal-term scan
+_BLOCK = 256
+
+
+@dataclass(frozen=True)
+class DenseLadder:
+    """The coefficient ladder stored densely up to n_max, the reference for the implicit one.
+
+    ``log_coeffs[n]`` is ln phi_n; ``log_kappas[n]`` is ln(phi_{n-1}/phi_n)
+    with a -inf sentinel at n = 0.  It has the ``scan`` and ``log_max_terms``
+    of ``CoefficientLadder``, so ``select_exponents`` runs on it too.
+    """
+
+    log_coeffs: np.ndarray
+    log_kappas: np.ndarray
+
+    @property
+    def n_max(self) -> int:
+        return len(self.log_coeffs) - 1
+
+    def scan(self, log_t):
+        log_t = np.atleast_1d(np.asarray(log_t, dtype=float))
+        buckets = np.searchsorted(self.log_kappas, log_t, side="right") - 1
+        return (buckets, self.log_coeffs[buckets] + buckets * log_t,
+                *self.log_max_terms(log_t))
+
+    def log_max_terms(self, log_t) -> tuple[np.ndarray, np.ndarray]:
+        """(ln mu(t), attaining index) at each t = exp(log_t), ties to the larger index.
+
+        Rounding is monotone, so with M the block maximum of c and e its last
+        (log_t >= 0) or first (log_t < 0) index, every c_n + n log_t of a block
+        is <= M + e log_t.  A block whose bound is below the term at the kappa
+        bucket holds neither the maximum nor a tie; the rest are scanned.
+        """
+        c = self.log_coeffs
+        log_t = np.asarray(log_t, dtype=float)
+        starts = np.arange(0, len(c), _BLOCK)
+        block_max = np.maximum.reduceat(c, starts)
+        ends = np.minimum(starts + _BLOCK, len(c)) - 1
+        buckets = np.searchsorted(self.log_kappas, log_t, side="right") - 1
+        refs = c[buckets] + buckets * log_t
+        values = np.empty(len(log_t))
+        indices = np.empty(len(log_t), dtype=int)
+        for i, (t, ref) in enumerate(zip(log_t.tolist(), refs.tolist())):
+            # a NaN bound (from NaN or inf in c or t) keeps its block, as in a full scan
+            kept = np.flatnonzero(~(block_max + (ends if t >= 0 else starts) * t < ref))
+            lo, hi = int(starts[kept[0]]), int(ends[kept[-1]]) + 1
+            arr = c[lo:hi] + np.arange(lo, hi) * t
+            idx = len(arr) - 1 - int(np.argmax(arr[::-1]))
+            values[i], indices[i] = arr[idx], lo + idx
+        return values, indices
+
+
+def raw_conjugate(gf: GrowthFunction, C0: float, n_max: int) -> np.ndarray:
+    """v(n) = sup_u (n u - C0 psi_tilde(C0 e^u)), n = 0..n_max, formed in one batch."""
+    n = np.arange(n_max + 1, dtype=float)
+    log_C0 = math.log(C0)
+    u = np.zeros(n_max + 1)
+    above = n > C0 * float(gf.psi_log(log_C0))
+    if above.any():
+        u[above] = np.maximum(np.asarray(gf.psi_inverse_log(n[above] / C0)) - log_C0, 0.0)
+    return n * u - C0 * np.asarray(gf.psi_tilde_log(log_C0 + u), dtype=float)
+
+
+def dense_ladder(gf: GrowthFunction, C0: float, n_max: int) -> DenseLadder:
+    """Every coefficient up to n_max: the raw conjugate lifted to exact log-concavity.
+
+    The increments of ``raw_conjugate`` are lifted to their running maximum
+    and summed back, so ``log_kappas`` is nondecreasing.
+    """
+    v_star = raw_conjugate(gf, C0, n_max)
+    incr = np.maximum.accumulate(np.diff(v_star))
+    v_star = np.concatenate(([v_star[0]], v_star[0] + np.cumsum(incr)))
+    return DenseLadder(log_coeffs=-v_star, log_kappas=np.concatenate(([-np.inf], incr)))
 
 
 def small_radial_instance(gf: GrowthFunction):

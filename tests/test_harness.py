@@ -12,6 +12,8 @@ from discinterp.cli import main as cli_main
 from discinterp.counting import carleson_delta
 from discinterp.geometry import DiscSequence
 from discinterp.growth import GrowthFunction
+from discinterp.oscillation import osc_targets
+from discinterp.products import CanonicalProduct
 from discinterp.harness import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -312,6 +314,19 @@ class TestRunScenario:
         assert run_scenario(cfg, out) == EXIT_OK
         constants = json.loads((tmp_path / "out" / "constants.json").read_text())
         assert constants["max_identity_error"] < 1e-8
+
+    def test_interpolate_never_forms_the_derivative_cache(self, tmp_path, monkeypatch):
+        # B_k'(z_k)/B_k(z_k) and its N x N pass are formed on first read, and
+        # only the oscillate targets read them
+        formed = []
+        cache = CanonicalProduct.__dict__["logderiv_rest_nodes"]
+        monkeypatch.setattr(CanonicalProduct, "logderiv_rest_nodes",
+                            property(lambda cp: formed.append(len(cp.sequence)) or cache.func(cp)))
+        path = os.path.join(CONFIG_DIR, "interpolate.json")
+        assert run_scenario(path, str(tmp_path / "i")) == EXIT_OK
+        assert formed == []
+        osc_targets(CanonicalProduct(DiscSequence([0.5, 0.3j]), 2))
+        assert formed == [2]
 
     def test_growth_curve_has_denser_grid(self, tmp_path):
         cfg = dict(BASE_INTERP)

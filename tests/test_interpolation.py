@@ -7,11 +7,12 @@ import mpmath
 import numpy as np
 import pytest
 
+from discinterp import interpolation
 from discinterp.geometry import DiscSequence
 from discinterp.harness import generate_targets
 from discinterp.growth import GrowthFunction
 from discinterp.interpolation import (
-    CoefficientLadder,
+    _MARGIN,
     InterpolationError,
     LadderError,
     TargetData,
@@ -25,7 +26,15 @@ from discinterp.interpolation import (
 from discinterp.oscillation import build_coefficient, osc_targets
 from discinterp.products import ProductsError
 
-from helpers import lattice_instance, scan_max_term, small_radial_instance, spiral_sequence
+from helpers import (
+    DenseLadder,
+    dense_ladder,
+    lattice_instance,
+    raw_conjugate,
+    scan_max_term,
+    small_radial_instance,
+    spiral_sequence,
+)
 
 GF1 = GrowthFunction.power(1.0)
 SPIRAL_FAMILIES = (GF1, GrowthFunction.log_power(2.0), GrowthFunction.exp_log_power(0.5))
@@ -38,16 +47,40 @@ def spiral_ladders():
     return seq, {gf.family: ladder_for_sequence(gf, 8.0, seq) for gf in SPIRAL_FAMILIES}
 
 
+@pytest.fixture(scope="module")
+def spiral_oracles(spiral_ladders):
+    """The dense oracle and the raw conjugate v(0..n_max) of each spiral ladder."""
+    return {f: (dense_ladder(lad.gf, lad.C0, lad.n_max), raw_conjugate(lad.gf, lad.C0, lad.n_max))
+            for f, lad in spiral_ladders[1].items()}
+
+
+def log_coeffs(ladder, n):
+    """ln phi_n of an implicit ladder at the indices n."""
+    return -ladder._conjugate(np.asarray(n, dtype=float))[0]
+
+
+def margin(ladder, log_t):
+    """The rounding margin E of the ladder's windows at log_t."""
+    return _MARGIN * (ladder._scale + ladder.n_max * abs(log_t))
+
+
 def oracle_select_error(ladder, seq):
     """The message select_exponents must raise, from full scans, or None."""
     for m in seq.moduli:
         log_t = -math.log1p(-m)
         b = int(np.searchsorted(ladder.log_kappas, log_t, side="right")) - 1
-        top, best = scan_max_term(ladder, log_t)
+        top, best = scan_max_term(ladder.log_coeffs, log_t)
         at_b = ladder.log_coeffs[b] + b * log_t
         if best != b and top - at_b > 1e-9 * max(1.0, abs(at_b)):
             return f"maximal term attained at {best}, bucket gave {b}"
     return None
+
+
+def oracle_exponents(seq, gf, C0=8.0):
+    """Exponents from the kappa buckets of the dense ladder, clamped to at least 1."""
+    dense = dense_ladder(gf, C0, ladder_for_sequence(gf, C0, seq).n_max)
+    buckets = np.searchsorted(dense.log_kappas, -np.log1p(-seq.moduli), side="right") - 1
+    return np.maximum(buckets, 1)
 
 
 class TestBuildLadder:
@@ -57,26 +90,32 @@ class TestBuildLadder:
         for gf in (GF1, GrowthFunction.log_power(2.0)):
             for C0 in (2.0, 8.0):
                 ladder = build_ladder(gf, C0, 10)
-                assert ladder.log_coeffs[0] == pytest.approx(
+                assert log_coeffs(ladder, [0])[0] == pytest.approx(
                     C0 * float(gf.psi_tilde(C0)), rel=1e-12)
 
     def test_power_one_closed_form_conjugate(self):
         # for psi = x the conjugate of C0 (C0 e^u - 1) is explicit
         C0 = 2.0
         ladder = build_ladder(GF1, C0, 30)
+        coeffs = log_coeffs(ladder, np.arange(31))
         for n in range(31):
             if n <= C0**2:
                 expected = -(C0**2 - C0)
             else:
                 expected = n * math.log(n / C0**2) - n + C0
-            assert -ladder.log_coeffs[n] == pytest.approx(expected, abs=1e-8)
+            assert -coeffs[n] == pytest.approx(expected, abs=1e-8)
 
     def test_kappa_nondecreasing_exactly(self):
+        # the dense oracle lifts its increments; the implicit buckets follow t
         for gf in (GrowthFunction.power(0.5), GF1, GrowthFunction.power(2.0),
                    GrowthFunction.log_power(2.0), GrowthFunction.exp_log_power(0.5)):
-            ladder = build_ladder(gf, 8.0, 400)
-            diffs = np.diff(ladder.log_kappas[1:])
-            assert np.all(diffs >= 0.0)
+            dense = dense_ladder(gf, 8.0, 400)
+            assert np.all(np.diff(dense.log_kappas[1:]) >= 0.0)
+            grid = np.linspace(0.0, dense.log_kappas[-1], 500)
+            buckets = build_ladder(gf, 8.0, 400).scan(grid)[0]
+            assert np.all(np.diff(buckets) >= 0)
+            assert np.array_equal(
+                buckets, np.searchsorted(dense.log_kappas, grid, side="right") - 1)
 
     def test_too_slow_growth_raises(self):
         with pytest.raises(LadderError):
@@ -86,15 +125,32 @@ class TestBuildLadder:
         with pytest.raises(LadderError):
             build_ladder(GF1, 1.0, 10)
 
+    def test_length_limit_is_2_to_the_53(self):
+        # the ladder holds no array, so only exact float64 indices bound it
+        ladder = build_ladder(GF1, 8.0, 2**53 - 1)
+        assert ladder.n_max == 2**53 - 1
+        for n_max in (0, 2**53):
+            with pytest.raises(LadderError):
+                build_ladder(GF1, 8.0, n_max)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_log_t_raises(self, bad):
+        with pytest.raises(LadderError, match="finite"):
+            build_ladder(GF1, 8.0, 400).log_max_terms([0.5, bad])
+
+    def test_holds_no_array(self):
+        ladder = build_ladder(GF1, 8.0, 1_280_008)
+        assert not any(isinstance(v, np.ndarray) for v in vars(ladder).values())
+
 
 class TestSelectExponents:
     def test_bucket_matches_scan_oracle(self):
-        rng = np.random.default_rng(50)
         seq = DiscSequence([0.3, 0.6, 0.85, 0.93])
         ladder = ladder_for_sequence(GF1, 8.0, seq)
+        coeffs = dense_ladder(GF1, 8.0, ladder.n_max).log_coeffs
         s = select_exponents(ladder, seq)
         for k in range(len(seq)):
-            _, best = scan_max_term(ladder, -math.log1p(-seq.moduli[k]))
+            _, best = scan_max_term(coeffs, -math.log1p(-seq.moduli[k]))
             assert s[k] == best
 
     def test_monotone_in_modulus(self):
@@ -116,38 +172,168 @@ class TestSelectExponents:
         with pytest.raises(LadderError):
             select_exponents(ladder, seq)
 
+    @pytest.mark.parametrize("gf", SPIRAL_FAMILIES, ids=lambda g: g.family)
+    def test_equal_to_the_dense_oracle_on_the_spiral(self, spiral_ladders, spiral_oracles, gf):
+        seq, ladders = spiral_ladders
+        ladder, (dense, _) = ladders[gf.family], spiral_oracles[gf.family]
+        log_t = -np.log1p(-seq.moduli)
+        assert np.array_equal(ladder.scan(log_t)[0],
+                              np.searchsorted(dense.log_kappas, log_t, side="right") - 1)
+        assert np.array_equal(select_exponents(ladder, seq), select_exponents(dense, seq))
+
+    @pytest.mark.parametrize("gf, seq", [
+        (GrowthFunction.power(0.5), spiral_sequence(60, depth=1e-3)),
+        (GrowthFunction.power(2.0), spiral_sequence(60, depth=0.05)),
+    ], ids=["power-0.5", "power-2"])
+    def test_equal_to_the_dense_oracle_on_shorter_spirals(self, gf, seq):
+        s = select_exponents(ladder_for_sequence(gf, 8.0, seq), seq)
+        assert np.array_equal(s, oracle_exponents(seq, gf))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equal_to_the_dense_oracle_on_random_sequences(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        for gf, top in ((GrowthFunction.power(0.5), 0.999), (GF1, 0.999),
+                        (GrowthFunction.power(2.0), 0.95), (GrowthFunction.log_power(2.0), 0.9999),
+                        (GrowthFunction.exp_log_power(0.5), 0.9999)):
+            seq = DiscSequence(rng.uniform(0.05, top, 30) * np.exp(2j * np.pi * rng.uniform(size=30)))
+            for C0 in (2.0, 8.0):
+                s = select_exponents(ladder_for_sequence(gf, C0, seq), seq)
+                assert np.array_equal(s, oracle_exponents(seq, gf, C0))
+
+    def test_reads_a_few_cells_per_node(self, spiral_ladders, monkeypatch):
+        # power(1) needs n_max = 1,280,008 on the spiral; each node reads its window
+        seq, ladders = spiral_ladders
+        cells = []
+        psi_tilde_log = GrowthFunction.psi_tilde_log
+        monkeypatch.setattr(GrowthFunction, "psi_tilde_log",
+                            lambda self, u: cells.append(np.size(u)) or psi_tilde_log(self, u))
+        select_exponents(ladders["power"], seq)
+        assert 0 < sum(cells) <= 10 * len(seq)
+
+class TestDeepSpirals:
+    """20-node spirals whose ladders run to 10^7 and 2·10^9 cells."""
+
+    @pytest.mark.parametrize("gf, depth, n_max, top", [
+        (GF1, 1e-5, 12_800_008, 6_400_000),
+        (GrowthFunction.power(2.0), 1e-3, 2_048_000_007, 511_999_270),
+    ], ids=["power-1", "power-2"])
+    def test_no_longer_stop_at_the_ladder(self, gf, depth, n_max, top):
+        seq = spiral_sequence(20, depth=depth)
+        ladder = ladder_for_sequence(gf, 8.0, seq)
+        targets = generate_targets({"kind": "random_admissible", "constant": 2.0}, seq, gf, 0)
+        f = build_interpolant(seq, targets, gf, ladder=ladder)
+        assert (ladder.n_max, int(f.exponents.max())) == (n_max, top)
+        assert np.all(np.diff(f.exponents) >= 0)
+        # the identity gate of the interpolate task holds
+        assert float(f.interpolation_errors().max()) < 1e-8
+
+    def test_unresolved_increments_raise(self):
+        # power(2) down to 1e-4 needs n_max ~ 2e11, where rounding blurs
+        # the increments over more cells than a scan reads
+        with pytest.raises(LadderError, match="not resolved in double precision"):
+            ladder_for_sequence(GrowthFunction.power(2.0), 8.0, spiral_sequence())
+
 
 class TestPrunedMaxTermScan:
-    """log_max_terms reads only some blocks, so it is pinned to full scans."""
+    """log_max_terms reads windows only, so it is pinned to full scans of the raw conjugate."""
 
     @staticmethod
-    def assert_matches_scan(ladder, log_ts):
+    def assert_matches_full_scan(ladder, raw, log_ts):
         values, indices = ladder.log_max_terms(log_ts)
-        oracle = [scan_max_term(ladder, t) for t in log_ts]
+        oracle = [scan_max_term(-raw, t) for t in log_ts]
         assert values.tobytes() == np.array([v for v, _ in oracle]).tobytes()
         assert indices.tolist() == [i for _, i in oracle]
 
-    @pytest.mark.parametrize("gf", SPIRAL_FAMILIES, ids=lambda g: g.family)
-    def test_equals_the_scan_on_the_spiral(self, spiral_ladders, gf):
-        seq, ladders = spiral_ladders
-        self.assert_matches_scan(ladders[gf.family], -np.log1p(-seq.moduli))
+    @staticmethod
+    def node_sample(seq, family):
+        # full scans of the 1,280,008 power cells cost 10 ms each, so that family
+        # takes every 20th node and the deepest one
+        log_t = -np.log1p(-seq.moduli)
+        return log_t[np.r_[0:len(log_t):20, -1]] if family == "power" else log_t
 
     @pytest.mark.parametrize("gf", SPIRAL_FAMILIES, ids=lambda g: g.family)
-    def test_ties_zero_and_last_index(self, spiral_ladders, gf):
-        ladder = spiral_ladders[1][gf.family]
-        kappas = ladder.log_kappas
-        ms = np.unique(np.linspace(1, ladder.n_max, 25).astype(int))
-        beyond = kappas[-1] + 1.0
-        self.assert_matches_scan(ladder, [*kappas[ms], 0.0, beyond])
-        assert scan_max_term(ladder, beyond)[1] == ladder.n_max
-        (value,), (index,) = ladder.log_max_terms([beyond])
-        assert (value, index) == scan_max_term(ladder, beyond)
+    def test_equals_the_scan_on_the_spiral(self, spiral_ladders, spiral_oracles, gf):
+        seq, ladders = spiral_ladders
+        raw = spiral_oracles[gf.family][1]
+        self.assert_matches_full_scan(ladders[gf.family], raw, self.node_sample(seq, gf.family))
+
+    @pytest.mark.parametrize("gf", SPIRAL_FAMILIES, ids=lambda g: g.family)
+    def test_within_the_margin_of_the_dense_oracle(self, spiral_ladders, spiral_oracles, gf):
+        seq, ladders = spiral_ladders
+        ladder, (dense, _) = ladders[gf.family], spiral_oracles[gf.family]
+        log_t = -np.log1p(-seq.moduli)
+        values, indices = ladder.log_max_terms(log_t)
+        dense_values, dense_indices = dense.log_max_terms(log_t)
+        assert np.array_equal(indices, dense_indices)
+        assert np.all(np.abs(values - dense_values) <= margin(ladder, log_t))
+
+    @pytest.mark.parametrize("gf", SPIRAL_FAMILIES, ids=lambda g: g.family)
+    def test_ties_zero_and_last_index(self, spiral_ladders, spiral_oracles, gf):
+        # at t = kappa_m the terms m - 1 and m tie, and the larger index wins
+        ladder, raw = spiral_ladders[1][gf.family], spiral_oracles[gf.family][1]
+        deltas = np.diff(raw)
+        ms = np.unique(np.linspace(1, ladder.n_max, 6 if gf.family == "power" else 25).astype(int))
+        beyond = deltas.max() + 1.0
+        self.assert_matches_full_scan(ladder, raw, [*deltas[ms - 1], 0.0, beyond])
+        assert scan_max_term(-raw, beyond)[1] == ladder.n_max
+
+    @pytest.mark.parametrize("chunk", [2, 7])
+    def test_block_size_does_not_change_a_scan(self, spiral_ladders, monkeypatch, chunk):
+        # windows then straddle many blocks, with rises and ties on block edges
+        seq, ladders = spiral_ladders
+        log_t = np.r_[-np.log1p(-seq.moduli), 0.0]
+        expected = {f: ladder.scan(log_t) for f, ladder in ladders.items()}
+        monkeypatch.setattr(interpolation, "_CHUNK", chunk)
+        for f, ladder in ladders.items():
+            for got, want in zip(ladder.scan(log_t), expected[f]):
+                assert got.tobytes() == want.tobytes()
+
+    def test_margin_bounds_every_oracle_dip(self, spiral_ladders, spiral_oracles):
+        # the dense oracle's running maximum lifts a raw increment by less than E
+        ladders = dict(spiral_ladders[1])
+        oracles = dict(spiral_oracles)
+        for gf, seq in ((GrowthFunction.power(0.5), spiral_sequence()),
+                        (GrowthFunction.power(2.0), spiral_sequence(60, depth=0.05))):
+            ladder = ladder_for_sequence(gf, 8.0, seq)
+            ladders[f"{gf}"] = ladder
+            oracles[f"{gf}"] = (dense_ladder(gf, 8.0, ladder.n_max),
+                                raw_conjugate(gf, 8.0, ladder.n_max))
+        for key, ladder in ladders.items():
+            dense, raw = oracles[key]
+            gap = dense.log_kappas[1:] - np.diff(raw)
+            assert 0.0 <= gap.min() and gap.max() < margin(ladder, 0.0)
+
+    @pytest.mark.parametrize("gf", [
+        GrowthFunction.power(0.5), GF1, GrowthFunction.power(2.0),
+        GrowthFunction.log_power(2.0), GrowthFunction.exp_log_power(0.2),
+        GrowthFunction.exp_log_power(0.5), GrowthFunction.exp_log_power(0.8),
+    ], ids=lambda g: f"{g.family}-{g.param}")
+    def test_conjugate_rounding_inside_the_margin(self, gf):
+        # |v(n) - v_exact(n)| <= K eps S(n) with K < 15, as the margin assumes
+        mpmath.mp.prec = 200
+        p, log_C0 = mpmath.mpf(gf.param), mpmath.log(8)
+        psi_tilde, psi_inverse_log = {
+            "power": (lambda x: mpmath.expm1(p * x) / p, lambda y: mpmath.log(y) / p),
+            "log_power": (lambda x: x ** (p + 1) / (p + 1), lambda y: y ** (1 / p)),
+            "exp_log_power": (lambda x: x * mpmath.hyp1f1(1 / p, 1 / p + 1, x ** p),
+                              lambda y: mpmath.log(y) ** (1 / p) if y > 1 else 0),
+        }[gf.family]
+        ladder = build_ladder(gf, 8.0, 10**9)
+        ns = np.unique(np.geomspace(1, 10**9, 25).astype(np.int64)).astype(float)
+        v, x, t2 = ladder._conjugate(ns)
+        slope = 8.0 * float(gf.psi_log(math.log(8.0)))
+        scale = x * (ns + np.maximum(ns, slope)) + t2
+        for n, v_n, s_n in zip(ns, v, scale):
+            u = max(psi_inverse_log(mpmath.mpf(n) / 8) - log_C0, 0)
+            exact = n * u - 8 * psi_tilde(log_C0 + u)
+            assert abs(float(mpmath.mpf(float(v_n)) - exact)) < 15 * 2.0**-53 * s_n
 
     @pytest.mark.parametrize("gf", SPIRAL_FAMILIES, ids=lambda g: g.family)
     def test_spiked_ladders_raise_as_the_full_scan(self, gf):
-        # a shallower spiral keeps the ladders short enough for full scans
+        # the runtime check of select_exponents, on spiked dense ladders; a
+        # shallower spiral keeps the ladders short enough for full scans
         seq = spiral_sequence(60, depth=1e-2)
-        ladder = ladder_for_sequence(gf, 8.0, seq)
+        ladder = dense_ladder(gf, 8.0, ladder_for_sequence(gf, 8.0, seq).n_max)
         b = int(np.searchsorted(ladder.log_kappas, -math.log1p(-seq.moduli.max()),
                                 side="right")) - 1
         cells = {0, max(b - 1, 0), b + 1, b - b % 256, ladder.n_max, ladder.n_max // 2}
@@ -156,8 +342,7 @@ class TestPrunedMaxTermScan:
             for spike in (1e-13, 1e-4, 50.0):
                 c = ladder.log_coeffs.copy()
                 c[cell] += spike
-                spiked = CoefficientLadder(gf=ladder.gf, C0=ladder.C0, log_coeffs=c,
-                                           log_kappas=ladder.log_kappas.copy())
+                spiked = DenseLadder(log_coeffs=c, log_kappas=ladder.log_kappas.copy())
                 expected = oracle_select_error(spiked, seq)
                 if expected is None:
                     assert select_exponents(spiked, seq).tolist() == \
@@ -169,23 +354,27 @@ class TestPrunedMaxTermScan:
                 outcomes.append(expected is None)
         assert any(outcomes) and not all(outcomes)
 
-    def test_select_exponents_memory_below_one_ladder_array(self, spiral_ladders):
-        seq, ladders = spiral_ladders
-        ladder = ladders["power"]
+    def test_select_exponents_memory_below_one_ladder_array(self):
+        # the ladder and the exponents together peak under 1 MB; a dense
+        # ladder array alone would take 8 (n_max + 1) bytes, about 10 MB
+        seq = spiral_sequence()
         tracemalloc.start()
         try:
-            select_exponents(ladder, seq)
+            ladder = ladder_for_sequence(GF1, 8.0, seq)
+            s = select_exponents(ladder, seq)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * (ladder.n_max + 1)
+        assert (ladder.n_max, int(s.max())) == (1_280_008, 640_000)
+        assert peak < 1 << 20 < 8 * (ladder.n_max + 1)
 
     def test_bound_report_rows_equal_the_scan(self):
         ladder = build_ladder(GF1, 8.0, 4000)
+        raw = raw_conjugate(GF1, 8.0, 4000)
         grid = np.geomspace(1.0, 40.0, 50)
         rep = max_term_bound_report(ladder, grid[::-1])
         assert [row.log_mu for row in rep.rows] == \
-            [scan_max_term(ladder, math.log(t))[0] for t in sorted(grid)]
+            [scan_max_term(-raw, math.log(t))[0] for t in sorted(grid)]
 
 
 class TestMaxTermBounds:
@@ -413,12 +602,12 @@ class TestTermDecayChain:
         seq, targets = lattice_instance(seed=11, gf=GF1, max_points=25)
         f = build_interpolant(seq, targets, GF1)
         ladder = f.ladder
+        mu_nodes, _ = ladder.log_max_terms([-math.log1p(-m) for m in seq.moduli])
         rng = np.random.default_rng(51)
         for z in 0.95 * np.sqrt(rng.uniform(size=30)) * np.exp(
                 2j * np.pi * rng.uniform(size=30)):
             (mu_z,), _ = ladder.log_max_terms([math.log(2.0) - math.log1p(-abs(z))])
-            for k, (zn, m) in enumerate(zip(seq.values, seq.moduli)):
-                (mu_n,), _ = ladder.log_max_terms([-math.log1p(-m)])
+            for k, (zn, m, mu_n) in enumerate(zip(seq.values, seq.moduli, mu_nodes)):
                 a_abs = abs((1 - m**2) / (1 - np.conj(zn) * z))
                 assert f.exponents[k] * math.log(a_abs) <= mu_z - mu_n + 1e-9
 
@@ -433,13 +622,13 @@ class TestTermDecayChain:
         zs = 0.9 * np.sqrt(rng.uniform(size=15)) * np.exp(
             2j * np.pi * rng.uniform(size=15))
         L = f._assemble(np.asarray(zs, dtype=complex))["L"]
+        mu_nodes, _ = ladder.log_max_terms([-math.log1p(-m) for m in seq.moduli])
         for i, z in enumerate(zs):
             (mu_z,), _ = ladder.log_max_terms([math.log(2.0) - math.log1p(-abs(z))])
             full_sum = float(cp.factor_abs_power_sum(z))
-            for k, (zn, m) in enumerate(zip(seq.values, seq.moduli)):
+            for k, (zn, m, mu_n) in enumerate(zip(seq.values, seq.moduli, mu_nodes)):
                 a_abs = abs((1 - m**2) / (1 - np.conj(zn) * z))
                 rest = full_sum - a_abs ** (s + 1)
-                (mu_n,), _ = ladder.log_max_terms([-math.log1p(-m)])
                 bound = (
                     math.log(abs(targets[k]))
                     + 2.0 ** (s + 2) * rest

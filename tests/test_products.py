@@ -374,6 +374,23 @@ class TestLogP:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
+    def test_derivative_cache_formed_on_first_read(self, monkeypatch):
+        calls = []
+        deriv_terms = CanonicalProduct._deriv_terms
+        monkeypatch.setattr(CanonicalProduct, "_deriv_terms",
+                            lambda self, A, onemA: calls.append(A.shape) or deriv_terms(self, A, onemA))
+        seq = spiral_sequence(30, depth=1e-2)
+        cp = CanonicalProduct(seq, 2)
+        assert calls == []
+        first = cp.logderiv_rest_nodes
+        assert calls == [(30, 30)] and cp.logderiv_rest_nodes is first
+        # the same bits as a node pass of _factors and _deriv_terms
+        _, A, onemA, _ = cp._factors(seq.values)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            T = deriv_terms(cp, A, onemA)
+        np.fill_diagonal(T, 0.0)
+        assert np.array_equal(first, T.sum(axis=0))
+
 
 class TestTsuji:
     def test_empty(self):
@@ -384,6 +401,18 @@ class TestTsuji:
         cp = CanonicalProduct(DiscSequence([0.5]), 1)
         rep = cp.tsuji_bound_check(0.5)
         assert rep.holds and rep.lhs == -math.inf
+
+    def test_one_factor_pass_per_check(self, monkeypatch):
+        cp = CanonicalProduct(DiscSequence([0.5, 0.3 + 0.4j, -0.6j]), 2)
+        zs = np.array([0.1, -0.2 + 0.3j, 0.7j])
+        lhs, rhs = cp.log_P_many(zs).real, 2.0 ** 4 * cp.factor_abs_power_sum(zs)
+        calls = []
+        geometry = CanonicalProduct._geometry
+        monkeypatch.setattr(CanonicalProduct, "_geometry",
+                            lambda self, z: calls.append(len(z)) or geometry(self, z))
+        rep = cp.tsuji_bound_check(zs)
+        assert calls == [3]
+        assert np.array_equal(rep.lhs, lhs) and np.array_equal(rep.rhs, rhs)
 
     def test_many_points_many_sequences(self):
         rng = np.random.default_rng(35)
@@ -508,6 +537,7 @@ class TestPSecond:
 
     def test_one_factor_pass_per_call(self, monkeypatch):
         cp = CanonicalProduct(DiscSequence([0.5, 0.3 + 0.4j, -0.6j, 0.7]), 2)
+        cp.logderiv_rest_nodes  # the node cache's own pass, once per product
         calls = []
         geometry = CanonicalProduct._geometry
         monkeypatch.setattr(CanonicalProduct, "_geometry",
