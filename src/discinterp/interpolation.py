@@ -16,7 +16,12 @@ Evaluation is log-space throughout.  The n-th term is assembled from the
 factor split P(z) = E(A_n(z), s) B_n(z) using the exact identity
 E(A_n(z), s)/(z - z_n) = -conj(z_n) e^{Q(A_n(z))} / (1 - conj(z_n) z), which
 is pole-free, so f(z_k) = b_k holds exactly at the nodes and the terms stay
-finite arbitrarily close to them.
+finite arbitrarily close to them.  The value entry points take their points
+in column blocks of about 2^14 cells and form only the live terms, those
+whose real upper bound is within a proven cut of the column's largest, since
+every other term adds an exact zero to the shifted sum; the results equal
+forming every term, bit for bit.  The derivative entry points form every
+term.
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ from .growth import GrowthError, GrowthFunction
 from .products import (
     LOG_ZERO,
     CanonicalProduct,
+    _column_blocks,
+    _logsumexp_cells,
     _poly_q,
     logsumexp_complex,
 )
@@ -270,7 +277,13 @@ def select_exponents(ladder: CoefficientLadder, seq: DiscSequence) -> np.ndarray
 
 
 class Interpolant:
-    """The assembled interpolation series; immutable, evaluation is pure."""
+    """The assembled interpolation series; immutable, evaluation is pure.
+
+    The value entry points (``eval_many``, ``eval_and_log_P_many``,
+    ``eval_log_many``) evaluate in column blocks of about 2^14 cells and
+    form a term only where it can reach the sum (``_block_value_logs``); the
+    derivative entry points form every term.
+    """
 
     def __init__(self, product: CanonicalProduct, targets: TargetData,
                  exponents: np.ndarray, ladder: CoefficientLadder):
@@ -284,6 +297,17 @@ class Interpolant:
         self._log_b = np.where(
             np.isneginf(log_abs), complex(LOG_ZERO, 0.0), log_abs + 1j * phases
         )
+        self._s_minus_1 = self.exponents - 1
+        # the per-node part of the term bound, and its cut (``_block_value_logs``)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self._log_zc = np.log(np.conj(product.sequence.values))
+            self._bound_rows = (self._log_b.real - product.log_P_prime_nodes.real
+                                + self._log_zc.real + self._s_minus_1 * np.log(product._oms))
+        self._half_s = 0.5 * self.exponents
+        q_cap = sum(2.0 ** j / j for j in range(1, product.genus + 1))
+        scale = (2.0 * (len(self.exponents) + 2) * (746.0 + q_cap)
+                 + 80.0 * float(self.exponents.max(initial=0)))
+        self._cut = 760.0 + 2.0 * q_cap if scale <= 2.0 ** 44 else math.inf
 
     @property
     def sequence(self) -> DiscSequence:
@@ -292,6 +316,7 @@ class Interpolant:
     # -- term assembly -------------------------------------------------------
 
     def _assemble(self, zb: np.ndarray) -> dict:
+        """One factor pass at a batch of points: A, 1 - A, D, log P and log B_n(z)."""
         cp = self.product
         lam, A, onemA, D = cp._factors(zb)
         logP = lam.sum(axis=0)
@@ -300,22 +325,90 @@ class Interpolant:
         # at a hit of node n the n-th term reads the cached B_n(z_n), as P'(z_n) does
         hits = np.isneginf(lam.real)
         logB[hits] = cp.log_B_nodes[hits.nonzero()[0]]
-        zc = np.conj(cp.sequence.values)
+        return {"A": A, "onemA": onemA, "D": D, "logP": logP, "logB": logB}
+
+    def _term_logs(self, rows, logB: np.ndarray, D: np.ndarray, A: np.ndarray) -> np.ndarray:
+        """L = log(b_n B_n(z) (-conj(z_n)) e^{q(A)} A^(s_n - 1) / (D P'(z_n))), the n-th term's log.
+
+        ``rows`` indexes the per-node data: ``np.s_[:, None]`` for whole
+        (node, point) matrices, or the node of each cell of flat arrays.
+        """
+        cp = self.product
         with np.errstate(divide="ignore", invalid="ignore"):
-            L = (
-                self._log_b[:, None]
+            return (
+                self._log_b[rows]
                 + logB
-                + np.log(zc)[:, None]
+                + self._log_zc[rows]
                 - np.log(D)
                 + 1j * math.pi
                 + _poly_q(A, cp.genus)
-                + (self.exponents - 1)[:, None] * np.log(A)
-                - cp.log_P_prime_nodes[:, None]
+                + self._s_minus_1[rows] * np.log(A)
+                - cp.log_P_prime_nodes[rows]
             )
-        return {"A": A, "onemA": onemA, "D": D, "logP": logP, "L": L}
 
-    def _derivative_logs(self, parts: dict) -> tuple[np.ndarray, np.ndarray]:
-        """(per-term logs of d/dz term_n, P'/P) via the smooth logarithmic factor.
+    def _block_value_logs(self, zb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(log f, log P) at a batch of points, forming only the live terms.
+
+        *Bound.*  With log|A| = log(1 - |z_n|^2) - log|D|, the real part of
+        the term log L is Re L = B + Re q(A), where per cell
+        B = Re log B_n(z) + c_n - s_n log|D|^2 / 2 and per node
+        c_n = log|b_n| - Re log P'(z_n) + log|z_n| + (s_n - 1) log(1 - |z_n|^2).
+        At a point with np.abs(z) < 1, so |z| <= 1, |D| >= 1 - |z_n| and
+        |A| <= 1 + |z_n| < 2, hence |Re q(A)| <= Q_s = sum_{j <= s} 2^j / j.
+
+        *Rounding.*  The computed A and D share the computed gap, and
+        |z_n - z| <= |D| in the disc, so log|A| misses
+        log(1 - |z_n|^2) - log|D| by a few eps.  Every operand and partial
+        sum of the computed Re L and B is at most X = 2 (N + 2) (746 + Q_s)
+        + 80 max s_n in modulus (a factor log has |Re| <= 746 + Q_s, as a
+        nonzero |1 - A| is at least 2^-1074; |log|D||, |log|A|| and
+        |log(1 - |z_n|^2)| are below 38, as 1 - |z_n| >= 2^-53), and each
+        log, product and sum rounds by at most a few eps of that.  So
+        |Re L - B - Re q| <= 64 eps X <= 1/8 while X <= 2^44, and the
+        computed |Re q| is at most Q_s + 1/8.  Beyond 2^44 the cut is +inf.
+
+        *Cut.*  A cell is dropped when its bound is below the column's
+        largest bound B_j minus cut = 760 + 2 Q_s.  Then its computed
+        Re L_n <= B_n + Q_s + 1/4 < B_j - 760 - Q_s + 1/4 <= Re L_j - 759.5,
+        and the column maximum M of the dense logsumexp is at least Re L_j,
+        so Re L_n - M, and its rounded value, is below -759.5: its exp in
+        ``logsumexp_complex`` is an exact +-0, which adds nothing to a
+        nonzero sum.  Every dropped cell is below M, so M is attained on the
+        live cells, and ``_logsumexp_cells`` of the live cells equals the
+        dense logsumexp bit for bit.  (A zero sum of the live cells is -inf
+        either way, and its sign of zero matters only through atan2 where
+        the imaginary part of the sum is zero; that sum is then +0 both
+        ways, as no L has imaginary part -0 after its + i pi.)  A NaN bound
+        compares false, so its cell stays live, and a NaN column maximum
+        keeps every cell; a bound of -inf is a term of -inf.  Points with
+        np.abs(z) >= 1 or NaN keep every cell.
+
+        When more than half the cells are live, every term is formed, as
+        the gathers would cost more than they save.
+        """
+        parts = self._assemble(zb)
+        logB, D, A = parts["logB"], parts["D"], parts["A"]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = (logB.real + self._bound_rows[:, None]
+                     - self._half_s[:, None] * np.log(D.real ** 2 + D.imag ** 2))
+            floor = np.where(np.abs(zb) < 1.0,
+                             bound.max(axis=0, initial=LOG_ZERO) - self._cut, LOG_ZERO)
+        live = ~(bound < floor)
+        if 2 * np.count_nonzero(live) > live.size:
+            return logsumexp_complex(self._term_logs(np.s_[:, None], logB, D, A)), parts["logP"]
+        cols, rows = np.nonzero(live.T)
+        L = self._term_logs(rows, logB[rows, cols], D[rows, cols], A[rows, cols])
+        return _logsumexp_cells(L, rows, cols, live.shape), parts["logP"]
+
+    def _value_logs(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """(log f, log P) at a batch of points, in column blocks of about 2^14 cells."""
+        zb = np.atleast_1d(np.asarray(z, dtype=complex))
+        blocks = [self._block_value_logs(zb[b])
+                  for b in _column_blocks(len(zb), len(self.exponents))]
+        return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])
+
+    def _derivative_logs(self, parts: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(per-term logs L, logs of d/dz term_n, P'/P) via the smooth logarithmic factor.
 
         term_n'/term_n = S_n + (s_n - 1) conj(z_n)/D + conj(z_n)/D *
         (1 + A + ... + A^s), where S_n is P'/P, the column sum of the factor
@@ -323,7 +416,8 @@ class Interpolant:
         (``_off_nodes``), so no factor vanishes.
         """
         cp = self.product
-        A, onemA, D, L = parts["A"], parts["onemA"], parts["D"], parts["L"]
+        A, onemA, D = parts["A"], parts["onemA"], parts["D"]
+        L = self._term_logs(np.s_[:, None], parts["logB"], D, A)
         with np.errstate(divide="ignore", invalid="ignore"):
             T = cp._deriv_terms(A, onemA)
             lp = T.sum(axis=0)
@@ -341,7 +435,7 @@ class Interpolant:
         bad = np.isnan(dL)
         if bad.any():
             dL[bad] = complex(LOG_ZERO, 0.0)
-        return dL, lp
+        return L, dL, lp
 
     # -- evaluation ------------------------------------------------------------
 
@@ -351,17 +445,16 @@ class Interpolant:
 
     def eval_and_log_P_many(self, z) -> tuple[np.ndarray, np.ndarray]:
         """(values, log P) at a batch of points from one factor evaluation."""
-        parts = self._assemble(np.atleast_1d(np.asarray(z, dtype=complex)))
-        return _exp_or_zero(logsumexp_complex(parts["L"])), parts["logP"]
+        lam, log_P = self._value_logs(z)
+        return _exp_or_zero(lam), log_P
 
     def eval_log_many(self, z) -> np.ndarray:
-        parts = self._assemble(np.atleast_1d(np.asarray(z, dtype=complex)))
-        return logsumexp_complex(parts["L"])
+        return self._value_logs(z)[0]
 
     def derivative_many(self, z) -> np.ndarray:
         """f' at a batch of points away from the nodes."""
         parts = self._assemble(self.product._off_nodes(z))
-        out = _exp_or_zero(logsumexp_complex(self._derivative_logs(parts)[0]))
+        out = _exp_or_zero(logsumexp_complex(self._derivative_logs(parts)[1]))
         return out if np.ndim(z) else complex(out[0])
 
     def eval_and_derivative_many(self, z) -> tuple[np.ndarray, ...]:
@@ -370,8 +463,8 @@ class Interpolant:
         The last two are the bits ``log_deriv_P_many`` and ``log_deriv_prime_many`` give.
         """
         parts = self._assemble(self.product._off_nodes(z))
-        dL, lp = self._derivative_logs(parts)
-        lam_v, lam_d = logsumexp_complex(parts["L"]), logsumexp_complex(dL)
+        L, dL, lp = self._derivative_logs(parts)
+        lam_v, lam_d = logsumexp_complex(L), logsumexp_complex(dL)
         lp2 = self.product._deriv_prime_terms(parts["A"], parts["onemA"]).sum(axis=0)
         return _exp_or_zero(lam_v), _exp_or_zero(lam_d), lam_v, lam_d, lp, lp2
 

@@ -59,6 +59,10 @@ _LOG_TAIL_STOP = math.log(1e-24)
 # treated as a pole.
 POLE_TOL = 1e-12
 
+# cells per column block of a node-cache pass or a value evaluation; any value
+# gives the same results, since no block of two or more columns is 1 wide
+_BLOCK_CELLS = 1 << 14
+
 
 class ProductsError(ValueError):
     """Invalid evaluation for a canonical product."""
@@ -68,8 +72,7 @@ def logsumexp_complex(lams: np.ndarray) -> np.ndarray:
     """Complex log of a sum of exponentials of complex logs, along axis 0.
 
     Terms with real part -inf are exact zeros.  The terms are shifted by the
-    largest real part and summed in their natural order, so the sum carries
-    the plain rounding bound of about n eps times the sum of the moduli.
+    largest real part of their column and summed by ``_log_column_sums``.
     """
     lams = np.asarray(lams, dtype=complex)
     squeeze = lams.ndim == 1
@@ -81,10 +84,62 @@ def logsumexp_complex(lams: np.ndarray) -> np.ndarray:
     if np.any(finite):
         shifted = lams[:, finite] - M[None, finite]
         shifted = np.where(np.isneginf(shifted.real), complex(LOG_ZERO, 0.0), shifted)
-        total = np.exp(shifted).sum(axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out[finite] = M[finite] + np.where(total == 0, complex(LOG_ZERO, 0.0), np.log(total))
+        out[finite] = _log_column_sums(np.exp(shifted), M[finite])
     return out[0] if squeeze else out
+
+
+def _logsumexp_cells(vals: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                     shape: tuple[int, int]) -> np.ndarray:
+    """``logsumexp_complex`` of the matrix that holds vals at (rows, cols) and -inf + 0j elsewhere.
+
+    Bit for bit: the column maxima are the same, the other cells would shift
+    to -inf and add exact zeros, and the columns go through the same
+    ``_log_column_sums``.  Only the given cells are shifted and exponentiated.
+    """
+    n, p = shape
+    M = np.full(p, LOG_ZERO)
+    np.maximum.at(M, cols, vals.real)
+    out = np.full(p, complex(LOG_ZERO, 0.0))
+    finite = np.isfinite(M)
+    with np.errstate(invalid="ignore"):
+        shifted = vals - M[cols]  # read only in the columns with a finite maximum
+    shifted = np.where(np.isneginf(shifted.real), complex(LOG_ZERO, 0.0), shifted)
+    terms = np.zeros((p, n), dtype=complex)
+    with np.errstate(invalid="ignore", over="ignore"):
+        terms[cols, rows] = np.exp(shifted)
+    out[finite] = _log_column_sums(terms[finite].T, M[finite])
+    return out
+
+
+def _log_column_sums(terms: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """M + log of each column sum of terms; -inf + 0j where a sum is zero.
+
+    The columns are summed in Fortran order, so numpy sums each one pairwise
+    (a reduction along a contiguous axis); a C-ordered ``sum(axis=0)`` of a
+    matrix two or more columns wide adds its rows one by one instead.  In the
+    pairwise sum a term passes through at most 20 + ceil(log2(n / 64))
+    roundings for n terms (15 in one of a leaf's four accumulators, 2 joining
+    them, 3 for the leaf's leftover terms, one per halving above 64 terms),
+    so the sum is within that many eps of the sum of the moduli, against
+    n eps row by row.
+    """
+    total = np.asfortranarray(terms).sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return M + np.where(total == 0, complex(LOG_ZERO, 0.0), np.log(total))
+
+
+def _column_blocks(n_points: int, n_nodes: int) -> list[slice]:
+    """Column slices of an (n_nodes, n_points) matrix, about _BLOCK_CELLS cells each.
+
+    A block is at least 2 columns wide, and a width-1 remainder joins the
+    block before it: numpy sums an (N, 1) column pairwise, but a wider block
+    row by row, so a width-1 block would round its column sums differently.
+    """
+    width = max(2, _BLOCK_CELLS // max(n_nodes, 1))
+    edges = list(range(width, n_points, width))
+    if edges and n_points - edges[-1] == 1:
+        edges.pop()
+    return [slice(a, b) for a, b in zip([0] + edges, edges + [n_points])]
 
 
 def _poly_q(A: np.ndarray, s: int) -> np.ndarray:
@@ -176,9 +231,7 @@ class CanonicalProduct:
         # 1 - |z_n|^2 without cancellation near the boundary
         self._oms = (1.0 - sequence.moduli) * (1.0 + sequence.moduli)
 
-        lam = self._factors(zn)[0]
-        np.fill_diagonal(lam, 0.0)
-        self.log_B_nodes = lam.sum(axis=0)
+        self.log_B_nodes = self._node_sums(lambda z: self._factors(z)[0])
         self.log_P_prime_nodes = (
             self.log_B_nodes
             + self.harmonic
@@ -186,17 +239,29 @@ class CanonicalProduct:
             - np.log(self._oms.astype(complex))
             + 1j * math.pi
         )
-        for arr in (self.log_B_nodes, self.log_P_prime_nodes):
-            arr.flags.writeable = False
+        self.log_P_prime_nodes.flags.writeable = False
 
     @cached_property
     def logderiv_rest_nodes(self) -> np.ndarray:
         """B_k'(z_k)/B_k(z_k) per node: the factor log derivatives at z_k less the k-th."""
-        A, onemA, _ = self._geometry(self._zn)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            T = self._deriv_terms(A, onemA)
-        np.fill_diagonal(T, 0.0)
-        out = T.sum(axis=0)
+        def terms(z):
+            A, onemA, _ = self._geometry(z)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return self._deriv_terms(A, onemA)
+        return self._node_sums(terms)
+
+    def _node_sums(self, cells: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """Read-only column sums of the (node, node) matrix cells(z_n) less its diagonal.
+
+        The matrix is formed in column blocks, so a pass holds about
+        _BLOCK_CELLS cells at a time.
+        """
+        sums = []
+        for block in _column_blocks(len(self._zn), len(self._zn)):
+            T = cells(self._zn[block])
+            T[np.arange(block.start, block.stop), np.arange(block.stop - block.start)] = 0.0
+            sums.append(T.sum(axis=0))
+        out = np.concatenate(sums)
         out.flags.writeable = False
         return out
 

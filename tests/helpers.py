@@ -16,6 +16,7 @@ from discinterp.products import (
     _log_E,
     _log_one_minus,
     _poly_q,
+    logsumexp_complex,
 )
 
 FAMILY_CYCLE = (
@@ -76,6 +77,41 @@ def factors_all_cells(cp, z):
     A, onemA, D = cp._geometry(z)
     log_one_minus = _log_one_minus(onemA)
     return _log_E(A, lambda big: log_one_minus[big], cp.genus), A, onemA, D
+
+
+def dense_terms(f, z) -> tuple[np.ndarray, np.ndarray]:
+    """(every term log L as an (node, point) matrix, log P) of the interpolant f at z.
+
+    The value formation before the live-term cut, from one factor pass: the
+    oracle the live terms of ``Interpolant._block_value_logs`` are checked
+    against bit for bit.
+    """
+    cp = f.product
+    lam, A, _, D = cp._factors(np.atleast_1d(np.asarray(z, dtype=complex)))
+    logP = lam.sum(axis=0)
+    with np.errstate(invalid="ignore"):
+        logB = logP[None, :] - lam
+    hits = np.isneginf(lam.real)
+    logB[hits] = cp.log_B_nodes[hits.nonzero()[0]]
+    zc = np.conj(cp.sequence.values)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        L = (
+            f._log_b[:, None]
+            + logB
+            + np.log(zc)[:, None]
+            - np.log(D)
+            + 1j * math.pi
+            + _poly_q(A, cp.genus)
+            + (f.exponents - 1)[:, None] * np.log(A)
+            - cp.log_P_prime_nodes[:, None]
+        )
+    return L, logP
+
+
+def dense_value_logs(f, z) -> tuple[np.ndarray, np.ndarray]:
+    """(log f, log P) at z with every term formed and summed in one batch."""
+    L, logP = dense_terms(f, z)
+    return logsumexp_complex(L), logP
 
 
 def log_E_batch_degree(A, log_one_minus, s):

@@ -23,12 +23,14 @@ from discinterp.interpolation import (
     max_term_bound_report,
     select_exponents,
 )
-from discinterp.oscillation import build_coefficient, osc_targets
+from discinterp.oscillation import build_coefficient, osc_targets, sharpness_sequence
 from discinterp.products import ProductsError
 
 from helpers import (
     DenseLadder,
     dense_ladder,
+    dense_terms,
+    dense_value_logs,
     lattice_instance,
     raw_conjugate,
     scan_max_term,
@@ -621,7 +623,7 @@ class TestTermDecayChain:
         rng = np.random.default_rng(52)
         zs = 0.9 * np.sqrt(rng.uniform(size=15)) * np.exp(
             2j * np.pi * rng.uniform(size=15))
-        L = f._assemble(np.asarray(zs, dtype=complex))["L"]
+        L = dense_terms(f, zs)[0]
         mu_nodes, _ = ladder.log_max_terms([-math.log1p(-m) for m in seq.moduli])
         for i, z in enumerate(zs):
             (mu_z,), _ = ladder.log_max_terms([math.log(2.0) - math.log1p(-abs(z))])
@@ -669,3 +671,169 @@ class TestGrowthReport:
         assert len(table.rows) == 3
         with pytest.raises(InterpolationError):
             growth_report(f, GF1, [0.5, 1.5])
+
+
+def _same_bits(a, b) -> bool:
+    return np.array_equal(np.asarray(a).view(float), np.asarray(b).view(float))
+
+
+def _assert_dense_bits(f, z):
+    """The value entry points equal the dense oracle bit for bit at z."""
+    log_f, log_P = dense_value_logs(f, z)
+    assert _same_bits(f.eval_log_many(z), log_f)
+    vals, got_log_P = f.eval_and_log_P_many(z)
+    assert _same_bits(got_log_P, log_P)
+    with np.errstate(over="ignore"):
+        want = np.where(np.isneginf(log_f.real), 0.0, np.exp(log_f))
+    assert _same_bits(vals, want)
+
+
+def _ring(r, n=256):
+    return r * np.exp(2j * np.pi * np.arange(n) / n)
+
+
+class TestLiveTerms:
+    """The value path forms only the terms that can reach the sum, bit-equal to forming all."""
+
+    @pytest.fixture(scope="class")
+    def spiral_interpolants(self, spiral_ladders):
+        seq, ladders = spiral_ladders
+        out = {}
+        for gf in SPIRAL_FAMILIES:
+            targets = generate_targets({"kind": "random_admissible", "constant": 2.0}, seq, gf, 0)
+            out[gf.family] = build_interpolant(seq, targets, gf, ladder=ladders[gf.family])
+        return out
+
+    @staticmethod
+    def live_cells(monkeypatch, f, z):
+        """Per live-path block, the (rows, cols) of the cells it formed."""
+        seen = []
+        cells = interpolation._logsumexp_cells
+
+        def record(vals, rows, cols, shape):
+            seen.append((rows, cols, shape))
+            return cells(vals, rows, cols, shape)
+
+        monkeypatch.setattr(interpolation, "_logsumexp_cells", record)
+        f.eval_log_many(z)
+        monkeypatch.undo()
+        return seen
+
+    @pytest.mark.parametrize("family", [g.family for g in SPIRAL_FAMILIES])
+    @pytest.mark.parametrize("r", [0.5, 0.9, 0.99, 0.999])
+    def test_spiral_rings(self, spiral_interpolants, family, r):
+        f = spiral_interpolants[family]
+        if r == 0.5:  # the ring passes through spiral node 0, a node hit in column 0
+            assert _ring(r)[0] == f.sequence.values[0]
+            assert np.isneginf(f.eval_and_log_P_many(_ring(r))[1][0].real)
+        _assert_dense_bits(f, _ring(r))
+
+    @pytest.mark.parametrize("family", [g.family for g in SPIRAL_FAMILIES])
+    def test_node_batches_and_mixed_batches(self, spiral_interpolants, family):
+        f = spiral_interpolants[family]
+        nodes = f.sequence.values
+        _assert_dense_bits(f, nodes)
+        mixed = np.stack([nodes, _ring(0.95, len(nodes))], axis=1).ravel()
+        _assert_dense_bits(f, mixed)
+        for width in (1, 2, 3):
+            _assert_dense_bits(f, mixed[5:5 + width])
+            _assert_dense_bits(f, _ring(0.999)[:width])
+
+    def test_node_batch_forms_one_term_per_node(self, monkeypatch, spiral_interpolants):
+        f = spiral_interpolants["power"]
+        seen = self.live_cells(monkeypatch, f, f.sequence.values)
+        rows = np.concatenate([r for r, _, _ in seen])
+        cols = np.concatenate([c + sum(s[1] for _, _, s in seen[:i]) for i, (_, c, _) in enumerate(seen)])
+        assert np.array_equal(np.sort(rows), np.arange(len(f.sequence)))
+        assert np.array_equal(rows, cols)
+
+    @pytest.mark.parametrize("gf", [GrowthFunction.power(0.5), GF1,
+                                    GrowthFunction.power(2.0), GrowthFunction.log_power(2.0)],
+                             ids=lambda g: f"{g.family}-{g.param}")
+    def test_lattice(self, gf):
+        seq, targets = lattice_instance(seed=3, gf=gf, rings=6, max_points=400)
+        f = build_interpolant(seq, targets, gf)
+        for r in (0.5, 0.9, 0.99):
+            _assert_dense_bits(f, _ring(r))
+        _assert_dense_bits(f, seq.values)
+
+    @pytest.mark.parametrize("rho, n_max", [(1.0, 8), (0.5, 12)])
+    def test_sharpness_pairs(self, rho, n_max):
+        seq = sharpness_sequence(rho, n_max).to_disc_sequence()
+        targets = generate_targets({"kind": "random_admissible", "constant": 2.0}, seq, GF1, 4)
+        f = build_interpolant(seq, targets, GF1, C0=2.0)
+        for r in (0.5, 0.9, 0.999):
+            _assert_dense_bits(f, _ring(r))
+        _assert_dense_bits(f, seq.values)
+        _assert_dense_bits(f, seq.values + 1e-9 * (1.0 - seq.moduli))
+
+    @pytest.mark.parametrize("gf", [GrowthFunction.power(2.5), GrowthFunction.power(4.0)],
+                             ids=lambda g: f"genus-{g.genus}")
+    def test_genus_three_and_up(self, monkeypatch, gf):
+        seq = spiral_sequence(120, depth=0.05)
+        targets = generate_targets({"kind": "random_admissible", "constant": 2.0}, seq, gf, 2)
+        f = build_interpolant(seq, targets, gf, C0=2.0)
+        assert gf.genus >= 3
+        for r in (0.5, 0.9, 0.99):
+            _assert_dense_bits(f, _ring(r))
+        _assert_dense_bits(f, seq.values)
+        assert self.live_cells(monkeypatch, f, seq.values)  # the node batch takes the live path
+
+    def test_one_batch_through_both_sides_of_the_switch(self, monkeypatch, spiral_interpolants):
+        # exp_log_power's rings are about 64% live, its nodes 1/N: the first
+        # block of this batch forms every term, the next one the live terms
+        f = spiral_interpolants["exp_log_power"]
+        width = interpolation._column_blocks(10**6, len(f.sequence))[0].stop
+        z = np.concatenate([_ring(0.9, width), f.sequence.values[:width]])
+        dense_calls = []
+        dense = interpolation.logsumexp_complex
+        monkeypatch.setattr(interpolation, "logsumexp_complex",
+                            lambda lams: dense_calls.append(lams.shape) or dense(lams))
+        seen = self.live_cells(monkeypatch, f, z)
+        assert dense_calls == [(len(f.sequence), width)]
+        assert [shape for _, _, shape in seen] == [(len(f.sequence), width)]
+        _assert_dense_bits(f, z)
+
+    def test_margin_and_live_share(self, monkeypatch, spiral_interpolants):
+        # one target scaled down so that its row's largest Re L - M on a ring
+        # is -769.5, inside (-770, -745): every dropped cell, that row's among
+        # them, still has an exact zero dense exp
+        f = spiral_interpolants["power"]
+        z = _ring(0.9)
+        L, _ = dense_terms(f, z)
+        row_max = (L.real - L.real.max(axis=0)).max(axis=1)
+        n = int(np.flatnonzero((row_max > -600.0) & (row_max < -50.0))[0])
+        targets = f.targets.values.copy()
+        targets[n] *= math.exp(-769.5 - row_max[n])
+        g = build_interpolant(f.sequence, targets, f.ladder.gf, ladder=f.ladder)
+        L, _ = dense_terms(g, z)
+        gap = L.real - L.real.max(axis=0)
+        window = (gap > -770.0) & (gap < -745.0)
+        assert window[n].any()
+        live = np.zeros(L.shape, dtype=bool)
+        start = 0
+        for rows, cols, shape in self.live_cells(monkeypatch, g, z):
+            live[rows, cols + start] = True
+            start += shape[1]
+        assert start == len(z)
+        assert (window & ~live)[n].any()
+        with np.errstate(under="ignore"):
+            assert np.all(np.exp(L - L.real.max(axis=0))[~live] == 0.0)
+        _assert_dense_bits(g, z)
+        # the live share of the power(1) spiral rings (measured 0.075 to 0.168)
+        for r in (0.5, 0.9, 0.99, 0.999):
+            seen = self.live_cells(monkeypatch, f, _ring(r))
+            assert sum(len(rows) for rows, _, _ in seen) < 0.2 * len(f.sequence) * 256
+
+    def test_blocks_concatenate(self, spiral_interpolants):
+        # a batch equals its column blocks evaluated one by one, and equal-width
+        # chunks of 2 or 3 points, bit for bit
+        f = spiral_interpolants["log_power"]
+        z = np.concatenate([_ring(0.99, 301), f.sequence.values])
+        blocks = interpolation._column_blocks(len(z), len(f.sequence))
+        assert len(blocks) > 2
+        whole = f.eval_and_log_P_many(z)
+        for parts in (blocks, [slice(k, k + 3) for k in range(0, len(z), 3)]):
+            pieces = [f.eval_and_log_P_many(z[b]) for b in parts]
+            for k in range(2):
+                assert _same_bits(np.concatenate([p[k] for p in pieces]), whole[k])

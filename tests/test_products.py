@@ -17,8 +17,10 @@ from discinterp.products import (
     ProductsError,
     logsumexp_complex,
     prime_counting_criteria_check,
+    _column_blocks,
     _log_E,
     _log_one_minus,
+    _logsumexp_cells,
 )
 from discinterp.oscillation import sharpness_sequence
 
@@ -70,7 +72,7 @@ class TestLogsumexp:
 
     def test_against_mpmath_within_the_unsorted_rounding_bound(self):
         # columns of 200 terms: spread moduli, near-cancelling pairs, exact
-        # zeros; the natural-order sum may be off by about n eps sum |terms|
+        # zeros; the pairwise sum may be off by (20 + ceil(log2(n / 64))) eps sum |terms|
         rng = np.random.default_rng(57)
         n, eps = 200, sys.float_info.epsilon
         spread = rng.uniform(-30.0, 0.0, (n, 6)) + 1j * rng.uniform(-np.pi, np.pi, (n, 6))
@@ -88,9 +90,31 @@ class TestLogsumexp:
                 total = mpmath.fsum(terms)
                 got = mpmath.exp(mpmath.mpc(out[j].real, out[j].imag) - M)
                 # the sum's bound, plus the rounding of log(total) and of the shift back
-                bound = n * eps * mpmath.fsum(abs(t) for t in terms) + 4 * eps * abs(total) * (
+                bound = (20 + math.ceil(math.log2(n / 64))) * eps * mpmath.fsum(
+                    abs(t) for t in terms) + 4 * eps * abs(total) * (
                     1 + abs(mpmath.mpc(out[j].real, out[j].imag) - M) + abs(M))
                 assert abs(got - total) <= bound, (j, float(abs(got - total)), float(bound))
+
+    def test_columns_are_summed_pairwise(self):
+        # lams[:, finite] is a Fortran-ordered copy, so each column is summed
+        # pairwise; a C-ordered sum adds the rows one by one and differs
+        rng = np.random.default_rng(58)
+        lams = rng.normal(0.0, 10.0, (200, 256)) + 1j * rng.uniform(-np.pi, np.pi, (200, 256))
+        M = lams.real.max(axis=0)
+        terms = np.exp(lams - M)
+        pairwise = M + np.log(np.asfortranarray(terms).sum(axis=0))
+        rows = M + np.log(np.ascontiguousarray(terms).sum(axis=0))
+        out = logsumexp_complex(lams)
+        assert np.array_equal(out.view(float), pairwise.view(float))
+        assert not np.array_equal(out, rows)
+        # a matrix that is -inf + 0j off some cells: its cells alone give the same bits
+        rows_, cols = np.nonzero(rng.uniform(size=lams.shape) < 0.3)
+        sparse = np.full(lams.shape, complex(-np.inf, 0.0))
+        sparse[rows_, cols] = lams[rows_, cols]
+        sparse[:, 7] = complex(-np.inf, 0.0)
+        keep = cols != 7
+        got = _logsumexp_cells(lams[rows_[keep], cols[keep]], rows_[keep], cols[keep], lams.shape)
+        assert np.array_equal(got.view(float), logsumexp_complex(sparse).view(float))
 
     def test_exact_zeros(self):
         lams = np.array([[complex(-np.inf, 0.0), 0.5j], [complex(-np.inf, 2.0), -1.0]])
@@ -373,6 +397,36 @@ class TestLogP:
         for arr in (cp.log_B_nodes, cp.logderiv_rest_nodes, cp.log_P_prime_nodes):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+    def test_node_caches_are_built_in_column_blocks(self, monkeypatch):
+        # 200 nodes take blocks of 81, 81 and 38 columns, with the same bits
+        # as one pass over the whole node matrix
+        seq = spiral_sequence()
+        widths = []
+        geometry = CanonicalProduct._geometry
+        monkeypatch.setattr(CanonicalProduct, "_geometry",
+                            lambda self, z: widths.append(len(z)) or geometry(self, z))
+        cp = CanonicalProduct(seq, 2)
+        cp.logderiv_rest_nodes
+        assert widths == [81, 81, 38] * 2
+        monkeypatch.undo()
+        lam, A, onemA, _ = cp._factors(seq.values)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            T = cp._deriv_terms(A, onemA)
+        for whole, cache in ((lam, cp.log_B_nodes), (T, cp.logderiv_rest_nodes)):
+            np.fill_diagonal(whole, 0.0)
+            assert np.array_equal(whole.sum(axis=0).view(float), cache.view(float))
+
+    @pytest.mark.parametrize("n_nodes", [0, 1, 2, 200, 20000])
+    def test_column_blocks(self, n_nodes):
+        width = max(2, (1 << 14) // max(n_nodes, 1))
+        for n_points in [0, 1, 2, 3, width - 1, width, width + 1, 2 * width + 1, 1000]:
+            blocks = _column_blocks(n_points, n_nodes)
+            assert blocks[0].start == 0 and blocks[-1].stop == n_points
+            assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+            sizes = [b.stop - b.start for b in blocks]
+            # never 1 wide unless the batch is, and never above width + 1
+            assert all(2 <= w <= width + 1 for w in sizes) or sizes == [n_points]
 
     def test_derivative_cache_formed_on_first_read(self, monkeypatch):
         calls = []
