@@ -16,12 +16,12 @@ Evaluation is log-space throughout.  The n-th term is assembled from the
 factor split P(z) = E(A_n(z), s) B_n(z) using the exact identity
 E(A_n(z), s)/(z - z_n) = -conj(z_n) e^{Q(A_n(z))} / (1 - conj(z_n) z), which
 is pole-free, so f(z_k) = b_k holds exactly at the nodes and the terms stay
-finite arbitrarily close to them.  The value entry points take their points
-in column blocks of about 2^14 cells and form only the live terms, those
-whose real upper bound is within a proven cut of the column's largest, since
-every other term adds an exact zero to the shifted sum; the results equal
-forming every term, bit for bit.  The derivative entry points form every
-term.
+finite arbitrarily close to them.  Every entry point takes its points in
+the column blocks of ``CanonicalProduct._blockwise``, about 2^14 cells each.
+The value entry points form only the live terms, those whose real upper
+bound is within a proven cut of the column's largest, since every other term
+adds an exact zero to the shifted sum; the results equal forming every term,
+bit for bit.  The derivative entry points form every term.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ from .growth import GrowthError, GrowthFunction
 from .products import (
     LOG_ZERO,
     CanonicalProduct,
-    _column_blocks,
-    _logsumexp_cells,
     _poly_q,
     logsumexp_complex,
 )
@@ -279,10 +277,11 @@ def select_exponents(ladder: CoefficientLadder, seq: DiscSequence) -> np.ndarray
 class Interpolant:
     """The assembled interpolation series; immutable, evaluation is pure.
 
-    The value entry points (``eval_many``, ``eval_and_log_P_many``,
-    ``eval_log_many``) evaluate in column blocks of about 2^14 cells and
-    form a term only where it can reach the sum (``_block_value_logs``); the
-    derivative entry points form every term.
+    Every entry point evaluates in column blocks of about 2^14 cells.  The
+    value entry points (``eval_many``, ``eval_and_log_P_many``,
+    ``eval_log_many``) form a term only where it can reach the sum
+    (``_block_value_logs``); the derivative entry points form every term
+    (``_block_derivatives``).
     """
 
     def __init__(self, product: CanonicalProduct, targets: TargetData,
@@ -374,8 +373,10 @@ class Interpolant:
         so Re L_n - M, and its rounded value, is below -759.5: its exp in
         ``logsumexp_complex`` is an exact +-0, which adds nothing to a
         nonzero sum.  Every dropped cell is below M, so M is attained on the
-        live cells, and ``_logsumexp_cells`` of the live cells equals the
-        dense logsumexp bit for bit.  (A zero sum of the live cells is -inf
+        live cells.  The live terms are written into a matrix of -inf + 0j,
+        whose other cells shift to -inf and add exact zeros at the same
+        places of the same pairwise column sums, so its logsumexp equals the
+        dense one bit for bit.  (A zero sum of the live cells is -inf
         either way, and its sign of zero matters only through atan2 where
         the imaginary part of the sum is zero; that sum is then +0 both
         ways, as no L has imaginary part -0 after its + i pi.)  A NaN bound
@@ -396,26 +397,26 @@ class Interpolant:
         live = ~(bound < floor)
         if 2 * np.count_nonzero(live) > live.size:
             return logsumexp_complex(self._term_logs(np.s_[:, None], logB, D, A)), parts["logP"]
-        cols, rows = np.nonzero(live.T)
-        L = self._term_logs(rows, logB[rows, cols], D[rows, cols], A[rows, cols])
-        return _logsumexp_cells(L, rows, cols, live.shape), parts["logP"]
+        terms = np.full(live.shape, complex(LOG_ZERO, 0.0))
+        terms[live] = self._term_logs(live.nonzero()[0], logB[live], D[live], A[live])
+        return logsumexp_complex(terms), parts["logP"]
 
     def _value_logs(self, z) -> tuple[np.ndarray, np.ndarray]:
-        """(log f, log P) at a batch of points, in column blocks of about 2^14 cells."""
+        """(log f, log P) at a batch of points, in column blocks."""
         zb = np.atleast_1d(np.asarray(z, dtype=complex))
-        blocks = [self._block_value_logs(zb[b])
-                  for b in _column_blocks(len(zb), len(self.exponents))]
-        return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])
+        return self.product._blockwise(len(zb), lambda b: self._block_value_logs(zb[b]))
 
-    def _derivative_logs(self, parts: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(per-term logs L, logs of d/dz term_n, P'/P) via the smooth logarithmic factor.
+    def _block_derivatives(self, zb: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(f, f', log f, log f', P'/P, (P'/P)') at a block of points off the nodes.
 
+        f' comes from the smooth logarithmic factor of each term:
         term_n'/term_n = S_n + (s_n - 1) conj(z_n)/D + conj(z_n)/D *
         (1 + A + ... + A^s), where S_n is P'/P, the column sum of the factor
         log derivatives, less the n-th one.  The points are off the nodes
         (``_off_nodes``), so no factor vanishes.
         """
         cp = self.product
+        parts = self._assemble(cp._off_nodes(zb))
         A, onemA, D = parts["A"], parts["onemA"], parts["D"]
         L = self._term_logs(np.s_[:, None], parts["logB"], D, A)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -435,7 +436,9 @@ class Interpolant:
         bad = np.isnan(dL)
         if bad.any():
             dL[bad] = complex(LOG_ZERO, 0.0)
-        return L, dL, lp
+        lam_v, lam_d = logsumexp_complex(L), logsumexp_complex(dL)
+        lp2 = cp._deriv_prime_terms(A, onemA).sum(axis=0)
+        return _exp_or_zero(lam_v), _exp_or_zero(lam_d), lam_v, lam_d, lp, lp2
 
     # -- evaluation ------------------------------------------------------------
 
@@ -453,8 +456,7 @@ class Interpolant:
 
     def derivative_many(self, z) -> np.ndarray:
         """f' at a batch of points away from the nodes."""
-        parts = self._assemble(self.product._off_nodes(z))
-        out = _exp_or_zero(logsumexp_complex(self._derivative_logs(parts)[1]))
+        out = self.eval_and_derivative_many(z)[1]
         return out if np.ndim(z) else complex(out[0])
 
     def eval_and_derivative_many(self, z) -> tuple[np.ndarray, ...]:
@@ -462,11 +464,8 @@ class Interpolant:
 
         The last two are the bits ``log_deriv_P_many`` and ``log_deriv_prime_many`` give.
         """
-        parts = self._assemble(self.product._off_nodes(z))
-        L, dL, lp = self._derivative_logs(parts)
-        lam_v, lam_d = logsumexp_complex(L), logsumexp_complex(dL)
-        lp2 = self.product._deriv_prime_terms(parts["A"], parts["onemA"]).sum(axis=0)
-        return _exp_or_zero(lam_v), _exp_or_zero(lam_d), lam_v, lam_d, lp, lp2
+        zb = np.atleast_1d(np.asarray(z, dtype=complex))
+        return self.product._blockwise(len(zb), lambda b: self._block_derivatives(zb[b]))
 
     def interpolation_errors(self) -> np.ndarray:
         """Relative identity error |f(z_k) - b_k| / (1 + |b_k|) at every node.

@@ -61,7 +61,7 @@ _x8, _w8 = np.polynomial.legendre.leggauss(8)
 _PANEL_TS, _PANEL_WEIGHTS = 0.5 * (_x8 + 1.0), 0.5 * _w8
 # points per residual sample: the stencil, then a panel on each of its 6 sub-segments
 _SAMPLE_POINTS = len(_STENCIL) + (len(_STENCIL) - 1) * len(_PANEL_TS)
-# points per evaluation call of residual_report and zero_counts
+# points per sample chunk of residual_report, which bounds its per-point arrays
 EVAL_BLOCK = 1024
 # zero_counts' nested trapezoid rule: first and largest point counts per
 # circle, and the constant C of its roundoff floor C eps sum|w dz| / (2 pi)
@@ -215,15 +215,15 @@ class OscillationSolution:
         return self._winding_numbers(self.sequence.values, self._winding_radii())[0]
 
     def _winding_radii(self) -> np.ndarray:
-        """Radius of each node's private circle; the node gaps are taken in row blocks."""
+        """Radius of each node's private circle; the node gaps are taken in column blocks."""
         nodes = self.sequence.values
-        gaps = np.empty(len(nodes))
-        for lo in range(0, len(nodes), EVAL_BLOCK):
-            d = np.abs(nodes[None, :] - nodes[lo:lo + EVAL_BLOCK, None])
-            d[np.arange(len(d)), lo + np.arange(len(d))] = np.inf
-            gaps[lo:lo + EVAL_BLOCK] = d.min(axis=1)
-        one_minus = 1.0 - self.sequence.moduli
-        return 0.4 * np.minimum(np.minimum(gaps, one_minus),
+
+        def gaps(b):
+            d = np.abs(nodes[:, None] - nodes[None, b])
+            d[np.arange(b.start, b.stop), np.arange(b.stop - b.start)] = np.inf
+            return d.min(axis=0, initial=np.inf)
+        nearest, one_minus = self.product._blockwise(len(nodes), gaps), 1.0 - self.sequence.moduli
+        return 0.4 * np.minimum(np.minimum(nearest, one_minus),
                                 5.0 * one_minus / (1.0 + self.gprime.exponents))
 
     def _winding_numbers(self, centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -262,17 +262,10 @@ class OscillationSolution:
 
     def _circle_terms(self, centers: np.ndarray, radii: np.ndarray,
                       thetas: np.ndarray) -> np.ndarray:
-        """w (z - c), w = P'/P + h, at z = c + r e^(i theta); a row per circle.
-
-        The points of all circles go through calls of nearly equal width,
-        at most EVAL_BLOCK points each.  So with 2 or more points no call has
-        width 1, where numpy would round the factor matrix's axis-0 sums
-        differently from a wider call.
-        """
+        """w (z - c), w = P'/P + h, at z = c + r e^(i theta); a row per circle."""
         ring = centers[:, None] + radii[:, None] * np.exp(1j * thetas)
-        blocks = np.array_split(ring.ravel(), max(1, -(-ring.size // EVAL_BLOCK)))
-        w = np.concatenate([self.product.log_deriv_P_many(b) + self.gprime.eval_many(b)
-                            for b in blocks])
+        z = ring.ravel()
+        w = self.product.log_deriv_P_many(z) + self.gprime.eval_many(z)
         return w.reshape(ring.shape) * (ring - centers[:, None])
 
     def growth_a_report(self, r_grid: Sequence[float], theta_count: int = 256) -> GrowthTable:

@@ -11,6 +11,12 @@ exp(-2**(n rho)) survive: naive double-precision products underflow after a
 handful of such factors.  The reduced product B_k = P / E(A_k(z), s) and the
 node derivative P'(z_k) are cached at construction in the same representation.
 
+Every pass over the (node, point) matrix, the node caches and all the
+evaluation entry points here and in ``interpolation`` included, runs through
+``CanonicalProduct._blockwise`` in column blocks of about 2^14 cells, so no
+pass holds an N x P array over a batch wider than one block, and the results
+equal one pass over the whole batch, bit for bit.
+
 The log-factor kernel ``_log_E`` reads log(1 - A) only on the cells with
 |A| > 1/2; the others take a Horner tail that never needs it, each cell to
 its own degree, so no value depends on the rest of its batch.  Callers hand
@@ -59,8 +65,8 @@ _LOG_TAIL_STOP = math.log(1e-24)
 # treated as a pole.
 POLE_TOL = 1e-12
 
-# cells per column block of a node-cache pass or a value evaluation; any value
-# gives the same results, since no block of two or more columns is 1 wide
+# cells per column block of every (node, point) pass (``_blockwise``); any
+# value gives the same results, since no block of two or more columns is 1 wide
 _BLOCK_CELLS = 1 << 14
 
 
@@ -71,8 +77,16 @@ class ProductsError(ValueError):
 def logsumexp_complex(lams: np.ndarray) -> np.ndarray:
     """Complex log of a sum of exponentials of complex logs, along axis 0.
 
-    Terms with real part -inf are exact zeros.  The terms are shifted by the
-    largest real part of their column and summed by ``_log_column_sums``.
+    Terms with real part -inf are exact zeros; a column whose sum is zero
+    gives -inf + 0j.  The terms are shifted by the largest real part of their
+    column and exponentiated into a Fortran-ordered matrix (the exact zeros
+    are left as zeros), so numpy sums each column pairwise (a reduction along
+    a contiguous axis); a C-ordered ``sum(axis=0)`` of a matrix two or more
+    columns wide adds its rows one by one instead.  In the pairwise sum a
+    term passes through at most 20 + ceil(log2(n / 64)) roundings for n terms
+    (15 in one of a leaf's four accumulators, 2 joining them, 3 for the
+    leaf's leftover terms, one per halving above 64 terms), so the sum is
+    within that many eps of the sum of the moduli, against n eps row by row.
     """
     lams = np.asarray(lams, dtype=complex)
     squeeze = lams.ndim == 1
@@ -83,49 +97,12 @@ def logsumexp_complex(lams: np.ndarray) -> np.ndarray:
     finite = np.isfinite(M)
     if np.any(finite):
         shifted = lams[:, finite] - M[None, finite]
-        shifted = np.where(np.isneginf(shifted.real), complex(LOG_ZERO, 0.0), shifted)
-        out[finite] = _log_column_sums(np.exp(shifted), M[finite])
+        terms = np.zeros(shifted.shape, dtype=complex, order="F")
+        np.exp(shifted, out=terms, where=~np.isneginf(shifted.real))
+        total = terms.sum(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out[finite] = M[finite] + np.where(total == 0, complex(LOG_ZERO, 0.0), np.log(total))
     return out[0] if squeeze else out
-
-
-def _logsumexp_cells(vals: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                     shape: tuple[int, int]) -> np.ndarray:
-    """``logsumexp_complex`` of the matrix that holds vals at (rows, cols) and -inf + 0j elsewhere.
-
-    Bit for bit: the column maxima are the same, the other cells would shift
-    to -inf and add exact zeros, and the columns go through the same
-    ``_log_column_sums``.  Only the given cells are shifted and exponentiated.
-    """
-    n, p = shape
-    M = np.full(p, LOG_ZERO)
-    np.maximum.at(M, cols, vals.real)
-    out = np.full(p, complex(LOG_ZERO, 0.0))
-    finite = np.isfinite(M)
-    with np.errstate(invalid="ignore"):
-        shifted = vals - M[cols]  # read only in the columns with a finite maximum
-    shifted = np.where(np.isneginf(shifted.real), complex(LOG_ZERO, 0.0), shifted)
-    terms = np.zeros((p, n), dtype=complex)
-    with np.errstate(invalid="ignore", over="ignore"):
-        terms[cols, rows] = np.exp(shifted)
-    out[finite] = _log_column_sums(terms[finite].T, M[finite])
-    return out
-
-
-def _log_column_sums(terms: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """M + log of each column sum of terms; -inf + 0j where a sum is zero.
-
-    The columns are summed in Fortran order, so numpy sums each one pairwise
-    (a reduction along a contiguous axis); a C-ordered ``sum(axis=0)`` of a
-    matrix two or more columns wide adds its rows one by one instead.  In the
-    pairwise sum a term passes through at most 20 + ceil(log2(n / 64))
-    roundings for n terms (15 in one of a leaf's four accumulators, 2 joining
-    them, 3 for the leaf's leftover terms, one per halving above 64 terms),
-    so the sum is within that many eps of the sum of the moduli, against
-    n eps row by row.
-    """
-    total = np.asfortranarray(terms).sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return M + np.where(total == 0, complex(LOG_ZERO, 0.0), np.log(total))
 
 
 def _column_blocks(n_points: int, n_nodes: int) -> list[slice]:
@@ -253,17 +230,26 @@ class CanonicalProduct:
     def _node_sums(self, cells: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """Read-only column sums of the (node, node) matrix cells(z_n) less its diagonal.
 
-        The matrix is formed in column blocks, so a pass holds about
-        _BLOCK_CELLS cells at a time.
+        The matrix is formed in column blocks (``_blockwise``).
         """
-        sums = []
-        for block in _column_blocks(len(self._zn), len(self._zn)):
-            T = cells(self._zn[block])
-            T[np.arange(block.start, block.stop), np.arange(block.stop - block.start)] = 0.0
-            sums.append(T.sum(axis=0))
-        out = np.concatenate(sums)
+        def block(b):
+            T = cells(self._zn[b])
+            T[np.arange(b.start, b.stop), np.arange(b.stop - b.start)] = 0.0
+            return T.sum(axis=0)
+        out = self._blockwise(len(self._zn), block)
         out.flags.writeable = False
         return out
+
+    def _blockwise(self, n_points: int, block: Callable[[slice], object]):
+        """block(b) on each column block b of an (n_nodes, n_points) pass, joined along the points.
+
+        ``block`` maps a slice of the points to an array, or a tuple of
+        arrays, over those points.  The blocks are ``_column_blocks``.
+        """
+        outs = [block(b) for b in _column_blocks(n_points, len(self._zn))]
+        if isinstance(outs[0], tuple):
+            return tuple(np.concatenate(parts) for parts in zip(*outs))
+        return np.concatenate(outs)
 
     # -- batched internals ---------------------------------------------------
 
@@ -315,7 +301,7 @@ class CanonicalProduct:
 
     def log_P_many(self, z) -> np.ndarray:
         zb, scalar = self._as_batch(z)
-        out = self._factors(zb)[0].sum(axis=0)
+        out = self._blockwise(len(zb), lambda b: self._factors(zb[b])[0].sum(axis=0))
         return out[0] if scalar else out
 
     def P(self, z):
@@ -331,17 +317,23 @@ class CanonicalProduct:
             raise ProductsError("derivative evaluated at a node")
         return zb
 
+    def _off_node_sums(self, z, terms) -> np.ndarray:
+        """Column sums of terms(A, 1 - A) at a batch of points away from the nodes."""
+        zb, scalar = self._as_batch(z)
+
+        def block(b):
+            A, onemA, _ = self._geometry(self._off_nodes(zb[b]))
+            return terms(A, onemA).sum(axis=0)
+        out = self._blockwise(len(zb), block)
+        return out[0] if scalar else out
+
     def log_deriv_P_many(self, z) -> np.ndarray:
         """P'/P at a batch of points away from the nodes."""
-        A, onemA, _ = self._geometry(self._off_nodes(z))
-        out = self._deriv_terms(A, onemA).sum(axis=0)
-        return out if np.ndim(z) else out[0]
+        return self._off_node_sums(z, self._deriv_terms)
 
     def log_deriv_prime_many(self, z) -> np.ndarray:
         """(P'/P)' at a batch of points away from the nodes."""
-        A, onemA, _ = self._geometry(self._off_nodes(z))
-        out = self._deriv_prime_terms(A, onemA).sum(axis=0)
-        return out if np.ndim(z) else out[0]
+        return self._off_node_sums(z, self._deriv_prime_terms)
 
     # -- node data --------------------------------------------------------------
 
@@ -365,18 +357,19 @@ class CanonicalProduct:
     def P_second_many(self, z) -> np.ndarray:
         """P'' away from nodes via P ((P'/P)^2 + (P'/P)'); node-exact at nodes."""
         zb, scalar = self._as_batch(z)
-        out = np.empty(len(zb), dtype=complex)
-        at_node = self._near_nodes(zb).any(axis=0)
-        away = ~at_node
-        if away.any():
-            lam, A, onemA, _ = self._factors(zb[away])
-            lp = self._deriv_terms(A, onemA).sum(axis=0)
-            lp2 = self._deriv_prime_terms(A, onemA).sum(axis=0)
-            with np.errstate(over="ignore"):
-                out[away] = np.exp(lam.sum(axis=0)) * (lp**2 + lp2)
-        for m in np.where(at_node)[0]:
-            k = int(np.argmin(np.abs(self._zn - zb[m])))
-            out[m] = self.P_second_at_node(k)
+
+        def block(b):
+            # every column is formed, so no block is narrowed; a node's column is replaced
+            zc = zb[b]
+            lam, A, onemA, _ = self._factors(zc)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                lp = self._deriv_terms(A, onemA).sum(axis=0)
+                lp2 = self._deriv_prime_terms(A, onemA).sum(axis=0)
+                out = np.exp(lam.sum(axis=0)) * (lp**2 + lp2)
+            for m in np.flatnonzero(self._near_nodes(zc).any(axis=0)):
+                out[m] = self.P_second_at_node(int(np.argmin(np.abs(self._zn - zc[m]))))
+            return out
+        out = self._blockwise(len(zb), block)
         return out[0] if scalar else out
 
     # -- bounds -------------------------------------------------------------------
@@ -384,16 +377,19 @@ class CanonicalProduct:
     def factor_abs_power_sum(self, z) -> np.ndarray:
         """sum_n |A_n(z)|^(s+1), the universal comparison series."""
         zb, scalar = self._as_batch(z)
-        A, _, _ = self._geometry(zb)
-        out = (np.abs(A) ** (self.genus + 1)).sum(axis=0)
+        out = self._blockwise(len(zb), lambda b: (np.abs(self._geometry(zb[b])[0])
+                                                  ** (self.genus + 1)).sum(axis=0))
         return float(out[0]) if scalar else out
 
     def tsuji_bound_check(self, z) -> "TsujiReport":
         """log|P| against the universal bound 2^(s+2) sum |A_n|^(s+1), from one factor pass."""
         zb, scalar = self._as_batch(z)
-        lam, A, _, _ = self._factors(zb)
-        lhs = lam.sum(axis=0).real
-        rhs = 2.0 ** (self.genus + 2) * (np.abs(A) ** (self.genus + 1)).sum(axis=0)
+
+        def block(b):
+            lam, A, _, _ = self._factors(zb[b])
+            rhs = 2.0 ** (self.genus + 2) * (np.abs(A) ** (self.genus + 1)).sum(axis=0)
+            return lam.sum(axis=0).real, rhs
+        lhs, rhs = self._blockwise(len(zb), block)
         holds = bool(np.all(lhs <= rhs + 1e-9))
         if scalar:
             lhs, rhs = float(lhs[0]), float(rhs[0])

@@ -114,6 +114,54 @@ def dense_value_logs(f, z) -> tuple[np.ndarray, np.ndarray]:
     return logsumexp_complex(L), logP
 
 
+def one_pass_products(cp, z) -> dict:
+    """P'/P, (P'/P)', P'', sum |A_n|^(s+1) and both Tsuji sides, from one pass over all of z.
+
+    The formation before the column blocks, at points off the nodes: the
+    oracle the blocked entry points of ``CanonicalProduct`` are checked
+    against bit for bit.
+    """
+    lam, A, onemA, _ = cp._factors(np.atleast_1d(np.asarray(z, dtype=complex)))
+    log_P = lam.sum(axis=0)
+    lp = cp._deriv_terms(A, onemA).sum(axis=0)
+    lp2 = cp._deriv_prime_terms(A, onemA).sum(axis=0)
+    abs_power = (np.abs(A) ** (cp.genus + 1)).sum(axis=0)
+    with np.errstate(over="ignore"):
+        P_second = np.exp(log_P) * (lp**2 + lp2)
+    return {"log_deriv_P_many": lp, "log_deriv_prime_many": lp2, "P_second_many": P_second,
+            "factor_abs_power_sum": abs_power, "tsuji_lhs": log_P.real,
+            "tsuji_rhs": 2.0 ** (cp.genus + 2) * abs_power}
+
+
+def one_pass_derivatives(f, z) -> tuple:
+    """(f, f', log f, log f', P'/P, (P'/P)') of the interpolant f from one pass over all of z.
+
+    The derivative formation before the column blocks, at points off the
+    nodes: term_n'/term_n = S_n + (s_n - 1) conj(z_n)/D + conj(z_n)/D
+    (1 + A + ... + A^s), with S_n = P'/P less the n-th factor's log
+    derivative.  The oracle ``Interpolant.eval_and_derivative_many`` is
+    checked against bit for bit.
+    """
+    cp = f.product
+    L, _ = dense_terms(f, z)
+    _, A, onemA, D = cp._factors(np.atleast_1d(np.asarray(z, dtype=complex)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        T = cp._deriv_terms(A, onemA)
+        lp = T.sum(axis=0)
+    zcD = np.conj(cp.sequence.values)[:, None] / D
+    geom, Aj = np.ones_like(A), np.ones_like(A)
+    for _ in range(cp.genus):
+        Aj = Aj * A
+        geom = geom + Aj
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dL = L + np.log((lp[None, :] - T) + (f.exponents - 1)[:, None] * zcD + zcD * geom)
+    dL[np.isnan(dL)] = complex(-np.inf, 0.0)
+    lam_v, lam_d = logsumexp_complex(L), logsumexp_complex(dL)
+    with np.errstate(over="ignore"):
+        vals = [np.where(np.isneginf(lam.real), 0.0, np.exp(lam)) for lam in (lam_v, lam_d)]
+    return vals[0], vals[1], lam_v, lam_d, lp, cp._deriv_prime_terms(A, onemA).sum(axis=0)
+
+
 def log_E_batch_degree(A, log_one_minus, s):
     """``_log_E`` with one Horner degree for all small cells, set by their largest |A|.
 

@@ -7,12 +7,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from discinterp import interpolation
+from discinterp import interpolation, products
 from discinterp.geometry import DiscSequence
 from discinterp.harness import generate_targets
 from discinterp.growth import GrowthFunction
 from discinterp.interpolation import (
     _MARGIN,
+    Interpolant,
     InterpolationError,
     LadderError,
     TargetData,
@@ -32,6 +33,7 @@ from helpers import (
     dense_terms,
     dense_value_logs,
     lattice_instance,
+    one_pass_derivatives,
     raw_conjugate,
     scan_max_term,
     small_radial_instance,
@@ -706,15 +708,29 @@ class TestLiveTerms:
 
     @staticmethod
     def live_cells(monkeypatch, f, z):
-        """Per live-path block, the (rows, cols) of the cells it formed."""
-        seen = []
-        cells = interpolation._logsumexp_cells
+        """Per live-path block, the (rows, cols) of the cells it formed, and the block's shape.
 
-        def record(vals, rows, cols, shape):
-            seen.append((rows, cols, shape))
-            return cells(vals, rows, cols, shape)
+        The rows are the flat ``rows`` that ``_term_logs`` receives.  A cell's
+        column is where its gathered D sits in that row of the block's D
+        matrix, since no two points of a block share a D_n(z).
+        """
+        seen, blocks = [], []
+        assemble, term_logs = Interpolant._assemble, Interpolant._term_logs
 
-        monkeypatch.setattr(interpolation, "_logsumexp_cells", record)
+        def record_block(self, zb):
+            parts = assemble(self, zb)
+            blocks.append(parts["D"])
+            return parts
+
+        def record_terms(self, rows, logB, D, A):
+            if isinstance(rows, np.ndarray):  # the live path's flat cells
+                hit = blocks[-1][rows] == D[:, None]
+                assert np.all(hit.sum(axis=1) == 1)
+                seen.append((rows, hit.argmax(axis=1), blocks[-1].shape))
+            return term_logs(self, rows, logB, D, A)
+
+        monkeypatch.setattr(Interpolant, "_assemble", record_block)
+        monkeypatch.setattr(Interpolant, "_term_logs", record_terms)
         f.eval_log_many(z)
         monkeypatch.undo()
         return seen
@@ -783,12 +799,17 @@ class TestLiveTerms:
         # exp_log_power's rings are about 64% live, its nodes 1/N: the first
         # block of this batch forms every term, the next one the live terms
         f = spiral_interpolants["exp_log_power"]
-        width = interpolation._column_blocks(10**6, len(f.sequence))[0].stop
+        width = products._column_blocks(10**6, len(f.sequence))[0].stop
         z = np.concatenate([_ring(0.9, width), f.sequence.values[:width]])
         dense_calls = []
-        dense = interpolation.logsumexp_complex
-        monkeypatch.setattr(interpolation, "logsumexp_complex",
-                            lambda lams: dense_calls.append(lams.shape) or dense(lams))
+        term_logs = Interpolant._term_logs
+
+        def record_dense(self, rows, logB, D, A):
+            if not isinstance(rows, np.ndarray):  # every cell of the block
+                dense_calls.append(logB.shape)
+            return term_logs(self, rows, logB, D, A)
+
+        monkeypatch.setattr(Interpolant, "_term_logs", record_dense)
         seen = self.live_cells(monkeypatch, f, z)
         assert dense_calls == [(len(f.sequence), width)]
         assert [shape for _, _, shape in seen] == [(len(f.sequence), width)]
@@ -825,12 +846,31 @@ class TestLiveTerms:
             seen = self.live_cells(monkeypatch, f, _ring(r))
             assert sum(len(rows) for rows, _, _ in seen) < 0.2 * len(f.sequence) * 256
 
+    @pytest.mark.parametrize("family", [g.family for g in SPIRAL_FAMILIES])
+    def test_derivatives_are_built_in_column_blocks(self, monkeypatch, spiral_interpolants, family):
+        # a ring and points next to the nodes span 6 blocks: no factor pass is
+        # wider than a block, and all six outputs have the bits of one pass
+        f = spiral_interpolants[family]
+        seq = f.sequence
+        z = np.concatenate([_ring(0.9), seq.values + 1e-9 * (1.0 - seq.moduli)])
+        blocks = products._column_blocks(len(z), len(seq))
+        assert len(blocks) >= 3
+        want = one_pass_derivatives(f, z)
+        widths = []
+        geometry = products.CanonicalProduct._geometry
+        monkeypatch.setattr(products.CanonicalProduct, "_geometry",
+                            lambda self, z: widths.append(len(z)) or geometry(self, z))
+        got = f.eval_and_derivative_many(z)
+        assert widths == [b.stop - b.start for b in blocks]
+        for k in range(6):
+            assert got[k].tobytes() == want[k].tobytes(), k
+
     def test_blocks_concatenate(self, spiral_interpolants):
         # a batch equals its column blocks evaluated one by one, and equal-width
         # chunks of 2 or 3 points, bit for bit
         f = spiral_interpolants["log_power"]
         z = np.concatenate([_ring(0.99, 301), f.sequence.values])
-        blocks = interpolation._column_blocks(len(z), len(f.sequence))
+        blocks = products._column_blocks(len(z), len(f.sequence))
         assert len(blocks) > 2
         whole = f.eval_and_log_P_many(z)
         for parts in (blocks, [slice(k, k + 3) for k in range(0, len(z), 3)]):

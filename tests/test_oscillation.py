@@ -15,7 +15,6 @@ from discinterp.growth import GrowthFunction
 from discinterp.harness import generate_sequence
 from discinterp.interpolation import Interpolant
 from discinterp.oscillation import (
-    EVAL_BLOCK,
     WINDING_CAP,
     WINDING_START,
     OscillationError,
@@ -308,14 +307,22 @@ class TestWindingRule:
         assert counts[1] == pytest.approx(2.0, abs=1e-3)
         # each doubling evaluates only its new points
         assert sum(eval_widths) == points.sum()
-        assert all(2 <= w <= EVAL_BLOCK for w in eval_widths)
 
-    def test_evaluation_blocks_are_at_least_two_wide(self, eval_widths):
-        # a width-1 call would round the axis-0 sums of the factor matrix
-        # differently from a wider one
-        sol, _ = shipped_oscillate(5)
+    def test_factor_passes_run_in_column_blocks(self, monkeypatch):
+        # every factor pass of the three checks is one column block: at least
+        # 2 wide, as a width-1 pass would round the axis-0 sums of the factor
+        # matrix differently (none of their batches is a single point), and
+        # at most the block width plus a joined remainder of 1
+        sol, cfg = shipped_oscillate(5)
+        widths = []
+        geometry = CanonicalProduct._geometry
+        monkeypatch.setattr(CanonicalProduct, "_geometry",
+                            lambda self, z: widths.append(len(z)) or geometry(self, z))
         sol.zero_counts()
-        assert eval_widths and all(2 <= w <= EVAL_BLOCK for w in eval_widths)
+        sol.residual_report(n_samples=cfg["residual_samples"], seed=cfg["seed"])
+        sol.growth_a_report(cfg["r_grid"], cfg["theta_count"])
+        cap = max(2, (1 << 14) // len(sol.sequence)) + 1
+        assert widths and all(2 <= w <= cap for w in widths)
 
 
 class TestSharpnessSequence:

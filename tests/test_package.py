@@ -91,6 +91,19 @@ def test_module_graph():
     }
 
 
+def test_only_products_splits_batches_into_column_blocks():
+    # every (node, point) pass goes through CanonicalProduct._blockwise, so no
+    # other module reads the block rule
+    def names(node):
+        if isinstance(node, ast.ImportFrom):
+            return [a.name for a in node.names]
+        return [getattr(node, "id", None), getattr(node, "attr", None)]
+
+    readers = {path.stem for path in Path(discinterp.__file__).parent.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text())) if "_column_blocks" in names(node)}
+    assert readers == {"products"}
+
+
 def test_harness_import_does_not_load_scipy():
     # only psi_tilde of exp_log_power needs scipy, and it imports it on use
     src = str(Path(discinterp.__file__).resolve().parents[1])

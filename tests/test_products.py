@@ -20,7 +20,6 @@ from discinterp.products import (
     _column_blocks,
     _log_E,
     _log_one_minus,
-    _logsumexp_cells,
 )
 from discinterp.oscillation import sharpness_sequence
 
@@ -28,6 +27,7 @@ from helpers import (
     factors_all_cells,
     index_cancellation_check,
     log_E_batch_degree,
+    one_pass_products,
     spiral_sequence,
     weierstrass_E,
 )
@@ -107,14 +107,6 @@ class TestLogsumexp:
         out = logsumexp_complex(lams)
         assert np.array_equal(out.view(float), pairwise.view(float))
         assert not np.array_equal(out, rows)
-        # a matrix that is -inf + 0j off some cells: its cells alone give the same bits
-        rows_, cols = np.nonzero(rng.uniform(size=lams.shape) < 0.3)
-        sparse = np.full(lams.shape, complex(-np.inf, 0.0))
-        sparse[rows_, cols] = lams[rows_, cols]
-        sparse[:, 7] = complex(-np.inf, 0.0)
-        keep = cols != 7
-        got = _logsumexp_cells(lams[rows_[keep], cols[keep]], rows_[keep], cols[keep], lams.shape)
-        assert np.array_equal(got.view(float), logsumexp_complex(sparse).view(float))
 
     def test_exact_zeros(self):
         lams = np.array([[complex(-np.inf, 0.0), 0.5j], [complex(-np.inf, 2.0), -1.0]])
@@ -417,6 +409,30 @@ class TestLogP:
             np.fill_diagonal(whole, 0.0)
             assert np.array_equal(whole.sum(axis=0).view(float), cache.view(float))
 
+    def test_entry_points_are_built_in_column_blocks(self, monkeypatch):
+        # a ring and points next to the 200 spiral nodes span 6 blocks; each
+        # entry point forms no pass wider than a block and gives the bits of
+        # one pass over the whole batch
+        seq = spiral_sequence()
+        cp = CanonicalProduct(seq, 2)
+        ring = 0.9 * np.exp(2j * np.pi * np.arange(256) / 256)
+        z = np.concatenate([ring, seq.values + 1e-9 * (1.0 - seq.moduli)])
+        blocks = _column_blocks(len(z), len(seq))
+        assert len(blocks) >= 3
+        want = one_pass_products(cp, z)
+        widths = []
+        geometry = CanonicalProduct._geometry
+        monkeypatch.setattr(CanonicalProduct, "_geometry",
+                            lambda self, z: widths.append(len(z)) or geometry(self, z))
+        got = {name: getattr(cp, name)(z) for name in
+               ("log_deriv_P_many", "log_deriv_prime_many", "P_second_many", "factor_abs_power_sum")}
+        tsuji = cp.tsuji_bound_check(z)
+        got.update(tsuji_lhs=tsuji.lhs, tsuji_rhs=tsuji.rhs)
+        assert max(widths) == max(b.stop - b.start for b in blocks)
+        assert len(widths) == 5 * len(blocks)
+        for name, value in want.items():
+            assert value.tobytes() == got[name].tobytes(), name
+
     @pytest.mark.parametrize("n_nodes", [0, 1, 2, 200, 20000])
     def test_column_blocks(self, n_nodes):
         width = max(2, (1 << 14) // max(n_nodes, 1))
@@ -598,7 +614,8 @@ class TestPSecond:
                             lambda self, z: calls.append(len(z)) or geometry(self, z))
         cp.P_second_many(np.array([0.1, 0.3 + 0.4j, -0.2 + 0.1j, 0.7, 0.5]))
         cp.P_second_many(-0.2 + 0.1j)
-        assert calls == [2, 1]
+        # the pass forms every column, and the node columns are then replaced
+        assert calls == [5, 1]
 
     def test_node_value_matches_cauchy(self):
         rng = np.random.default_rng(42)

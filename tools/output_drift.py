@@ -2,8 +2,8 @@
 
 Runs every scenario of bench/scenarios.py once per tree, each in its own interpreter, into WORK/old
 and WORK/new.  For each output file, stdout.txt and exit.txt it prints ``identical``, the change of
-exit code, or the largest relative drift of each numeric column (constants.json key) that moved.
-Exits 1 when any file, stdout or exit code differs, so 0 means byte identity."""
+exit code, or the largest relative drift of each numeric column (constants.json key) that moved,
+and ends with the tally ``<k> of <n> identical``.  Exits 1 when any file, stdout or exit code differs, so 0 means byte identity."""
 import contextlib, csv, io, json, math, os, subprocess, sys, tempfile
 from pathlib import Path
 
@@ -56,10 +56,12 @@ if __name__ == "__main__":
     for tag, src in (("old", sys.argv[1]), ("new", sys.argv[2])):
         subprocess.run([sys.executable, __file__, "--run", str(work / tag)], check=True,
                        env=dict(os.environ, PYTHONPATH=os.path.abspath(src)))
-    moved = False
+    results = []
     for scn in sorted(p.name for p in (work / "old").iterdir()):
         for name in sorted({p.name for d in ("old", "new") for p in (work / d / scn).iterdir()}):
             result = compare(work / "old" / scn / name, work / "new" / scn / name)
-            moved |= result != "identical"
+            results.append(result)
             print(f"{scn}/{name}: {result}")
-    sys.exit(1 if moved else 0)
+    same = results.count("identical")
+    print(f"{same} of {len(results)} identical")
+    sys.exit(0 if same == len(results) else 1)
