@@ -16,12 +16,15 @@ Evaluation is log-space throughout.  The n-th term is assembled from the
 factor split P(z) = E(A_n(z), s) B_n(z) using the exact identity
 E(A_n(z), s)/(z - z_n) = -conj(z_n) e^{Q(A_n(z))} / (1 - conj(z_n) z), which
 is pole-free, so f(z_k) = b_k holds exactly at the nodes and the terms stay
-finite arbitrarily close to them.  Every entry point takes its points in
-the column blocks of ``CanonicalProduct._blockwise``, about 2^14 cells each.
-The value entry points form only the live terms, those whose real upper
-bound is within a proven cut of the column's largest, since every other term
-adds an exact zero to the shifted sum; the results equal forming every term,
-bit for bit.  The derivative entry points form every term.
+finite arbitrarily close to them.  As 1/(1 - conj(z_n) z) =
+A_n(z)/(1 - |z_n|^2), a term's log is c_n + log B_n(z) + Q(A_n(z))
++ s_n log A_n(z) with a per-node constant c_n: one complex log per term.
+Every entry point takes its points in the column blocks of
+``CanonicalProduct._blockwise``, about 2^14 cells each.  The value entry
+points form only the live terms, those whose real upper bound is within a
+proven cut of the column's largest, since every other term adds an exact
+zero to the shifted sum; the results equal forming every term, bit for bit.
+The derivative entry points form every term.
 """
 
 from __future__ import annotations
@@ -292,16 +295,15 @@ class Interpolant:
         self.ladder = ladder
         with np.errstate(divide="ignore"):
             log_abs = np.log(np.abs(targets.values))
-        phases = np.angle(targets.values)
-        self._log_b = np.where(
-            np.isneginf(log_abs), complex(LOG_ZERO, 0.0), log_abs + 1j * phases
-        )
-        self._s_minus_1 = self.exponents - 1
-        # the per-node part of the term bound, and its cut (``_block_value_logs``)
+        log_b = np.where(np.isneginf(log_abs), complex(LOG_ZERO, 0.0),
+                         log_abs + 1j * np.angle(targets.values))
+        log_oms = np.log(product._oms)
+        # the per-node constant of the terms (``_term_logs``), and the per-node
+        # part of their bound with its cut (``_block_value_logs``)
         with np.errstate(divide="ignore", invalid="ignore"):
-            self._log_zc = np.log(np.conj(product.sequence.values))
-            self._bound_rows = (self._log_b.real - product.log_P_prime_nodes.real
-                                + self._log_zc.real + self._s_minus_1 * np.log(product._oms))
+            self._c = (log_b + np.log(np.conj(product.sequence.values)) + 1j * math.pi
+                       - log_oms - product.log_P_prime_nodes)
+            self._bound_rows = self._c.real + self.exponents * log_oms
         self._half_s = 0.5 * self.exponents
         q_cap = sum(2.0 ** j / j for j in range(1, product.genus + 1))
         scale = (2.0 * (len(self.exponents) + 2) * (746.0 + q_cap)
@@ -326,43 +328,39 @@ class Interpolant:
         logB[hits] = cp.log_B_nodes[hits.nonzero()[0]]
         return {"A": A, "onemA": onemA, "D": D, "logP": logP, "logB": logB}
 
-    def _term_logs(self, rows, logB: np.ndarray, D: np.ndarray, A: np.ndarray) -> np.ndarray:
-        """L = log(b_n B_n(z) (-conj(z_n)) e^{q(A)} A^(s_n - 1) / (D P'(z_n))), the n-th term's log.
+    def _term_logs(self, rows, logB: np.ndarray, A: np.ndarray) -> np.ndarray:
+        """L = c_n + log B_n(z) + q(A) + s_n log A, the n-th term's log.
 
+        c_n = log(b_n (-conj(z_n)) / ((1 - |z_n|^2) P'(z_n))) is formed once
+        per node.  At a node A = 1 exactly, so s_n log A is an exact 0.
         ``rows`` indexes the per-node data: ``np.s_[:, None]`` for whole
         (node, point) matrices, or the node of each cell of flat arrays.
         """
-        cp = self.product
         with np.errstate(divide="ignore", invalid="ignore"):
-            return (
-                self._log_b[rows]
-                + logB
-                + self._log_zc[rows]
-                - np.log(D)
-                + 1j * math.pi
-                + _poly_q(A, cp.genus)
-                + self._s_minus_1[rows] * np.log(A)
-                - cp.log_P_prime_nodes[rows]
-            )
+            return (self._c[rows] + logB + _poly_q(A, self.product.genus)
+                    + self.exponents[rows] * np.log(A))
 
     def _block_value_logs(self, zb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(log f, log P) at a batch of points, forming only the live terms.
 
         *Bound.*  With log|A| = log(1 - |z_n|^2) - log|D|, the real part of
-        the term log L is Re L = B + Re q(A), where per cell
-        B = Re log B_n(z) + c_n - s_n log|D|^2 / 2 and per node
-        c_n = log|b_n| - Re log P'(z_n) + log|z_n| + (s_n - 1) log(1 - |z_n|^2).
+        the term log L (``_term_logs``) is Re L = B + Re q(A), where per cell
+        B = Re log B_n(z) + k_n - s_n log|D|^2 / 2 and per node
+        k_n = Re c_n + s_n log(1 - |z_n|^2).
         At a point with np.abs(z) < 1, so |z| <= 1, |D| >= 1 - |z_n| and
         |A| <= 1 + |z_n| < 2, hence |Re q(A)| <= Q_s = sum_{j <= s} 2^j / j.
 
         *Rounding.*  The computed A and D share the computed gap, and
         |z_n - z| <= |D| in the disc, so log|A| misses
-        log(1 - |z_n|^2) - log|D| by a few eps.  Every operand and partial
+        log(1 - |z_n|^2) - log|D| by a few eps, and Re L takes that miss
+        s_n times: a few eps s_n, below eps X / 8.  Every operand and partial
         sum of the computed Re L and B is at most X = 2 (N + 2) (746 + Q_s)
         + 80 max s_n in modulus (a factor log has |Re| <= 746 + Q_s, as a
         nonzero |1 - A| is at least 2^-1074; |log|D||, |log|A|| and
-        |log(1 - |z_n|^2)| are below 38, as 1 - |z_n| >= 2^-53), and each
-        log, product and sum rounds by at most a few eps of that.  So
+        |log(1 - |z_n|^2)| are below 38, as 1 - |z_n| >= 2^-53, so
+        s_n log|A| and s_n log(1 - |z_n|^2) stay below 38 s_n), and each
+        log, product and sum rounds by at most a few eps of that; B and L
+        read the same computed c_n and log B_n(z).  So
         |Re L - B - Re q| <= 64 eps X <= 1/8 while X <= 2^44, and the
         computed |Re q| is at most Q_s + 1/8.  Beyond 2^44 the cut is +inf.
 
@@ -396,9 +394,9 @@ class Interpolant:
                              bound.max(axis=0, initial=LOG_ZERO) - self._cut, LOG_ZERO)
         live = ~(bound < floor)
         if 2 * np.count_nonzero(live) > live.size:
-            return logsumexp_complex(self._term_logs(np.s_[:, None], logB, D, A)), parts["logP"]
+            return logsumexp_complex(self._term_logs(np.s_[:, None], logB, A)), parts["logP"]
         terms = np.full(live.shape, complex(LOG_ZERO, 0.0))
-        terms[live] = self._term_logs(live.nonzero()[0], logB[live], D[live], A[live])
+        terms[live] = self._term_logs(live.nonzero()[0], logB[live], A[live])
         return logsumexp_complex(terms), parts["logP"]
 
     def _value_logs(self, z) -> tuple[np.ndarray, np.ndarray]:
@@ -418,7 +416,7 @@ class Interpolant:
         cp = self.product
         parts = self._assemble(cp._off_nodes(zb))
         A, onemA, D = parts["A"], parts["onemA"], parts["D"]
-        L = self._term_logs(np.s_[:, None], parts["logB"], D, A)
+        L = self._term_logs(np.s_[:, None], parts["logB"], A)
         with np.errstate(divide="ignore", invalid="ignore"):
             T = cp._deriv_terms(A, onemA)
             lp = T.sum(axis=0)

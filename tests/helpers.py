@@ -84,27 +84,24 @@ def dense_terms(f, z) -> tuple[np.ndarray, np.ndarray]:
 
     The value formation before the live-term cut, from one factor pass: the
     oracle the live terms of ``Interpolant._block_value_logs`` are checked
-    against bit for bit.
+    against bit for bit.  L = c_n + log B_n(z) + q(A) + s_n log A with
+    c_n = log(b_n (-conj(z_n)) / ((1 - |z_n|^2) P'(z_n))), formed here from
+    the targets and the product's node caches.
     """
     cp = f.product
-    lam, A, _, D = cp._factors(np.atleast_1d(np.asarray(z, dtype=complex)))
+    lam, A, _, _ = cp._factors(np.atleast_1d(np.asarray(z, dtype=complex)))
     logP = lam.sum(axis=0)
     with np.errstate(invalid="ignore"):
         logB = logP[None, :] - lam
     hits = np.isneginf(lam.real)
     logB[hits] = cp.log_B_nodes[hits.nonzero()[0]]
-    zc = np.conj(cp.sequence.values)
+    b = f.targets.values
     with np.errstate(divide="ignore", invalid="ignore"):
-        L = (
-            f._log_b[:, None]
-            + logB
-            + np.log(zc)[:, None]
-            - np.log(D)
-            + 1j * math.pi
-            + _poly_q(A, cp.genus)
-            + (f.exponents - 1)[:, None] * np.log(A)
-            - cp.log_P_prime_nodes[:, None]
-        )
+        log_abs = np.log(np.abs(b))
+        log_b = np.where(np.isneginf(log_abs), complex(-np.inf, 0.0), log_abs + 1j * np.angle(b))
+        c = (log_b + np.log(np.conj(cp.sequence.values)) + 1j * math.pi - np.log(cp._oms)
+             - cp.log_P_prime_nodes)
+        L = c[:, None] + logB + _poly_q(A, cp.genus) + f.exponents[:, None] * np.log(A)
     return L, logP
 
 

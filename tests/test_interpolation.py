@@ -711,23 +711,23 @@ class TestLiveTerms:
         """Per live-path block, the (rows, cols) of the cells it formed, and the block's shape.
 
         The rows are the flat ``rows`` that ``_term_logs`` receives.  A cell's
-        column is where its gathered D sits in that row of the block's D
-        matrix, since no two points of a block share a D_n(z).
+        column is where its gathered A sits in that row of the block's A
+        matrix, since no two points of a block share an A_n(z).
         """
         seen, blocks = [], []
         assemble, term_logs = Interpolant._assemble, Interpolant._term_logs
 
         def record_block(self, zb):
             parts = assemble(self, zb)
-            blocks.append(parts["D"])
+            blocks.append(parts["A"])
             return parts
 
-        def record_terms(self, rows, logB, D, A):
+        def record_terms(self, rows, logB, A):
             if isinstance(rows, np.ndarray):  # the live path's flat cells
-                hit = blocks[-1][rows] == D[:, None]
+                hit = blocks[-1][rows] == A[:, None]
                 assert np.all(hit.sum(axis=1) == 1)
                 seen.append((rows, hit.argmax(axis=1), blocks[-1].shape))
-            return term_logs(self, rows, logB, D, A)
+            return term_logs(self, rows, logB, A)
 
         monkeypatch.setattr(Interpolant, "_assemble", record_block)
         monkeypatch.setattr(Interpolant, "_term_logs", record_terms)
@@ -804,10 +804,10 @@ class TestLiveTerms:
         dense_calls = []
         term_logs = Interpolant._term_logs
 
-        def record_dense(self, rows, logB, D, A):
+        def record_dense(self, rows, logB, A):
             if not isinstance(rows, np.ndarray):  # every cell of the block
                 dense_calls.append(logB.shape)
-            return term_logs(self, rows, logB, D, A)
+            return term_logs(self, rows, logB, A)
 
         monkeypatch.setattr(Interpolant, "_term_logs", record_dense)
         seen = self.live_cells(monkeypatch, f, z)
@@ -877,3 +877,106 @@ class TestLiveTerms:
             pieces = [f.eval_and_log_P_many(z[b]) for b in parts]
             for k in range(2):
                 assert _same_bits(np.concatenate([p[k] for p in pieces]), whole[k])
+
+
+class TestTermAccuracy:
+    """Single terms L against a 50-digit evaluation of the series on the power(1) spiral.
+
+    The exponents reach 6.4e5 at 1 - |z| = 1e-4, so s_n log A_n carries the
+    largest operands of a term.  The tolerance is the rounding budget of
+    ``_block_value_logs``: 64 eps X, X = 2 (N + 2) (746 + Q_s) + 80 max s_n.
+    """
+
+    @pytest.fixture(scope="class")
+    def interp(self, spiral_ladders):
+        seq, ladders = spiral_ladders
+        targets = generate_targets({"kind": "random_admissible", "constant": 2.0}, seq, GF1, 0)
+        return build_interpolant(seq, targets, GF1, ladder=ladders["power"])
+
+    @staticmethod
+    def live_terms(monkeypatch, f, z):
+        """(rows, cols, L) of the live cells at z (one block), L from ``_term_logs``."""
+        seen = TestLiveTerms.live_cells(monkeypatch, f, z)
+        assert len(seen) == 1  # one block, on the live path
+        rows, cols, _ = seen[0]
+        parts = f._assemble(z)
+        return rows, cols, f._term_logs(np.s_[:, None], parts["logB"], parts["A"])[rows, cols]
+
+    @pytest.fixture(scope="class")
+    def mp_term_logs(self, interp):
+        """log(b_n P(z) / ((z - z_n) P'(z_n)) A_n(z)^(s_n - 1)) at (row, col) cells of z, 50 digits.
+
+        P(z) / (z - z_n) = B_n(z) E(A_n(z), s) / (z - z_n), and by the product
+        rule P'(z_n) = B_n(z_n) E'(1, s) A_n'(z_n) = -B_n(z_n) e^{H_s}
+        conj(z_n) / (1 - |z_n|^2).  log B_n(z_n) is kept per node across calls.
+        """
+        f, s = interp, interp.product.genus
+        with mpmath.workdps(50):
+            nodes = [mpmath.mpc(v) for v in f.sequence.values]
+            oms = [1 - (zn.real ** 2 + zn.imag ** 2) for zn in nodes]
+            harmonic = mpmath.fsum(mpmath.mpf(1) / j for j in range(1, s + 1))
+        log_B_nodes = {}
+
+        def log_E(m, w):
+            A = oms[m] / (1 - mpmath.conj(nodes[m]) * w)
+            return mpmath.log(1 - A) + mpmath.fsum(A ** j / j for j in range(1, s + 1))
+
+        def terms(z, rows, cols):
+            with mpmath.workdps(50):
+                log_P = {c: mpmath.fsum(log_E(m, mpmath.mpc(z[c])) for m in range(len(nodes)))
+                         for c in set(cols.tolist())}
+                for n in set(rows.tolist()) - set(log_B_nodes):
+                    log_B_nodes[n] = mpmath.fsum(log_E(m, nodes[n])
+                                                 for m in range(len(nodes)) if m != n)
+                out = []
+                for n, c in zip(rows.tolist(), cols.tolist()):
+                    zn, w = nodes[n], mpmath.mpc(z[c])
+                    log_P_prime = log_B_nodes[n] + harmonic + mpmath.log(-mpmath.conj(zn) / oms[n])
+                    out.append(mpmath.log(mpmath.mpc(f.targets.values[n])) + log_P[c]
+                               - mpmath.log(w - zn) - log_P_prime
+                               + (f.exponents[n] - 1) * mpmath.log(oms[n] / (1 - mpmath.conj(zn) * w)))
+                return [complex(v) for v in out]
+        return terms
+
+    def assert_within_budget(self, f, want, L):
+        N, s = len(f.sequence), f.product.genus
+        q_cap = sum(2.0 ** j / j for j in range(1, s + 1))
+        tol = 64 * 2.0 ** -53 * (2 * (N + 2) * (746 + q_cap) + 80 * float(f.exponents.max()))
+        d = L - np.array(want)
+        assert np.all(np.abs(d.real) <= tol)
+        assert np.all(np.abs(np.remainder(d.imag + math.pi, 2 * math.pi) - math.pi) <= tol)
+
+    @pytest.mark.parametrize("r", [0.99, 0.999])
+    def test_live_ring_cells(self, monkeypatch, interp, mp_term_logs, r):
+        z = _ring(r, 16)
+        rows, cols, L = self.live_terms(monkeypatch, interp, z)
+        assert interp.exponents[rows].max() > 1000
+        self.assert_within_budget(interp, mp_term_logs(z, rows, cols), L)
+
+    def test_next_to_the_deepest_nodes(self, monkeypatch, interp, mp_term_logs):
+        seq = interp.sequence
+        deep = np.argsort(seq.moduli)[-6:]
+        z = seq.values[deep] + 1e-9 * (1.0 - seq.moduli[deep])
+        rows, cols, L = self.live_terms(monkeypatch, interp, z)
+        assert np.all(np.isin(deep, rows[rows == deep[cols]]))  # each own term is formed
+        assert interp.exponents[rows].max() == interp.exponents.max() == 640000
+        self.assert_within_budget(interp, mp_term_logs(z, rows, cols), L)
+
+    def test_zero_target_gives_an_exact_zero_term(self, interp):
+        seq = interp.sequence
+        targets = interp.targets.values.copy()
+        zero = np.array([3, 120, len(seq) - 1])
+        targets[zero] = 0.0
+        f = build_interpolant(seq, targets, GF1, ladder=interp.ladder)
+        z = np.concatenate([_ring(0.99, 64), seq.values[zero]])
+        parts = f._assemble(z)
+        L = f._term_logs(np.s_[:, None], parts["logB"], parts["A"])
+        assert np.all(np.isneginf(L[zero].real))
+        assert not np.isneginf(np.delete(L, zero, axis=0).real).all()
+        ring = L[:, :64]
+        with np.errstate(under="ignore"):
+            assert np.all(np.exp(ring[zero] - ring.real.max(axis=0)) == 0.0)
+        # at its own node every term is an exact zero
+        assert np.all(np.isneginf(L[:, 64:].real))
+        assert np.array_equal(f.eval_many(seq.values[zero]), np.zeros(len(zero)))
+        assert np.array_equal(f.interpolation_errors()[zero], np.zeros(len(zero)))

@@ -104,6 +104,19 @@ def test_only_products_splits_batches_into_column_blocks():
     assert readers == {"products"}
 
 
+def test_term_logs_take_one_log_and_no_D():
+    # a term is c_n + log B_n(z) + q(A) + s_n log A: one complex log per cell,
+    # of A; log D = log(1 - |z_n|^2) - log A is folded into the node constant
+    tree = ast.parse(Path(discinterp.__file__).with_name("interpolation.py").read_text())
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Interpolant")
+    fn = next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "_term_logs")
+    logs = [n for n in ast.walk(fn) if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Attribute) and n.func.attr == "log"
+            and isinstance(n.func.value, ast.Name) and n.func.value.id == "np"]
+    assert len(logs) == 1
+    assert "D" not in [a.arg for a in fn.args.args + fn.args.kwonlyargs]
+
+
 def test_harness_import_does_not_load_scipy():
     # only psi_tilde of exp_log_power needs scipy, and it imports it on use
     src = str(Path(discinterp.__file__).resolve().parents[1])
