@@ -40,6 +40,7 @@ from .growth import GrowthError, GrowthFunction
 from .products import (
     LOG_ZERO,
     CanonicalProduct,
+    _batch,
     _poly_q,
     logsumexp_complex,
 )
@@ -401,7 +402,7 @@ class Interpolant:
 
     def _value_logs(self, z) -> tuple[np.ndarray, np.ndarray]:
         """(log f, log P) at a batch of points, in column blocks."""
-        zb = np.atleast_1d(np.asarray(z, dtype=complex))
+        zb = _batch(z)
         return self.product._blockwise(len(zb), lambda b: self._block_value_logs(zb[b]))
 
     def _block_derivatives(self, zb: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -441,8 +442,7 @@ class Interpolant:
     # -- evaluation ------------------------------------------------------------
 
     def eval_many(self, z) -> np.ndarray:
-        out = self.eval_and_log_P_many(z)[0]
-        return out if np.ndim(z) else complex(out[0])
+        return self.eval_and_log_P_many(z)[0]
 
     def eval_and_log_P_many(self, z) -> tuple[np.ndarray, np.ndarray]:
         """(values, log P) at a batch of points from one factor evaluation."""
@@ -454,15 +454,14 @@ class Interpolant:
 
     def derivative_many(self, z) -> np.ndarray:
         """f' at a batch of points away from the nodes."""
-        out = self.eval_and_derivative_many(z)[1]
-        return out if np.ndim(z) else complex(out[0])
+        return self.eval_and_derivative_many(z)[1]
 
     def eval_and_derivative_many(self, z) -> tuple[np.ndarray, ...]:
         """(f, f', log f, log f', P'/P, (P'/P)') from one factor pass, off the nodes.
 
         The last two are the bits ``log_deriv_P_many`` and ``log_deriv_prime_many`` give.
         """
-        zb = np.atleast_1d(np.asarray(z, dtype=complex))
+        zb = _batch(z)
         return self.product._blockwise(len(zb), lambda b: self._block_derivatives(zb[b]))
 
     def interpolation_errors(self) -> np.ndarray:

@@ -111,8 +111,7 @@ class OscillationSolution:
 
     def coefficient_many(self, z) -> np.ndarray:
         """a(z) as plain complex values."""
-        out = self._coefficient(z)[0]
-        return out if np.ndim(z) else complex(out[0])
+        return self._coefficient(z)[0]
 
     def _coefficient(self, z) -> tuple[np.ndarray, ...]:
         """(a, h, P'/P, (P'/P)') from one factor pass; a = -P''/P - 2 h P'/P - h^2 - h'."""
@@ -307,9 +306,9 @@ class WitnessReport:
 class SharpnessSequence:
     """Paired dyadic sequence z = 1 - 2^-n and its eps_n-shifted twin.
 
-    Exact log-space records (ln eps_n, ln(1 - |z_m|), pairwise gap logs)
-    make counting checks possible far beyond double-precision range; nodes
-    whose twin gap cannot be represented are flagged log-only.
+    Exact log-space records (ln eps_n, ln(1 - |z_m|), the pairwise gap logs
+    ``log_gaps``) make counting checks possible far beyond double-precision
+    range; nodes whose twin gap cannot be represented are flagged log-only.
     """
 
     def __init__(self, rho: float, n_max: int):
@@ -346,7 +345,7 @@ class SharpnessSequence:
         self.positions = positions
         self.log_one_minus = log_one_minus
         self.log_only = upper & ~(positions > (1.0 - base))
-        # ln |z_i - z_j| with exact twin-gap records; +inf on the diagonal
+        # ln |z_i - z_j| with exact twin-gap records; +inf on the diagonal (read-only)
         up_eps = eps * upper
         with np.errstate(divide="ignore"):
             gaps = np.log(np.abs((base[:, None] - base[None, :]) + up_eps[None, :]
@@ -354,9 +353,9 @@ class SharpnessSequence:
         twins = (pair[:, None] == pair[None, :]) & (upper[:, None] != upper[None, :])
         gaps[twins] = np.broadcast_to(log_eps[:, None], gaps.shape)[twins]
         gaps[np.diag_indices_from(gaps)] = np.inf
-        self._log_gaps = gaps
+        self.log_gaps = gaps
         for arr in (self.pair, self.is_upper, self.t_pow, self.log_eps, self.eps,
-                    self.positions, self.log_one_minus, self.log_only, self._log_gaps):
+                    self.positions, self.log_one_minus, self.log_only, self.log_gaps):
             arr.flags.writeable = False
 
     def __len__(self) -> int:
@@ -364,29 +363,15 @@ class SharpnessSequence:
 
     # -- exact pairwise geometry ------------------------------------------
 
-    def log_gap_matrix(self) -> np.ndarray:
-        """ln |z_i - z_j| with exact twin-gap records; +inf on the diagonal (read-only)."""
-        return self._log_gaps
-
     def counting_N_log(self, m: int, delta: float = 0.5) -> float:
         """N at node m with radius delta (1 - |z_m|), entirely in log space."""
         if not 0 < delta < 1:
             raise OscillationError("delta must lie in (0, 1)")
-        gaps = self.log_gap_matrix()[m]
+        gaps = self.log_gaps[m]
         r_log = math.log(delta) + float(self.log_one_minus[m])
         inside = gaps <= r_log + 1e-12
         inside[m] = False
         return float(np.sum(r_log - gaps[inside]))
-
-    def counting_table(self, delta: float = 0.5) -> tuple:
-        """Rows (n, N at the upper twin, (1/(1-|z|))^rho, ratio)."""
-        rows = []
-        for n in range(1, self.n_max + 1):
-            m = 2 * n - 1
-            N = self.counting_N_log(m, delta)
-            target = math.exp(-self.rho * float(self.log_one_minus[m]))
-            rows.append(SharpnessRow(n=n, N_value=N, target=target, ratio=N / target))
-        return tuple(rows)
 
     # -- conversions --------------------------------------------------------
 
@@ -412,11 +397,10 @@ class SharpnessSequence:
         # rows n, columns k: factor n evaluated at node k
         D = om[:, None] + x[:, None] * om[None, :]   # 1 - x_n x_k, no cancellation
         A = (om * (1.0 + x))[:, None] / D            # (1 - x_n^2) / D
-        gaps = self.log_gap_matrix()
 
         def log_one_minus_A(big):
             # ln(1 - A) = ln x_n + ln|x_n - x_k| - ln D on the cells that read it
-            return np.log(x)[big.nonzero()[0]] + gaps[big] - np.log(D[big])
+            return np.log(x)[big.nonzero()[0]] + self.log_gaps[big] - np.log(D[big])
 
         ln_E = products._log_E(A, log_one_minus_A, genus).real
         np.fill_diagonal(ln_E, 0.0)
@@ -427,39 +411,43 @@ class SharpnessSequence:
         return IndexCancellationReport(tuple(lhs.tolist()), tuple(rhs.tolist()),
                                        tuple(ratios.tolist()), float(ratios.max(initial=0.0)))
 
-    def growth_witness(self, eps0: float) -> WitnessReport:
-        """Crossing of the forced ln|g'(z_2n)| >= 2^(n rho) - ln 5 lower bound.
-
-        The hypothetical cap is (1/(1-|z_2n|))^(rho - eps0/2); the report
-        lists both columns and the first index from which the lower bound
-        exceeds the cap for the rest of the range (None when the scales
-        coincide, e.g. eps0 = 0).
-        """
-        if eps0 < 0:
-            raise OscillationError("eps0 must be nonnegative")
-        rows = []
-        above = []
-        for n in range(1, self.n_max + 1):
-            m = 2 * n - 1
-            lower = float(self.t_pow[m]) - math.log(5.0)
-            upper = math.exp(-(self.rho - eps0 / 2.0) * float(self.log_one_minus[m]))
-            rows.append((n, lower, upper))
-            above.append(lower > upper)
-        crossing = None
-        for i in range(len(above)):
-            if all(above[i:]):
-                crossing = i + 1
-                break
-        return WitnessReport(rows=tuple(rows), crossing_index=crossing)
-
 
 def sharpness_sequence(rho: float, n_max: int) -> SharpnessSequence:
     return SharpnessSequence(rho, n_max)
 
 
 def sharpness_counting_check(seq: SharpnessSequence, delta: float = 0.5) -> tuple:
-    return seq.counting_table(delta)
+    """Rows (n, N at the upper twin, (1/(1-|z|))^rho, ratio)."""
+    rows = []
+    for n in range(1, seq.n_max + 1):
+        m = 2 * n - 1
+        N = seq.counting_N_log(m, delta)
+        target = math.exp(-seq.rho * float(seq.log_one_minus[m]))
+        rows.append(SharpnessRow(n=n, N_value=N, target=target, ratio=N / target))
+    return tuple(rows)
 
 
 def sharpness_growth_witness(seq: SharpnessSequence, eps0: float) -> WitnessReport:
-    return seq.growth_witness(eps0)
+    """Crossing of the forced ln|g'(z_2n)| >= 2^(n rho) - ln 5 lower bound.
+
+    The hypothetical cap is (1/(1-|z_2n|))^(rho - eps0/2); the report
+    lists both columns and the first index from which the lower bound
+    exceeds the cap for the rest of the range (None when the scales
+    coincide, e.g. eps0 = 0).
+    """
+    if eps0 < 0:
+        raise OscillationError("eps0 must be nonnegative")
+    rows = []
+    above = []
+    for n in range(1, seq.n_max + 1):
+        m = 2 * n - 1
+        lower = float(seq.t_pow[m]) - math.log(5.0)
+        upper = math.exp(-(seq.rho - eps0 / 2.0) * float(seq.log_one_minus[m]))
+        rows.append((n, lower, upper))
+        above.append(lower > upper)
+    crossing = None
+    for i in range(len(above)):
+        if all(above[i:]):
+            crossing = i + 1
+            break
+    return WitnessReport(rows=tuple(rows), crossing_index=crossing)

@@ -75,7 +75,7 @@ class ProductsError(ValueError):
 
 
 def logsumexp_complex(lams: np.ndarray) -> np.ndarray:
-    """Complex log of a sum of exponentials of complex logs, along axis 0.
+    """Complex log of the sum of exponentials of each column of a (terms, columns) matrix.
 
     Terms with real part -inf are exact zeros; a column whose sum is zero
     gives -inf + 0j.  The terms are shifted by the largest real part of their
@@ -89,11 +89,8 @@ def logsumexp_complex(lams: np.ndarray) -> np.ndarray:
     within that many eps of the sum of the moduli, against n eps row by row.
     """
     lams = np.asarray(lams, dtype=complex)
-    squeeze = lams.ndim == 1
-    if squeeze:
-        lams = lams[:, None]
     M = lams.real.max(axis=0, initial=LOG_ZERO)
-    out = np.full(lams.shape[1:], complex(LOG_ZERO, 0.0), dtype=complex)
+    out = np.full(lams.shape[1], complex(LOG_ZERO, 0.0), dtype=complex)
     finite = np.isfinite(M)
     if np.any(finite):
         shifted = lams[:, finite] - M[None, finite]
@@ -102,7 +99,12 @@ def logsumexp_complex(lams: np.ndarray) -> np.ndarray:
         total = terms.sum(axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
             out[finite] = M[finite] + np.where(total == 0, complex(LOG_ZERO, 0.0), np.log(total))
-    return out[0] if squeeze else out
+    return out
+
+
+def _batch(z) -> np.ndarray:
+    """Points as a 1-D complex batch; a 0-d point is a batch of one."""
+    return np.atleast_1d(np.asarray(z, dtype=complex))
 
 
 def _column_blocks(n_points: int, n_nodes: int) -> list[slice]:
@@ -192,8 +194,9 @@ class CanonicalProduct:
     complex-log arrays: ``log_B_nodes`` (reduced products B_k(z_k)) and
     ``log_P_prime_nodes`` (node derivatives P'(z_k)).  ``logderiv_rest_nodes``
     (B_k'(z_k)/B_k(z_k), a plain complex value) is formed on first read, since
-    only the ODE coefficient needs it.  Evaluation at distinct points is pure
-    and batched; a scalar point gives a scalar result.
+    only the ODE coefficient needs it.  Evaluation is pure and batched:
+    every entry point takes an array of points (a 0-d point is a batch of
+    one) and returns one array entry per point.
     """
 
     def __init__(self, sequence: DiscSequence, genus: int):
@@ -287,11 +290,6 @@ class CanonicalProduct:
             onemA**2 * self._oms[:, None] ** 2
         )
 
-    def _as_batch(self, z) -> tuple[np.ndarray, bool]:
-        arr = np.asarray(z, dtype=complex)
-        scalar = arr.ndim == 0
-        return np.atleast_1d(arr), scalar
-
     def _near_nodes(self, zb: np.ndarray) -> np.ndarray:
         """Mask (n_nodes, n_points) of points within the pole tolerance of a node."""
         d = np.abs(zb[None, :] - self._zn[:, None])
@@ -300,32 +298,27 @@ class CanonicalProduct:
     # -- public evaluation ----------------------------------------------------
 
     def log_P_many(self, z) -> np.ndarray:
-        zb, scalar = self._as_batch(z)
-        out = self._blockwise(len(zb), lambda b: self._factors(zb[b])[0].sum(axis=0))
-        return out[0] if scalar else out
+        zb = _batch(z)
+        return self._blockwise(len(zb), lambda b: self._factors(zb[b])[0].sum(axis=0))
 
-    def P(self, z):
-        lam = self.log_P_many(z)
+    def P(self, z) -> np.ndarray:
         with np.errstate(over="ignore"):
-            out = np.exp(lam)
-        return complex(out) if np.ndim(out) == 0 else out
+            return np.exp(self.log_P_many(z))
 
-    def _off_nodes(self, z) -> np.ndarray:
-        """z as a batch for a derivative; a point within POLE_TOL of a node raises."""
-        zb = self._as_batch(z)[0]
+    def _off_nodes(self, zb: np.ndarray) -> np.ndarray:
+        """The batch zb for a derivative; a point within POLE_TOL of a node raises."""
         if self._near_nodes(zb).any():
             raise ProductsError("derivative evaluated at a node")
         return zb
 
     def _off_node_sums(self, z, terms) -> np.ndarray:
         """Column sums of terms(A, 1 - A) at a batch of points away from the nodes."""
-        zb, scalar = self._as_batch(z)
+        zb = _batch(z)
 
         def block(b):
             A, onemA, _ = self._geometry(self._off_nodes(zb[b]))
             return terms(A, onemA).sum(axis=0)
-        out = self._blockwise(len(zb), block)
-        return out[0] if scalar else out
+        return self._blockwise(len(zb), block)
 
     def log_deriv_P_many(self, z) -> np.ndarray:
         """P'/P at a batch of points away from the nodes."""
@@ -335,28 +328,16 @@ class CanonicalProduct:
         """(P'/P)' at a batch of points away from the nodes."""
         return self._off_node_sums(z, self._deriv_prime_terms)
 
-    # -- node data --------------------------------------------------------------
+    def P_second_many(self, z) -> np.ndarray:
+        """P'' at a batch of points: P ((P'/P)^2 + (P'/P)') away from the nodes.
 
-    def P_prime_at_node(self, k: int) -> complex:
-        """P'(z_k) = -conj(z_k) B_k(z_k) e^{H_s} / (1 - |z_k|^2), via the cache."""
-        return complex(np.exp(self.log_P_prime_nodes[k]))
-
-    def P_second_at_node(self, k: int) -> complex:
-        """P''(z_k) from the factor split P = E(A_k(z), s) B_k(z).
-
-        Differentiating twice and using E(1, s) = 0, E'(1, s) = -e^{H_s},
-        E''(1, s) = -2 s e^{H_s} gives
+        At a point within POLE_TOL of a node the value is P''(z_k) of the
+        nearest node k, from the factor split P = E(A_k(z), s) B_k(z).  Differentiating twice and
+        using E(1, s) = 0, E'(1, s) = -e^{H_s}, E''(1, s) = -2 s e^{H_s} gives
         P''(z_k) = -2 e^{H_s} B_k(z_k) D_k ((s+1) D_k + S_k)
         with D_k = conj(z_k) / (1 - |z_k|^2) and S_k = B_k'(z_k)/B_k(z_k).
         """
-        Dk = self._zn_conj[k] / self._oms[k]
-        Sk = self.logderiv_rest_nodes[k]
-        rest = -2.0 * math.exp(self.harmonic) * Dk * ((self.genus + 1) * Dk + Sk)
-        return complex(np.exp(self.log_B_nodes[k]) * rest)
-
-    def P_second_many(self, z) -> np.ndarray:
-        """P'' away from nodes via P ((P'/P)^2 + (P'/P)'); node-exact at nodes."""
-        zb, scalar = self._as_batch(z)
+        zb = _batch(z)
 
         def block(b):
             # every column is formed, so no block is narrowed; a node's column is replaced
@@ -366,39 +347,40 @@ class CanonicalProduct:
                 lp = self._deriv_terms(A, onemA).sum(axis=0)
                 lp2 = self._deriv_prime_terms(A, onemA).sum(axis=0)
                 out = np.exp(lam.sum(axis=0)) * (lp**2 + lp2)
-            for m in np.flatnonzero(self._near_nodes(zc).any(axis=0)):
-                out[m] = self.P_second_at_node(int(np.argmin(np.abs(self._zn - zc[m]))))
+            m = np.flatnonzero(self._near_nodes(zc).any(axis=0))
+            if m.size:
+                # only a hit builds the lazy N x N logderiv_rest_nodes
+                k = np.argmin(np.abs(self._zn[:, None] - zc[m]), axis=0)
+                Dk = self._zn_conj[k] / self._oms[k]
+                rest = -2.0 * math.exp(self.harmonic) * Dk * (
+                    (self.genus + 1) * Dk + self.logderiv_rest_nodes[k])
+                out[m] = np.exp(self.log_B_nodes[k]) * rest
             return out
-        out = self._blockwise(len(zb), block)
-        return out[0] if scalar else out
+        return self._blockwise(len(zb), block)
 
     # -- bounds -------------------------------------------------------------------
 
     def factor_abs_power_sum(self, z) -> np.ndarray:
         """sum_n |A_n(z)|^(s+1), the universal comparison series."""
-        zb, scalar = self._as_batch(z)
-        out = self._blockwise(len(zb), lambda b: (np.abs(self._geometry(zb[b])[0])
-                                                  ** (self.genus + 1)).sum(axis=0))
-        return float(out[0]) if scalar else out
+        zb = _batch(z)
+        return self._blockwise(len(zb), lambda b: (np.abs(self._geometry(zb[b])[0])
+                                                   ** (self.genus + 1)).sum(axis=0))
 
     def tsuji_bound_check(self, z) -> "TsujiReport":
         """log|P| against the universal bound 2^(s+2) sum |A_n|^(s+1), from one factor pass."""
-        zb, scalar = self._as_batch(z)
+        zb = _batch(z)
 
         def block(b):
             lam, A, _, _ = self._factors(zb[b])
             rhs = 2.0 ** (self.genus + 2) * (np.abs(A) ** (self.genus + 1)).sum(axis=0)
             return lam.sum(axis=0).real, rhs
         lhs, rhs = self._blockwise(len(zb), block)
-        holds = bool(np.all(lhs <= rhs + 1e-9))
-        if scalar:
-            lhs, rhs = float(lhs[0]), float(rhs[0])
-        return TsujiReport(lhs=lhs, rhs=rhs, holds=holds)
+        return TsujiReport(lhs=lhs, rhs=rhs, holds=bool(np.all(lhs <= rhs + 1e-9)))
 
 
 @dataclass(frozen=True)
 class TsujiReport:
-    """Both sides of the Tsuji bound at each point (scalars for a scalar point).
+    """Both sides of the Tsuji bound, one array entry per point.
 
     ``holds`` is whether the bound holds at every point.
     """

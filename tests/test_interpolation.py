@@ -314,23 +314,23 @@ class TestPrunedMaxTermScan:
     ], ids=lambda g: f"{g.family}-{g.param}")
     def test_conjugate_rounding_inside_the_margin(self, gf):
         # |v(n) - v_exact(n)| <= K eps S(n) with K < 15, as the margin assumes
-        mpmath.mp.prec = 200
-        p, log_C0 = mpmath.mpf(gf.param), mpmath.log(8)
-        psi_tilde, psi_inverse_log = {
-            "power": (lambda x: mpmath.expm1(p * x) / p, lambda y: mpmath.log(y) / p),
-            "log_power": (lambda x: x ** (p + 1) / (p + 1), lambda y: y ** (1 / p)),
-            "exp_log_power": (lambda x: x * mpmath.hyp1f1(1 / p, 1 / p + 1, x ** p),
-                              lambda y: mpmath.log(y) ** (1 / p) if y > 1 else 0),
-        }[gf.family]
-        ladder = build_ladder(gf, 8.0, 10**9)
-        ns = np.unique(np.geomspace(1, 10**9, 25).astype(np.int64)).astype(float)
-        v, x, t2 = ladder._conjugate(ns)
-        slope = 8.0 * float(gf.psi_log(math.log(8.0)))
-        scale = x * (ns + np.maximum(ns, slope)) + t2
-        for n, v_n, s_n in zip(ns, v, scale):
-            u = max(psi_inverse_log(mpmath.mpf(n) / 8) - log_C0, 0)
-            exact = n * u - 8 * psi_tilde(log_C0 + u)
-            assert abs(float(mpmath.mpf(float(v_n)) - exact)) < 15 * 2.0**-53 * s_n
+        with mpmath.workprec(200):
+            p, log_C0 = mpmath.mpf(gf.param), mpmath.log(8)
+            psi_tilde, psi_inverse_log = {
+                "power": (lambda x: mpmath.expm1(p * x) / p, lambda y: mpmath.log(y) / p),
+                "log_power": (lambda x: x ** (p + 1) / (p + 1), lambda y: y ** (1 / p)),
+                "exp_log_power": (lambda x: x * mpmath.hyp1f1(1 / p, 1 / p + 1, x ** p),
+                                  lambda y: mpmath.log(y) ** (1 / p) if y > 1 else 0),
+            }[gf.family]
+            ladder = build_ladder(gf, 8.0, 10**9)
+            ns = np.unique(np.geomspace(1, 10**9, 25).astype(np.int64)).astype(float)
+            v, x, t2 = ladder._conjugate(ns)
+            slope = 8.0 * float(gf.psi_log(math.log(8.0)))
+            scale = x * (ns + np.maximum(ns, slope)) + t2
+            for n, v_n, s_n in zip(ns, v, scale):
+                u = max(psi_inverse_log(mpmath.mpf(n) / 8) - log_C0, 0)
+                exact = n * u - 8 * psi_tilde(log_C0 + u)
+                assert abs(float(mpmath.mpf(float(v_n)) - exact)) < 15 * 2.0**-53 * s_n
 
     @pytest.mark.parametrize("gf", SPIRAL_FAMILIES, ids=lambda g: g.family)
     def test_spiked_ladders_raise_as_the_full_scan(self, gf):
@@ -629,7 +629,7 @@ class TestTermDecayChain:
         mu_nodes, _ = ladder.log_max_terms([-math.log1p(-m) for m in seq.moduli])
         for i, z in enumerate(zs):
             (mu_z,), _ = ladder.log_max_terms([math.log(2.0) - math.log1p(-abs(z))])
-            full_sum = float(cp.factor_abs_power_sum(z))
+            full_sum = float(cp.factor_abs_power_sum([z])[0])
             for k, (zn, m, mu_n) in enumerate(zip(seq.values, seq.moduli, mu_nodes)):
                 a_abs = abs((1 - m**2) / (1 - np.conj(zn) * z))
                 rest = full_sum - a_abs ** (s + 1)

@@ -342,7 +342,7 @@ class TestSharpnessSequence:
         # the realized double gap differs from eps_n by up to one ulp of the
         # position, which dominates the comparison for small eps
         seq = sharpness_sequence(1.0, 5)
-        g = seq.log_gap_matrix()
+        g = seq.log_gaps
         for n in range(1, 6):
             lo, hi = 2 * n - 2, 2 * n - 1
             direct = math.log(seq.positions[hi] - seq.positions[lo])
@@ -351,8 +351,8 @@ class TestSharpnessSequence:
 
     def test_gap_matrix_is_built_once_and_read_only(self):
         seq = sharpness_sequence(1.0, 6)
-        g = seq.log_gap_matrix()
-        assert g is seq.log_gap_matrix()
+        g = seq.log_gaps
+        assert g is seq.log_gaps
         assert not g.flags.writeable
         assert np.all(np.isinf(np.diag(g)))
 

@@ -1,4 +1,5 @@
-"""Tests for the package surface: each module's ``__all__`` and the top-level imports."""
+"""Tests for the package surface: each module's ``__all__``, the top-level imports
+and the batch contract of the evaluation entry points."""
 
 import ast
 import importlib
@@ -8,9 +9,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import discinterp
+from discinterp.geometry import DiscSequence
+from discinterp.growth import GrowthFunction
+from discinterp.oscillation import build_coefficient
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(discinterp.__path__))
 
@@ -63,7 +68,7 @@ def test_public_defaulted_parameter_count():
         for fn in tree.body + [m for c in classes for m in c.body]:
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and public(fn.name):
                 count += len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
-    assert count == 24
+    assert count == 23
 
 
 def test_module_graph():
@@ -125,3 +130,48 @@ def test_harness_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# (object of an OscillationSolution, method): the public evaluation entry points
+EVAL_ENTRY_POINTS = (
+    ("product", "log_P_many"), ("product", "P"), ("product", "log_deriv_P_many"),
+    ("product", "log_deriv_prime_many"), ("product", "P_second_many"),
+    ("product", "factor_abs_power_sum"), ("gprime", "eval_many"),
+    ("gprime", "eval_and_log_P_many"), ("gprime", "eval_log_many"),
+    ("gprime", "derivative_many"), ("gprime", "eval_and_derivative_many"),
+    ("solution", "coefficient_many"), ("solution", "coefficient_log_many"),
+)
+
+
+@pytest.fixture(scope="module")
+def solution():
+    # five nodes: from four on, a one-point batch sums its column in another
+    # order than the same point inside a wider batch
+    seq = DiscSequence([0.5, 0.3 + 0.4j, -0.6j, 0.7, -0.4 - 0.2j])
+    return build_coefficient(seq, GrowthFunction.power(1.0))
+
+
+@pytest.mark.parametrize("owner, name", EVAL_ENTRY_POINTS, ids=[n for _, n in EVAL_ENTRY_POINTS])
+@pytest.mark.parametrize("point", [-0.2 + 0.1j, np.asarray(-0.2 + 0.1j)], ids=["complex", "0-d array"])
+def test_a_point_is_a_batch_of_one(solution, owner, name, point):
+    # arrays in, arrays out: compared with the one-point batch [z], the like
+    # of a 0-d point, never with an entry of a wider batch
+    method = getattr({"product": solution.product, "gprime": solution.gprime,
+                      "solution": solution}[owner], name)
+    single, batch = method(point), method([complex(point)])
+    if not isinstance(batch, tuple):
+        single, batch = (single,), (batch,)
+    assert len(single) == len(batch)
+    for got, expected in zip(single, batch):
+        assert isinstance(got, np.ndarray) and got.shape == (1,)
+        assert np.array_equal(got, expected)
+
+
+def test_tsuji_report_holds_arrays_for_one_point(solution):
+    cp = solution.product
+    single, batch = cp.tsuji_bound_check(-0.2 + 0.1j), cp.tsuji_bound_check([-0.2 + 0.1j])
+    for side in ("lhs", "rhs"):
+        got = getattr(single, side)
+        assert isinstance(got, np.ndarray) and got.shape == (1,)
+        assert np.array_equal(got, getattr(batch, side))
+    assert single.holds == batch.holds

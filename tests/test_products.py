@@ -65,10 +65,11 @@ def cauchy_derivative(cp, k, order, n_points=512):
 
 class TestLogsumexp:
     def test_logsumexp_extreme_scales(self):
-        lams = np.array([complex(-1000.0, 0.1), complex(-1000.0, 0.1),
-                         complex(-1200.0, 0.0)])
+        lams = np.array([[complex(-1000.0, 0.1)], [complex(-1000.0, 0.1)],
+                         [complex(-1200.0, 0.0)]])
         out = logsumexp_complex(lams)
-        assert out.real == pytest.approx(-1000.0 + math.log(2.0), abs=1e-9)
+        assert out.shape == (1,)
+        assert out[0].real == pytest.approx(-1000.0 + math.log(2.0), abs=1e-9)
 
     def test_against_mpmath_within_the_unsorted_rounding_bound(self):
         # columns of 200 terms: spread moduli, near-cancelling pairs, exact
@@ -515,7 +516,7 @@ class TestPrimeAtNode:
             cp = CanonicalProduct(DiscSequence([z1]), s)
             hs = sum(1 / j for j in range(1, s + 1))
             expected = -np.conj(z1) * math.exp(hs) / (1 - abs(z1) ** 2)
-            assert cp.P_prime_at_node(0) == pytest.approx(expected, rel=1e-13)
+            assert np.exp(cp.log_P_prime_nodes[0]) == pytest.approx(expected, rel=1e-13)
 
     def test_matches_central_difference(self):
         rng = np.random.default_rng(37)
@@ -523,8 +524,8 @@ class TestPrimeAtNode:
         cp = CanonicalProduct(seq, 2)
         for k, (zk, m) in enumerate(zip(seq.values, seq.moduli)):
             h = 1e-6 * (1 - m)
-            fd = (cp.P(zk + h) - cp.P(zk - h)) / (2 * h)
-            assert cp.P_prime_at_node(k) == pytest.approx(fd, rel=1e-5)
+            fd = (cp.P([zk + h])[0] - cp.P([zk - h])[0]) / (2 * h)
+            assert np.exp(cp.log_P_prime_nodes[k]) == pytest.approx(fd, rel=1e-5)
 
     def test_matches_richardson_slope(self):
         # forward slopes P(z_k + h)/h extrapolated over h, h/2, h/4, h/8
@@ -533,19 +534,19 @@ class TestPrimeAtNode:
         cp = CanonicalProduct(seq, 1)
         for k, (zk, m) in enumerate(zip(seq.values, seq.moduli)):
             h0 = 1e-3 * (1 - m)
-            slopes = [cp.P(zk + h0 / 2**i) / (h0 / 2**i) for i in range(4)]
+            slopes = [cp.P([zk + h0 / 2**i])[0] / (h0 / 2**i) for i in range(4)]
             table = list(slopes)
             for j in range(1, 4):
                 table = [(2**j * table[i + 1] - table[i]) / (2**j - 1)
                          for i in range(len(table) - 1)]
-            assert cp.P_prime_at_node(k) == pytest.approx(table[0], rel=1e-8)
+            assert np.exp(cp.log_P_prime_nodes[k]) == pytest.approx(table[0], rel=1e-8)
 
     def test_matches_cauchy_integral(self):
         rng = np.random.default_rng(39)
         seq = random_sequence(rng, 10)
         cp = CanonicalProduct(seq, 2)
         for k in range(len(seq)):
-            assert cp.P_prime_at_node(k) == pytest.approx(
+            assert np.exp(cp.log_P_prime_nodes[k]) == pytest.approx(
                 cauchy_derivative(cp, k, order=1), rel=1e-8)
 
 
@@ -557,8 +558,8 @@ class TestLogDeriv:
         cp = CanonicalProduct(DiscSequence([0.5 + 0.2j]), 2)
         z = -0.3 + 0.1j
         h = 1e-6
-        fd = (cp.log_P_many(z + h) - cp.log_P_many(z - h)) / (2 * h)
-        assert cp.log_deriv_P_many(z) == pytest.approx(complex(fd), rel=1e-6)
+        fd = (cp.log_P_many([z + h])[0] - cp.log_P_many([z - h])[0]) / (2 * h)
+        assert cp.log_deriv_P_many([z])[0] == pytest.approx(complex(fd), rel=1e-6)
 
     def test_residue_at_simple_zero(self):
         rng = np.random.default_rng(40)
@@ -578,32 +579,48 @@ class TestLogDeriv:
 
 class TestPSecond:
     def test_empty_product(self):
-        assert CanonicalProduct(DiscSequence([]), 1).P_second_many(0.2) == 0.0
+        assert CanonicalProduct(DiscSequence([]), 1).P_second_many([0.2])[0] == 0.0
+
+    @staticmethod
+    def second_difference(cp, z):
+        h = 1e-4 * (1 - abs(z))
+        return (cp.P([z + h])[0] - 2 * cp.P([z])[0] + cp.P([z - h])[0]) / h**2
 
     def test_singleton_second_difference(self):
         cp = CanonicalProduct(DiscSequence([0.5]), 1)
         for z in (0.1, 0.3 + 0.4j, -0.7j):
-            h = 1e-4 * (1 - abs(z))
-            fd = (cp.P(z + h) - 2 * cp.P(z) + cp.P(z - h)) / h**2
-            assert cp.P_second_many(z) == pytest.approx(fd, rel=1e-4)
+            assert cp.P_second_many([z])[0] == pytest.approx(
+                self.second_difference(cp, z), rel=1e-4)
 
     def test_many_nodes_second_difference(self):
         rng = np.random.default_rng(41)
         seq = random_sequence(rng, 9)
         cp = CanonicalProduct(seq, 2)
         z = 0.05 + 0.15j
-        h = 1e-4 * (1 - abs(z))
-        fd = (cp.P(z + h) - 2 * cp.P(z) + cp.P(z - h)) / h**2
-        assert cp.P_second_many(z) == pytest.approx(fd, rel=1e-4)
+        assert cp.P_second_many([z])[0] == pytest.approx(
+            self.second_difference(cp, z), rel=1e-4)
 
     def test_nodes_in_a_batch_with_other_points(self):
         cp = CanonicalProduct(DiscSequence([0.5, 0.3 + 0.4j, -0.6j, 0.7]), 2)
         z = np.array([0.1, 0.3 + 0.4j, -0.2 + 0.1j, 0.7, 0.5])
         out = cp.P_second_many(z)
-        for m, k in ((1, 1), (3, 3), (4, 0)):
-            assert out[m] == cp.P_second_at_node(k)
+        # the node columns 1, 3, 4 hold P''(z_k) for k = 1, 3, 0:
+        # -2 e^{H_s} B_k(z_k) D_k ((s + 1) D_k + S_k), with H_2 = 1.5,
+        # D_k = conj(z_k) / (1 - |z_k|^2) and S_k = B_k'(z_k) / B_k(z_k)
+        k = np.array([1, 3, 0])
+        m_k = cp.sequence.moduli[k]
+        Dk = np.conj(cp.sequence.values[k]) / ((1.0 - m_k) * (1.0 + m_k))
+        rest = -2.0 * math.exp(1.5) * Dk * (3 * Dk + cp.logderiv_rest_nodes[k])
+        assert np.array_equal(out[[1, 3, 4]], np.exp(cp.log_B_nodes[k]) * rest)
         # the off-node entries are those of a batch of the off-node points alone
         assert (out[[0, 2]] == cp.P_second_many(z[[0, 2]])).all()
+
+    def test_node_cache_built_only_by_a_node_hit(self):
+        cp = CanonicalProduct(DiscSequence([0.5, 0.3 + 0.4j, -0.6j, 0.7]), 2)
+        cp.P_second_many([0.1, -0.2 + 0.1j])
+        assert "logderiv_rest_nodes" not in vars(cp)
+        cp.P_second_many([0.1, 0.7])
+        assert "logderiv_rest_nodes" in vars(cp)
 
     def test_one_factor_pass_per_call(self, monkeypatch):
         cp = CanonicalProduct(DiscSequence([0.5, 0.3 + 0.4j, -0.6j, 0.7]), 2)
@@ -621,9 +638,9 @@ class TestPSecond:
         rng = np.random.default_rng(42)
         seq = random_sequence(rng, 10)
         cp = CanonicalProduct(seq, 2)
+        at_nodes = cp.P_second_many(seq.values)
         for k in range(len(seq)):
-            assert cp.P_second_at_node(k) == pytest.approx(
-                cauchy_derivative(cp, k, order=2), rel=1e-8)
+            assert at_nodes[k] == pytest.approx(cauchy_derivative(cp, k, order=2), rel=1e-8)
 
 
 class TestIndexCancellation:
