@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .geometry import DiscSequence
+from .geometry import DELTA, DiscSequence
 from .growth import GrowthFunction
 
 __all__ = [
@@ -36,7 +36,12 @@ __all__ = [
     "SigmaComparisonReport",
     "SandwichReport",
     "counting_sandwich_check",
+    "ALPHA",
 ]
+
+# Ratio between the radii of the two-radius comparisons: N at DELTA (1 - |z|)
+# against N at ALPHA DELTA (1 - |z|), and n at DELTA / ALPHA (1 - |z|).
+ALPHA = 2.0
 
 
 class CountingError(ValueError):
@@ -115,29 +120,23 @@ def _best_constant(numerators: np.ndarray, denominators: np.ndarray) -> Conditio
     return ConditionReport(float(ratios[k]), k, tuple(ratios))
 
 
-def check_concentration(seq: DiscSequence, gf: GrowthFunction,
-                        delta: float = 0.5) -> ConditionReport:
-    """Best C in N_{z_k}(delta (1 - |z_k|)) <= C psi(1 / (1 - |z_k|))."""
-    if not 0 < delta < 1:
-        raise CountingError("delta must lie in (0, 1)")
+def check_concentration(seq: DiscSequence, gf: GrowthFunction) -> ConditionReport:
+    """Best C in N_{z_k}(DELTA (1 - |z_k|)) <= C psi(1 / (1 - |z_k|))."""
     if len(seq) == 0:
         raise CountingError("concentration check needs a nonempty sequence")
-    nums = _counting_N_at_nodes(seq, delta)
+    nums = _counting_N_at_nodes(seq, DELTA)
     return _best_constant(nums, _psi_at_nodes(seq, gf))
 
 
-def check_korenblum_sum(seq: DiscSequence, gf: GrowthFunction,
-                        delta: float = 0.5) -> ConditionReport:
+def check_korenblum_sum(seq: DiscSequence, gf: GrowthFunction) -> ConditionReport:
     """Best C in the pseudohyperbolic log-sum over close pairs <= C psi.
 
-    For each node k the sum runs over 0 < |z_j - z_k| < delta (1 - |z_k|)
+    For each node k the sum runs over 0 < |z_j - z_k| < DELTA (1 - |z_k|)
     of ln(1 / sigma(z_k, z_j)).
     """
-    if not 0 < delta < 1:
-        raise CountingError("delta must lie in (0, 1)")
     if len(seq) == 0:
         raise CountingError("korenblum check needs a nonempty sequence")
-    nums = _korenblum_sums(seq, delta)
+    nums = _korenblum_sums(seq, DELTA)
     return _best_constant(nums, _psi_at_nodes(seq, gf))
 
 
@@ -179,33 +178,31 @@ class SigmaComparisonReport:
         return self.min_excess >= -1e-12 and self.max_excess <= self.bound + 1e-12
 
 
-def sigma_log_comparison(seq: DiscSequence, delta: float = 0.5) -> SigmaComparisonReport:
+def sigma_log_comparison(seq: DiscSequence) -> SigmaComparisonReport:
     """Exact two-sided comparison of the pseudohyperbolic and Euclidean log terms.
 
-    For each pair with 0 < |z_j - z_k| <= delta (1 - |z_k|) the excess
+    For each pair with 0 < |z_j - z_k| <= DELTA (1 - |z_k|) the excess
     ln(1/sigma(z_k, z_j)) - ln((1 - |z_k|) / |z_j - z_k|)
-    equals ln(|1 - conj(z_j) z_k| / (1 - |z_k|)) and lies in [0, ln(2 + delta)].
+    equals ln(|1 - conj(z_j) z_k| / (1 - |z_k|)) and lies in [0, ln(2 + DELTA)].
     """
-    if not 0 < delta < 1:
-        raise CountingError("delta must lie in (0, 1)")
     d, denom = _pairwise(seq)
     one_minus = 1.0 - seq.moduli
-    rows, cols = np.nonzero((d > 0) & (d <= delta * one_minus[:, None]))
+    rows, cols = np.nonzero((d > 0) & (d <= DELTA * one_minus[:, None]))
     if rows.size == 0:
-        return SigmaComparisonReport(0.0, 0.0, math.log(2.0 + delta), 0)
+        return SigmaComparisonReport(0.0, 0.0, math.log(2.0 + DELTA), 0)
     excess = np.log(denom[rows, cols] / one_minus[rows])
     return SigmaComparisonReport(float(excess.min()), float(excess.max()),
-                                 math.log(2.0 + delta), int(rows.size))
+                                 math.log(2.0 + DELTA), int(rows.size))
 
 
 @dataclass(frozen=True)
 class EquivalenceReport:
     """Pointwise comparison of the concentration and korenblum-sum numerators.
 
-    ``lower_ok`` says N_k(delta) never exceeds the korenblum sum at node k.
+    ``lower_ok`` says N_k(DELTA) never exceeds the korenblum sum at node k.
     ``pointwise_max`` is the per-node maximum of the korenblum sum divided
-    by its proven affine bound N_k(delta) + c N_k(alpha delta), with
-    c = (ln(1/delta) + ln(2+delta)) / ln(alpha); it never exceeds 1.  The
+    by its proven affine bound N_k(DELTA) + c N_k(ALPHA DELTA), with
+    c = (ln(1/DELTA) + ln(2+DELTA)) / ln(ALPHA); it never exceeds 1.  The
     two best constants are those of ``check_concentration`` and
     ``check_korenblum_sum``.
     """
@@ -218,24 +215,21 @@ class EquivalenceReport:
         return self.pointwise_max <= 1.0 + 1e-12
 
 
-def concentration_korenblum_comparison(seq: DiscSequence, delta: float = 0.5,
-                                       alpha: float = 2.0) -> EquivalenceReport:
+def concentration_korenblum_comparison(seq: DiscSequence) -> EquivalenceReport:
     """Two-sided comparison of the concentration and korenblum-sum conditions.
 
-    Direction one: every node satisfies N_k(delta (1-|z_k|)) <= korenblum sum,
+    Direction one: every node satisfies N_k(DELTA (1-|z_k|)) <= korenblum sum,
     hence the concentration constant is at most the korenblum one.
     Direction two: the korenblum sum at node k is at most
-    N_k(delta(1-|z_k|)) + (ln(1/delta) + ln(2+delta)) / ln(alpha)
-    times N_k(alpha delta (1-|z_k|)); both facts are verified pointwise.
+    N_k(DELTA(1-|z_k|)) + (ln(1/DELTA) + ln(2+DELTA)) / ln(ALPHA)
+    times N_k(ALPHA DELTA (1-|z_k|)); both facts are verified pointwise.
     """
-    if not (0 < delta < 1 and alpha > 1 and delta * alpha <= 1):
-        raise CountingError("need 0 < delta < 1 < alpha with alpha * delta <= 1")
     if len(seq) == 0:
         raise CountingError("comparison needs a nonempty sequence")
-    factor = (math.log(1.0 / delta) + math.log(2.0 + delta)) / math.log(alpha)
-    kore = _korenblum_sums(seq, delta)
-    n_small = _counting_N_at_nodes(seq, delta)
-    n_large = _counting_N_at_nodes(seq, alpha * delta)
+    factor = (math.log(1.0 / DELTA) + math.log(2.0 + DELTA)) / math.log(ALPHA)
+    kore = _korenblum_sums(seq, DELTA)
+    n_small = _counting_N_at_nodes(seq, DELTA)
+    n_large = _counting_N_at_nodes(seq, ALPHA * DELTA)
     lower_ok = bool(np.all(n_small <= kore + 1e-12))
     bound = n_small + factor * n_large
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -253,16 +247,13 @@ class SandwichReport:
 
 
 def counting_sandwich_check(seq: DiscSequence, gf: GrowthFunction,
-                            delta: float = 0.5, alpha: float = 2.0,
                             z_points: Optional[Iterable[complex]] = None) -> SandwichReport:
-    """Verify (n_z(delta/alpha (1-|z|)) - 1)^+ ln(alpha) <= N_z(delta (1-|z|)).
+    """Verify (n_z(DELTA/ALPHA (1-|z|)) - 1)^+ ln(ALPHA) <= N_z(DELTA (1-|z|)).
 
     The sandwich is checked at every node plus any supplied z points; the
     returned condition report carries the best constant for the count bound
     n_z((1 - |z|)/2) <= C psi(1 / (1 - |z|)) over the same points.
     """
-    if not (0 < delta < 1 and alpha > 1 and delta / alpha > 0):
-        raise CountingError("need 0 < delta < 1 < alpha")
     extra = [complex(z) for z in z_points] if z_points is not None else []
     pts = np.concatenate([seq.values, np.array(extra, dtype=complex)])
     if not pts.size:
@@ -274,8 +265,8 @@ def counting_sandwich_check(seq: DiscSequence, gf: GrowthFunction,
     worst = -math.inf
     nums = []
     for z, om in zip(pts, one_minus):
-        lower = max(counting_n(seq, z, (delta / alpha) * om) - 1, 0) * math.log(alpha)
-        mid = counting_N(seq, z, delta * om)
+        lower = max(counting_n(seq, z, (DELTA / ALPHA) * om) - 1, 0) * math.log(ALPHA)
+        mid = counting_N(seq, z, DELTA * om)
         worst = max(worst, lower - mid)
         nums.append(float(counting_n(seq, z, 0.5 * om)))
     dens = np.asarray(gf.psi(1.0 / one_minus), dtype=float)

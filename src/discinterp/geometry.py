@@ -18,6 +18,7 @@ __all__ = [
     "DiscSequence",
     "MIN_NODE_MODULUS",
     "DUPLICATE_TOL",
+    "DELTA",
 ]
 
 # Nodes closer to the origin than this degenerate: their Moebius factor is
@@ -27,6 +28,10 @@ MIN_NODE_MODULUS = 1e-9
 # Euclidean distance below which two nodes are treated as a floating-point
 # collision; a collision would destroy the simplicity of the product zeros.
 DUPLICATE_TOL = 1e-15
+
+# The counting conditions look at the points within DELTA (1 - |z|) of z,
+# the radius at which the paper states them.
+DELTA = 0.5
 
 
 class GeometryError(ValueError):

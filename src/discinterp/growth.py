@@ -1,10 +1,10 @@
 """Growth-function algebra for the moderate-growth classes.
 
-Three parametric families are built in:
+Three parametric families are built in, each a ``GrowthFunction(family, param)``:
 
-* ``power(rho)``          : psi(x) = x**rho, rho > 0
-* ``log_power(p)``        : psi(x) = ln(x)**p, p >= 0
-* ``exp_log_power(beta)`` : psi(x) = exp(ln(x)**beta), 0 < beta < 1
+* ``"power"``, rho           : psi(x) = x**rho, rho > 0
+* ``"log_power"``, p         : psi(x) = ln(x)**p, p >= 0
+* ``"exp_log_power"``, beta  : psi(x) = exp(ln(x)**beta), 0 < beta < 1
 
 Each carries its logarithmic integral
 psi_tilde(x) = integral_1^x psi(t)/t dt in closed form (a confluent
@@ -59,20 +59,6 @@ class GrowthFunction:
         if self.family == "exp_log_power" and not 0 < p < 1:
             raise GrowthError("exp_log_power family needs beta in (0, 1)")
         object.__setattr__(self, "param", p)
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def power(cls, rho: float) -> "GrowthFunction":
-        return cls("power", rho)
-
-    @classmethod
-    def log_power(cls, p: float) -> "GrowthFunction":
-        return cls("log_power", p)
-
-    @classmethod
-    def exp_log_power(cls, beta: float) -> "GrowthFunction":
-        return cls("exp_log_power", beta)
 
     # -- derived data ------------------------------------------------------
 

@@ -221,15 +221,18 @@ def generate_sequence(spec: dict, seed: int) -> DiscSequence:
                 raise ConfigError("perturbed_lattice needs 0 < q < 1 and 0 < r0 < 1")
             pts: list[complex] = []
             one_minus = 1.0 - r0
+            # the draws are sequential, so stopping at max_points keeps the same prefix
             for _ in range(rings):
+                if len(pts) == max_points:
+                    break
                 r = 1.0 - one_minus
                 count = max(3, int(round(spread * math.pi * r / one_minus)))
                 base = rng.uniform(0.0, 2.0 * math.pi)
-                for j in range(count):
+                for j in range(min(count, max_points - len(pts))):
                     ang = base + 2.0 * math.pi * (j + jitter * rng.uniform(-0.5, 0.5)) / count
                     pts.append(r * np.exp(1j * ang))
                 one_minus *= q
-            return DiscSequence(pts[:max_points])
+            return DiscSequence(pts)
         if kind == "sharpness_pairs":
             return sharpness_sequence(*_sharpness_spec(spec)).to_disc_sequence()
     except GeometryError as exc:

@@ -230,10 +230,6 @@ class CoefficientLadder:
         bucket_terms = -self._conjugate(buckets.astype(float))[0] + buckets * L
         return buckets, bucket_terms, best, p + (best_at - starts)
 
-    def log_max_terms(self, log_t) -> tuple[np.ndarray, np.ndarray]:
-        """(ln mu(t), attaining index) at each t = exp(log_t), ties to the larger index."""
-        return self.scan(log_t)[2:]
-
 
 def build_ladder(gf: GrowthFunction, C0: float, n_max: int) -> CoefficientLadder:
     """The ladder ln phi_n = -sup_{u >= 0} (n u - C0 psi_tilde(C0 e^u)), 0 <= n <= n_max."""
@@ -487,16 +483,14 @@ def _exp_or_zero(lam: np.ndarray) -> np.ndarray:
 
 def build_interpolant(seq: DiscSequence, values: Sequence[complex],
                       gf: GrowthFunction, C0: float = 8.0,
-                      product: Optional[CanonicalProduct] = None,
-                      ladder: Optional[CoefficientLadder] = None) -> Interpolant:
+                      product: Optional[CanonicalProduct] = None) -> Interpolant:
     """Assemble the full interpolant for the given nodes and targets."""
     if product is None:
         product = CanonicalProduct(seq, gf.genus)
     elif product.sequence is not seq:
         raise InterpolationError("product was built over a different sequence")
     targets = TargetData.from_values(seq, gf, values)
-    if ladder is None:
-        ladder = ladder_for_sequence(gf, C0, seq)
+    ladder = ladder_for_sequence(gf, C0, seq)
     return Interpolant(product, targets, select_exponents(ladder, seq), ladder)
 
 
@@ -574,7 +568,7 @@ def max_term_bound_report(ladder: CoefficientLadder, t_grid: Sequence[float]) ->
     ts = sorted(float(t) for t in t_grid)
     if not all(1.0 <= t < math.inf for t in ts):
         raise LadderError("t grid must lie in [1, inf)")
-    log_mus, _ = ladder.log_max_terms([math.log(t) for t in ts])
+    log_mus = ladder.scan([math.log(t) for t in ts])[2]
     base = np.array([float(gf.psi_tilde_log(math.log(C0 * t))) for t in ts])
     half = np.array([float(gf.psi_tilde_log(math.log(C0 * t / 2.0))) for t in ts])
 

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import products
-from .geometry import DiscSequence
+from .geometry import DELTA, DiscSequence
 from .growth import GrowthFunction
 from .interpolation import (
     GrowthTable,
@@ -363,12 +363,10 @@ class SharpnessSequence:
 
     # -- exact pairwise geometry ------------------------------------------
 
-    def counting_N_log(self, m: int, delta: float = 0.5) -> float:
-        """N at node m with radius delta (1 - |z_m|), entirely in log space."""
-        if not 0 < delta < 1:
-            raise OscillationError("delta must lie in (0, 1)")
+    def counting_N_log(self, m: int) -> float:
+        """N at node m with radius DELTA (1 - |z_m|), entirely in log space."""
         gaps = self.log_gaps[m]
-        r_log = math.log(delta) + float(self.log_one_minus[m])
+        r_log = math.log(DELTA) + float(self.log_one_minus[m])
         inside = gaps <= r_log + 1e-12
         inside[m] = False
         return float(np.sum(r_log - gaps[inside]))
@@ -382,8 +380,7 @@ class SharpnessSequence:
 
     # -- log-space product diagnostics ---------------------------------------
 
-    def index_cancellation_log_report(self, genus: int,
-                                      delta: float = 0.5) -> IndexCancellationReport:
+    def index_cancellation_log_report(self, genus: int) -> IndexCancellationReport:
         """|ln|B_k| + N_k| against sum |A_n|^(s+1), with exact gap logs.
 
         The log-factor kernel takes ln(1 - A) from the exact gap logs, so the
@@ -404,7 +401,7 @@ class SharpnessSequence:
 
         ln_E = products._log_E(A, log_one_minus_A, genus).real
         np.fill_diagonal(ln_E, 0.0)
-        N = np.array([self.counting_N_log(k, delta) for k in range(len(self))])
+        N = np.array([self.counting_N_log(k) for k in range(len(self))])
         lhs = np.abs(ln_E.sum(axis=0) + N)
         rhs = (np.abs(A) ** (genus + 1)).sum(axis=0)
         ratios = lhs / rhs
@@ -416,12 +413,12 @@ def sharpness_sequence(rho: float, n_max: int) -> SharpnessSequence:
     return SharpnessSequence(rho, n_max)
 
 
-def sharpness_counting_check(seq: SharpnessSequence, delta: float = 0.5) -> tuple:
+def sharpness_counting_check(seq: SharpnessSequence) -> tuple:
     """Rows (n, N at the upper twin, (1/(1-|z|))^rho, ratio)."""
     rows = []
     for n in range(1, seq.n_max + 1):
         m = 2 * n - 1
-        N = seq.counting_N_log(m, delta)
+        N = seq.counting_N_log(m)
         target = math.exp(-seq.rho * float(seq.log_one_minus[m]))
         rows.append(SharpnessRow(n=n, N_value=N, target=target, ratio=N / target))
     return tuple(rows)

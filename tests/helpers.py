@@ -20,10 +20,10 @@ from discinterp.products import (
 )
 
 FAMILY_CYCLE = (
-    GrowthFunction.power(0.5),
-    GrowthFunction.power(1.0),
-    GrowthFunction.power(2.0),
-    GrowthFunction.log_power(2.0),
+    GrowthFunction("power", 0.5),
+    GrowthFunction("power", 1.0),
+    GrowthFunction("power", 2.0),
+    GrowthFunction("log_power", 2.0),
 )
 
 
@@ -208,8 +208,8 @@ class DenseLadder:
     """The coefficient ladder stored densely up to n_max, the reference for the implicit one.
 
     ``log_coeffs[n]`` is ln phi_n; ``log_kappas[n]`` is ln(phi_{n-1}/phi_n)
-    with a -inf sentinel at n = 0.  It has the ``scan`` and ``log_max_terms``
-    of ``CoefficientLadder``, so ``select_exponents`` runs on it too.
+    with a -inf sentinel at n = 0.  It has the ``scan`` of ``CoefficientLadder``,
+    so ``select_exponents`` runs on it too.
     """
 
     log_coeffs: np.ndarray
@@ -223,9 +223,9 @@ class DenseLadder:
         log_t = np.atleast_1d(np.asarray(log_t, dtype=float))
         buckets = np.searchsorted(self.log_kappas, log_t, side="right") - 1
         return (buckets, self.log_coeffs[buckets] + buckets * log_t,
-                *self.log_max_terms(log_t))
+                *self._max_terms(log_t))
 
-    def log_max_terms(self, log_t) -> tuple[np.ndarray, np.ndarray]:
+    def _max_terms(self, log_t) -> tuple[np.ndarray, np.ndarray]:
         """(ln mu(t), attaining index) at each t = exp(log_t), ties to the larger index.
 
         Rounding is monotone, so with M the block maximum of c and e its last

@@ -44,7 +44,7 @@ def bank():
 def ode_bank():
     instances = []
     for i, rho in enumerate([0.5, 1.0, 2.0, 0.5, 1.0]):
-        gf = GrowthFunction.power(rho)
+        gf = GrowthFunction("power", rho)
         seq, _ = lattice_instance(seed=300 + i, gf=gf, rings=3, r0=0.45,
                                   q=0.6, max_points=25)
         assert len(seq) <= 25
@@ -131,8 +131,8 @@ def test_criterion_4_index_cancellation_sharpness():
     that does not violate an upper bound.
     """
     seq = sharpness_sequence(1.0, 8)
-    genus = GrowthFunction.power(1.0).genus
-    rep = seq.index_cancellation_log_report(genus=genus, delta=0.5)
+    genus = GrowthFunction("power", 1.0).genus
+    rep = seq.index_cancellation_log_report(genus=genus)
     ratios = np.asarray(rep.ratios)
     constant = rep.constant
     half = len(ratios) // 2
@@ -204,7 +204,7 @@ def test_criterion_7_sharpness_counting():
         seq = sharpness_sequence(rho, 20)
         for n in range(10, 21):
             m = 2 * n - 1
-            ratio = seq.counting_N_log(m, 0.5) / 2.0 ** (n * rho)
+            ratio = seq.counting_N_log(m) / 2.0 ** (n * rho)
             if not 0.95 <= ratio <= 1.05:
                 out_of_window.append((rho, n, round(ratio, 4)))
     elapsed = time.time() - start
@@ -226,7 +226,7 @@ def test_criterion_8_sigma_comparison(bank):
     sequences.append(DiscSequence([0.5, 0.55, 0.5 + 0.04j, -0.2, 0.9, 0.905]))
     worst_low, worst_high, pairs = 0.0, 0.0, 0
     for seq in sequences:
-        rep = sigma_log_comparison(seq, delta=0.5)
+        rep = sigma_log_comparison(seq)
         worst_low = min(worst_low, rep.min_excess)
         worst_high = max(worst_high, rep.max_excess - rep.bound)
         pairs += rep.pair_count
@@ -246,9 +246,9 @@ def test_criterion_9_ladder_bounds():
     bounds are additionally verified at the default C0 = 8.
     """
     t0_values = {}
-    for gf in (GrowthFunction.power(0.5), GrowthFunction.power(1.0),
-               GrowthFunction.power(2.0), GrowthFunction.log_power(2.0),
-               GrowthFunction.exp_log_power(0.5)):
+    for gf in (GrowthFunction("power", 0.5), GrowthFunction("power", 1.0),
+               GrowthFunction("power", 2.0), GrowthFunction("log_power", 2.0),
+               GrowthFunction("exp_log_power", 0.5)):
         ladder = build_ladder(gf, 2.0, 3000)
         grid = np.geomspace(1.0, 60.0, 50)
         rep = max_term_bound_report(ladder, grid)

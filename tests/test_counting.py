@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from discinterp.counting import (
+    ALPHA,
     CountingError,
     carleson_delta,
     check_concentration,
@@ -18,7 +19,7 @@ from discinterp.counting import (
     separation,
     sigma_log_comparison,
 )
-from discinterp.geometry import DiscSequence
+from discinterp.geometry import DELTA, DiscSequence
 from discinterp.growth import GrowthFunction
 
 from helpers import abs_split_sequence, pseudo_dist
@@ -34,7 +35,7 @@ def random_sequence(rng, n, r_lo=0.2, r_hi=0.9, min_gap=0.02):
     return DiscSequence(pts)
 
 
-GF = GrowthFunction.power(1.0)
+GF = GrowthFunction("power", 1.0)
 
 
 class TestCountingN:
@@ -117,7 +118,7 @@ class TestKorenblum:
         seq = DiscSequence([0.3, -0.3])  # gap 0.6 > (1 - 0.3)/2 both ways
         assert check_korenblum_sum(seq, GF).best_constant == 0.0
 
-    @pytest.mark.parametrize("delta", [0.5, 0.9])
+    @pytest.mark.parametrize("delta", [DELTA])  # the one radius, named in the test id
     def test_equals_the_per_node_numpy_loop(self, delta):
         # the same arithmetic node by node, so the sums must agree to the last
         # bit, also where a node has eight or more close pairs
@@ -132,7 +133,7 @@ class TestKorenblum:
                 sums[k] = -np.sum(np.log(d[close] / np.abs(1.0 - np.conj(v[k]) * v[close])))
         assert max(np.count_nonzero(np.abs(v - z) < delta * (1 - abs(z))) for z in v) > 9
         psi = np.asarray(GF.psi(1.0 / (1.0 - seq.moduli)), dtype=float)
-        assert check_korenblum_sum(seq, GF, delta).values == tuple(sums / psi)
+        assert check_korenblum_sum(seq, GF).values == tuple(sums / psi)
 
     def test_against_double_loop_oracle(self):
         rng = np.random.default_rng(24)
@@ -208,14 +209,14 @@ class TestComparisonAndSandwich:
     def test_sigma_log_comparison_bounds(self):
         rng = np.random.default_rng(27)
         seq = random_sequence(rng, 30, min_gap=0.004)
-        rep = sigma_log_comparison(seq, delta=0.5)
+        rep = sigma_log_comparison(seq)
         assert rep.holds
         assert rep.min_excess >= -1e-12
         assert rep.max_excess <= math.log(2.5) + 1e-12
 
-    @pytest.mark.parametrize("delta", [0.5, 0.9])
+    @pytest.mark.parametrize("delta", [DELTA])  # the one radius, named in the test id
     def test_sigma_log_comparison_matches_double_loop(self, delta):
-        # at delta = 0.5 the dyadic pairs put |z_j - z_k| exactly on
+        # the dyadic pairs put |z_j - z_k| exactly on
         # delta (1 - |z_k|) = 2^-(n+1), which the closed mask <= counts
         from discinterp.oscillation import sharpness_sequence
 
@@ -228,7 +229,7 @@ class TestComparisonAndSandwich:
                 for k in range(len(seq)) for j in range(len(seq))
                 if 0 < abs(v[j] - v[k]) <= delta * (1 - m[k])
             ]
-            rep = sigma_log_comparison(seq, delta)
+            rep = sigma_log_comparison(seq)
             assert rep.pair_count == len(excess) > 0
             assert rep.min_excess == pytest.approx(min(excess), abs=1e-15)
             assert rep.max_excess == pytest.approx(max(excess), abs=1e-15)
@@ -239,15 +240,14 @@ class TestComparisonAndSandwich:
         assert rep.n_bound.best_constant >= 0.0
 
     def test_sandwich_cluster_lower_bound(self):
-        # m extra points inside (delta/alpha)(1 - |z|) force N >= m ln(alpha)
+        # m extra points inside (DELTA/ALPHA)(1 - |z|) force N >= m ln(ALPHA)
         center = 0.5
-        delta, alpha = 0.5, 2.0
-        radius = (delta / alpha) * (1 - center) * 0.9
+        radius = (DELTA / ALPHA) * (1 - center) * 0.9
         pts = [center] + [center + radius * np.exp(2j * np.pi * k / 5) for k in range(5)]
         seq = DiscSequence(pts)
         m = 5
-        assert counting_N(seq, center, delta * (1 - center)) >= m * math.log(alpha) - 1e-9
-        rep = counting_sandwich_check(seq, GF, delta, alpha)
+        assert counting_N(seq, center, DELTA * (1 - center)) >= m * math.log(ALPHA) - 1e-9
+        rep = counting_sandwich_check(seq, GF)
         assert rep.sandwich_ok
 
     def test_sandwich_random_with_grid(self):
@@ -268,7 +268,7 @@ class TestSharpnessSequenceConditions:
 
         sharp = sharpness_sequence(1.0, 5)
         seq = sharp.to_disc_sequence()
-        gf = GrowthFunction.power(1.0)
+        gf = GrowthFunction("power", 1.0)
         rep = check_concentration(seq, gf)
         assert 0.8 <= rep.best_constant <= 1.0 + 1e-9
         deficit = 1.0 - rep.best_constant
@@ -284,9 +284,9 @@ class TestSharpnessSequenceConditions:
 
 
 class TestOneModulus:
-    """Every per-node radius is delta (1 - seq.moduli[k]), to the last bit."""
+    """Every per-node radius is DELTA (1 - seq.moduli[k]), to the last bit."""
 
-    @pytest.mark.parametrize("delta", [0.5, 0.9])
+    @pytest.mark.parametrize("delta", [DELTA])  # the one radius, named in the test id
     def test_N_sums_equal_the_loop_on_moduli(self, delta):
         seq = abs_split_sequence()
         v = seq.values
@@ -297,10 +297,10 @@ class TestOneModulus:
             sums[k] = np.sum(np.log(r / d[d <= r]))
         psi = np.asarray(GF.psi(1.0 / (1.0 - seq.moduli)), dtype=float)
         assert np.count_nonzero(sums) > len(seq) // 2
-        assert check_concentration(seq, GF, delta).values == tuple(sums / psi)
+        assert check_concentration(seq, GF).values == tuple(sums / psi)
 
     def test_a_neighbour_on_the_korenblum_radius_is_not_close(self):
-        # the neighbour sits exactly at delta (1 - np.abs(z_k)), which the
+        # the neighbour sits exactly at DELTA (1 - np.abs(z_k)), which the
         # strict korenblum mask excludes; abs(z_k) is an ulp smaller here
         zk = -0.5481736768171097 + 0.28941791760788355j
         r = 0.5 * (1.0 - np.abs(np.array([zk]))[0])

@@ -12,38 +12,38 @@ from discinterp.growth import GrowthError, GrowthFunction
 from helpers import psi_tilde_log_quad
 
 ALL_FAMILIES = [
-    GrowthFunction.power(0.5),
-    GrowthFunction.power(1.0),
-    GrowthFunction.power(2.0),
-    GrowthFunction.log_power(1.0),
-    GrowthFunction.log_power(2.0),
-    GrowthFunction.exp_log_power(0.3),
-    GrowthFunction.exp_log_power(0.5),
-    GrowthFunction.exp_log_power(0.7),
+    GrowthFunction("power", 0.5),
+    GrowthFunction("power", 1.0),
+    GrowthFunction("power", 2.0),
+    GrowthFunction("log_power", 1.0),
+    GrowthFunction("log_power", 2.0),
+    GrowthFunction("exp_log_power", 0.3),
+    GrowthFunction("exp_log_power", 0.5),
+    GrowthFunction("exp_log_power", 0.7),
 ]
 
 
 class TestPsi:
     def test_power_at_one(self):
-        assert GrowthFunction.power(1.0).psi(1.0) == pytest.approx(1.0)
+        assert GrowthFunction("power", 1.0).psi(1.0) == pytest.approx(1.0)
 
     def test_log_power_at_e(self):
-        assert GrowthFunction.log_power(2.0).psi(math.e) == pytest.approx(1.0, rel=1e-12)
+        assert GrowthFunction("log_power", 2.0).psi(math.e) == pytest.approx(1.0, rel=1e-12)
 
     def test_power_value(self):
-        assert GrowthFunction.power(2.0).psi(3.0) == pytest.approx(9.0, rel=1e-14)
+        assert GrowthFunction("power", 2.0).psi(3.0) == pytest.approx(9.0, rel=1e-14)
 
     def test_domain_error(self):
         with pytest.raises(GrowthError):
-            GrowthFunction.power(1.0).psi(0.5)
+            GrowthFunction("power", 1.0).psi(0.5)
 
     def test_bad_parameters(self):
         with pytest.raises(GrowthError):
-            GrowthFunction.power(0.0)
+            GrowthFunction("power", 0.0)
         with pytest.raises(GrowthError):
-            GrowthFunction.log_power(-1.0)
+            GrowthFunction("log_power", -1.0)
         with pytest.raises(GrowthError):
-            GrowthFunction.exp_log_power(1.0)
+            GrowthFunction("exp_log_power", 1.0)
         with pytest.raises(GrowthError):
             GrowthFunction("weird", 1.0)
 
@@ -60,12 +60,12 @@ class TestPsiTilde:
             assert gf.psi_tilde(1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_log_power_closed_form(self):
-        gf = GrowthFunction.log_power(2.0)
+        gf = GrowthFunction("log_power", 2.0)
         for x in (2.0, 10.0, 1e4):
             assert gf.psi_tilde(x) == pytest.approx(math.log(x) ** 3 / 3, rel=1e-12)
 
     def test_power_closed_form(self):
-        gf = GrowthFunction.power(0.5)
+        gf = GrowthFunction("power", 0.5)
         for x in (2.0, 10.0, 1e4):
             assert gf.psi_tilde(x) == pytest.approx((x**0.5 - 1) / 0.5, rel=1e-12)
 
@@ -81,7 +81,7 @@ class TestPsiTilde:
     def test_exp_log_power_against_quadrature(self, beta):
         # the hypergeometric closed form against the quadrature loop it
         # replaced (epsrel 1e-10) and against 30-digit mpmath quadrature
-        gf = GrowthFunction.exp_log_power(beta)
+        gf = GrowthFunction("exp_log_power", beta)
         u = np.linspace(0.0, 40.0, 401)
         got = np.asarray(gf.psi_tilde_log(u))
         assert got[0] == 0.0
@@ -93,7 +93,7 @@ class TestPsiTilde:
 
     def test_exp_log_power_overflow_raises(self):
         # past ln(x)^beta of about 709 the integral leaves the double range
-        gf = GrowthFunction.exp_log_power(0.5)
+        gf = GrowthFunction("exp_log_power", 0.5)
         assert math.isfinite(gf.psi_tilde_log(700.0**2))
         with pytest.raises(OverflowError):
             gf.psi_tilde_log(np.array([1.0, 710.0**2]))
@@ -125,20 +125,20 @@ class TestPsiTilde:
 
 class TestPolyaOrder:
     def test_power_order_is_rho(self):
-        assert GrowthFunction.power(3.0).polya_order == 3.0
+        assert GrowthFunction("power", 3.0).polya_order == 3.0
 
     def test_log_power_vanishes(self):
-        assert GrowthFunction.log_power(2.0).polya_order == 0.0
+        assert GrowthFunction("log_power", 2.0).polya_order == 0.0
 
     def test_exp_log_power_vanishes(self):
-        assert GrowthFunction.exp_log_power(0.5).polya_order == 0.0
+        assert GrowthFunction("exp_log_power", 0.5).polya_order == 0.0
 
     def test_genus(self):
-        assert GrowthFunction.power(0.5).genus == 1
-        assert GrowthFunction.power(1.0).genus == 2
-        assert GrowthFunction.power(2.0).genus == 3
-        assert GrowthFunction.log_power(2.0).genus == 1
-        assert GrowthFunction.exp_log_power(0.5).genus == 1
+        assert GrowthFunction("power", 0.5).genus == 1
+        assert GrowthFunction("power", 1.0).genus == 2
+        assert GrowthFunction("power", 2.0).genus == 3
+        assert GrowthFunction("log_power", 2.0).genus == 1
+        assert GrowthFunction("exp_log_power", 0.5).genus == 1
 
 
 class TestSerialization:

@@ -64,12 +64,26 @@ class TestGenerators:
         assert float(seq.moduli.min()) > 0
         assert float(seq.moduli.max()) < 1
 
+    def test_lattice_stops_drawing_at_max_points(self):
+        # 60 rings would ask for about 10^13 points; the first 40 are the
+        # same draws as in a lattice of 8 rings
+        deep = generate_sequence({"kind": "perturbed_lattice", "rings": 60, "max_points": 40}, 5)
+        full = generate_sequence({"kind": "perturbed_lattice", "rings": 8, "max_points": 1000}, 5)
+        assert len(full) > 40
+        assert np.array_equal(deep.values, full.values[:40])
+
+    def test_lattice_with_huge_spread_draws_only_max_points(self):
+        # one ring of about 2 * 10^12 points
+        seq = generate_sequence(
+            {"kind": "perturbed_lattice", "rings": 1, "spread": 1e12, "max_points": 40}, 0)
+        assert len(seq) == 40
+
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             generate_sequence({"kind": "spiral"}, 0)
 
     def test_targets_admissible(self):
-        gf = GrowthFunction.power(1.0)
+        gf = GrowthFunction("power", 1.0)
         seq = generate_sequence({"kind": "radial", "radii": [0.4, 0.6, 0.9]}, 0)
         vals = generate_targets({"kind": "random_admissible", "constant": 2.0},
                                 seq, gf, 5)
@@ -77,7 +91,7 @@ class TestGenerators:
         assert np.all(np.log(np.abs(vals)) <= 2.0 * tilde + 1e-12)
 
     def test_targets_length_mismatch(self):
-        gf = GrowthFunction.power(1.0)
+        gf = GrowthFunction("power", 1.0)
         seq = DiscSequence([0.5])
         with pytest.raises(ConfigError):
             generate_targets({"kind": "explicit", "values": [[1, 0], [2, 0]]},
@@ -160,7 +174,7 @@ class TestRunScenario:
         assert len(calls) == 1
 
     def test_check_task_counting_calls(self, tmp_path, monkeypatch):
-        # check_concentration N, the comparison 2N (radii delta and alpha delta),
+        # check_concentration N, the comparison 2N (radii DELTA and ALPHA DELTA),
         # the sandwich N + 32 (the nodes and its 32-point grid)
         calls = []
         counting_N = counting.counting_N

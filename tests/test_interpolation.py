@@ -40,8 +40,15 @@ from helpers import (
     spiral_sequence,
 )
 
-GF1 = GrowthFunction.power(1.0)
-SPIRAL_FAMILIES = (GF1, GrowthFunction.log_power(2.0), GrowthFunction.exp_log_power(0.5))
+GF1 = GrowthFunction("power", 1.0)
+SPIRAL_FAMILIES = (GF1, GrowthFunction("log_power", 2.0), GrowthFunction("exp_log_power", 0.5))
+
+
+def interpolant_on(ladder, seq, values):
+    """What ``build_interpolant(seq, values, ladder.gf)`` builds, on a ladder built once."""
+    product = products.CanonicalProduct(seq, ladder.gf.genus)
+    return Interpolant(product, TargetData.from_values(seq, ladder.gf, values),
+                       select_exponents(ladder, seq), ladder)
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +98,7 @@ class TestBuildLadder:
     def test_zeroth_coefficient_is_value_at_zero(self):
         # the conjugate objective is decreasing in u at n = 0, so the sup
         # sits at u = 0 and ln phi_0 = C0 psi_tilde(C0)
-        for gf in (GF1, GrowthFunction.log_power(2.0)):
+        for gf in (GF1, GrowthFunction("log_power", 2.0)):
             for C0 in (2.0, 8.0):
                 ladder = build_ladder(gf, C0, 10)
                 assert log_coeffs(ladder, [0])[0] == pytest.approx(
@@ -111,8 +118,8 @@ class TestBuildLadder:
 
     def test_kappa_nondecreasing_exactly(self):
         # the dense oracle lifts its increments; the implicit buckets follow t
-        for gf in (GrowthFunction.power(0.5), GF1, GrowthFunction.power(2.0),
-                   GrowthFunction.log_power(2.0), GrowthFunction.exp_log_power(0.5)):
+        for gf in (GrowthFunction("power", 0.5), GF1, GrowthFunction("power", 2.0),
+                   GrowthFunction("log_power", 2.0), GrowthFunction("exp_log_power", 0.5)):
             dense = dense_ladder(gf, 8.0, 400)
             assert np.all(np.diff(dense.log_kappas[1:]) >= 0.0)
             grid = np.linspace(0.0, dense.log_kappas[-1], 500)
@@ -123,7 +130,7 @@ class TestBuildLadder:
 
     def test_too_slow_growth_raises(self):
         with pytest.raises(LadderError):
-            build_ladder(GrowthFunction.log_power(0.0), 2.0, 50)
+            build_ladder(GrowthFunction("log_power", 0.0), 2.0, 50)
 
     def test_c0_floor(self):
         with pytest.raises(LadderError):
@@ -140,7 +147,7 @@ class TestBuildLadder:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_log_t_raises(self, bad):
         with pytest.raises(LadderError, match="finite"):
-            build_ladder(GF1, 8.0, 400).log_max_terms([0.5, bad])
+            build_ladder(GF1, 8.0, 400).scan([0.5, bad])
 
     def test_holds_no_array(self):
         ladder = build_ladder(GF1, 8.0, 1_280_008)
@@ -159,14 +166,14 @@ class TestSelectExponents:
 
     def test_monotone_in_modulus(self):
         seq = DiscSequence([0.2, 0.5, 0.8, 0.95])
-        ladder = ladder_for_sequence(GrowthFunction.power(2.0), 8.0, seq)
+        ladder = ladder_for_sequence(GrowthFunction("power", 2.0), 8.0, seq)
         s = select_exponents(ladder, seq)
         assert np.all(np.diff(s) >= 0)
 
     def test_clamped_lowest_bucket(self):
         # a node essentially at the origin falls below kappa_1
         seq = DiscSequence([1e-8])
-        ladder = build_ladder(GrowthFunction.log_power(2.0), 2.0, 50)
+        ladder = build_ladder(GrowthFunction("log_power", 2.0), 2.0, 50)
         s = select_exponents(ladder, seq)
         assert s[0] == 1
 
@@ -186,8 +193,8 @@ class TestSelectExponents:
         assert np.array_equal(select_exponents(ladder, seq), select_exponents(dense, seq))
 
     @pytest.mark.parametrize("gf, seq", [
-        (GrowthFunction.power(0.5), spiral_sequence(60, depth=1e-3)),
-        (GrowthFunction.power(2.0), spiral_sequence(60, depth=0.05)),
+        (GrowthFunction("power", 0.5), spiral_sequence(60, depth=1e-3)),
+        (GrowthFunction("power", 2.0), spiral_sequence(60, depth=0.05)),
     ], ids=["power-0.5", "power-2"])
     def test_equal_to_the_dense_oracle_on_shorter_spirals(self, gf, seq):
         s = select_exponents(ladder_for_sequence(gf, 8.0, seq), seq)
@@ -196,9 +203,9 @@ class TestSelectExponents:
     @pytest.mark.parametrize("seed", range(4))
     def test_equal_to_the_dense_oracle_on_random_sequences(self, seed):
         rng = np.random.default_rng(700 + seed)
-        for gf, top in ((GrowthFunction.power(0.5), 0.999), (GF1, 0.999),
-                        (GrowthFunction.power(2.0), 0.95), (GrowthFunction.log_power(2.0), 0.9999),
-                        (GrowthFunction.exp_log_power(0.5), 0.9999)):
+        for gf, top in ((GrowthFunction("power", 0.5), 0.999), (GF1, 0.999),
+                        (GrowthFunction("power", 2.0), 0.95), (GrowthFunction("log_power", 2.0), 0.9999),
+                        (GrowthFunction("exp_log_power", 0.5), 0.9999)):
             seq = DiscSequence(rng.uniform(0.05, top, 30) * np.exp(2j * np.pi * rng.uniform(size=30)))
             for C0 in (2.0, 8.0):
                 s = select_exponents(ladder_for_sequence(gf, C0, seq), seq)
@@ -219,13 +226,13 @@ class TestDeepSpirals:
 
     @pytest.mark.parametrize("gf, depth, n_max, top", [
         (GF1, 1e-5, 12_800_008, 6_400_000),
-        (GrowthFunction.power(2.0), 1e-3, 2_048_000_007, 511_999_270),
+        (GrowthFunction("power", 2.0), 1e-3, 2_048_000_007, 511_999_270),
     ], ids=["power-1", "power-2"])
     def test_no_longer_stop_at_the_ladder(self, gf, depth, n_max, top):
         seq = spiral_sequence(20, depth=depth)
-        ladder = ladder_for_sequence(gf, 8.0, seq)
         targets = generate_targets({"kind": "random_admissible", "constant": 2.0}, seq, gf, 0)
-        f = build_interpolant(seq, targets, gf, ladder=ladder)
+        f = build_interpolant(seq, targets, gf)
+        ladder = f.ladder
         assert (ladder.n_max, int(f.exponents.max())) == (n_max, top)
         assert np.all(np.diff(f.exponents) >= 0)
         # the identity gate of the interpolate task holds
@@ -235,15 +242,15 @@ class TestDeepSpirals:
         # power(2) down to 1e-4 needs n_max ~ 2e11, where rounding blurs
         # the increments over more cells than a scan reads
         with pytest.raises(LadderError, match="not resolved in double precision"):
-            ladder_for_sequence(GrowthFunction.power(2.0), 8.0, spiral_sequence())
+            ladder_for_sequence(GrowthFunction("power", 2.0), 8.0, spiral_sequence())
 
 
 class TestPrunedMaxTermScan:
-    """log_max_terms reads windows only, so it is pinned to full scans of the raw conjugate."""
+    """scan reads windows only, so its maximal terms are pinned to full scans of the raw conjugate."""
 
     @staticmethod
     def assert_matches_full_scan(ladder, raw, log_ts):
-        values, indices = ladder.log_max_terms(log_ts)
+        values, indices = ladder.scan(log_ts)[2:]
         oracle = [scan_max_term(-raw, t) for t in log_ts]
         assert values.tobytes() == np.array([v for v, _ in oracle]).tobytes()
         assert indices.tolist() == [i for _, i in oracle]
@@ -266,8 +273,8 @@ class TestPrunedMaxTermScan:
         seq, ladders = spiral_ladders
         ladder, (dense, _) = ladders[gf.family], spiral_oracles[gf.family]
         log_t = -np.log1p(-seq.moduli)
-        values, indices = ladder.log_max_terms(log_t)
-        dense_values, dense_indices = dense.log_max_terms(log_t)
+        values, indices = ladder.scan(log_t)[2:]
+        dense_values, dense_indices = dense.scan(log_t)[2:]
         assert np.array_equal(indices, dense_indices)
         assert np.all(np.abs(values - dense_values) <= margin(ladder, log_t))
 
@@ -296,8 +303,8 @@ class TestPrunedMaxTermScan:
         # the dense oracle's running maximum lifts a raw increment by less than E
         ladders = dict(spiral_ladders[1])
         oracles = dict(spiral_oracles)
-        for gf, seq in ((GrowthFunction.power(0.5), spiral_sequence()),
-                        (GrowthFunction.power(2.0), spiral_sequence(60, depth=0.05))):
+        for gf, seq in ((GrowthFunction("power", 0.5), spiral_sequence()),
+                        (GrowthFunction("power", 2.0), spiral_sequence(60, depth=0.05))):
             ladder = ladder_for_sequence(gf, 8.0, seq)
             ladders[f"{gf}"] = ladder
             oracles[f"{gf}"] = (dense_ladder(gf, 8.0, ladder.n_max),
@@ -308,9 +315,9 @@ class TestPrunedMaxTermScan:
             assert 0.0 <= gap.min() and gap.max() < margin(ladder, 0.0)
 
     @pytest.mark.parametrize("gf", [
-        GrowthFunction.power(0.5), GF1, GrowthFunction.power(2.0),
-        GrowthFunction.log_power(2.0), GrowthFunction.exp_log_power(0.2),
-        GrowthFunction.exp_log_power(0.5), GrowthFunction.exp_log_power(0.8),
+        GrowthFunction("power", 0.5), GF1, GrowthFunction("power", 2.0),
+        GrowthFunction("log_power", 2.0), GrowthFunction("exp_log_power", 0.2),
+        GrowthFunction("exp_log_power", 0.5), GrowthFunction("exp_log_power", 0.8),
     ], ids=lambda g: f"{g.family}-{g.param}")
     def test_conjugate_rounding_inside_the_margin(self, gf):
         # |v(n) - v_exact(n)| <= K eps S(n) with K < 15, as the margin assumes
@@ -382,10 +389,10 @@ class TestPrunedMaxTermScan:
 
 
 class TestMaxTermBounds:
-    @pytest.mark.parametrize("gf", [GrowthFunction.power(0.5), GF1,
-                                    GrowthFunction.power(2.0),
-                                    GrowthFunction.log_power(2.0),
-                                    GrowthFunction.exp_log_power(0.5)],
+    @pytest.mark.parametrize("gf", [GrowthFunction("power", 0.5), GF1,
+                                    GrowthFunction("power", 2.0),
+                                    GrowthFunction("log_power", 2.0),
+                                    GrowthFunction("exp_log_power", 0.5)],
                              ids=lambda g: f"{g.family}-{g.param}")
     def test_literal_bounds_at_c0_two(self, gf):
         ladder = build_ladder(gf, 2.0, 2000)
@@ -472,9 +479,9 @@ class TestInterpolationIdentity:
             assert got.shape == (n,)
             assert np.array_equal(got, np.full(n, want, dtype=got.dtype))
 
-    @pytest.mark.parametrize("gf", [GrowthFunction.power(0.5), GF1,
-                                    GrowthFunction.power(2.0),
-                                    GrowthFunction.log_power(2.0)],
+    @pytest.mark.parametrize("gf", [GrowthFunction("power", 0.5), GF1,
+                                    GrowthFunction("power", 2.0),
+                                    GrowthFunction("log_power", 2.0)],
                              ids=lambda g: f"{g.family}-{g.param}")
     def test_identity_on_lattice_instances(self, gf):
         seq, targets = lattice_instance(seed=7, gf=gf, max_points=40)
@@ -487,11 +494,11 @@ class TestInterpolationIdentity:
         # of A_k(z_k) away from 1 would show here
         seq, ladders = spiral_ladders
         targets = generate_targets({"kind": "random_admissible", "constant": 2.0}, seq, gf, 0)
-        f = build_interpolant(seq, targets, gf, ladder=ladders[gf.family])
+        f = interpolant_on(ladders[gf.family], seq, targets)
         assert float(f.interpolation_errors().max()) < 1e-8
 
     def test_identity_on_radial_nodes_down_to_1e_minus_6(self):
-        gf = GrowthFunction.log_power(2.0)
+        gf = GrowthFunction("log_power", 2.0)
         seq = DiscSequence([(1.0 - 10.0 ** -j) * np.exp(2j * np.pi * (r / 3 + 0.1))
                             for r in range(3) for j in np.arange(1.0, 6.01, 0.5)])
         targets = generate_targets({"kind": "random_admissible", "constant": 2.0}, seq, gf, 1)
@@ -606,11 +613,11 @@ class TestTermDecayChain:
         seq, targets = lattice_instance(seed=11, gf=GF1, max_points=25)
         f = build_interpolant(seq, targets, GF1)
         ladder = f.ladder
-        mu_nodes, _ = ladder.log_max_terms([-math.log1p(-m) for m in seq.moduli])
+        mu_nodes = ladder.scan([-math.log1p(-m) for m in seq.moduli])[2]
         rng = np.random.default_rng(51)
         for z in 0.95 * np.sqrt(rng.uniform(size=30)) * np.exp(
                 2j * np.pi * rng.uniform(size=30)):
-            (mu_z,), _ = ladder.log_max_terms([math.log(2.0) - math.log1p(-abs(z))])
+            (mu_z,) = ladder.scan([math.log(2.0) - math.log1p(-abs(z))])[2]
             for k, (zn, m, mu_n) in enumerate(zip(seq.values, seq.moduli, mu_nodes)):
                 a_abs = abs((1 - m**2) / (1 - np.conj(zn) * z))
                 assert f.exponents[k] * math.log(a_abs) <= mu_z - mu_n + 1e-9
@@ -626,9 +633,9 @@ class TestTermDecayChain:
         zs = 0.9 * np.sqrt(rng.uniform(size=15)) * np.exp(
             2j * np.pi * rng.uniform(size=15))
         L = dense_terms(f, zs)[0]
-        mu_nodes, _ = ladder.log_max_terms([-math.log1p(-m) for m in seq.moduli])
+        mu_nodes = ladder.scan([-math.log1p(-m) for m in seq.moduli])[2]
         for i, z in enumerate(zs):
-            (mu_z,), _ = ladder.log_max_terms([math.log(2.0) - math.log1p(-abs(z))])
+            (mu_z,) = ladder.scan([math.log(2.0) - math.log1p(-abs(z))])[2]
             full_sum = float(cp.factor_abs_power_sum([z])[0])
             for k, (zn, m, mu_n) in enumerate(zip(seq.values, seq.moduli, mu_nodes)):
                 a_abs = abs((1 - m**2) / (1 - np.conj(zn) * z))
@@ -703,7 +710,7 @@ class TestLiveTerms:
         out = {}
         for gf in SPIRAL_FAMILIES:
             targets = generate_targets({"kind": "random_admissible", "constant": 2.0}, seq, gf, 0)
-            out[gf.family] = build_interpolant(seq, targets, gf, ladder=ladders[gf.family])
+            out[gf.family] = interpolant_on(ladders[gf.family], seq, targets)
         return out
 
     @staticmethod
@@ -763,8 +770,8 @@ class TestLiveTerms:
         assert np.array_equal(np.sort(rows), np.arange(len(f.sequence)))
         assert np.array_equal(rows, cols)
 
-    @pytest.mark.parametrize("gf", [GrowthFunction.power(0.5), GF1,
-                                    GrowthFunction.power(2.0), GrowthFunction.log_power(2.0)],
+    @pytest.mark.parametrize("gf", [GrowthFunction("power", 0.5), GF1,
+                                    GrowthFunction("power", 2.0), GrowthFunction("log_power", 2.0)],
                              ids=lambda g: f"{g.family}-{g.param}")
     def test_lattice(self, gf):
         seq, targets = lattice_instance(seed=3, gf=gf, rings=6, max_points=400)
@@ -783,7 +790,7 @@ class TestLiveTerms:
         _assert_dense_bits(f, seq.values)
         _assert_dense_bits(f, seq.values + 1e-9 * (1.0 - seq.moduli))
 
-    @pytest.mark.parametrize("gf", [GrowthFunction.power(2.5), GrowthFunction.power(4.0)],
+    @pytest.mark.parametrize("gf", [GrowthFunction("power", 2.5), GrowthFunction("power", 4.0)],
                              ids=lambda g: f"genus-{g.genus}")
     def test_genus_three_and_up(self, monkeypatch, gf):
         seq = spiral_sequence(120, depth=0.05)
@@ -826,7 +833,7 @@ class TestLiveTerms:
         n = int(np.flatnonzero((row_max > -600.0) & (row_max < -50.0))[0])
         targets = f.targets.values.copy()
         targets[n] *= math.exp(-769.5 - row_max[n])
-        g = build_interpolant(f.sequence, targets, f.ladder.gf, ladder=f.ladder)
+        g = interpolant_on(f.ladder, f.sequence, targets)
         L, _ = dense_terms(g, z)
         gap = L.real - L.real.max(axis=0)
         window = (gap > -770.0) & (gap < -745.0)
@@ -891,7 +898,7 @@ class TestTermAccuracy:
     def interp(self, spiral_ladders):
         seq, ladders = spiral_ladders
         targets = generate_targets({"kind": "random_admissible", "constant": 2.0}, seq, GF1, 0)
-        return build_interpolant(seq, targets, GF1, ladder=ladders["power"])
+        return interpolant_on(ladders["power"], seq, targets)
 
     @staticmethod
     def live_terms(monkeypatch, f, z):
@@ -967,7 +974,7 @@ class TestTermAccuracy:
         targets = interp.targets.values.copy()
         zero = np.array([3, 120, len(seq) - 1])
         targets[zero] = 0.0
-        f = build_interpolant(seq, targets, GF1, ladder=interp.ladder)
+        f = interpolant_on(interp.ladder, seq, targets)
         z = np.concatenate([_ring(0.99, 64), seq.values[zero]])
         parts = f._assemble(z)
         L = f._term_logs(np.s_[:, None], parts["logB"], parts["A"])

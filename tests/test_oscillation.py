@@ -28,7 +28,7 @@ from discinterp.products import CanonicalProduct
 
 from helpers import abs_split_sequence, lattice_instance, zero_count_circle
 
-GF1 = GrowthFunction.power(1.0)
+GF1 = GrowthFunction("power", 1.0)
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
 # sha256 of the residual sample points of configs/oscillate.json (200 complex
@@ -93,7 +93,7 @@ class TestBuildCoefficient:
     # the interpolant already overflows doubles at C0 = 8
     @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
     def test_residual_small(self, rho):
-        gf = GrowthFunction.power(rho)
+        gf = GrowthFunction("power", rho)
         seq, _ = lattice_instance(seed=62, gf=gf, rings=3, r0=0.45,
                                   max_points=18)
         sol = build_coefficient(seq, gf, C0=2.0)
@@ -396,7 +396,7 @@ class TestSharpnessSequence:
         # criterion 7 excludes rho = 0.5, n = 10..15 by this formula
         seq = sharpness_sequence(rho, 20)
         for n in range(10, 21):
-            ratio = seq.counting_N_log(2 * n - 1, 0.5) / 2.0 ** (n * rho)
+            ratio = seq.counting_N_log(2 * n - 1) / 2.0 ** (n * rho)
             assert ratio == pytest.approx(1.0 - n * math.log(2.0) / 2.0 ** (n * rho), abs=1e-12)
 
     def test_ratio_rho_one_n_ten_within_five_percent(self):

@@ -68,7 +68,15 @@ def test_public_defaulted_parameter_count():
         for fn in tree.body + [m for c in classes for m in c.body]:
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and public(fn.name):
                 count += len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
-    assert count == 23
+    assert count == 12
+
+
+def test_readme_library_sketch_runs(capsys):
+    # the python block under "Library sketch" in the README, run as written
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    sketch = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(sketch, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 5
 
 
 def test_module_graph():
@@ -148,7 +156,7 @@ def solution():
     # five nodes: from four on, a one-point batch sums its column in another
     # order than the same point inside a wider batch
     seq = DiscSequence([0.5, 0.3 + 0.4j, -0.6j, 0.7, -0.4 - 0.2j])
-    return build_coefficient(seq, GrowthFunction.power(1.0))
+    return build_coefficient(seq, GrowthFunction("power", 1.0))
 
 
 @pytest.mark.parametrize("owner, name", EVAL_ENTRY_POINTS, ids=[n for _, n in EVAL_ENTRY_POINTS])

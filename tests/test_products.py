@@ -263,10 +263,10 @@ class TestLazyLogOneMinus:
         small = np.abs(A) <= 0.5
         assert np.array_equal(lam[small], _log_E(A[small], None, s))
 
-    @pytest.mark.parametrize("gf", [GrowthFunction.log_power(2.0),
-                                    GrowthFunction.exp_log_power(0.5),
-                                    GrowthFunction.power(1.0),
-                                    GrowthFunction.power(2.0)],
+    @pytest.mark.parametrize("gf", [GrowthFunction("log_power", 2.0),
+                                    GrowthFunction("exp_log_power", 0.5),
+                                    GrowthFunction("power", 1.0),
+                                    GrowthFunction("power", 2.0)],
                              ids=lambda gf: f"{gf.family}({gf.param:g})")
     def test_factors_bit_equal_to_all_cells_logs(self, gf):
         # genus 1 (log_power, exp_log_power), 2 and 3 (power) on the spiral
@@ -686,7 +686,7 @@ class TestPrimeCountingCriteria:
     def test_singleton_formula(self):
         z1, s = 0.5, 2
         cp = CanonicalProduct(DiscSequence([z1]), s)
-        gf = GrowthFunction.power(1.0)
+        gf = GrowthFunction("power", 1.0)
         rep = prime_counting_criteria_check(cp, gf)
         hs = 1 + 0.5
         expected = abs(hs + math.log(z1 / (1 + z1))) / float(gf.psi(1 / (1 - z1)))
@@ -696,7 +696,7 @@ class TestPrimeCountingCriteria:
     def test_lattice_constants_finite(self):
         rng = np.random.default_rng(43)
         seq = random_sequence(rng, 40, min_gap=0.01)
-        gf = GrowthFunction.power(1.0)
+        gf = GrowthFunction("power", 1.0)
         cp = CanonicalProduct(seq, gf.genus)
         rep = prime_counting_criteria_check(cp, gf)
         assert math.isfinite(rep.ln_prime_constant)
@@ -704,7 +704,7 @@ class TestPrimeCountingCriteria:
     def test_counts_and_ln_prime_match_the_per_node_loop(self):
         rng = np.random.default_rng(45)
         seq = random_sequence(rng, 40, r_lo=0.5, r_hi=0.97, min_gap=0.005)
-        gf = GrowthFunction.power(1.0)
+        gf = GrowthFunction("power", 1.0)
         cp = CanonicalProduct(seq, gf.genus)
         rep = prime_counting_criteria_check(cp, gf)
         psi = np.asarray(gf.psi(1.0 / (1.0 - seq.moduli)), dtype=float)
@@ -722,15 +722,15 @@ class TestPrimeCountingCriteria:
         counting_N = counting.counting_N
         monkeypatch.setattr(counting, "counting_N", lambda *a: calls.append(a) or counting_N(*a))
         seq = random_sequence(np.random.default_rng(44), 15)
-        gf = GrowthFunction.power(1.0)
+        gf = GrowthFunction("power", 1.0)
         prime_counting_criteria_check(CanonicalProduct(seq, gf.genus), gf)
         assert calls == []
 
     @pytest.mark.parametrize("gf, member", [
-        (GrowthFunction.power(1.0), True),
-        (GrowthFunction.log_power(0.0), False),
-        (GrowthFunction.log_power(2.0), False),
-        (GrowthFunction.exp_log_power(0.5), False),
+        (GrowthFunction("power", 1.0), True),
+        (GrowthFunction("log_power", 0.0), False),
+        (GrowthFunction("log_power", 2.0), False),
+        (GrowthFunction("exp_log_power", 0.5), False),
     ], ids=["power", "log_power0", "log_power2", "exp_log_power"])
     def test_class_R_member(self, gf, member):
         # powers are in class R (psi_tilde / psi tends to 1/rho); the slow families are not
