@@ -50,11 +50,11 @@ class CountingError(ValueError):
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Best constant for a per-node inequality over a finite sequence."""
+    """Best constant for a per-point inequality; ``numerators`` holds each left side, read-only."""
 
     best_constant: float
     witness_index: int
-    values: tuple = field(repr=False)
+    numerators: np.ndarray = field(repr=False, compare=False)
 
 
 def counting_n(seq: DiscSequence, z: complex, t: float) -> int:
@@ -117,7 +117,14 @@ def _korenblum_sums(seq: DiscSequence, delta: float) -> np.ndarray:
 def _best_constant(numerators: np.ndarray, denominators: np.ndarray) -> ConditionReport:
     ratios = numerators / denominators
     k = int(np.argmax(ratios))
-    return ConditionReport(float(ratios[k]), k, tuple(ratios))
+    numerators.flags.writeable = False
+    return ConditionReport(float(ratios[k]), k, numerators)
+
+
+def _node_numerators(report: ConditionReport, seq: DiscSequence) -> np.ndarray:
+    if len(report.numerators) != len(seq):
+        raise CountingError(f"report has {len(report.numerators)} numerators for {len(seq)} nodes")
+    return report.numerators
 
 
 def check_concentration(seq: DiscSequence, gf: GrowthFunction) -> ConditionReport:
@@ -215,7 +222,8 @@ class EquivalenceReport:
         return self.pointwise_max <= 1.0 + 1e-12
 
 
-def concentration_korenblum_comparison(seq: DiscSequence) -> EquivalenceReport:
+def concentration_korenblum_comparison(seq: DiscSequence, concentration: ConditionReport,
+                                       korenblum: ConditionReport) -> EquivalenceReport:
     """Two-sided comparison of the concentration and korenblum-sum conditions.
 
     Direction one: every node satisfies N_k(DELTA (1-|z_k|)) <= korenblum sum,
@@ -223,12 +231,10 @@ def concentration_korenblum_comparison(seq: DiscSequence) -> EquivalenceReport:
     Direction two: the korenblum sum at node k is at most
     N_k(DELTA(1-|z_k|)) + (ln(1/DELTA) + ln(2+DELTA)) / ln(ALPHA)
     times N_k(ALPHA DELTA (1-|z_k|)); both facts are verified pointwise.
+    Only N_k(ALPHA DELTA (1-|z_k|)) is counted here; the rest are the reports' numerators.
     """
-    if len(seq) == 0:
-        raise CountingError("comparison needs a nonempty sequence")
     factor = (math.log(1.0 / DELTA) + math.log(2.0 + DELTA)) / math.log(ALPHA)
-    kore = _korenblum_sums(seq, DELTA)
-    n_small = _counting_N_at_nodes(seq, DELTA)
+    n_small, kore = _node_numerators(concentration, seq), _node_numerators(korenblum, seq)
     n_large = _counting_N_at_nodes(seq, ALPHA * DELTA)
     lower_ok = bool(np.all(n_small <= kore + 1e-12))
     bound = n_small + factor * n_large
@@ -246,33 +252,28 @@ class SandwichReport:
     sandwich_ok: bool
 
 
-def counting_sandwich_check(seq: DiscSequence, gf: GrowthFunction,
+def counting_sandwich_check(seq: DiscSequence, gf: GrowthFunction, concentration: ConditionReport,
                             z_points: Optional[Iterable[complex]] = None) -> SandwichReport:
     """Verify (n_z(DELTA/ALPHA (1-|z|)) - 1)^+ ln(ALPHA) <= N_z(DELTA (1-|z|)).
 
     The sandwich is checked at every node plus any supplied z points; the
     returned condition report carries the best constant for the count bound
-    n_z((1 - |z|)/2) <= C psi(1 / (1 - |z|)) over the same points.
+    n_z((1 - |z|)/2) <= C psi(1 / (1 - |z|)) over the same points.  At the
+    nodes N_z(DELTA (1-|z|)) is read from the ``concentration`` numerators.
     """
     extra = [complex(z) for z in z_points] if z_points is not None else []
     pts = np.concatenate([seq.values, np.array(extra, dtype=complex)])
-    if not pts.size:
-        raise CountingError("no evaluation points")
     moduli = np.abs(pts)
     if not np.all(moduli < 1.0):
         raise CountingError("sandwich points must lie inside the disc")
     one_minus = 1.0 - moduli
-    worst = -math.inf
-    nums = []
-    for z, om in zip(pts, one_minus):
+    # Python floats, so that worst and sandwich_ok stay Python scalars
+    mids = _node_numerators(concentration, seq).tolist() + [
+        counting_N(seq, z, DELTA * om) for z, om in zip(extra, one_minus[len(seq):])]
+    worst, nums = -math.inf, []
+    for z, om, mid in zip(pts, one_minus, mids):
         lower = max(counting_n(seq, z, (DELTA / ALPHA) * om) - 1, 0) * math.log(ALPHA)
-        mid = counting_N(seq, z, DELTA * om)
         worst = max(worst, lower - mid)
         nums.append(float(counting_n(seq, z, 0.5 * om)))
     dens = np.asarray(gf.psi(1.0 / one_minus), dtype=float)
-    report = _best_constant(np.asarray(nums), dens)
-    return SandwichReport(
-        n_bound=report,
-        max_lower_violation=float(worst),
-        sandwich_ok=worst <= 1e-12,
-    )
+    return SandwichReport(_best_constant(np.asarray(nums), dens), float(worst), worst <= 1e-12)

@@ -41,14 +41,14 @@ class GeometryError(ValueError):
 class DiscSequence:
     """Finite ordered sequence of distinct nonzero points in the disc.
 
-    The node geometry is two read-only arrays: ``values`` and ``moduli``
+    The node geometry is three read-only arrays: ``values``, ``moduli``
     (``np.abs(values)``), the one modulus every check and every consumer
-    reads.  The index of a point is its identity throughout the package.
-    Points with modulus not below 1 (or NaN) are outside the disc, points
-    with modulus below ``MIN_NODE_MODULUS`` are degenerate (their Moebius
-    factor would be constant) and points within ``DUPLICATE_TOL`` of each
-    other are duplicates; all three are rejected, in that order.  Instances
-    are immutable and safe for concurrent reads.
+    reads, and ``nearest``.  The index of a point is its identity throughout
+    the package.  Points with modulus not below 1 (or NaN) are outside the
+    disc, points with modulus below ``MIN_NODE_MODULUS`` are degenerate
+    (their Moebius factor would be constant) and points within
+    ``DUPLICATE_TOL`` of each other are duplicates; all three are rejected,
+    in that order.  Instances are immutable and safe for concurrent reads.
     """
 
     def __init__(self, points: Iterable[complex]):
@@ -64,18 +64,17 @@ class DiscSequence:
                 f"node {k} at {complex(values[k])} is too close to the origin "
                 f"(|z| < {MIN_NODE_MODULUS:g})"
             )
-        if len(values) >= 2:
-            diff = np.abs(values[:, None] - values[None, :])
-            diff[np.diag_indices_from(diff)] = np.inf
-            if diff.min() < DUPLICATE_TOL:
-                i, j = np.unravel_index(int(diff.argmin()), diff.shape)
-                raise GeometryError(
-                    f"nodes {i} and {j} coincide within {DUPLICATE_TOL:g}"
-                )
-        values.flags.writeable = False
-        moduli.flags.writeable = False
+        diff = np.abs(values[:, None] - values[None, :])
+        diff[np.diag_indices_from(diff)] = np.inf
+        nearest = diff.min(axis=1, initial=np.inf)
+        if nearest.min(initial=np.inf) < DUPLICATE_TOL:
+            i, j = np.unravel_index(int(diff.argmin()), diff.shape)
+            raise GeometryError(f"nodes {i} and {j} coincide within {DUPLICATE_TOL:g}")
+        for arr in (values, moduli, nearest):
+            arr.flags.writeable = False
         self._values = values
         self._moduli = moduli
+        self._nearest = nearest
 
     @property
     def values(self) -> np.ndarray:
@@ -86,6 +85,11 @@ class DiscSequence:
     def moduli(self) -> np.ndarray:
         """np.abs(values) as a read-only array: the modulus of each node."""
         return self._moduli
+
+    @property
+    def nearest(self) -> np.ndarray:
+        """Each node's distance to its nearest other node (inf for one node), read-only."""
+        return self._nearest
 
     def __len__(self) -> int:
         return len(self._values)

@@ -297,14 +297,14 @@ def _task_check(scn: Scenario, seq: DiscSequence, gf: GrowthFunction, out: dict)
         sep = separation(seq)
         rows.append(["separation", _fmt(sep), ""])
         constants["separation"] = sep
-    comp = concentration_korenblum_comparison(seq)
+    comp = concentration_korenblum_comparison(seq, conc, kore)
     rows.append(["korenblum_vs_concentration", _fmt(comp.pointwise_max), ""])
     constants["comparison_pointwise_max"] = comp.pointwise_max
     constants["comparison_lower_ok"] = comp.lower_ok
     rng = np.random.default_rng(scn.seed + 17)
     grid = 0.92 * np.sqrt(rng.uniform(size=32)) * np.exp(
         2j * math.pi * rng.uniform(size=32))
-    sandwich = counting_sandwich_check(seq, gf, z_points=grid)
+    sandwich = counting_sandwich_check(seq, gf, conc, z_points=grid)
     rows.append(["count_bound", _fmt(sandwich.n_bound.best_constant),
                  str(sandwich.n_bound.witness_index)])
     constants["count_bound"] = sandwich.n_bound.best_constant

@@ -237,16 +237,16 @@ def build_ladder(gf: GrowthFunction, C0: float, n_max: int) -> CoefficientLadder
 
 
 def ladder_for_sequence(gf: GrowthFunction, C0: float, seq: DiscSequence) -> CoefficientLadder:
-    """Smallest ladder whose last kappa exceeds twice the largest 1/(1-|z_k|)."""
+    """Ladder whose last kappa exceeds twice the largest 1/(1-|z_k|).
+
+    n_max is 7 past m = floor(C0 psi(C0 t)) + 1, where u_n passes log t; one scan confirms it.
+    """
     target_log = math.log(2.0) - math.log1p(-float(seq.moduli.max(initial=0.0)))
     n_max = max(8, int(C0 * float(gf.psi_log(math.log(C0) + target_log))) + 8)
-    for _ in range(40):  # doublings of n_max
-        ladder = build_ladder(gf, C0, n_max)
-        # kappa_{n_max}, the running maximum, exceeds the target where some delta_n does
-        if ladder.scan(target_log)[0][0] < n_max:
-            return ladder
-        n_max *= 2
-    raise LadderError("kappa sequence grows too slowly to cover the node set")
+    ladder = build_ladder(gf, C0, n_max)
+    if ladder.scan(target_log)[0][0] >= n_max:
+        raise LadderError("kappa sequence grows too slowly to cover the node set")
+    return ladder
 
 
 def select_exponents(ladder: CoefficientLadder, seq: DiscSequence) -> np.ndarray:

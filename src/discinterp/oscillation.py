@@ -135,7 +135,8 @@ class OscillationSolution:
     def residual_report(self, n_samples: int = 200, seed: int = 0) -> ResidualReport:
         """Normalized |f'' + a f| at random points of |z| < 0.8 away from the nodes.
 
-        Each point keeps a distance of (1 - |z|)/10 from every node.  f is
+        Each point keeps a distance of (1 - |z|)/10 from every node, and that
+        nearest-node distance also caps its stencil step.  f is
         differentiated by a 7-point finite-difference stencil applied to
         the locally anchored P(z) exp(g(z) - g(z0)): the common factor
         exp(g(z0)) scales out of the normalized residual, so no global
@@ -147,19 +148,22 @@ class OscillationSolution:
         """
         rng = np.random.default_rng(seed)
         zs: list[complex] = []
+        gaps: list[float] = []
         nodes = self.sequence.values
         attempts = 0
         while len(zs) < n_samples and attempts < 200 * n_samples:
             attempts += 1
             z = 0.8 * math.sqrt(rng.uniform()) * np.exp(2j * math.pi * rng.uniform())
-            if len(nodes) and np.min(np.abs(nodes - z)) < 0.1 * (1.0 - abs(z)):
+            gap = np.abs(nodes - z).min(initial=np.inf)
+            if gap < 0.1 * (1.0 - abs(z)):
                 continue
             zs.append(complex(z))
+            gaps.append(gap)
         if len(zs) < n_samples:
             raise OscillationError("could not place residual sample points")
 
         z0 = np.asarray(zs)
-        a0, step = self._stencil_steps(z0)
+        a0, step = self._stencil_steps(z0, np.asarray(gaps))
         chunk = EVAL_BLOCK // _SAMPLE_POINTS
         residuals = np.empty(n_samples)
         for lo in range(0, n_samples, chunk):
@@ -173,16 +177,12 @@ class OscillationSolution:
                 np.abs(fd_second) + np.abs(ac) * np.abs(f0) + 1e-300)
         return ResidualReport(points=tuple(zs), residuals=tuple(residuals.tolist()))
 
-    def _stencil_steps(self, z0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(a(z0), stencil step) at each sample point: 0.02 over the sum of local rates."""
+    def _stencil_steps(self, z0: np.ndarray, gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(a(z0), stencil step): 0.02 over the sum of local rates, at most 0.05 gaps."""
         a0, h0, lp, lp2 = self._coefficient(z0)
         scale = (np.abs(h0) + np.sqrt(np.abs(a0)) + np.abs(lp)
                  + np.sqrt(np.abs(lp2)) + 2.0 / (1.0 - np.abs(z0)))
-        step = 0.02 / scale
-        nodes = self.sequence.values
-        if len(nodes):
-            step = np.minimum(step, 0.05 * np.abs(nodes[:, None] - z0[None, :]).min(axis=0))
-        return a0, step
+        return a0, np.minimum(0.02 / scale, 0.05 * gaps)
 
     def _g_increments(self, z0: np.ndarray, step: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(log P, g - g(z0)) at the stencil points z0 + j step, j = -3..3; one row per sample.
@@ -207,22 +207,16 @@ class OscillationSolution:
         the trapezoid cancels the analytic h contribution only down to the
         roundoff floor eps * max|h| * radius, and h grows like
         exp(s_k |dz| / (1 - |z_k|)) away from the node.  So the radius is 0.4
-        times the least of the nearest gap, 1 - |z_k| and
+        times the least of the nearest gap (``DiscSequence.nearest``), 1 - |z_k| and
         5 (1 - |z_k|) / (1 + s_k).  All circles are integrated together by
         the nested trapezoid rule of ``_winding_numbers``.
         """
         return self._winding_numbers(self.sequence.values, self._winding_radii())[0]
 
     def _winding_radii(self) -> np.ndarray:
-        """Radius of each node's private circle; the node gaps are taken in column blocks."""
-        nodes = self.sequence.values
-
-        def gaps(b):
-            d = np.abs(nodes[:, None] - nodes[None, b])
-            d[np.arange(b.start, b.stop), np.arange(b.stop - b.start)] = np.inf
-            return d.min(axis=0, initial=np.inf)
-        nearest, one_minus = self.product._blockwise(len(nodes), gaps), 1.0 - self.sequence.moduli
-        return 0.4 * np.minimum(np.minimum(nearest, one_minus),
+        """Radius of each node's private circle, from the node gaps ``DiscSequence.nearest``."""
+        one_minus = 1.0 - self.sequence.moduli
+        return 0.4 * np.minimum(np.minimum(self.sequence.nearest, one_minus),
                                 5.0 * one_minus / (1.0 + self.gprime.exponents))
 
     def _winding_numbers(self, centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

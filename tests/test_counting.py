@@ -133,7 +133,11 @@ class TestKorenblum:
                 sums[k] = -np.sum(np.log(d[close] / np.abs(1.0 - np.conj(v[k]) * v[close])))
         assert max(np.count_nonzero(np.abs(v - z) < delta * (1 - abs(z))) for z in v) > 9
         psi = np.asarray(GF.psi(1.0 / (1.0 - seq.moduli)), dtype=float)
-        assert check_korenblum_sum(seq, GF).values == tuple(sums / psi)
+        rep = check_korenblum_sum(seq, GF)
+        assert rep.numerators.tobytes() == sums.tobytes()
+        assert not rep.numerators.flags.writeable
+        assert (rep.best_constant, rep.witness_index) == (float((sums / psi).max()),
+                                                          int(np.argmax(sums / psi)))
 
     def test_against_double_loop_oracle(self):
         rng = np.random.default_rng(24)
@@ -195,14 +199,17 @@ class TestCarlesonAndSeparation:
 
 class TestComparisonAndSandwich:
     def test_singleton_comparison(self):
-        rep = concentration_korenblum_comparison(DiscSequence([0.5]))
+        seq = DiscSequence([0.5])
+        rep = concentration_korenblum_comparison(seq, check_concentration(seq, GF),
+                                                 check_korenblum_sum(seq, GF))
         assert rep.lower_ok and rep.upper_ok
 
     def test_per_term_and_affine_bounds(self):
         rng = np.random.default_rng(26)
         for trial in range(5):
             seq = random_sequence(rng, 25, min_gap=0.005)
-            rep = concentration_korenblum_comparison(seq)
+            rep = concentration_korenblum_comparison(seq, check_concentration(seq, GF),
+                                                     check_korenblum_sum(seq, GF))
             assert rep.lower_ok
             assert rep.upper_ok
 
@@ -234,8 +241,22 @@ class TestComparisonAndSandwich:
             assert rep.min_excess == pytest.approx(min(excess), abs=1e-15)
             assert rep.max_excess == pytest.approx(max(excess), abs=1e-15)
 
+    def test_reports_of_another_length_are_rejected(self):
+        # a report longer or shorter than the sequence is an error, not cut short
+        seq = DiscSequence([0.5, 0.3j])
+        conc, kore = check_concentration(seq, GF), check_korenblum_sum(seq, GF)
+        for other in (DiscSequence([0.5]), DiscSequence([0.5, 0.3j, -0.4])):
+            n = len(other)
+            with pytest.raises(CountingError, match=f"{n} numerators for 2 nodes"):
+                concentration_korenblum_comparison(seq, check_concentration(other, GF), kore)
+            with pytest.raises(CountingError, match=f"{n} numerators for 2 nodes"):
+                concentration_korenblum_comparison(seq, conc, check_korenblum_sum(other, GF))
+            with pytest.raises(CountingError, match=f"{n} numerators for 2 nodes"):
+                counting_sandwich_check(seq, GF, check_concentration(other, GF), z_points=[0.1])
+
     def test_sandwich_singleton(self):
-        rep = counting_sandwich_check(DiscSequence([0.5]), GF)
+        seq = DiscSequence([0.5])
+        rep = counting_sandwich_check(seq, GF, check_concentration(seq, GF))
         assert rep.sandwich_ok
         assert rep.n_bound.best_constant >= 0.0
 
@@ -247,7 +268,7 @@ class TestComparisonAndSandwich:
         seq = DiscSequence(pts)
         m = 5
         assert counting_N(seq, center, DELTA * (1 - center)) >= m * math.log(ALPHA) - 1e-9
-        rep = counting_sandwich_check(seq, GF)
+        rep = counting_sandwich_check(seq, GF, check_concentration(seq, GF))
         assert rep.sandwich_ok
 
     def test_sandwich_random_with_grid(self):
@@ -255,7 +276,7 @@ class TestComparisonAndSandwich:
         seq = random_sequence(rng, 30, min_gap=0.004)
         grid = [complex(z) for z in 0.8 * np.sqrt(rng.uniform(size=40))
                 * np.exp(2j * np.pi * rng.uniform(size=40))]
-        rep = counting_sandwich_check(seq, GF, z_points=grid)
+        rep = counting_sandwich_check(seq, GF, check_concentration(seq, GF), z_points=grid)
         assert rep.sandwich_ok
         assert rep.max_lower_violation <= 1e-12
 
@@ -278,7 +299,8 @@ class TestSharpnessSequenceConditions:
         from discinterp.oscillation import sharpness_sequence
 
         seq = sharpness_sequence(1.0, 5).to_disc_sequence()
-        rep = concentration_korenblum_comparison(seq)
+        rep = concentration_korenblum_comparison(seq, check_concentration(seq, GF),
+                                                 check_korenblum_sum(seq, GF))
         assert math.isfinite(rep.pointwise_max)
         assert rep.lower_ok and rep.upper_ok
 
@@ -297,7 +319,11 @@ class TestOneModulus:
             sums[k] = np.sum(np.log(r / d[d <= r]))
         psi = np.asarray(GF.psi(1.0 / (1.0 - seq.moduli)), dtype=float)
         assert np.count_nonzero(sums) > len(seq) // 2
-        assert check_concentration(seq, GF).values == tuple(sums / psi)
+        rep = check_concentration(seq, GF)
+        assert rep.numerators.tobytes() == sums.tobytes()
+        assert not rep.numerators.flags.writeable
+        assert (rep.best_constant, rep.witness_index) == (float((sums / psi).max()),
+                                                          int(np.argmax(sums / psi)))
 
     def test_a_neighbour_on_the_korenblum_radius_is_not_close(self):
         # the neighbour sits exactly at DELTA (1 - np.abs(z_k)), which the
@@ -307,7 +333,7 @@ class TestOneModulus:
         seq = DiscSequence([zk, zk + r])
         assert abs(zk) < seq.moduli[0]
         assert np.abs(seq.values[1] - seq.values[0]) == r
-        assert check_korenblum_sum(seq, GF).values[0] == 0.0
+        assert check_korenblum_sum(seq, GF).numerators[0] == 0.0
 
     def test_sandwich_equals_the_loop_on_moduli(self):
         seq = abs_split_sequence()
@@ -321,15 +347,19 @@ class TestOneModulus:
             worst = max(worst, lower - counting_N(seq, z, 0.5 * (1.0 - m)))
             nums.append(float(counting_n(seq, z, 0.5 * (1.0 - m))))
             dens.append(float(GF.psi(1.0 / (1.0 - m))))
-        rep = counting_sandwich_check(seq, GF, z_points=grid)
-        assert rep.n_bound.values == tuple(np.array(nums) / np.array(dens))
+        rep = counting_sandwich_check(seq, GF, check_concentration(seq, GF), z_points=grid)
+        ratios = np.array(nums) / np.array(dens)
+        assert rep.n_bound.numerators.tobytes() == np.array(nums).tobytes()
+        assert rep.n_bound.best_constant == float(ratios.max())
+        assert rep.n_bound.witness_index == int(np.argmax(ratios))
         assert rep.max_lower_violation == worst
+        assert type(rep.max_lower_violation) is float and type(rep.sandwich_ok) is bool
 
     def test_sandwich_rejects_points_off_the_disc(self):
         seq = DiscSequence([0.5])
         for z in (1.0, 1.5j, complex(math.nan, 0.0)):
             with pytest.raises(CountingError):
-                counting_sandwich_check(seq, GF, z_points=[0.1, z])
+                counting_sandwich_check(seq, GF, check_concentration(seq, GF), z_points=[0.1, z])
 
 
 class TestCrossChecks:

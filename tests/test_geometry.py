@@ -9,7 +9,7 @@ import pytest
 from discinterp.geometry import DUPLICATE_TOL, DiscSequence, GeometryError
 from discinterp.products import CanonicalProduct
 
-from helpers import pseudo_dist
+from helpers import abs_split_sequence, pseudo_dist
 
 
 def random_disc_points(rng, n, r_max=0.999):
@@ -163,3 +163,18 @@ class TestDiscSequence:
         seq = DiscSequence([0.5])
         with pytest.raises(ValueError):
             seq.values[0] = 0.1
+
+    @pytest.mark.parametrize("make", [abs_split_sequence,
+                                      lambda: DiscSequence(random_disc_points(
+                                          np.random.default_rng(15), 300))])
+    def test_nearest_equals_the_per_node_loop(self, make):
+        seq = make()
+        v = seq.values
+        loop = np.array([np.min(np.abs(np.delete(v, k) - v[k])) for k in range(len(v))])
+        assert seq.nearest.tobytes() == loop.tobytes()
+        with pytest.raises(ValueError):
+            seq.nearest[0] = 0.1
+
+    def test_nearest_without_neighbours(self):
+        assert DiscSequence([]).nearest.shape == (0,)
+        assert DiscSequence([0.5]).nearest.tolist() == [math.inf]

@@ -174,17 +174,22 @@ class TestRunScenario:
         assert len(calls) == 1
 
     def test_check_task_counting_calls(self, tmp_path, monkeypatch):
-        # check_concentration N, the comparison 2N (radii DELTA and ALPHA DELTA),
-        # the sandwich N + 32 (the nodes and its 32-point grid)
-        calls = []
-        counting_N = counting.counting_N
+        # one count per (z, r): check_concentration N at radius DELTA, the
+        # comparison N at ALPHA DELTA, the sandwich 32 on its grid; the joint
+        # checks read N at DELTA and the korenblum sums from the single reports
+        calls, sums = [], []
+        counting_N, korenblum_sums = counting.counting_N, counting._korenblum_sums
         monkeypatch.setattr(counting, "counting_N", lambda *a: calls.append(a) or counting_N(*a))
+        monkeypatch.setattr(counting, "_korenblum_sums",
+                            lambda *a: sums.append(a) or korenblum_sums(*a))
         path = os.path.join(CONFIG_DIR, "check.json")
         with open(path) as fh:
             data = json.load(fh)
         seq = generate_sequence(data["sequence"], data["seed"])
         assert run_scenario(path, str(tmp_path / "out")) == EXIT_OK
-        assert len(calls) == 4 * len(seq) + 32
+        assert len(calls) == 2 * len(seq) + 32
+        assert len(set(calls)) == len(calls)
+        assert len(sums) == 1
 
     def test_malformed_json_is_config_error(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -183,6 +183,15 @@ class TestSelectExponents:
         with pytest.raises(LadderError):
             select_exponents(ladder, seq)
 
+    def test_ladder_for_sequence_raises_when_the_scan_finds_no_cover(self, monkeypatch):
+        seq = DiscSequence([0.3, 0.999])
+        ladder = ladder_for_sequence(GF1, 8.0, seq)
+        assert ladder.scan(math.log(2.0) - math.log1p(-0.999))[0][0] < ladder.n_max
+        monkeypatch.setattr(interpolation.CoefficientLadder, "scan",
+                            lambda self, log_t: (np.array([self.n_max]),) * 4)
+        with pytest.raises(LadderError, match="grows too slowly to cover the node set"):
+            ladder_for_sequence(GF1, 8.0, seq)
+
     @pytest.mark.parametrize("gf", SPIRAL_FAMILIES, ids=lambda g: g.family)
     def test_equal_to_the_dense_oracle_on_the_spiral(self, spiral_ladders, spiral_oracles, gf):
         seq, ladders = spiral_ladders

@@ -244,7 +244,8 @@ class TestResidualReportBatching:
         sol, cfg = shipped_oscillate()
         rep = sol.residual_report(n_samples=cfg["residual_samples"], seed=cfg["seed"])
         z0 = np.asarray(rep.points)
-        _, step = sol._stencil_steps(z0)
+        _, step = sol._stencil_steps(z0, np.array([np.min(np.abs(sol.sequence.values - z))
+                                                   for z in z0]))
         _, dg = sol._g_increments(z0, step)
         x, w = np.polynomial.legendre.leggauss(32)
         offsets = np.arange(-3, 4)[None, :] * step[:, None]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from discinterp import counting
-from discinterp.counting import counting_n, counting_sandwich_check
+from discinterp.counting import check_concentration, counting_n, counting_sandwich_check
 from discinterp.geometry import DiscSequence
 from discinterp.growth import GrowthFunction
 from discinterp.products import (
@@ -714,7 +714,9 @@ class TestPrimeCountingCriteria:
                              for k in range(len(seq))])
         assert counts.max() > 1
         # the node-only count bound is the sandwich's n_bound
-        assert counting_sandwich_check(seq, gf).n_bound.best_constant == float((counts / psi).max())
+        sandwich = counting_sandwich_check(seq, gf, check_concentration(seq, gf))
+        assert sandwich.n_bound.best_constant == float((counts / psi).max())
+        assert sandwich.n_bound.numerators[:len(seq)].tobytes() == counts.tobytes()
         assert rep.ln_prime_constant == float((ln_prime / psi).max())
 
     def test_makes_no_counting_call(self, monkeypatch):
