@@ -722,6 +722,31 @@ class TestLiveTerms:
             out[gf.family] = interpolant_on(ladders[gf.family], seq, targets)
         return out
 
+    @pytest.mark.parametrize("family", [g.family for g in SPIRAL_FAMILIES])
+    @pytest.mark.parametrize("r", [0.5, 0.999])
+    def test_heap_peak_under_twice_the_workspace(self, monkeypatch, spiral_interpolants,
+                                                 family, r):
+        # a block's matrices live in the workspace of its pass, so what the
+        # pass allocates besides stays below the workspace; glibc's trim
+        # threshold, twice the freed workspace, then keeps the heap top
+        f, z = spiral_interpolants[family], _ring(r)
+        f.eval_log_many(z)
+        sizes = []
+
+        class Recorded(products._Workspace):
+            def __init__(self, cells):
+                super().__init__(cells)
+                sizes.append(self._bytes.nbytes)
+
+        monkeypatch.setattr(products, "_Workspace", Recorded)
+        tracemalloc.start()
+        try:
+            f.eval_log_many(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sizes) == 1 and peak < 2 * sizes[0]
+
     @staticmethod
     def live_cells(monkeypatch, f, z):
         """Per live-path block, the (rows, cols) of the cells it formed, and the block's shape.
@@ -733,17 +758,17 @@ class TestLiveTerms:
         seen, blocks = [], []
         assemble, term_logs = Interpolant._assemble, Interpolant._term_logs
 
-        def record_block(self, zb):
-            parts = assemble(self, zb)
+        def record_block(self, zb, *work):
+            parts = assemble(self, zb, *work)
             blocks.append(parts["A"])
             return parts
 
-        def record_terms(self, rows, logB, A):
+        def record_terms(self, rows, logB, A, *work):
             if isinstance(rows, np.ndarray):  # the live path's flat cells
                 hit = blocks[-1][rows] == A[:, None]
                 assert np.all(hit.sum(axis=1) == 1)
                 seen.append((rows, hit.argmax(axis=1), blocks[-1].shape))
-            return term_logs(self, rows, logB, A)
+            return term_logs(self, rows, logB, A, *work)
 
         monkeypatch.setattr(Interpolant, "_assemble", record_block)
         monkeypatch.setattr(Interpolant, "_term_logs", record_terms)
@@ -820,10 +845,10 @@ class TestLiveTerms:
         dense_calls = []
         term_logs = Interpolant._term_logs
 
-        def record_dense(self, rows, logB, A):
+        def record_dense(self, rows, logB, A, *work):
             if not isinstance(rows, np.ndarray):  # every cell of the block
                 dense_calls.append(logB.shape)
-            return term_logs(self, rows, logB, A)
+            return term_logs(self, rows, logB, A, *work)
 
         monkeypatch.setattr(Interpolant, "_term_logs", record_dense)
         seen = self.live_cells(monkeypatch, f, z)
@@ -875,7 +900,7 @@ class TestLiveTerms:
         widths = []
         geometry = products.CanonicalProduct._geometry
         monkeypatch.setattr(products.CanonicalProduct, "_geometry",
-                            lambda self, z: widths.append(len(z)) or geometry(self, z))
+                            lambda self, z, *work: widths.append(len(z)) or geometry(self, z, *work))
         got = f.eval_and_derivative_many(z)
         assert widths == [b.stop - b.start for b in blocks]
         for k in range(6):

@@ -2,9 +2,11 @@
 
 Runs the scenario list of bench/scenarios.py (seed 0) pass after pass in this one process, with the
 package from this checkout's src/, and only reads the scenarios.  After 2 warm passes it measures N
-passes (default 5) and prints one line: minor page faults per pass (``ru_minflt`` of this process)
-and wall seconds per pass.  Allocation changes move pass times through page faults, which the
-benchmark does not report, so compare the line before and after such a change, on one host."""
+passes (default 5) and prints one line: minor page faults per pass (``ru_minflt`` of this process),
+wall seconds per pass and the peak resident memory of this process in MB (``ru_maxrss``), since
+memory kept for reuse trades faults for resident memory.  Allocation changes move pass times
+through page faults, which the benchmark does not report, so compare the line before and after
+such a change, on one host."""
 import argparse, contextlib, io, resource, sys, tempfile, time
 from pathlib import Path
 
@@ -38,5 +40,6 @@ if __name__ == "__main__":
             run_pass(scns, Path(tmp))
         seconds = time.perf_counter() - start
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"{args.workload}: {args.passes} passes, {faults / args.passes:.0f} minor faults/pass, "
-          f"{seconds / args.passes:.3f} s/pass")
+          f"{seconds / args.passes:.3f} s/pass, {peak_mb:.1f} MB peak RSS")
