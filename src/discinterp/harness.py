@@ -3,8 +3,8 @@
 A scenario is a JSON object selecting a task, a node-sequence source, a
 growth function, optional targets, and grid sizes.  Runs are bit
 reproducible: identical config plus seed yields byte-identical CSV output.
-Exit codes are scriptable: 0 pass, 2 config error, 3 hard-invariant
-failure, 4 numeric overflow or underflow outside the log-only paths.
+Exit codes are scriptable: 0 pass, 2 config error, 3 hard-invariant failure,
+4 numeric failure outside the log-only paths; exits 2 and 4 write no output.
 """
 
 from __future__ import annotations
@@ -323,7 +323,7 @@ def _task_check(scn: Scenario, seq: DiscSequence, gf: GrowthFunction, out: dict)
     if not (comp.lower_ok and comp.upper_ok and sandwich.sandwich_ok and tsuji_ok):
         return EXIT_INVARIANT
     if not all(math.isfinite(v) for v in (conc.best_constant, kore.best_constant)):
-        return EXIT_NUMERIC
+        raise OverflowError("concentration or korenblum constant is not finite")
     return EXIT_OK
 
 
@@ -354,7 +354,7 @@ def _task_interpolate(scn: Scenario, seq: DiscSequence, gf: GrowthFunction,
         "concentration": concentration.best_constant,
     })
     if not np.all(np.isfinite(errs)):
-        return EXIT_NUMERIC
+        raise InterpolationError("identity error is not finite at some node")
     if max_err >= IDENTITY_TOL:
         return EXIT_INVARIANT
     return EXIT_OK
@@ -379,7 +379,7 @@ def _task_oscillate(scn: Scenario, seq: DiscSequence, gf: GrowthFunction, out: d
         "max_winding_defect": float(np.max(np.abs(counts - 1.0))),
     })
     if not all(math.isfinite(r) for r in residual.residuals):
-        return EXIT_NUMERIC
+        raise OscillationError("ODE residual is not finite at some sample")
     if residual.max_residual >= RESIDUAL_TOL:
         return EXIT_INVARIANT
     if np.max(np.abs(counts - 1.0)) > 1e-3:

@@ -42,7 +42,6 @@ from .products import (
     CanonicalProduct,
     _batch,
     _poly_q,
-    _Workspace,
     logsumexp_complex,
 )
 
@@ -314,45 +313,31 @@ class Interpolant:
 
     # -- term assembly -------------------------------------------------------
 
-    def _assemble(self, zb: np.ndarray, work: Optional[_Workspace] = None) -> dict:
-        """One factor pass at a batch of points: A, 1 - A, D, log P and log B_n(z).
-
-        The matrices are taken from ``work``; log B_n(z) is formed over the factor logs.
-        """
+    def _assemble(self, zb: np.ndarray) -> dict:
+        """One factor pass at a batch of points: A, 1 - A, D, log P and log B_n(z)."""
         cp = self.product
-        work = _Workspace(None) if work is None else work
-        lam, A, onemA, D = cp._factors(zb, work)
+        lam, A, onemA, D = cp._factors(zb)
         logP = lam.sum(axis=0)
-        # at a hit of node n the n-th term reads the cached B_n(z_n), as P'(z_n) does
-        top = work.top
-        hits = np.isneginf(lam.real, out=work.take(lam.shape, bool))
         with np.errstate(invalid="ignore"):
-            logB = np.subtract(logP[None, :], lam, out=lam)
+            logB = logP[None, :] - lam
+        # at a hit of node n the n-th term reads the cached B_n(z_n), as P'(z_n) does
+        hits = np.isneginf(lam.real)
         logB[hits] = cp.log_B_nodes[hits.nonzero()[0]]
-        work.top = top
         return {"A": A, "onemA": onemA, "D": D, "logP": logP, "logB": logB}
 
-    def _term_logs(self, rows, logB: np.ndarray, A: np.ndarray,
-                   work: Optional[_Workspace] = None) -> np.ndarray:
-        """L = c_n + log B_n(z) + q(A) + s_n log A, the n-th term's log, taken from work.
+    def _term_logs(self, rows, logB: np.ndarray, A: np.ndarray) -> np.ndarray:
+        """L = c_n + log B_n(z) + q(A) + s_n log A, the n-th term's log.
 
         c_n = log(b_n (-conj(z_n)) / ((1 - |z_n|^2) P'(z_n))) is formed once
         per node.  At a node A = 1 exactly, so s_n log A is an exact 0.
         ``rows`` indexes the per-node data: ``np.s_[:, None]`` for whole
         (node, point) matrices, or the node of each cell of flat arrays.
         """
-        work = _Workspace(None) if work is None else work
-        L = work.take(A.shape, complex)
-        top = work.top
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.add(self._c[rows], logB, out=L)
-            q = _poly_q(A, self.product.genus, work)
-            np.add(L, q, out=L)
-            np.add(L, np.multiply(self.exponents[rows], np.log(A, out=q), out=q), out=L)
-        work.top = top
-        return L
+            return (self._c[rows] + logB + _poly_q(A, self.product.genus)
+                    + self.exponents[rows] * np.log(A))
 
-    def _block_value_logs(self, zb: np.ndarray, work: _Workspace) -> tuple[np.ndarray, np.ndarray]:
+    def _block_value_logs(self, zb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(log f, log P) at a batch of points, forming only the live terms.
 
         *Bound.*  With log|A| = log(1 - |z_n|^2) - log|D|, the real part of
@@ -397,32 +382,26 @@ class Interpolant:
         When more than half the cells are live, every term is formed, as
         the gathers would cost more than they save.
         """
-        parts = self._assemble(zb, work)
+        parts = self._assemble(zb)
         logB, D, A = parts["logB"], parts["D"], parts["A"]
-        live = work.take(A.shape, bool)
-        top = work.top
-        bound, mod2 = work.take(A.shape, float), work.take(A.shape, float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.add(np.square(D.real, out=mod2), np.square(D.imag, out=bound), out=mod2)
-            np.multiply(self._half_s[:, None], np.log(mod2, out=mod2), out=mod2)
-            np.subtract(np.add(logB.real, self._bound_rows[:, None], out=bound), mod2, out=bound)
+            bound = (logB.real + self._bound_rows[:, None]
+                     - self._half_s[:, None] * np.log(D.real ** 2 + D.imag ** 2))
             floor = np.where(np.abs(zb) < 1.0,
                              bound.max(axis=0, initial=LOG_ZERO) - self._cut, LOG_ZERO)
-        np.logical_not(np.less(bound, floor, out=live), out=live)
-        work.top = top
+        live = ~(bound < floor)
         if 2 * np.count_nonzero(live) > live.size:
-            return logsumexp_complex(self._term_logs(np.s_[:, None], logB, A, work)), parts["logP"]
-        terms = work.take(A.shape, complex)
-        terms.fill(complex(LOG_ZERO, 0.0))
-        terms[live] = self._term_logs(live.nonzero()[0], logB[live], A[live], work)
+            return logsumexp_complex(self._term_logs(np.s_[:, None], logB, A)), parts["logP"]
+        terms = np.full(live.shape, complex(LOG_ZERO, 0.0))
+        terms[live] = self._term_logs(live.nonzero()[0], logB[live], A[live])
         return logsumexp_complex(terms), parts["logP"]
 
     def _value_logs(self, z) -> tuple[np.ndarray, np.ndarray]:
         """(log f, log P) at a batch of points, in column blocks."""
         zb = _batch(z)
-        return self.product._blockwise(len(zb), lambda b, work: self._block_value_logs(zb[b], work))
+        return self.product._blockwise(len(zb), lambda b: self._block_value_logs(zb[b]))
 
-    def _block_derivatives(self, zb: np.ndarray, work: _Workspace) -> tuple[np.ndarray, ...]:
+    def _block_derivatives(self, zb: np.ndarray) -> tuple[np.ndarray, ...]:
         """(f, f', log f, log f', P'/P, (P'/P)') at a block of points off the nodes.
 
         f' comes from the smooth logarithmic factor of each term:
@@ -432,9 +411,9 @@ class Interpolant:
         (``_off_nodes``), so no factor vanishes.
         """
         cp = self.product
-        parts = self._assemble(cp._off_nodes(zb), work)
+        parts = self._assemble(cp._off_nodes(zb))
         A, onemA, D = parts["A"], parts["onemA"], parts["D"]
-        L = self._term_logs(np.s_[:, None], parts["logB"], A, work)
+        L = self._term_logs(np.s_[:, None], parts["logB"], A)
         with np.errstate(divide="ignore", invalid="ignore"):
             T = cp._deriv_terms(A, onemA)
             lp = T.sum(axis=0)
@@ -479,8 +458,7 @@ class Interpolant:
         The last two are the bits ``log_deriv_P_many`` and ``log_deriv_prime_many`` give.
         """
         zb = _batch(z)
-        return self.product._blockwise(
-            len(zb), lambda b, work: self._block_derivatives(zb[b], work))
+        return self.product._blockwise(len(zb), lambda b: self._block_derivatives(zb[b]))
 
     def interpolation_errors(self) -> np.ndarray:
         """Relative identity error |f(z_k) - b_k| / (1 + |b_k|) at every node.

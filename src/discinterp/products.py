@@ -15,14 +15,8 @@ Every pass over the (node, point) matrix, the node caches and all the
 evaluation entry points here and in ``interpolation`` included, runs through
 ``CanonicalProduct._blockwise`` in column blocks of about 2^14 cells, so no
 pass holds an N x P array over a batch wider than one block, and the results
-equal one pass over the whole batch, bit for bit.  Each ``_blockwise`` call
-allocates one workspace (``_Workspace``) of a few N x (widest block) rows and
-lends it to each of its blocks in turn; the block writes its matrices into it
-with ``out=`` and in-place ufuncs, and the workspace is freed when the call
-returns.  Blocks too small to raise glibc's dynamic trim threshold would
-otherwise have the heap top trimmed after every block and faulted in again by
-the next; the freed workspace sets that threshold above everything else a
-block allocates, so a warm pass takes almost no page faults.
+equal one pass over the whole batch, bit for bit.  Each call first frees a buffer
+wider than a block's matrices, so glibc does not trim the heap after every block.
 
 The log-factor kernel ``_log_E`` reads log(1 - A) only on the cells with
 |A| > 1/2; the others take a Horner tail that never needs it, each cell to
@@ -76,11 +70,7 @@ POLE_TOL = 1e-12
 # value gives the same results, since no block of two or more columns is 1 wide
 _BLOCK_CELLS = 1 << 14
 
-# a block workspace holds _WORK_ROWS complex rows of N x (widest block) cells
-# (the value path's dense terms take about 8 at once) and one more cell for
-# each of up to _WORK_TAKES takes of a block, which round up to whole cells
-_WORK_ROWS = 9
-_WORK_TAKES = 32
+_WORK_ROWS = 9  # N x (widest block) complex rows per ``_blockwise`` call; a block holds ~8
 
 
 class ProductsError(ValueError):
@@ -118,32 +108,6 @@ def logsumexp_complex(lams: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Workspace:
-    """Cells that one ``_blockwise`` call lends to each of its blocks in turn.
-
-    ``take`` hands out the next free cells as a C-contiguous array of the
-    given shape and dtype.  A function gives back the cells it took for its
-    temporaries by resetting ``top`` to its value after taking its result.
-    With ``cells`` None every take is a fresh array, for calls made outside
-    a block.
-    """
-
-    def __init__(self, cells: int | None):
-        self._bytes = (None if cells is None
-                       else np.empty(16 * (_WORK_ROWS * cells + _WORK_TAKES), np.uint8))
-        self.top = 0
-
-    def take(self, shape: tuple, dtype) -> np.ndarray:
-        if self._bytes is None:
-            return np.empty(shape, dtype)
-        size = math.prod(shape) * np.dtype(dtype).itemsize
-        start = self.top
-        self.top += -(-size // 16) * 16
-        if self.top > self._bytes.size:
-            raise RuntimeError("block workspace exhausted")
-        return self._bytes[start:start + size].view(dtype).reshape(shape)
-
-
 def _batch(z) -> np.ndarray:
     """Points as a 1-D complex batch; a 0-d point is a batch of one."""
     return np.atleast_1d(np.asarray(z, dtype=complex))
@@ -163,18 +127,13 @@ def _column_blocks(n_points: int, n_nodes: int) -> list[slice]:
     return [slice(a, b) for a, b in zip([0] + edges, edges + [n_points])]
 
 
-def _poly_q(A: np.ndarray, s: int, work: _Workspace | None = None) -> np.ndarray:
+def _poly_q(A: np.ndarray, s: int) -> np.ndarray:
     """w + w^2/2 + ... + w^s/s, vectorized."""
-    work = _Workspace(None) if work is None else work
-    q = work.take(A.shape, complex)
-    q.fill(0.0)
-    top = work.top
-    wj, term = work.take(A.shape, complex), work.take(A.shape, complex)
-    wj.fill(1.0)
+    q = np.zeros_like(A)
+    wj = np.ones_like(A)
     for j in range(1, s + 1):
-        np.multiply(wj, A, out=wj)
-        np.add(q, np.divide(wj, j, out=term), out=q)
-    work.top = top
+        wj = wj * A
+        q = q + wj / j
     return q
 
 
@@ -186,7 +145,7 @@ def _log_one_minus(one_minus_A: np.ndarray) -> np.ndarray:
 
 
 def _log_E(A: np.ndarray, log_one_minus: Callable[[np.ndarray], np.ndarray],
-           s: int, work: _Workspace | None = None) -> np.ndarray:
+           s: int) -> np.ndarray:
     """log E(A, s) elementwise as complex log values.
 
     For |A| <= 1/2 the value is the tail -sum_{j>s} A^j / j, run by Horner on
@@ -197,38 +156,27 @@ def _log_E(A: np.ndarray, log_one_minus: Callable[[np.ndarray], np.ndarray],
     1 - A or from exact gap logs: ``log_one_minus(big)`` returns it on the
     cells of the boolean mask ``big`` (|A| > 1/2), flattened as ``A[big]``.
     It is called once, and only when some cell is big, so no logarithm is
-    taken on the small cells.  The result and the temporaries are taken from
-    ``work``, the block's workspace; the result stays taken.
+    taken on the small cells.
     """
     A = np.asarray(A, dtype=complex)
-    work = _Workspace(None) if work is None else work
-    lam = work.take(A.shape, complex)
-    top = work.top
-    abs_A = np.abs(A, out=work.take(A.shape, float))
-    small = np.less_equal(abs_A, 0.5, out=work.take(A.shape, bool))
+    abs_A = np.abs(A)
+    small = abs_A <= 0.5
+    lam = np.empty_like(A)
     if not small.all():
-        big = np.logical_not(small, out=work.take(A.shape, bool))
-        lam[big] = log_one_minus(big) + _poly_q(A[big], s, work)
+        big = ~small
+        lam[big] = log_one_minus(big) + _poly_q(A[big], s)
     if small.any():
         # terms after the first: stop once the next term is below 1e-24 times
         # the first (0 at A = 0, at most 80 for |A| <= 1/2)
-        flat = np.flatnonzero(small)
-        # (mode="clip" lets np.take write into out unbuffered; the indices are in range)
-        abs_small = np.take(abs_A.reshape(-1), flat, out=work.take(flat.shape, float), mode="clip")
         with np.errstate(divide="ignore"):
-            np.log(abs_small, out=abs_small)
-        extra = np.ceil(np.divide(_LOG_TAIL_STOP, abs_small, out=abs_small),
-                        out=abs_small).astype(np.uint8)
+            extra = np.ceil(_LOG_TAIL_STOP / np.log(abs_A[small])).astype(np.uint8)
         # Highest degree first, so the cells still running at each term are a
         # prefix; a cell joins at its own top term, where 0 * A + 1/top is
-        # exactly 1/top.  One flat index gathers the cells in that order and
-        # scatters them back.
+        # exactly 1/top.
         order = np.argsort(~extra, kind="stable")
         running = np.cumsum(np.bincount(extra)[::-1]).tolist()
-        idx = flat[order]
-        As = np.take(A.reshape(-1), idx, out=work.take(idx.shape, complex), mode="clip")
-        poly = work.take(idx.shape, complex)
-        poly.fill(0.0)
+        As = A[small][order]
+        poly = np.zeros_like(As)
         k = 0
         for j, k_j in zip(range(s + len(running), s, -1), running):
             if k_j != k:
@@ -236,12 +184,12 @@ def _log_E(A: np.ndarray, log_one_minus: Callable[[np.ndarray], np.ndarray],
                 head, A_head = poly[:k], As[:k]
             head *= A_head
             head += 1.0 / j
-        # -(A^(s+1)) * poly in place, then back to the cells of A
+        # -(A^(s+1)) * poly in place, then back to the order of A[small]
         As **= s + 1
         np.negative(As, out=As)
         As *= poly
-        lam.reshape(-1)[idx] = As
-    work.top = top
+        poly[order] = As
+        lam[small] = poly
     return lam
 
 
@@ -269,7 +217,7 @@ class CanonicalProduct:
         # 1 - |z_n|^2 without cancellation near the boundary
         self._oms = (1.0 - sequence.moduli) * (1.0 + sequence.moduli)
 
-        self.log_B_nodes = self._node_sums(lambda z, work: self._factors(z, work)[0])
+        self.log_B_nodes = self._node_sums(lambda z: self._factors(z)[0])
         self.log_P_prime_nodes = (
             self.log_B_nodes
             + self.harmonic
@@ -282,49 +230,45 @@ class CanonicalProduct:
     @cached_property
     def logderiv_rest_nodes(self) -> np.ndarray:
         """B_k'(z_k)/B_k(z_k) per node: the factor log derivatives at z_k less the k-th."""
-        def terms(z, work):
-            A, onemA, _ = self._geometry(z, work)
+        def terms(z):
+            A, onemA, _ = self._geometry(z)
             with np.errstate(divide="ignore", invalid="ignore"):
                 return self._deriv_terms(A, onemA)
         return self._node_sums(terms)
 
-    def _node_sums(self, cells: Callable[[np.ndarray, _Workspace], np.ndarray]) -> np.ndarray:
-        """Read-only column sums of the (node, node) matrix cells(z_n, work) less its diagonal.
+    def _node_sums(self, cells: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """Read-only column sums of the (node, node) matrix cells(z_n) less its diagonal.
 
         The matrix is formed in column blocks (``_blockwise``).
         """
-        def block(b, work):
-            T = cells(self._zn[b], work)
+        def block(b):
+            T = cells(self._zn[b])
             T[np.arange(b.start, b.stop), np.arange(b.stop - b.start)] = 0.0
             return T.sum(axis=0)
         out = self._blockwise(len(self._zn), block)
         out.flags.writeable = False
         return out
 
-    def _blockwise(self, n_points: int, block: Callable[[slice, _Workspace], object]):
-        """block(b, work) on each column block b of an (n_nodes, n_points) pass, joined.
+    def _blockwise(self, n_points: int, block: Callable[[slice], object]):
+        """block(b) on each column block b of an (n_nodes, n_points) pass, joined along the points.
 
         ``block`` maps a slice of the points to an array, or a tuple of
-        arrays, over those points.  The blocks are ``_column_blocks``.  Each
-        block starts with ``work`` empty: one workspace of _WORK_ROWS rows of
-        n_nodes x (widest block) cells for this call, which the block's
-        matrices are taken from and which is freed on return, so what a
-        block returns must not be taken from it.
+        arrays, over those points.  The blocks are ``_column_blocks``.
         """
         blocks = _column_blocks(n_points, len(self._zn))
-        work = _Workspace(len(self._zn) * max(b.stop - b.start for b in blocks))
-        outs = []
-        for b in blocks:
-            work.top = 0
-            outs.append(block(b, work))
+        # Freeing this never-written buffer (an mmapped chunk) raises glibc's mmap
+        # threshold to its size and the trim threshold to twice that, so the heap top
+        # is not trimmed after each block and faulted back in by the next.
+        np.empty(_WORK_ROWS * len(self._zn) * max(b.stop - b.start for b in blocks), complex)
+        outs = [block(b) for b in blocks]
         if isinstance(outs[0], tuple):
             return tuple(np.concatenate(parts) for parts in zip(*outs))
         return np.concatenate(outs)
 
     # -- batched internals ---------------------------------------------------
 
-    def _geometry(self, z: np.ndarray, work: _Workspace | None = None):
-        """(A, one_minus_A, D) at a batch of points, shape (n_nodes, n_points), taken from work.
+    def _geometry(self, z: np.ndarray):
+        """(A, one_minus_A, D) at a batch of points, shape (n_nodes, n_points).
 
         With gap = conj(z_n) (z_n - z) and oms = 1 - |z_n|^2, D = 1 - conj(z_n) z
         is formed as oms + gap, 1 - A as gap / D and A as 1 / (1 + gap / oms).
@@ -334,23 +278,15 @@ class CanonicalProduct:
         ulp there: numpy divides by a complex through its reciprocal.)
         """
         z = np.asarray(z, dtype=complex)
-        work = _Workspace(None) if work is None else work
-        shape = (len(self._zn), len(z))
-        A, onemA, D = (work.take(shape, complex) for _ in range(3))
-        top = work.top
         oms = self._oms[:, None]
-        gap = np.subtract(self._zn[:, None], z[None, :], out=work.take(shape, complex))
-        np.multiply(self._zn_conj[:, None], gap, out=gap)
-        np.add(oms, gap, out=D)
-        np.divide(gap, D, out=onemA)
-        np.divide(1.0, np.add(1.0, np.divide(gap, oms, out=A), out=A), out=A)
-        work.top = top
-        return A, onemA, D
+        gap = self._zn_conj[:, None] * (self._zn[:, None] - z[None, :])
+        D = oms + gap
+        return 1.0 / (1.0 + gap / oms), gap / D, D
 
-    def _factors(self, z: np.ndarray, work: _Workspace | None = None):
+    def _factors(self, z: np.ndarray):
         """(log E(A, s), A, one_minus_A, D) at a batch of points, as _geometry."""
-        A, onemA, D = self._geometry(z, work)
-        lam = _log_E(A, lambda big: _log_one_minus(onemA[big]), self.genus, work)
+        A, onemA, D = self._geometry(z)
+        lam = _log_E(A, lambda big: _log_one_minus(onemA[big]), self.genus)
         return lam, A, onemA, D
 
     def _deriv_terms(self, A: np.ndarray, onemA: np.ndarray) -> np.ndarray:
@@ -374,7 +310,7 @@ class CanonicalProduct:
 
     def log_P_many(self, z) -> np.ndarray:
         zb = _batch(z)
-        return self._blockwise(len(zb), lambda b, work: self._factors(zb[b], work)[0].sum(axis=0))
+        return self._blockwise(len(zb), lambda b: self._factors(zb[b])[0].sum(axis=0))
 
     def P(self, z) -> np.ndarray:
         with np.errstate(over="ignore"):
@@ -390,8 +326,8 @@ class CanonicalProduct:
         """Column sums of terms(A, 1 - A) at a batch of points away from the nodes."""
         zb = _batch(z)
 
-        def block(b, work):
-            A, onemA, _ = self._geometry(self._off_nodes(zb[b]), work)
+        def block(b):
+            A, onemA, _ = self._geometry(self._off_nodes(zb[b]))
             return terms(A, onemA).sum(axis=0)
         return self._blockwise(len(zb), block)
 
@@ -414,10 +350,10 @@ class CanonicalProduct:
         """
         zb = _batch(z)
 
-        def block(b, work):
+        def block(b):
             # every column is formed, so no block is narrowed; a node's column is replaced
             zc = zb[b]
-            lam, A, onemA, _ = self._factors(zc, work)
+            lam, A, onemA, _ = self._factors(zc)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 lp = self._deriv_terms(A, onemA).sum(axis=0)
                 lp2 = self._deriv_prime_terms(A, onemA).sum(axis=0)
@@ -438,15 +374,15 @@ class CanonicalProduct:
     def factor_abs_power_sum(self, z) -> np.ndarray:
         """sum_n |A_n(z)|^(s+1), the universal comparison series."""
         zb = _batch(z)
-        return self._blockwise(len(zb), lambda b, work: (np.abs(self._geometry(zb[b], work)[0])
-                                                         ** (self.genus + 1)).sum(axis=0))
+        return self._blockwise(len(zb), lambda b: (np.abs(self._geometry(zb[b])[0])
+                                                   ** (self.genus + 1)).sum(axis=0))
 
     def tsuji_bound_check(self, z) -> "TsujiReport":
         """log|P| against the universal bound 2^(s+2) sum |A_n|^(s+1), from one factor pass."""
         zb = _batch(z)
 
-        def block(b, work):
-            lam, A, _, _ = self._factors(zb[b], work)
+        def block(b):
+            lam, A, _, _ = self._factors(zb[b])
             rhs = 2.0 ** (self.genus + 2) * (np.abs(A) ** (self.genus + 1)).sum(axis=0)
             return lam.sum(axis=0).real, rhs
         lhs, rhs = self._blockwise(len(zb), block)

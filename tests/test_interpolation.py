@@ -724,28 +724,21 @@ class TestLiveTerms:
 
     @pytest.mark.parametrize("family", [g.family for g in SPIRAL_FAMILIES])
     @pytest.mark.parametrize("r", [0.5, 0.999])
-    def test_heap_peak_under_twice_the_workspace(self, monkeypatch, spiral_interpolants,
-                                                 family, r):
-        # a block's matrices live in the workspace of its pass, so what the
-        # pass allocates besides stays below the workspace; glibc's trim
-        # threshold, twice the freed workspace, then keeps the heap top
+    def test_heap_peak_under_twice_the_buffer(self, spiral_interpolants, family, r):
+        # the pass allocates and frees one buffer of _WORK_ROWS rows of
+        # N x (widest block) cells before its blocks; glibc's trim threshold,
+        # twice that buffer after the free, then stays above the pass's peak
         f, z = spiral_interpolants[family], _ring(r)
         f.eval_log_many(z)
-        sizes = []
-
-        class Recorded(products._Workspace):
-            def __init__(self, cells):
-                super().__init__(cells)
-                sizes.append(self._bytes.nbytes)
-
-        monkeypatch.setattr(products, "_Workspace", Recorded)
+        widest = max(b.stop - b.start for b in products._column_blocks(len(z), len(f.sequence)))
+        buffer = products._WORK_ROWS * len(f.sequence) * widest * np.dtype(complex).itemsize
         tracemalloc.start()
         try:
             f.eval_log_many(z)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(sizes) == 1 and peak < 2 * sizes[0]
+        assert buffer <= peak < 2 * buffer
 
     @staticmethod
     def live_cells(monkeypatch, f, z):
@@ -758,17 +751,17 @@ class TestLiveTerms:
         seen, blocks = [], []
         assemble, term_logs = Interpolant._assemble, Interpolant._term_logs
 
-        def record_block(self, zb, *work):
-            parts = assemble(self, zb, *work)
+        def record_block(self, zb):
+            parts = assemble(self, zb)
             blocks.append(parts["A"])
             return parts
 
-        def record_terms(self, rows, logB, A, *work):
+        def record_terms(self, rows, logB, A):
             if isinstance(rows, np.ndarray):  # the live path's flat cells
                 hit = blocks[-1][rows] == A[:, None]
                 assert np.all(hit.sum(axis=1) == 1)
                 seen.append((rows, hit.argmax(axis=1), blocks[-1].shape))
-            return term_logs(self, rows, logB, A, *work)
+            return term_logs(self, rows, logB, A)
 
         monkeypatch.setattr(Interpolant, "_assemble", record_block)
         monkeypatch.setattr(Interpolant, "_term_logs", record_terms)
@@ -845,10 +838,10 @@ class TestLiveTerms:
         dense_calls = []
         term_logs = Interpolant._term_logs
 
-        def record_dense(self, rows, logB, A, *work):
+        def record_dense(self, rows, logB, A):
             if not isinstance(rows, np.ndarray):  # every cell of the block
                 dense_calls.append(logB.shape)
-            return term_logs(self, rows, logB, A, *work)
+            return term_logs(self, rows, logB, A)
 
         monkeypatch.setattr(Interpolant, "_term_logs", record_dense)
         seen = self.live_cells(monkeypatch, f, z)
@@ -900,7 +893,7 @@ class TestLiveTerms:
         widths = []
         geometry = products.CanonicalProduct._geometry
         monkeypatch.setattr(products.CanonicalProduct, "_geometry",
-                            lambda self, z, *work: widths.append(len(z)) or geometry(self, z, *work))
+                            lambda self, z: widths.append(len(z)) or geometry(self, z))
         got = f.eval_and_derivative_many(z)
         assert widths == [b.stop - b.start for b in blocks]
         for k in range(6):
