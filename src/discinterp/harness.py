@@ -380,6 +380,8 @@ def _task_oscillate(scn: Scenario, seq: DiscSequence, gf: GrowthFunction, out: d
     })
     if not all(math.isfinite(r) for r in residual.residuals):
         raise OscillationError("ODE residual is not finite at some sample")
+    if not np.all(np.isfinite(counts)):
+        raise OscillationError("winding count is not finite on some circle")
     if residual.max_residual >= RESIDUAL_TOL:
         return EXIT_INVARIANT
     if np.max(np.abs(counts - 1.0)) > 1e-3:

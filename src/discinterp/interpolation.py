@@ -123,8 +123,13 @@ class CoefficientLadder:
     2 eps n x against its psi_tilde, psi_tilde adds eps x C0 psi for its
     argument and k eps C0 psi_tilde for its k ulps, three roundings add
     2 eps (n u + C0 psi_tilde), and the error of u_n counts in second order.
-    K = max(4, k + 2) is 4 for power and log_power (one expm1 or pow); for
-    exp_log_power it rests on hyp1f1, which the tests measure against mpmath.
+    K = max(4, k + 2) is 4 for every family: k <= 2 for power and log_power
+    (one expm1 or pow), and for exp_log_power the series bound of
+    ``growth._kummer_integral``, 2^-53 + (5 y + 72) 2^-64 relative at
+    y = x^beta with the 64-bit long double of x86-64, is under 2 eps for
+    y <= 395.  That holds wherever C0 psi_tilde(C0 e^{u_n}) is finite: for
+    u_n > 0, C0 e^y = n < 2^53 gives y < 37, and at u_n = 0, y <= log C0
+    while psi_tilde >= e^{y - 1} keeps log C0 + y below 711.
     So a computed delta_j exceeds a later computed delta_m by at most
     D = (4 K + 2) eps S(n_max), a term ln phi_n + n L is rounded by at most
     R = eps (S(n_max) + 3 n_max |L|), and E = 2^-47 (S(n_max) + n_max |L|)

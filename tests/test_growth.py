@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from discinterp.growth import GrowthError, GrowthFunction
+from discinterp.growth import GrowthError, GrowthFunction, _kummer_integral
 
 from helpers import psi_tilde_log_quad
 
@@ -79,8 +79,9 @@ class TestPsiTilde:
 
     @pytest.mark.parametrize("beta", [0.3, 0.5, 0.7])
     def test_exp_log_power_against_quadrature(self, beta):
-        # the hypergeometric closed form against the quadrature loop it
-        # replaced (epsrel 1e-10) and against 30-digit mpmath quadrature
+        # the long-double series of _kummer_integral against adaptive
+        # quadrature of exp(v^beta) (epsrel 1e-10) and against 30-digit
+        # mpmath quadrature; TestKummerIntegral checks it to the last bit
         gf = GrowthFunction("exp_log_power", beta)
         u = np.linspace(0.0, 40.0, 401)
         got = np.asarray(gf.psi_tilde_log(u))
@@ -121,6 +122,59 @@ class TestPsiTilde:
             ratio = np.log(grid) / np.asarray(gf.psi_tilde(grid))
             assert ratio[-1] < 0.2
             assert ratio[-1] < ratio[0]
+
+
+class TestKummerIntegral:
+    """psi_tilde of exp_log_power, u 1F1(1/beta; 1/beta + 1; u^beta), against mpmath."""
+
+    @staticmethod
+    def exact(u, beta):
+        with mpmath.workprec(200):
+            p, x = mpmath.mpf(beta), mpmath.mpf(u)
+            return x * mpmath.hyp1f1(1 / p, 1 / p + 1, x**p), x**p
+
+    @pytest.mark.parametrize("beta", [0.05, 0.2, 0.5, 0.8, 0.95])
+    def test_within_the_series_bound_up_to_the_overflow_edge(self, beta):
+        # relative error at most 2^-53 + (5 x + p + 8) r, x = u^beta, with the
+        # unit roundoff r and significand bits p of this platform's long
+        # double; every inf result is past the double range
+        info = np.finfo(np.longdouble)
+        r, p = float(info.eps) / 2, info.nmant + 1
+        u = np.linspace(0.0, 712.0, 65) ** (1 / beta)  # past the range at x = 712
+        last = int(np.flatnonzero(np.isfinite(_kummer_integral(u, beta)))[-1])
+        u = np.concatenate((u, np.linspace(u[last], u[last + 1], 18)[1:-1]))  # 16 up to the edge
+        got = _kummer_integral(u, beta)
+        assert got[0] == 0.0
+        for ui, gi in zip(u[1:], got[1:]):
+            ref, x = self.exact(ui, beta)
+            if math.isfinite(gi):
+                assert abs(gi - ref) <= (2.0**-53 + (5 * float(x) + p + 8) * r) * ref
+            else:
+                assert ref > np.finfo(float).max
+
+    def test_values_do_not_depend_on_the_batch(self):
+        # each element bit-equal in batches of 1, 2 and the whole array,
+        # duplicates included; the whole array of 600 values takes fewer
+        # terms per step than a batch of 1 or 2
+        rng = np.random.default_rng(5)
+        for beta in (0.2, 0.5, 0.9):
+            x = np.concatenate((rng.uniform(0.0, 40.0, 580), rng.uniform(40.0, 709.0, 8)))
+            u = np.concatenate((x ** (1 / beta), [0.0, 0.0]))
+            u = rng.permutation(np.concatenate((u, u[:10])))
+            whole = _kummer_integral(u, beta)
+            for i in range(len(u)):
+                assert np.array_equal(_kummer_integral(u[i:i + 1], beta), whole[i:i + 1])
+                assert np.array_equal(_kummer_integral(u[i:i + 2], beta), whole[i:i + 2])
+
+    def test_past_the_cut_without_summing(self):
+        # x > 711 is past the double range, as psi_tilde >= e^(x - 1); the
+        # series of x = 1e150 would not stop, its terms reaching inf before k > x
+        got = _kummer_integral(np.array([1e300, np.inf, np.nan, 4.0]), 0.5)
+        assert np.isinf(got[:2]).all() and np.isnan(got[2]) and np.isfinite(got[3])
+
+    def test_zero_at_zero(self):
+        for beta in (0.05, 0.5, 0.95):
+            assert GrowthFunction("exp_log_power", beta).psi_tilde_log(0.0) == 0.0
 
 
 class TestPolyaOrder:

@@ -16,6 +16,7 @@ from discinterp.oscillation import osc_targets
 from discinterp.products import CanonicalProduct
 from discinterp.harness import (
     EXIT_CONFIG,
+    EXIT_NUMERIC,
     EXIT_OK,
     ConfigError,
     generate_sequence,
@@ -319,6 +320,21 @@ class TestRunScenario:
         constants = json.loads((tmp_path / "out" / "constants.json").read_text())
         assert constants["max_residual"] < 1e-6
         assert constants["max_winding_defect"] < 1e-3
+
+    def test_oscillate_with_a_nan_winding_count_exits_4(self, tmp_path, capsys):
+        # the outer circle's count is NaN (and the third's 4.9e121); a NaN
+        # made the largest defect NaN, which passed the 1e-3 gate with exit 0
+        cfg = {"task": "oscillate", "growth": {"family": "power", "param": 1.5859635009064235},
+               "sequence": {"kind": "radial", "theta": 3.466062923801218,
+                            "radii": [0.04082759495967014, 0.2451444449177803,
+                                      0.6260096911679388, 0.9900534593526571]},
+               "C0": 18.865692227993502, "seed": 633, "r_grid": [0.5623527530138653],
+               "theta_count": 8, "residual_samples": 8}
+        out = str(tmp_path / "out")
+        assert run_scenario(cfg, out) == EXIT_NUMERIC
+        assert capsys.readouterr().out == (
+            "numeric failure: winding count is not finite on some circle\n")
+        assert not os.path.exists(out)
 
     def test_plain_list_sequence_and_targets(self, tmp_path):
         cfg = write_config(tmp_path, "p.json", {

@@ -3,6 +3,7 @@ and the batch contract of the evaluation entry points."""
 
 import ast
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -130,14 +131,35 @@ def test_term_logs_take_one_log_and_no_D():
     assert "D" not in [a.arg for a in fn.args.args + fn.args.kwonlyargs]
 
 
-def test_harness_import_does_not_load_scipy():
-    # only psi_tilde of exp_log_power needs scipy, and it imports it on use
+def test_exp_log_power_interpolate_loads_no_scipy(tmp_path):
+    # psi_tilde of exp_log_power is summed in numpy (growth._kummer_integral),
+    # so a whole run with that family, ladder and growth rings included,
+    # imports no part of scipy
+    config = {"task": "interpolate", "growth": {"family": "exp_log_power", "param": 0.5},
+              "sequence": {"kind": "perturbed_lattice", "rings": 3, "r0": 0.5, "q": 0.6,
+                           "max_points": 20},
+              "targets": {"kind": "random_admissible", "constant": 2.0}, "C0": 8.0,
+              "r_grid": [0.5, 0.9, 0.99], "theta_count": 64, "seed": 1}
     src = str(Path(discinterp.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, discinterp.harness; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+    code = ("import json, sys; from discinterp.harness import run_scenario; "
+            "code = run_scenario(json.loads(sys.argv[1]), sys.argv[2]); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(config), str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 []"
+
+
+def test_no_module_imports_scipy():
+    def imported(node):
+        if isinstance(node, ast.Import):
+            return [a.name for a in node.names]
+        return [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+
+    found = {path.name for path in Path(discinterp.__file__).parent.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if any(name.split(".")[0] == "scipy" for name in imported(node))}
+    assert found == set()
 
 
 # (object of an OscillationSolution, method): the public evaluation entry points

@@ -1,6 +1,8 @@
 """Tests of the scripts under tools/ and of what they measure: page faults and fuzzed configs."""
 
+import collections
 import importlib.util
+import json
 import os
 import platform
 import re
@@ -39,17 +41,23 @@ def test_fuzz_configs_prints_one_tally_line():
 def test_fuzz_slice_of_accepted_configs(tmp_path):
     # 40 small configs of seed 0, each run twice: no exception escapes
     # run_scenario, the exit code is 0, 2, 3 or 4, a run that exits 2 or 4
-    # writes no output, and the second run gives the same bytes
+    # writes no output, an interpolate, growth-curve or oscillate run exits
+    # with the code its identity, residual and winding gates give from the
+    # constants.json it wrote, and the second run gives the same bytes
     spec = importlib.util.spec_from_file_location("fuzz_configs", TOOLS / "fuzz_configs.py")
     fuzz = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(fuzz)
-    rng, codes = np.random.default_rng(0), set()
+    rng, codes, gated = np.random.default_rng(0), set(), collections.Counter()
     for k in range(40):
         config = fuzz.draw_config(rng, max_nodes=16)
         code, message, problems = fuzz.check(config, tmp_path / str(k))
         assert problems == [], (config, message)
         codes.add(code)
+        written = tmp_path / str(k) / "first" / "constants.json"
+        if written.exists() and fuzz.gate_exit(json.loads(written.read_text())) is not None:
+            gated[code] += 1
     assert {0, 3, 4} <= codes
+    assert gated[0] >= 5 and gated[3] >= 1, gated
 
 
 GLIBC = pytest.mark.skipif(platform.libc_ver()[0] != "glibc",

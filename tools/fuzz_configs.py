@@ -6,7 +6,8 @@ included); perturbed lattices, golden-angle spirals down to 1 - |z| = 1e-7 and r
 most 60 nodes (14 for oscillate); C0 in [2, 20].  Each config runs twice through
 ``harness.run_scenario`` in this process, with the package from this checkout's src/, until T
 seconds have passed.  A run is a problem when an exception escapes, when its exit code is not 0, 2,
-3 or 4, when it exits 2 or 4 and writes output, or when the second run's output files or stdout
+3 or 4, when it exits 2 or 4 and writes output, when its exit code is not the one the gates give
+from the constants.json it wrote (``gate_exit``), or when the second run's output files or stdout
 differ from the first's; each problem goes to stderr with its config.  Prints one tally line: the
 runs per exit code, each with its messages (first stdout line, digits masked) by count, and the
 problems; exits 1 when there is any."""
@@ -59,6 +60,18 @@ def draw_config(rng, max_nodes: int = 60) -> dict:
             "theta_count": int(rng.integers(8, 65)), "residual_samples": int(rng.integers(1, 33))}
 
 
+def gate_exit(constants: dict):
+    """0 or 3 from the gates of a written constants.json, None when it holds none of them.
+
+    The gates are identity error < 1e-8, residual < 1e-6 and winding defect <= 1e-3; the check
+    task is not covered, since its upper comparison is not written.
+    """
+    gates = {"max_identity_error": lambda v: v < 1e-8, "max_residual": lambda v: v < 1e-6,
+             "max_winding_defect": lambda v: v <= 1e-3}
+    present = [passes(constants[key]) for key, passes in gates.items() if key in constants]
+    return (0 if all(present) else 3) if present else None
+
+
 def run(config: dict, out: Path) -> tuple[int, str, dict]:
     """(exit code, stdout, {file name: bytes}) of one run into the directory out."""
     printed = io.StringIO()
@@ -80,6 +93,9 @@ def check(config: dict, root: Path) -> tuple[object, str, list[str]]:
         problems.append(f"exit code {code!r}")
     if code in (2, 4) and files:
         problems.append(f"exit {code} wrote {sorted(files)}")
+    gated = gate_exit(json.loads(files["constants.json"])) if "constants.json" in files else None
+    if code in (0, 3) and gated not in (None, code):
+        problems.append(f"exit {code}, but the gates in constants.json give {gated}")
     if second != first:
         problems.append("second run differs")
     return code, stdout.partition("\n")[0], problems
