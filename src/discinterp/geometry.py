@@ -38,6 +38,57 @@ class GeometryError(ValueError):
     """Point or parameter outside the supported disc-geometry domain."""
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+class _Pcg64:
+    """The uniform draws of ``np.random.default_rng(seed)``, bit for bit, in Python ints.
+
+    The seed's 32-bit words are hashed into a 4-word pool and expanded to a
+    128-bit state and increment as numpy's SeedSequence and PCG64 do; a step
+    is the 128-bit LCG with the XSL-RR output (O'Neill, HMC-CS-2014-0905), and
+    a draw is low + (high - low) (next64 >> 11) 2^-53, numpy's formula.  numpy
+    keeps no Generator stream stable across versions (NEP 19), so the seeded
+    inputs own theirs; the tests pin it against numpy and hard-coded draws.
+    """
+
+    def __init__(self, seed: int):
+        const = [0x43B0D7E5, 0x931E8875]  # SeedSequence's running hash constant, its multiplier
+
+        def hashmix(value: int) -> int:
+            value ^= const[0]
+            const[0] = const[0] * const[1] & _M32
+            value = value * const[0] & _M32
+            return value ^ value >> 16
+
+        def mix(x: int, y: int) -> int:
+            r = (0xCA01F9DD * x - 0x4973F715 * hashmix(y)) & _M32
+            return r ^ r >> 16
+
+        words = [seed >> b & _M32 for b in range(0, max(seed.bit_length(), 1), 32)]
+        pool = [hashmix(w) for w in (words + [0, 0, 0])[:4]]
+        for src in range(4):
+            pool = [p if dst == src else mix(p, pool[src]) for dst, p in enumerate(pool)]
+        for w in words[4:]:
+            pool = [mix(p, w) for p in pool]
+        const[:] = [0x8B51F9DD, 0x58F38DED]
+        s = [hashmix(pool[i % 4]) for i in range(8)]
+        u = [s[i + 1] << 32 | s[i] for i in range(0, 8, 2)]
+        self._inc = (u[2] << 65 | u[3] << 1 | 1) & _M128
+        self._state = ((self._inc + (u[0] << 64 | u[1])) * _PCG_MULT + self._inc) & _M128
+
+    def uniform(self, low: float, high: float) -> float:
+        """One draw from [low, high)."""
+        self._state = s = (self._state * _PCG_MULT + self._inc) & _M128
+        x, rot = (s >> 64 ^ s) & _M64, s >> 122
+        return low + (high - low) * ((((x >> rot | x << 64 - rot) & _M64) >> 11) * 2.0**-53)
+
+    def uniforms(self, low: float, high: float, size: int) -> np.ndarray:
+        """size successive draws from [low, high), as one array."""
+        return np.array([self.uniform(low, high) for _ in range(size)])
+
+
 class DiscSequence:
     """Finite ordered sequence of distinct nonzero points in the disc.
 

@@ -3,6 +3,8 @@
 A scenario is a JSON object selecting a task, a node-sequence source, a
 growth function, optional targets, and grid sizes.  Runs are bit
 reproducible: identical config plus seed yields byte-identical CSV output.
+The seeded draws come from the library's own PCG64 stream (``geometry._Pcg64``),
+which equals numpy's ``default_rng(seed).uniform`` today.
 Exit codes are scriptable: 0 pass, 2 config error, 3 hard-invariant failure,
 4 numeric failure outside the log-only paths; exits 2 and 4 write no output.
 """
@@ -25,7 +27,7 @@ from .counting import (
     counting_sandwich_check,
     separation,
 )
-from .geometry import DiscSequence, GeometryError
+from .geometry import DiscSequence, GeometryError, _Pcg64
 from .growth import GrowthError, GrowthFunction
 from .interpolation import (
     InterpolationError,
@@ -87,6 +89,10 @@ def _read(spec: dict, key: str, convert, default=None):
         return convert(spec.get(key, default))
     except (LookupError, TypeError, ValueError) as exc:
         raise ConfigError(f"field {key!r}: cannot read {spec[key]!r} ({exc})") from exc
+
+
+def _non_finite(values) -> str:
+    return f"{np.count_nonzero(~np.isfinite(values))} of {len(values)}"
 
 
 def _floats(values) -> tuple:
@@ -202,7 +208,6 @@ def generate_sequence(spec: dict, seed: int) -> DiscSequence:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("sequence spec needs a 'kind' field")
     kind = spec["kind"]
-    rng = np.random.default_rng(seed)
     try:
         if kind == "explicit":
             return DiscSequence(_read(spec, "points", _points))
@@ -221,6 +226,7 @@ def generate_sequence(spec: dict, seed: int) -> DiscSequence:
                 raise ConfigError("perturbed_lattice needs 0 < q < 1 and 0 < r0 < 1")
             pts: list[complex] = []
             one_minus = 1.0 - r0
+            rng = _Pcg64(seed)
             # the draws are sequential, so stopping at max_points keeps the same prefix
             for _ in range(rings):
                 if len(pts) == max_points:
@@ -255,11 +261,11 @@ def generate_targets(spec: Optional[dict], seq: DiscSequence, gf: GrowthFunction
         return np.asarray(vals, dtype=complex)
     if kind == "random_admissible":
         constant = _read(spec, "constant", _positive, 1.0)
-        rng = np.random.default_rng(seed + 1)
+        rng = _Pcg64(seed + 1)
         tilde = np.asarray(gf.psi_tilde(1.0 / (1.0 - seq.moduli)), dtype=float)
-        scale = rng.uniform(0.2, 0.9, size=len(seq)) * constant
+        scale = rng.uniforms(0.2, 0.9, len(seq)) * constant
         log_abs = np.minimum(scale * tilde, 600.0)
-        phases = rng.uniform(0.0, 2.0 * math.pi, size=len(seq))
+        phases = rng.uniforms(0.0, 2.0 * math.pi, len(seq))
         return np.exp(log_abs + 1j * phases)
     raise ConfigError(f"unknown targets kind {kind!r}")
 
@@ -301,9 +307,9 @@ def _task_check(scn: Scenario, seq: DiscSequence, gf: GrowthFunction, out: dict)
     rows.append(["korenblum_vs_concentration", _fmt(comp.pointwise_max), ""])
     constants["comparison_pointwise_max"] = comp.pointwise_max
     constants["comparison_lower_ok"] = comp.lower_ok
-    rng = np.random.default_rng(scn.seed + 17)
-    grid = 0.92 * np.sqrt(rng.uniform(size=32)) * np.exp(
-        2j * math.pi * rng.uniform(size=32))
+    rng = _Pcg64(scn.seed + 17)
+    grid = 0.92 * np.sqrt(rng.uniforms(0.0, 1.0, 32)) * np.exp(
+        2j * math.pi * rng.uniforms(0.0, 1.0, 32))
     sandwich = counting_sandwich_check(seq, gf, conc, z_points=grid)
     rows.append(["count_bound", _fmt(sandwich.n_bound.best_constant),
                  str(sandwich.n_bound.witness_index)])
@@ -354,7 +360,7 @@ def _task_interpolate(scn: Scenario, seq: DiscSequence, gf: GrowthFunction,
         "concentration": concentration.best_constant,
     })
     if not np.all(np.isfinite(errs)):
-        raise InterpolationError("identity error is not finite at some node")
+        raise InterpolationError(f"identity error is not finite at {_non_finite(errs)} nodes")
     if max_err >= IDENTITY_TOL:
         return EXIT_INVARIANT
     return EXIT_OK
@@ -378,10 +384,11 @@ def _task_oscillate(scn: Scenario, seq: DiscSequence, gf: GrowthFunction, out: d
         "max_residual": residual.max_residual,
         "max_winding_defect": float(np.max(np.abs(counts - 1.0))),
     })
-    if not all(math.isfinite(r) for r in residual.residuals):
-        raise OscillationError("ODE residual is not finite at some sample")
+    if not np.all(np.isfinite(residual.residuals)):
+        raise OscillationError(
+            f"ODE residual is not finite at {_non_finite(residual.residuals)} samples")
     if not np.all(np.isfinite(counts)):
-        raise OscillationError("winding count is not finite on some circle")
+        raise OscillationError(f"winding count is not finite on {_non_finite(counts)} circles")
     if residual.max_residual >= RESIDUAL_TOL:
         return EXIT_INVARIANT
     if np.max(np.abs(counts - 1.0)) > 1e-3:

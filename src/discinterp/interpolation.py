@@ -536,9 +536,9 @@ def _ring_growth_table(log_many, gf: GrowthFunction, r_grid: Sequence[float],
     rows = []
     thetas = 2.0 * math.pi * np.arange(theta_count) / theta_count
     ring = np.exp(1j * thetas)
-    for r in r_grid:
+    denoms = gf.psi_tilde(1.0 / (1.0 - np.asarray(r_grid, dtype=float)))
+    for r, denom in zip(r_grid, denoms.tolist()):
         ln_max = float(np.max(log_many(r * ring).real))
-        denom = float(gf.psi_tilde(1.0 / (1.0 - r)))
         ratio = ln_max / denom if (math.isfinite(ln_max) and denom > 0) else float("nan")
         rows.append(GrowthRow(float(r), ln_max, denom, ratio))
     return GrowthTable(tuple(rows))

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import products
-from .geometry import DELTA, DiscSequence
+from .geometry import DELTA, DiscSequence, _Pcg64
 from .growth import GrowthFunction
 from .interpolation import (
     GrowthTable,
@@ -146,14 +146,15 @@ class OscillationSolution:
         ``_g_increments``: an 8-point Gauss-Legendre panel on each of the 6
         sub-segments between adjacent stencil points, 55 points per sample.
         """
-        rng = np.random.default_rng(seed)
+        rng = _Pcg64(seed)
         zs: list[complex] = []
         gaps: list[float] = []
         nodes = self.sequence.values
         attempts = 0
         while len(zs) < n_samples and attempts < 200 * n_samples:
             attempts += 1
-            z = 0.8 * math.sqrt(rng.uniform()) * np.exp(2j * math.pi * rng.uniform())
+            u, v = rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)
+            z = 0.8 * math.sqrt(u) * np.exp(2j * math.pi * v)
             gap = np.abs(nodes - z).min(initial=np.inf)
             if gap < 0.1 * (1.0 - abs(z)):
                 continue

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from discinterp.geometry import DUPLICATE_TOL, DiscSequence, GeometryError
+from discinterp.geometry import DUPLICATE_TOL, DiscSequence, GeometryError, _Pcg64
 from discinterp.products import CanonicalProduct
 
 from helpers import abs_split_sequence, pseudo_dist
@@ -178,3 +178,33 @@ class TestDiscSequence:
     def test_nearest_without_neighbours(self):
         assert DiscSequence([]).nearest.shape == (0,)
         assert DiscSequence([0.5]).nearest.tolist() == [math.inf]
+
+
+SEEDS = list(range(64)) + [2**32 - 1, 2**32, 2**64 + 3, 2**128 + 1, 10**30]
+
+
+class TestSeededUniform:
+    # the seeded inputs (lattice jitter, random targets, the check grid and
+    # the residual samples) come from geometry._Pcg64, which draws what
+    # np.random.default_rng(seed).uniform draws, without importing numpy.random
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_scalar_and_sized_draws_equal_numpy(self, seed):
+        ours, theirs = _Pcg64(seed), np.random.default_rng(seed)
+        for low, high in ((0.0, 1.0), (-0.5, 0.5), (0.0, 2.0 * math.pi)):
+            draws = [ours.uniform(low, high) for _ in range(3)]
+            assert all(type(d) is float for d in draws)
+            assert np.array_equal(draws, theirs.uniform(low, high, size=3))
+            assert ours.uniform(low, high) == theirs.uniform(low, high)
+            sized = ours.uniforms(low, high, 7)
+            assert sized.dtype == float and sized.shape == (7,)
+            assert sized.tobytes() == theirs.uniform(low, high, size=7).tobytes()
+        assert ours.uniforms(0.2, 0.9, 0).shape == (0,)
+
+    def test_first_draws_of_seed_0(self):
+        # pinned bits: a later numpy may move its Generator streams (NEP 19),
+        # and the seeded inputs must not move with it
+        ours = _Pcg64(0)
+        assert [ours.uniform(0.0, 1.0).hex() for _ in range(4)] == [
+            "0x1.461fd79fb3850p-1", "0x1.1442f7e20b674p-2",
+            "0x1.4fa7b529d9bd0p-5", "0x1.0ec9ed84d0bc0p-6"]

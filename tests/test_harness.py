@@ -12,6 +12,7 @@ from discinterp.cli import main as cli_main
 from discinterp.counting import carleson_delta
 from discinterp.geometry import DiscSequence
 from discinterp.growth import GrowthFunction
+from discinterp.interpolation import Interpolant
 from discinterp.oscillation import osc_targets
 from discinterp.products import CanonicalProduct
 from discinterp.harness import (
@@ -333,7 +334,36 @@ class TestRunScenario:
         out = str(tmp_path / "out")
         assert run_scenario(cfg, out) == EXIT_NUMERIC
         assert capsys.readouterr().out == (
-            "numeric failure: winding count is not finite on some circle\n")
+            "numeric failure: winding count is not finite on 1 of 4 circles\n")
+        assert not os.path.exists(out)
+
+    def test_oscillate_with_an_overflowing_residual_exits_4(self, tmp_path, capsys):
+        # power(3.2) on three radial nodes: h overflows at 8 of the 19
+        # residual samples, and the message counts them
+        cfg = {"task": "oscillate", "growth": {"family": "power", "param": 3.2068256998786535},
+               "sequence": {"kind": "radial", "theta": 4.4511263247716295,
+                            "radii": [0.08680776327302407, 0.4225937889822293,
+                                      0.8774570483452917]},
+               "C0": 16.339505289428985, "seed": 789, "r_grid": [0.5532532573887139],
+               "theta_count": 20, "residual_samples": 19}
+        out = str(tmp_path / "out")
+        with np.errstate(all="ignore"):
+            assert run_scenario(cfg, out) == EXIT_NUMERIC
+        assert capsys.readouterr().out == (
+            "numeric failure: ODE residual is not finite at 8 of 19 samples\n")
+        assert not os.path.exists(out)
+
+    def test_interpolate_with_non_finite_identity_errors_exits_4(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # the message counts the nodes whose identity error is not finite
+        monkeypatch.setattr(Interpolant, "interpolation_errors",
+                            lambda self: np.array([0.0, np.nan, np.inf]))
+        cfg = {"task": "interpolate", "growth": {"family": "power", "param": 1.0},
+               "sequence": {"kind": "radial", "radii": [0.2, 0.5, 0.7]}, "C0": 2.0}
+        out = str(tmp_path / "out")
+        assert run_scenario(cfg, out) == EXIT_NUMERIC
+        assert capsys.readouterr().out == (
+            "numeric failure: identity error is not finite at 2 of 3 nodes\n")
         assert not os.path.exists(out)
 
     def test_plain_list_sequence_and_targets(self, tmp_path):

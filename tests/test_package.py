@@ -131,6 +131,20 @@ def test_term_logs_take_one_log_and_no_D():
     assert "D" not in [a.arg for a in fn.args.args + fn.args.kwonlyargs]
 
 
+def modules_loaded_by_run(config: dict, out, package: str) -> tuple:
+    """(exit code, loaded modules of package) after one run_scenario in a fresh interpreter."""
+    src = str(Path(discinterp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import contextlib, io, json, sys; from discinterp.harness import run_scenario\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = run_scenario(json.loads(sys.argv[1]), sys.argv[2])\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules\n"
+            "                               if (m + '.').startswith(sys.argv[3] + '.'))]))")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(config), str(out), package],
+                         env=env, capture_output=True, text=True, check=True)
+    return tuple(json.loads(out.stdout))
+
+
 def test_exp_log_power_interpolate_loads_no_scipy(tmp_path):
     # psi_tilde of exp_log_power is summed in numpy (growth._kummer_integral),
     # so a whole run with that family, ladder and growth rings included,
@@ -140,14 +154,19 @@ def test_exp_log_power_interpolate_loads_no_scipy(tmp_path):
                            "max_points": 20},
               "targets": {"kind": "random_admissible", "constant": 2.0}, "C0": 8.0,
               "r_grid": [0.5, 0.9, 0.99], "theta_count": 64, "seed": 1}
-    src = str(Path(discinterp.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import json, sys; from discinterp.harness import run_scenario; "
-            "code = run_scenario(json.loads(sys.argv[1]), sys.argv[2]); "
-            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code, json.dumps(config), str(tmp_path)],
-                         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "0 []"
+    assert modules_loaded_by_run(config, tmp_path, "scipy") == (0, [])
+
+
+@pytest.mark.parametrize("task", ["interpolate", "growth-curve", "check", "oscillate"])
+def test_seeded_runs_load_no_numpy_random(tmp_path, task):
+    # the lattice jitter, the random targets, the check grid and the residual
+    # samples are drawn by geometry._Pcg64, so no task imports numpy.random
+    config = {"task": task, "growth": {"family": "power", "param": 1.0},
+              "sequence": {"kind": "perturbed_lattice", "rings": 2, "r0": 0.45,
+                           "max_points": 8},
+              "targets": {"kind": "random_admissible", "constant": 1.0}, "C0": 2.0,
+              "r_grid": [0.5, 0.9], "theta_count": 64, "residual_samples": 25, "seed": 11}
+    assert modules_loaded_by_run(config, tmp_path, "numpy.random") == (0, [])
 
 
 def test_no_module_imports_scipy():
@@ -159,6 +178,25 @@ def test_no_module_imports_scipy():
     found = {path.name for path in Path(discinterp.__file__).parent.glob("*.py")
              for node in ast.walk(ast.parse(path.read_text()))
              if any(name.split(".")[0] == "scipy" for name in imported(node))}
+    assert found == set()
+
+
+def test_no_module_names_numpy_random():
+    # the seeded draws are the library's own (geometry._Pcg64): no np.random
+    # attribute and no import of numpy.random anywhere in the package
+    def names_random(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr == "random" and getattr(node.value, "id", None) in ("np", "numpy")
+        if isinstance(node, ast.Import):
+            return any(a.name.startswith("numpy.random") for a in node.names)
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            return module.startswith("numpy.random") or (
+                module == "numpy" and any(a.name == "random" for a in node.names))
+        return False
+
+    found = {path.name for path in Path(discinterp.__file__).parent.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text())) if names_random(node)}
     assert found == set()
 
 

@@ -1,11 +1,12 @@
-"""Seeded fuzz of accepted configs: python3 tools/fuzz_configs.py --seed S --seconds T
+"""Seeded fuzz of accepted configs: python3 tools/fuzz_configs.py --seed S [--seconds T] [--configs N]
 
 Draws random scenario configs from a numpy generator seeded with S: the tasks interpolate, check,
 growth-curve and oscillate; the three growth families across their domains (log_power with p = 0
 included); perturbed lattices, golden-angle spirals down to 1 - |z| = 1e-7 and radial sets of at
 most 60 nodes (14 for oscillate); C0 in [2, 20].  Each config runs twice through
 ``harness.run_scenario`` in this process, with the package from this checkout's src/, until T
-seconds have passed.  A run is a problem when an exception escapes, when its exit code is not 0, 2,
+seconds have passed or N configs have run, whichever comes first (at least one of the two is
+required; N alone makes the run independent of the host's speed).  A run is a problem when an exception escapes, when its exit code is not 0, 2,
 3 or 4, when it exits 2 or 4 and writes output, when its exit code is not the one the gates give
 from the constants.json it wrote (``gate_exit``), or when the second run's output files or stdout
 differ from the first's; each problem goes to stderr with its config.  Prints one tally line: the
@@ -104,12 +105,15 @@ def check(config: dict, root: Path) -> tuple[object, str, list[str]]:
 if __name__ == "__main__":
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--seconds", type=float, required=True)
+    p.add_argument("--seconds", type=float, default=math.inf)
+    p.add_argument("--configs", type=int, default=math.inf)
     args = p.parse_args()
+    if args.seconds == args.configs == math.inf:
+        p.error("give --seconds, --configs or both")
     rng, tally, runs, n_problems = np.random.default_rng(args.seed), {}, 0, 0
     end = time.monotonic() + args.seconds
     with tempfile.TemporaryDirectory() as tmp:
-        while time.monotonic() < end:
+        while runs < args.configs and time.monotonic() < end:
             config = draw_config(rng)
             code, message, problems = check(config, Path(tmp) / str(runs))
             runs += 1
