@@ -6,7 +6,8 @@ reproducible: identical config plus seed yields byte-identical CSV output.
 The seeded draws come from the library's own PCG64 stream (``geometry._Pcg64``),
 which equals numpy's ``default_rng(seed).uniform`` today.
 Exit codes are scriptable: 0 pass, 2 config error, 3 hard-invariant failure,
-4 numeric failure outside the log-only paths; exits 2 and 4 write no output.
+4 numeric failure outside the log-only paths (an array too large to allocate
+included); exits 2 and 4 write no output.
 """
 
 from __future__ import annotations
@@ -455,7 +456,7 @@ def run_scenario(config, out_dir: str, task: Optional[str] = None,
     except (ConfigError, GrowthError, GeometryError) as exc:
         print(f"config error: {exc}")
         return EXIT_CONFIG
-    except (OverflowError, LadderError, InterpolationError,
+    except (OverflowError, MemoryError, LadderError, InterpolationError,
             ProductsError, OscillationError) as exc:
         print(f"numeric failure: {exc}")
         return EXIT_NUMERIC

@@ -323,10 +323,10 @@ class Interpolant:
         cp = self.product
         lam, A, onemA, D = cp._factors(zb)
         logP = lam.sum(axis=0)
-        with np.errstate(invalid="ignore"):
-            logB = logP[None, :] - lam
         # at a hit of node n the n-th term reads the cached B_n(z_n), as P'(z_n) does
         hits = np.isneginf(lam.real)
+        with np.errstate(invalid="ignore"):
+            logB = np.subtract(logP[None, :], lam, out=lam)
         logB[hits] = cp.log_B_nodes[hits.nonzero()[0]]
         return {"A": A, "onemA": onemA, "D": D, "logP": logP, "logB": logB}
 
@@ -339,8 +339,11 @@ class Interpolant:
         (node, point) matrices, or the node of each cell of flat arrays.
         """
         with np.errstate(divide="ignore", invalid="ignore"):
-            return (self._c[rows] + logB + _poly_q(A, self.product.genus)
-                    + self.exponents[rows] * np.log(A))
+            L = self._c[rows] + logB
+            L += _poly_q(A, self.product.genus)
+            s_log_A = np.log(A)
+            L += np.multiply(self.exponents[rows], s_log_A, out=s_log_A)
+        return L
 
     def _block_value_logs(self, zb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(log f, log P) at a batch of points, forming only the live terms.
@@ -388,18 +391,20 @@ class Interpolant:
         the gathers would cost more than they save.
         """
         parts = self._assemble(zb)
-        logB, D, A = parts["logB"], parts["D"], parts["A"]
+        logB, D, A, logP = parts["logB"], parts["D"], parts["A"], parts["logP"]
         with np.errstate(divide="ignore", invalid="ignore"):
             bound = (logB.real + self._bound_rows[:, None]
                      - self._half_s[:, None] * np.log(D.real ** 2 + D.imag ** 2))
             floor = np.where(np.abs(zb) < 1.0,
                              bound.max(axis=0, initial=LOG_ZERO) - self._cut, LOG_ZERO)
         live = ~(bound < floor)
+        # the terms need only log B_n(z) and A: free the bound, 1 - A and D first
+        del bound, parts, D
         if 2 * np.count_nonzero(live) > live.size:
-            return logsumexp_complex(self._term_logs(np.s_[:, None], logB, A)), parts["logP"]
+            return logsumexp_complex(self._term_logs(np.s_[:, None], logB, A)), logP
         terms = np.full(live.shape, complex(LOG_ZERO, 0.0))
         terms[live] = self._term_logs(live.nonzero()[0], logB[live], A[live])
-        return logsumexp_complex(terms), parts["logP"]
+        return logsumexp_complex(terms), logP
 
     def _value_logs(self, z) -> tuple[np.ndarray, np.ndarray]:
         """(log f, log P) at a batch of points, in column blocks."""

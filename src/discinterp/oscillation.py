@@ -56,8 +56,15 @@ LN2 = math.log(2.0)
 # 7-point, 6th order central second-derivative stencil
 _FD7 = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
 _STENCIL = np.arange(-3.0, 4.0)
-# 8-point Gauss-Legendre rule on [0, 1] for each unit sub-segment of the stencil
-_x8, _w8 = np.polynomial.legendre.leggauss(8)
+# 8-point Gauss-Legendre rule on [0, 1] for each unit sub-segment of the stencil;
+# the nodes and weights on [-1, 1] are the doubles of numpy's leggauss(8), written
+# out so no run imports numpy.polynomial or calls LAPACK for 16 constants
+_x8 = np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+                -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+                0.7966664774136267, 0.9602898564975362])
+_w8 = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+                0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+                0.22238103445337443, 0.10122853629037706])
 _PANEL_TS, _PANEL_WEIGHTS = 0.5 * (_x8 + 1.0), 0.5 * _w8
 # points per residual sample: the stencil, then a panel on each of its 6 sub-segments
 _SAMPLE_POINTS = len(_STENCIL) + (len(_STENCIL) - 1) * len(_PANEL_TS)

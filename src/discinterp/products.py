@@ -70,7 +70,9 @@ POLE_TOL = 1e-12
 # value gives the same results, since no block of two or more columns is 1 wide
 _BLOCK_CELLS = 1 << 14
 
-_WORK_ROWS = 9  # N x (widest block) complex rows per ``_blockwise`` call; a block holds ~8
+# N x (widest block) complex rows per ``_blockwise`` call; a value block holds about 7
+# (a derivative block of ``interpolation`` about 17)
+_WORK_ROWS = 9
 
 
 class ProductsError(ValueError):
@@ -132,8 +134,8 @@ def _poly_q(A: np.ndarray, s: int) -> np.ndarray:
     q = np.zeros_like(A)
     wj = np.ones_like(A)
     for j in range(1, s + 1):
-        wj = wj * A
-        q = q + wj / j
+        wj *= A
+        q += wj / j
     return q
 
 

@@ -366,6 +366,18 @@ class TestRunScenario:
             "numeric failure: identity error is not finite at 2 of 3 nodes\n")
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("task", ["interpolate", "growth-curve", "oscillate"])
+    def test_unallocatable_theta_count_exits_4(self, tmp_path, capsys, task):
+        # 2^40 angles ask for 8 TiB of angles, which numpy refuses before it
+        # touches memory; the MemoryError escaped as a traceback
+        cfg = {"task": task, "growth": {"family": "power", "param": 1.0},
+               "sequence": {"kind": "radial", "radii": [0.2, 0.5, 0.7]}, "C0": 2.0,
+               "theta_count": 2**40}
+        out = str(tmp_path / "out")
+        assert run_scenario(cfg, out) == EXIT_NUMERIC
+        assert capsys.readouterr().out.startswith("numeric failure: Unable to allocate")
+        assert not os.path.exists(out)
+
     def test_plain_list_sequence_and_targets(self, tmp_path):
         cfg = write_config(tmp_path, "p.json", {
             "task": "interpolate",

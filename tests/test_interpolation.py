@@ -740,6 +740,35 @@ class TestLiveTerms:
             tracemalloc.stop()
         assert buffer <= peak < 2 * buffer
 
+    def test_full_value_blocks_hold_at_most_eight_matrices(self, spiral_interpolants,
+                                                           monkeypatch):
+        # log B_n(z) is formed in the factor logs' buffer and the terms are
+        # summed in place, after the bound, 1 - A and D are freed: a full-width
+        # block of the growth rings holds at most 8 N x W complex matrices
+        # (about 7, the factor pass's own peak)
+        block_value_logs, peaks = Interpolant._block_value_logs, []
+
+        def measured(self, zb):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = block_value_logs(self, zb)
+            matrix = len(self.sequence) * len(zb) * np.dtype(complex).itemsize
+            peaks.append((len(zb), (tracemalloc.get_traced_memory()[1] - start) / matrix))
+            return out
+
+        monkeypatch.setattr(Interpolant, "_block_value_logs", measured)
+        tracemalloc.start()
+        try:
+            for f in spiral_interpolants.values():
+                for r in (0.5, 0.9, 0.99, 0.999):
+                    f.eval_log_many(_ring(r))
+        finally:
+            tracemalloc.stop()
+        widest = products._BLOCK_CELLS // len(next(iter(spiral_interpolants.values())).sequence)
+        full = [p for width, p in peaks if width == widest]
+        assert len(full) == 3 * 4 * 3
+        assert max(full) <= 8.0
+
     @staticmethod
     def live_cells(monkeypatch, f, z):
         """Per live-path block, the (rows, cols) of the cells it formed, and the block's shape.

@@ -15,9 +15,13 @@ from discinterp.growth import GrowthFunction
 from discinterp.harness import generate_sequence
 from discinterp.interpolation import Interpolant
 from discinterp.oscillation import (
+    _PANEL_TS,
+    _PANEL_WEIGHTS,
     WINDING_CAP,
     WINDING_START,
     OscillationError,
+    _w8,
+    _x8,
     build_coefficient,
     osc_targets,
     sharpness_counting_check,
@@ -253,6 +257,22 @@ class TestResidualReportBatching:
         ref = (sol.gprime.eval_many(pts.ravel()).reshape(pts.shape) * (0.5 * w)).sum(axis=2) * offsets
         assert np.all(dg[:, 3] == 0.0)
         np.testing.assert_allclose(dg, ref, rtol=1e-12, atol=0.0)
+
+
+class TestGaussPanel:
+    """The residual's 8-point Gauss-Legendre panel, written out as float literals."""
+
+    def test_literals_equal_numpy_leggauss(self):
+        x, w = np.polynomial.legendre.leggauss(8)
+        assert np.array_equal(_x8, x) and np.array_equal(_w8, w)
+
+    def test_panel_integrates_degree_15_on_the_unit_interval(self):
+        # exact to degree 2 * 8 - 1; the rounded nodes and weights (sum 1) miss
+        # 1/(k+1) by at most 0.35 eps, up to 22 ulp of 1/(k+1) at k = 8
+        eps = np.finfo(float).eps
+        for k in range(16):
+            got = float((_PANEL_WEIGHTS * _PANEL_TS ** k).sum())
+            assert abs(got - 1.0 / (k + 1)) <= 4 * eps, k
 
 
 @pytest.fixture

@@ -157,16 +157,31 @@ def test_exp_log_power_interpolate_loads_no_scipy(tmp_path):
     assert modules_loaded_by_run(config, tmp_path, "scipy") == (0, [])
 
 
-@pytest.mark.parametrize("task", ["interpolate", "growth-curve", "check", "oscillate"])
-def test_seeded_runs_load_no_numpy_random(tmp_path, task):
-    # the lattice jitter, the random targets, the check grid and the residual
-    # samples are drawn by geometry._Pcg64, so no task imports numpy.random
-    config = {"task": task, "growth": {"family": "power", "param": 1.0},
+# a small seeded run of every task but sharpness: a lattice with random targets
+SEEDED_RUN = {"growth": {"family": "power", "param": 1.0},
               "sequence": {"kind": "perturbed_lattice", "rings": 2, "r0": 0.45,
                            "max_points": 8},
               "targets": {"kind": "random_admissible", "constant": 1.0}, "C0": 2.0,
               "r_grid": [0.5, 0.9], "theta_count": 64, "residual_samples": 25, "seed": 11}
-    assert modules_loaded_by_run(config, tmp_path, "numpy.random") == (0, [])
+
+
+@pytest.mark.parametrize("task", ["interpolate", "growth-curve", "check", "oscillate"])
+def test_seeded_runs_load_no_numpy_random(tmp_path, task):
+    # the lattice jitter, the random targets, the check grid and the residual
+    # samples are drawn by geometry._Pcg64, so no task imports numpy.random
+    assert modules_loaded_by_run(dict(SEEDED_RUN, task=task), tmp_path,
+                                 "numpy.random") == (0, [])
+
+
+@pytest.mark.parametrize("task", ["interpolate", "growth-curve", "check", "oscillate",
+                                  "sharpness"])
+def test_runs_load_no_numpy_polynomial(tmp_path, task):
+    # the residual's Gauss-Legendre panel is written out (oscillation._x8, _w8),
+    # so no task imports numpy.polynomial to build it
+    config = dict(SEEDED_RUN, task=task) if task != "sharpness" else {
+        "task": "sharpness", "sequence": {"kind": "sharpness_pairs", "rho": 1.0, "n_max": 6},
+        "eps0": 0.5}
+    assert modules_loaded_by_run(config, tmp_path, "numpy.polynomial") == (0, [])
 
 
 def test_no_module_imports_scipy():
@@ -181,23 +196,34 @@ def test_no_module_imports_scipy():
     assert found == set()
 
 
+def modules_naming_numpy(sub: str) -> set:
+    """Package modules that name numpy.<sub>, as an np/numpy attribute or in an import."""
+    def names(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr == sub and getattr(node.value, "id", None) in ("np", "numpy")
+        if isinstance(node, ast.Import):
+            return any(a.name.startswith(f"numpy.{sub}") for a in node.names)
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            return module.startswith(f"numpy.{sub}") or (
+                module == "numpy" and any(a.name == sub for a in node.names))
+        return False
+
+    return {path.name for path in Path(discinterp.__file__).parent.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text())) if names(node)}
+
+
 def test_no_module_names_numpy_random():
     # the seeded draws are the library's own (geometry._Pcg64): no np.random
     # attribute and no import of numpy.random anywhere in the package
-    def names_random(node):
-        if isinstance(node, ast.Attribute):
-            return node.attr == "random" and getattr(node.value, "id", None) in ("np", "numpy")
-        if isinstance(node, ast.Import):
-            return any(a.name.startswith("numpy.random") for a in node.names)
-        if isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            return module.startswith("numpy.random") or (
-                module == "numpy" and any(a.name == "random" for a in node.names))
-        return False
+    assert modules_naming_numpy("random") == set()
 
-    found = {path.name for path in Path(discinterp.__file__).parent.glob("*.py")
-             for node in ast.walk(ast.parse(path.read_text())) if names_random(node)}
-    assert found == set()
+
+def test_no_module_names_numpy_polynomial_or_linalg():
+    # the Gauss-Legendre panel is written out, so no module builds it with
+    # numpy.polynomial, and none calls LAPACK through numpy.linalg
+    assert modules_naming_numpy("polynomial") == set()
+    assert modules_naming_numpy("linalg") == set()
 
 
 # (object of an OscillationSolution, method): the public evaluation entry points
