@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -79,7 +79,7 @@ def counting_N(seq: DiscSequence, z: complex, r: float) -> float:
 
 
 def _psi_at_nodes(seq: DiscSequence, gf: GrowthFunction) -> np.ndarray:
-    return np.asarray(gf.psi(1.0 / (1.0 - seq.moduli)), dtype=float)
+    return gf.psi(1.0 / (1.0 - seq.moduli))
 
 
 def _counting_N_at_nodes(seq: DiscSequence, factor: float) -> np.ndarray:
@@ -253,15 +253,15 @@ class SandwichReport:
 
 
 def counting_sandwich_check(seq: DiscSequence, gf: GrowthFunction, concentration: ConditionReport,
-                            z_points: Optional[Iterable[complex]] = None) -> SandwichReport:
+                            z_points: Iterable[complex]) -> SandwichReport:
     """Verify (n_z(DELTA/ALPHA (1-|z|)) - 1)^+ ln(ALPHA) <= N_z(DELTA (1-|z|)).
 
-    The sandwich is checked at every node plus any supplied z points; the
+    The sandwich is checked at every node plus the given z points; the
     returned condition report carries the best constant for the count bound
     n_z((1 - |z|)/2) <= C psi(1 / (1 - |z|)) over the same points.  At the
     nodes N_z(DELTA (1-|z|)) is read from the ``concentration`` numerators.
     """
-    extra = [complex(z) for z in z_points] if z_points is not None else []
+    extra = [complex(z) for z in z_points]
     pts = np.concatenate([seq.values, np.array(extra, dtype=complex)])
     moduli = np.abs(pts)
     if not np.all(moduli < 1.0):
@@ -275,5 +275,5 @@ def counting_sandwich_check(seq: DiscSequence, gf: GrowthFunction, concentration
         lower = max(counting_n(seq, z, (DELTA / ALPHA) * om) - 1, 0) * math.log(ALPHA)
         worst = max(worst, lower - mid)
         nums.append(float(counting_n(seq, z, 0.5 * om)))
-    dens = np.asarray(gf.psi(1.0 / one_minus), dtype=float)
+    dens = gf.psi(1.0 / one_minus)
     return SandwichReport(_best_constant(np.asarray(nums), dens), float(worst), worst <= 1e-12)

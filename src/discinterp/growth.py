@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -28,8 +27,6 @@ __all__ = [
 ]
 
 FAMILIES = ("power", "log_power", "exp_log_power")
-
-ArrayLike = Union[float, np.ndarray]
 
 # psi_tilde(e^u) >= exp(x - 1) for x = u^beta (see _kummer_integral), past
 # the double range once x - 1 > ln(DBL_MAX) = 709.78
@@ -134,57 +131,54 @@ class GrowthFunction:
         return int(math.floor(self.polya_order)) + 1
 
     # -- evaluation --------------------------------------------------------
+    # each returns numpy's result, of the input's shape: an array for an array
+    # and a numpy scalar (or 0-d array) for a 0-d input
 
-    def psi(self, x: ArrayLike) -> ArrayLike:
+    def psi(self, x) -> np.ndarray:
         x_arr = np.asarray(x, dtype=float)
         _check_domain(x_arr)
         return self.psi_log(np.log(np.maximum(x_arr, 1.0)))
 
-    def psi_log(self, log_x: ArrayLike) -> ArrayLike:
+    def psi_log(self, log_x) -> np.ndarray:
         """psi evaluated at x = exp(log_x); avoids forming huge x."""
         u = np.asarray(log_x, dtype=float)
         if self.family == "power":
-            out = np.exp(self.param * u)
-        elif self.family == "log_power":
-            out = u ** self.param if self.param > 0 else np.ones_like(u)
-        else:
-            out = np.exp(u ** self.param)
-        return out if out.ndim else float(out)
+            return np.exp(self.param * u)
+        if self.family == "log_power":
+            return u ** self.param if self.param > 0 else np.ones_like(u)
+        return np.exp(u ** self.param)
 
-    def psi_tilde(self, x: ArrayLike) -> ArrayLike:
+    def psi_tilde(self, x) -> np.ndarray:
         x_arr = np.asarray(x, dtype=float)
         _check_domain(x_arr)
         return self.psi_tilde_log(np.log(np.maximum(x_arr, 1.0)))
 
-    def psi_tilde_log(self, log_x: ArrayLike) -> ArrayLike:
+    def psi_tilde_log(self, log_x) -> np.ndarray:
         """Logarithmic integral of psi at x = exp(log_x)."""
         u = np.asarray(log_x, dtype=float)
         if self.family == "power":
-            out = np.expm1(self.param * u) / self.param
-        elif self.family == "log_power":
-            out = u ** (self.param + 1) / (self.param + 1)
-        else:
-            out = _kummer_integral(u, self.param)
-            if not np.all(np.isfinite(out)):
-                raise OverflowError("psi_tilde of exp_log_power exceeds the double range")
-        return out if out.ndim else float(out)
+            return np.expm1(self.param * u) / self.param
+        if self.family == "log_power":
+            return u ** (self.param + 1) / (self.param + 1)
+        out = _kummer_integral(u, self.param)
+        if not np.all(np.isfinite(out)):
+            raise OverflowError("psi_tilde of exp_log_power exceeds the double range")
+        return out
 
-    def psi_inverse_log(self, y: ArrayLike) -> ArrayLike:
+    def psi_inverse_log(self, y) -> np.ndarray:
         """ln of the inverse function: solves psi(x) = y for ln x."""
         y_arr = np.asarray(y, dtype=float)
         if np.any(y_arr <= 0):
             raise GrowthError("psi inverse needs y > 0")
         if self.family == "power":
-            out = np.log(y_arr) / self.param
-        elif self.family == "log_power":
+            return np.log(y_arr) / self.param
+        if self.family == "log_power":
             if self.param == 0:
                 raise GrowthError("log_power with p = 0 is constant, not invertible")
-            out = y_arr ** (1.0 / self.param)
-        else:
-            if np.any(y_arr < 1.0):
-                raise GrowthError("exp_log_power has range [1, inf)")
-            out = np.log(y_arr) ** (1.0 / self.param)
-        return out if out.ndim else float(out)
+            return y_arr ** (1.0 / self.param)
+        if np.any(y_arr < 1.0):
+            raise GrowthError("exp_log_power has range [1, inf)")
+        return np.log(y_arr) ** (1.0 / self.param)
 
     # -- serialization -----------------------------------------------------
 

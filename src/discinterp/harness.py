@@ -67,6 +67,10 @@ TASKS = ("check", "interpolate", "oscillate", "sharpness", "growth-curve")
 
 IDENTITY_TOL = 1e-8
 RESIDUAL_TOL = 1e-6
+WINDING_TOL = 1e-3
+
+# 500 times the default; about 20 s of residual at the shipped oscillate config
+MAX_RESIDUAL_SAMPLES = 100_000
 
 
 class ConfigError(ValueError):
@@ -153,7 +157,11 @@ class Scenario:
     eps0: Optional[float]
 
     @classmethod
-    def from_dict(cls, data: dict, task: Optional[str] = None) -> "Scenario":
+    def from_dict(cls, data: dict, task: Optional[str]) -> "Scenario":
+        """The scenario of a config object; a given task overrides its 'task' field.
+
+        The run-setting defaults live here; the library takes every setting explicitly.
+        """
         if not isinstance(data, dict):
             raise ConfigError("scenario config must be a JSON object")
         chosen = task or data.get("task")
@@ -176,8 +184,8 @@ class Scenario:
         if theta < 8:
             raise ConfigError("field 'theta_count': need at least 8 angles")
         samples = _read(data, "residual_samples", int, 200)
-        if samples < 1:
-            raise ConfigError("field 'residual_samples': need at least 1")
+        if not 1 <= samples <= MAX_RESIDUAL_SAMPLES:
+            raise ConfigError(f"field 'residual_samples': need 1 to {MAX_RESIDUAL_SAMPLES}")
         c0 = _read(data, "C0", float, 8.0)
         if not (math.isfinite(c0) and c0 >= 2):
             raise ConfigError("field 'C0': must be finite and at least 2")
@@ -263,7 +271,7 @@ def generate_targets(spec: Optional[dict], seq: DiscSequence, gf: GrowthFunction
     if kind == "random_admissible":
         constant = _read(spec, "constant", _positive, 1.0)
         rng = _Pcg64(seed + 1)
-        tilde = np.asarray(gf.psi_tilde(1.0 / (1.0 - seq.moduli)), dtype=float)
+        tilde = gf.psi_tilde(1.0 / (1.0 - seq.moduli))
         scale = rng.uniforms(0.2, 0.9, len(seq)) * constant
         log_abs = np.minimum(scale * tilde, 600.0)
         phases = rng.uniforms(0.0, 2.0 * math.pi, len(seq))
@@ -337,7 +345,7 @@ def _task_check(scn: Scenario, seq: DiscSequence, gf: GrowthFunction, out: dict)
 def _task_interpolate(scn: Scenario, seq: DiscSequence, gf: GrowthFunction,
                       out: dict, dense: bool = False) -> int:
     targets = generate_targets(scn.targets_spec, seq, gf, scn.seed)
-    interp = build_interpolant(seq, targets, gf, C0=scn.C0)
+    interp = build_interpolant(CanonicalProduct(seq, gf.genus), targets, gf, scn.C0)
     concentration = check_concentration(seq, gf)
     errs = interp.interpolation_errors()
     f_vals = interp.eval_many(seq.values)
@@ -352,7 +360,7 @@ def _task_interpolate(scn: Scenario, seq: DiscSequence, gf: GrowthFunction,
     r_grid = scn.r_grid
     if dense:
         r_grid = tuple(sorted(set(r_grid) | {1.0 - 2.0 ** (-j) for j in range(1, 10)}))
-    rows_g = _growth_rows(growth_report(interp, gf, r_grid, scn.theta_count))
+    rows_g = _growth_rows(growth_report(interp, r_grid, scn.theta_count))
     out["csv"]["growth.csv"] = (["r", "ln_max_modulus", "psi_tilde", "ratio"], rows_g)
     max_err = float(errs.max())
     out["constants"].update({
@@ -368,8 +376,8 @@ def _task_interpolate(scn: Scenario, seq: DiscSequence, gf: GrowthFunction,
 
 
 def _task_oscillate(scn: Scenario, seq: DiscSequence, gf: GrowthFunction, out: dict) -> int:
-    sol = build_coefficient(seq, gf, C0=scn.C0)
-    residual = sol.residual_report(n_samples=scn.residual_samples, seed=scn.seed)
+    sol = build_coefficient(seq, gf, scn.C0)
+    residual = sol.residual_report(scn.residual_samples, scn.seed)
     rows = [
         [_fmt(z.real), _fmt(z.imag), _fmt(res)]
         for z, res in zip(residual.points, residual.residuals)
@@ -381,9 +389,10 @@ def _task_oscillate(scn: Scenario, seq: DiscSequence, gf: GrowthFunction, out: d
     table = sol.growth_a_report(scn.r_grid, scn.theta_count)
     out["csv"]["growth_a.csv"] = (["r", "ln_max_modulus", "psi_tilde", "ratio"],
                                   _growth_rows(table))
+    max_winding_defect = float(np.max(np.abs(counts - 1.0)))
     out["constants"].update({
         "max_residual": residual.max_residual,
-        "max_winding_defect": float(np.max(np.abs(counts - 1.0))),
+        "max_winding_defect": max_winding_defect,
     })
     if not np.all(np.isfinite(residual.residuals)):
         raise OscillationError(
@@ -392,7 +401,7 @@ def _task_oscillate(scn: Scenario, seq: DiscSequence, gf: GrowthFunction, out: d
         raise OscillationError(f"winding count is not finite on {_non_finite(counts)} circles")
     if residual.max_residual >= RESIDUAL_TOL:
         return EXIT_INVARIANT
-    if np.max(np.abs(counts - 1.0)) > 1e-3:
+    if max_winding_defect > WINDING_TOL:
         return EXIT_INVARIANT
     return EXIT_OK
 

@@ -97,7 +97,7 @@ class TargetData:
             raise InterpolationError(
                 f"expected {len(seq)} target values, got shape {vals.shape}"
             )
-        denom = np.asarray(gf.psi_tilde(1.0 / (1.0 - seq.moduli)), dtype=float)
+        denom = gf.psi_tilde(1.0 / (1.0 - seq.moduli))
         with np.errstate(divide="ignore"):
             log_abs = np.log(np.abs(vals))
         constant = float(np.max(np.maximum(log_abs, 0.0) / denom, initial=0.0))
@@ -166,9 +166,7 @@ class CoefficientLadder:
         above = n > self.C0 * float(self.gf.psi_log(log_C0))
         if above.any():
             try:
-                u[above] = np.maximum(
-                    np.asarray(self.gf.psi_inverse_log(n[above] / self.C0)) - log_C0, 0.0
-                )
+                u[above] = np.maximum(self.gf.psi_inverse_log(n[above] / self.C0) - log_C0, 0.0)
             except GrowthError as exc:
                 raise LadderError(
                     f"growth function too slow for n_max = {self.n_max}: {exc}"
@@ -176,7 +174,7 @@ class CoefficientLadder:
         if not np.all(np.isfinite(u)):
             raise LadderError("unbounded conjugate: growth function too slow")
         x = log_C0 + u
-        t2 = self.C0 * np.asarray(self.gf.psi_tilde_log(x), dtype=float)
+        t2 = self.C0 * self.gf.psi_tilde_log(x)
         return n * u - t2, x, t2
 
     def _edges(self, bound: np.ndarray, start: np.ndarray, side: int) -> np.ndarray:
@@ -207,7 +205,7 @@ class CoefficientLadder:
         E = _MARGIN * (self._scale + N * np.abs(L))
         # u_n exceeds L from m0 on, so the first delta_n above L is at m0 or m0 + 1
         with np.errstate(over="ignore"):
-            cross = self.C0 * np.asarray(self.gf.psi_log(math.log(self.C0) + np.maximum(L, 0.0)))
+            cross = self.C0 * self.gf.psi_log(math.log(self.C0) + np.maximum(L, 0.0))
         m0 = np.minimum(np.floor(cross), N).astype(np.int64) + 1
         p, q = self._edges(L - E, m0, -1), self._edges(L + E, m0, 1)
         lens = np.minimum(q, N) - p + 1
@@ -437,7 +435,7 @@ class Interpolant:
             geom = geom + Aj
         dfac = S + (self.exponents - 1)[:, None] * zcD + zcD * geom
         with np.errstate(divide="ignore", invalid="ignore"):
-            dL = L + np.log(dfac.astype(complex))
+            dL = L + np.log(dfac)
         bad = np.isnan(dL)
         if bad.any():
             dL[bad] = complex(LOG_ZERO, 0.0)
@@ -491,14 +489,10 @@ def _exp_or_zero(lam: np.ndarray) -> np.ndarray:
         return np.where(np.isneginf(lam.real), 0.0, np.exp(lam))
 
 
-def build_interpolant(seq: DiscSequence, values: Sequence[complex],
-                      gf: GrowthFunction, C0: float = 8.0,
-                      product: Optional[CanonicalProduct] = None) -> Interpolant:
-    """Assemble the full interpolant for the given nodes and targets."""
-    if product is None:
-        product = CanonicalProduct(seq, gf.genus)
-    elif product.sequence is not seq:
-        raise InterpolationError("product was built over a different sequence")
+def build_interpolant(product: CanonicalProduct, values: Sequence[complex],
+                      gf: GrowthFunction, C0: float) -> Interpolant:
+    """Assemble the full interpolant over the product's nodes for the given targets."""
+    seq = product.sequence
     targets = TargetData.from_values(seq, gf, values)
     ladder = ladder_for_sequence(gf, C0, seq)
     return Interpolant(product, targets, select_exponents(ladder, seq), ladder)
@@ -523,16 +517,15 @@ class GrowthTable:
         raise KeyError(f"radius {r} not in table")
 
 
-def growth_report(interp: Interpolant, gf: GrowthFunction,
-                  r_grid: Sequence[float], theta_count: int = 256) -> GrowthTable:
-    """Maximum modulus of the interpolant on circles, against psi_tilde.
+def growth_report(interp: Interpolant, r_grid: Sequence[float], theta_count: int) -> GrowthTable:
+    """Maximum modulus of the interpolant on circles, against its ladder's psi_tilde.
 
     The ratio column is ln M(r, f) / psi_tilde(1/(1-r)); rows where f
     vanishes identically carry -inf and a NaN ratio.
     """
     if not all(0 < r < 1 for r in r_grid):
         raise InterpolationError("growth radii must lie in (0, 1)")
-    return _ring_growth_table(interp.eval_log_many, gf, r_grid, theta_count)
+    return _ring_growth_table(interp.eval_log_many, interp.ladder.gf, r_grid, theta_count)
 
 
 def _ring_growth_table(log_many, gf: GrowthFunction, r_grid: Sequence[float],

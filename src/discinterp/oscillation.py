@@ -105,10 +105,9 @@ class ResidualReport:
 class OscillationSolution:
     """Coefficient function with its product/interpolant decomposition."""
 
-    def __init__(self, gprime: Interpolant, gf: GrowthFunction):
+    def __init__(self, gprime: Interpolant):
         self.product = gprime.product
         self.gprime = gprime
-        self.gf = gf
 
     @property
     def sequence(self) -> DiscSequence:
@@ -139,7 +138,7 @@ class OscillationSolution:
 
     # -- diagnostics --------------------------------------------------------
 
-    def residual_report(self, n_samples: int = 200, seed: int = 0) -> ResidualReport:
+    def residual_report(self, n_samples: int, seed: int) -> ResidualReport:
         """Normalized |f'' + a f| at random points of |z| < 0.8 away from the nodes.
 
         Each point keeps a distance of (1 - |z|)/10 from every node, and that
@@ -269,19 +268,18 @@ class OscillationSolution:
         w = self.product.log_deriv_P_many(z) + self.gprime.eval_many(z)
         return w.reshape(ring.shape) * (ring - centers[:, None])
 
-    def growth_a_report(self, r_grid: Sequence[float], theta_count: int = 256) -> GrowthTable:
+    def growth_a_report(self, r_grid: Sequence[float], theta_count: int) -> GrowthTable:
         """ln max |a| on circles against psi_tilde, fully in log space."""
         if not all(0 < r < 1 for r in r_grid):
             raise OscillationError("growth radii must lie in (0, 1)")
-        return _ring_growth_table(self.coefficient_log_many, self.gf, r_grid, theta_count)
+        return _ring_growth_table(self.coefficient_log_many, self.gprime.ladder.gf, r_grid,
+                                  theta_count)
 
 
-def build_coefficient(seq: DiscSequence, gf: GrowthFunction, C0: float = 8.0) -> OscillationSolution:
+def build_coefficient(seq: DiscSequence, gf: GrowthFunction, C0: float) -> OscillationSolution:
     """Build a(z) so that f'' + a f = 0 admits a solution vanishing exactly on seq."""
     product = CanonicalProduct(seq, gf.genus)
-    targets = osc_targets(product)
-    gprime = build_interpolant(seq, targets, gf, C0=C0, product=product)
-    return OscillationSolution(gprime, gf)
+    return OscillationSolution(build_interpolant(product, osc_targets(product), gf, C0))
 
 
 # ---------------------------------------------------------------------------

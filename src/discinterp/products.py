@@ -437,7 +437,7 @@ def prime_counting_criteria_check(cp: CanonicalProduct, gf: GrowthFunction) -> P
     not claimed; the report flags that case instead of raising.
     """
     one_minus = 1.0 - cp.sequence.moduli
-    psi_vals = np.asarray(gf.psi(1.0 / one_minus), dtype=float)
+    psi_vals = gf.psi(1.0 / one_minus)
     # math.log per node keeps ln_prime_bound on libm's rounding; np.log can differ in the last bit
     ln_prime = np.abs(np.array([math.log(om) for om in one_minus.tolist()])
                       + cp.log_P_prime_nodes.real)

@@ -259,8 +259,8 @@ def raw_conjugate(gf: GrowthFunction, C0: float, n_max: int) -> np.ndarray:
     u = np.zeros(n_max + 1)
     above = n > C0 * float(gf.psi_log(log_C0))
     if above.any():
-        u[above] = np.maximum(np.asarray(gf.psi_inverse_log(n[above] / C0)) - log_C0, 0.0)
-    return n * u - C0 * np.asarray(gf.psi_tilde_log(log_C0 + u), dtype=float)
+        u[above] = np.maximum(gf.psi_inverse_log(n[above] / C0) - log_C0, 0.0)
+    return n * u - C0 * gf.psi_tilde_log(log_C0 + u)
 
 
 def dense_ladder(gf: GrowthFunction, C0: float, n_max: int) -> DenseLadder:

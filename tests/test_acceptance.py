@@ -35,7 +35,7 @@ def _line(number: int, ok: bool, detail: str) -> None:
 def bank():
     instances = []
     for seq, gf, targets in acceptance_instances():
-        interp = build_interpolant(seq, targets, gf)
+        interp = build_interpolant(CanonicalProduct(seq, gf.genus), targets, gf, 8.0)
         instances.append((seq, gf, targets, interp))
     return instances
 
@@ -151,7 +151,7 @@ def test_criterion_5_growth_bound(bank):
     """ln M(r, f) / psi_tilde stays bounded along the radius grid."""
     worst_excess = -math.inf
     for seq, gf, targets, interp in bank:
-        table = growth_report(interp, gf, R_GRID, theta_count=256)
+        table = growth_report(interp, R_GRID, 256)
         baseline = table.ratio_at(0.9)
         ratios = [row.ratio for row in table.rows]
         assert all(math.isfinite(r) for r in ratios)

@@ -132,7 +132,7 @@ class TestKorenblum:
             if close.any():
                 sums[k] = -np.sum(np.log(d[close] / np.abs(1.0 - np.conj(v[k]) * v[close])))
         assert max(np.count_nonzero(np.abs(v - z) < delta * (1 - abs(z))) for z in v) > 9
-        psi = np.asarray(GF.psi(1.0 / (1.0 - seq.moduli)), dtype=float)
+        psi = GF.psi(1.0 / (1.0 - seq.moduli))
         rep = check_korenblum_sum(seq, GF)
         assert rep.numerators.tobytes() == sums.tobytes()
         assert not rep.numerators.flags.writeable
@@ -256,7 +256,7 @@ class TestComparisonAndSandwich:
 
     def test_sandwich_singleton(self):
         seq = DiscSequence([0.5])
-        rep = counting_sandwich_check(seq, GF, check_concentration(seq, GF))
+        rep = counting_sandwich_check(seq, GF, check_concentration(seq, GF), z_points=[])
         assert rep.sandwich_ok
         assert rep.n_bound.best_constant >= 0.0
 
@@ -268,7 +268,7 @@ class TestComparisonAndSandwich:
         seq = DiscSequence(pts)
         m = 5
         assert counting_N(seq, center, DELTA * (1 - center)) >= m * math.log(ALPHA) - 1e-9
-        rep = counting_sandwich_check(seq, GF, check_concentration(seq, GF))
+        rep = counting_sandwich_check(seq, GF, check_concentration(seq, GF), z_points=[])
         assert rep.sandwich_ok
 
     def test_sandwich_random_with_grid(self):
@@ -317,7 +317,7 @@ class TestOneModulus:
             r = delta * (1.0 - seq.moduli[k])
             d = np.sort(np.abs(v - v[k]))[1:]
             sums[k] = np.sum(np.log(r / d[d <= r]))
-        psi = np.asarray(GF.psi(1.0 / (1.0 - seq.moduli)), dtype=float)
+        psi = GF.psi(1.0 / (1.0 - seq.moduli))
         assert np.count_nonzero(sums) > len(seq) // 2
         rep = check_concentration(seq, GF)
         assert rep.numerators.tobytes() == sums.tobytes()

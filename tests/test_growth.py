@@ -50,8 +50,26 @@ class TestPsi:
     def test_nondecreasing(self):
         grid = np.geomspace(1.0, 1e6, 200)
         for gf in ALL_FAMILIES:
-            vals = np.asarray(gf.psi(grid))
+            vals = gf.psi(grid)
             assert np.all(np.diff(vals) >= -1e-12)
+
+
+@pytest.mark.parametrize("method", ["psi", "psi_log", "psi_tilde", "psi_tilde_log",
+                                    "psi_inverse_log"])
+def test_evaluation_keeps_the_input_shape(method):
+    # numpy's result as it comes: a 0-d point gives a 0-d result, an (n,)
+    # batch an (n,) array, and a point's value is its entry in the batch
+    xs = np.array([1.0, 2.5, 40.0])
+    for gf in ALL_FAMILIES + [GrowthFunction("log_power", 0.0)]:
+        if method == "psi_inverse_log" and gf.param == 0.0:
+            continue  # constant, not invertible
+        fn = getattr(gf, method)
+        batch = fn(xs)
+        assert np.shape(batch) == xs.shape
+        for x, value in zip(xs.tolist(), batch.tolist()):
+            point = fn(x)
+            assert np.shape(point) == ()
+            assert float(point) == value
 
 
 class TestPsiTilde:
@@ -84,7 +102,7 @@ class TestPsiTilde:
         # mpmath quadrature; TestKummerIntegral checks it to the last bit
         gf = GrowthFunction("exp_log_power", beta)
         u = np.linspace(0.0, 40.0, 401)
-        got = np.asarray(gf.psi_tilde_log(u))
+        got = gf.psi_tilde_log(u)
         assert got[0] == 0.0
         assert np.allclose(got, psi_tilde_log_quad(beta, u), rtol=1e-9, atol=0.0)
         with mpmath.workdps(30):
@@ -105,7 +123,7 @@ class TestPsiTilde:
         # second differences of psi_tilde(e^u) in u are nonnegative
         u = np.linspace(0.0, 12.0, 121)
         for gf in ALL_FAMILIES:
-            vals = np.asarray(gf.psi_tilde_log(u))
+            vals = gf.psi_tilde_log(u)
             second = vals[2:] - 2 * vals[1:-1] + vals[:-2]
             assert np.all(second >= -1e-9)
 
@@ -113,13 +131,13 @@ class TestPsiTilde:
         # psi(x) <= psi_tilde(2x) / ln 2 since psi is nondecreasing
         grid = np.geomspace(4.0, 1e5, 60)
         for gf in ALL_FAMILIES:
-            ratio = np.asarray(gf.psi(grid)) / np.asarray(gf.psi_tilde(2 * grid))
+            ratio = gf.psi(grid) / gf.psi_tilde(2 * grid)
             assert np.all(ratio <= 1 / math.log(2) + 1e-9)
 
     def test_log_negligible_against_tilde(self):
         grid = np.geomspace(10.0, 1e8, 50)
         for gf in ALL_FAMILIES:
-            ratio = np.log(grid) / np.asarray(gf.psi_tilde(grid))
+            ratio = np.log(grid) / gf.psi_tilde(grid)
             assert ratio[-1] < 0.2
             assert ratio[-1] < ratio[0]
 

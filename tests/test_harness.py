@@ -89,7 +89,7 @@ class TestGenerators:
         seq = generate_sequence({"kind": "radial", "radii": [0.4, 0.6, 0.9]}, 0)
         vals = generate_targets({"kind": "random_admissible", "constant": 2.0},
                                 seq, gf, 5)
-        tilde = np.asarray(gf.psi_tilde(1 / (1 - seq.moduli)))
+        tilde = gf.psi_tilde(1 / (1 - seq.moduli))
         assert np.all(np.log(np.abs(vals)) <= 2.0 * tilde + 1e-12)
 
     def test_targets_length_mismatch(self):
@@ -253,6 +253,17 @@ class TestRunScenario:
         out = str(tmp_path / "o")
         assert run_scenario(cfg, out) == EXIT_CONFIG
         assert capsys.readouterr().out.startswith("config error: ")
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("samples", [100_001, 2**40])
+    def test_residual_samples_above_the_cap_is_config_error(self, tmp_path, capsys, samples):
+        # refused while the config is read, before any sample is drawn or stored
+        cfg = {"task": "oscillate", "sequence": {"kind": "radial", "radii": [0.5]},
+               "growth": {"family": "power", "param": 1.0}, "residual_samples": samples}
+        out = str(tmp_path / "o")
+        assert run_scenario(cfg, out) == EXIT_CONFIG
+        assert capsys.readouterr().out == (
+            "config error: field 'residual_samples': need 1 to 100000\n")
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("task", ["check", "interpolate", "oscillate", "growth-curve"])

@@ -25,7 +25,7 @@ from discinterp.interpolation import (
     select_exponents,
 )
 from discinterp.oscillation import build_coefficient, osc_targets, sharpness_sequence
-from discinterp.products import ProductsError
+from discinterp.products import CanonicalProduct, ProductsError
 
 from helpers import (
     DenseLadder,
@@ -45,8 +45,8 @@ SPIRAL_FAMILIES = (GF1, GrowthFunction("log_power", 2.0), GrowthFunction("exp_lo
 
 
 def interpolant_on(ladder, seq, values):
-    """What ``build_interpolant(seq, values, ladder.gf)`` builds, on a ladder built once."""
-    product = products.CanonicalProduct(seq, ladder.gf.genus)
+    """What ``build_interpolant`` builds over ``seq`` with ``ladder.gf``, on a ladder built once."""
+    product = CanonicalProduct(seq, ladder.gf.genus)
     return Interpolant(product, TargetData.from_values(seq, ladder.gf, values),
                        select_exponents(ladder, seq), ladder)
 
@@ -240,7 +240,7 @@ class TestDeepSpirals:
     def test_no_longer_stop_at_the_ladder(self, gf, depth, n_max, top):
         seq = spiral_sequence(20, depth=depth)
         targets = generate_targets({"kind": "random_admissible", "constant": 2.0}, seq, gf, 0)
-        f = build_interpolant(seq, targets, gf)
+        f = build_interpolant(CanonicalProduct(seq, gf.genus), targets, gf, 8.0)
         ladder = f.ladder
         assert (ladder.n_max, int(f.exponents.max())) == (n_max, top)
         assert np.all(np.diff(f.exponents) >= 0)
@@ -424,7 +424,7 @@ class TestMaxTermBounds:
 class TestTargets:
     def test_admissibility_constant(self):
         seq = DiscSequence([0.5, 0.9])
-        tilde = np.asarray(GF1.psi_tilde(1 / (1 - seq.moduli)))
+        tilde = GF1.psi_tilde(1 / (1 - seq.moduli))
         values = [math.exp(2.0 * tilde[0]), math.exp(0.5 * tilde[1])]
         td = TargetData.from_values(seq, GF1, values)
         assert td.admissibility_constant == pytest.approx(2.0, rel=1e-12)
@@ -442,17 +442,17 @@ class TestTargets:
 class TestInterpolationIdentity:
     def test_forced_singleton(self):
         seq = DiscSequence([0.5])
-        f = build_interpolant(seq, [1.0], GF1)
+        f = build_interpolant(CanonicalProduct(seq, GF1.genus), [1.0], GF1, 8.0)
         assert f.eval_many(0.5) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_targets_give_zero_function(self):
         seq = DiscSequence([0.5, -0.3j, 0.7])
-        f = build_interpolant(seq, [0.0, 0.0, 0.0], GF1)
+        f = build_interpolant(CanonicalProduct(seq, GF1.genus), [0.0, 0.0, 0.0], GF1, 8.0)
         for z in (0.0, 0.2 + 0.2j, 0.5, 0.9):
             assert f.eval_many(z) == 0.0
 
     def test_empty_sequence(self):
-        f = build_interpolant(DiscSequence([]), [], GF1)
+        f = build_interpolant(CanonicalProduct(DiscSequence([]), GF1.genus), [], GF1, 8.0)
         assert f.eval_many(0.3) == 0.0
 
     @pytest.mark.parametrize("name, expected", [
@@ -469,7 +469,7 @@ class TestInterpolationIdentity:
     ])
     def test_empty_sequence_takes_the_general_path(self, name, expected):
         # exact zeros, and logs -inf + 0j, with one entry per point (per node)
-        f = build_interpolant(DiscSequence([]), [], GF1)
+        f = build_interpolant(CanonicalProduct(DiscSequence([]), GF1.genus), [], GF1, 8.0)
         z = np.array([0.0, 0.3 - 0.2j, -0.9j])
         calls = {
             "interpolation_errors": lambda: f.interpolation_errors(),
@@ -494,7 +494,7 @@ class TestInterpolationIdentity:
                              ids=lambda g: f"{g.family}-{g.param}")
     def test_identity_on_lattice_instances(self, gf):
         seq, targets = lattice_instance(seed=7, gf=gf, max_points=40)
-        f = build_interpolant(seq, targets, gf)
+        f = build_interpolant(CanonicalProduct(seq, gf.genus), targets, gf, 8.0)
         assert float(f.interpolation_errors().max()) < 1e-8
 
     @pytest.mark.parametrize("gf", SPIRAL_FAMILIES, ids=lambda g: g.family)
@@ -511,12 +511,12 @@ class TestInterpolationIdentity:
         seq = DiscSequence([(1.0 - 10.0 ** -j) * np.exp(2j * np.pi * (r / 3 + 0.1))
                             for r in range(3) for j in np.arange(1.0, 6.01, 0.5)])
         targets = generate_targets({"kind": "random_admissible", "constant": 2.0}, seq, gf, 1)
-        f = build_interpolant(seq, targets, gf)
+        f = build_interpolant(CanonicalProduct(seq, gf.genus), targets, gf, 8.0)
         assert float(f.interpolation_errors().max()) < 1e-8
 
     def test_node_values_exact_bitwise(self):
         seq, targets = small_radial_instance(GF1)
-        f = build_interpolant(seq, targets, GF1)
+        f = build_interpolant(CanonicalProduct(seq, GF1.genus), targets, GF1, 8.0)
         vals = f.eval_many(seq.values)
         # the k-th term cancels the cached node derivative exactly and the
         # other terms vanish identically, so only log-sum rounding remains
@@ -526,7 +526,7 @@ class TestInterpolationIdentity:
         # P'(z_k) was cached from the unshifted B_k(z_k), so a node term that
         # reads the shifted cache gives 2 b_k; points off the nodes never read it
         seq, targets = small_radial_instance(GF1)
-        f = build_interpolant(seq, targets, GF1)
+        f = build_interpolant(CanonicalProduct(seq, GF1.genus), targets, GF1, 8.0)
         off = np.array([0.1 + 0.2j, -0.5, 0.3 + 1e-6, 0.69j])
         before = f.eval_many(off)
         monkeypatch.setattr(f.product, "log_B_nodes", f.product.log_B_nodes + math.log(2.0))
@@ -562,7 +562,7 @@ class TestNearNodeEvaluation:
         seq = DiscSequence([0.4, -0.2 + 0.3j, 0.65, 0.1 - 0.5j])
         gf = GF1
         targets = np.array([1.5, -2.0 + 1j, 3j, 0.7])
-        f = build_interpolant(seq, targets, gf, C0=2.0)
+        f = build_interpolant(CanonicalProduct(seq, gf.genus), targets, gf, 2.0)
         for k in (0, 2):
             zk = seq.values[k]
             z = zk + 1e-9 * (1 - seq.moduli[k])
@@ -575,7 +575,7 @@ class TestNearNodeEvaluation:
         seq = DiscSequence([0.3, 0.55, -0.4 + 0.35j, 0.7j, -0.8])
         targets = np.array([1.5, -2.0 + 1j, 3j, 0.7, -1.0])
         # moderate C0 keeps the exponents, hence the local slope, small
-        f = build_interpolant(seq, targets, GF1, C0=2.0)
+        f = build_interpolant(CanonicalProduct(seq, GF1.genus), targets, GF1, 2.0)
         k = 1
         zk, bk = seq.values[k], targets[k]
         errs = []
@@ -593,7 +593,8 @@ class TestDerivativeNodeRule:
 
     @pytest.fixture(scope="class")
     def interp(self):
-        return build_interpolant(DiscSequence(self.NODES), [1, -2 + 1j, 3j, 2], GF1, C0=2.0)
+        return build_interpolant(CanonicalProduct(DiscSequence(self.NODES), GF1.genus),
+                                 [1, -2 + 1j, 3j, 2], GF1, 2.0)
 
     @pytest.mark.parametrize("k", range(4))
     def test_derivatives_raise_at_each_node(self, interp, k):
@@ -620,7 +621,7 @@ class TestTermDecayChain:
     def test_moebius_power_bounded_by_max_term_ratio(self):
         # s_n ln|A_n(z)| <= ln mu(2/(1-|z|)) - ln mu(1/(1-|z_n|))
         seq, targets = lattice_instance(seed=11, gf=GF1, max_points=25)
-        f = build_interpolant(seq, targets, GF1)
+        f = build_interpolant(CanonicalProduct(seq, GF1.genus), targets, GF1, 8.0)
         ladder = f.ladder
         mu_nodes = ladder.scan([-math.log1p(-m) for m in seq.moduli])[2]
         rng = np.random.default_rng(51)
@@ -635,7 +636,7 @@ class TestTermDecayChain:
         # ln|term_n(z)| <= ln|b_n| + 2^{s+2} sum_{m != n} |A_m|^{s+1}
         #                + sum_j 2^j/j + |ln|B_n(z_n)|| - H_s + mu ratio
         seq, targets = lattice_instance(seed=13, gf=GF1, max_points=20)
-        f = build_interpolant(seq, targets, GF1)
+        f = build_interpolant(CanonicalProduct(seq, GF1.genus), targets, GF1, 8.0)
         cp, ladder, s = f.product, f.ladder, f.product.genus
         q_cap = sum(2.0**j / j for j in range(1, s + 1))
         rng = np.random.default_rng(52)
@@ -663,32 +664,32 @@ class TestTermDecayChain:
 class TestGrowthReport:
     def test_zero_function_rows(self):
         seq = DiscSequence([0.5])
-        f = build_interpolant(seq, [0.0], GF1)
-        table = growth_report(f, GF1, [0.5, 0.9], theta_count=32)
+        f = build_interpolant(CanonicalProduct(seq, GF1.genus), [0.0], GF1, 8.0)
+        table = growth_report(f, [0.5, 0.9], 32)
         assert table.rows[0].ln_max_modulus == -math.inf
         assert math.isnan(table.rows[0].ratio)
 
     def test_singleton_ratio_stable(self):
-        f = build_interpolant(DiscSequence([0.5]), [2.0], GF1)
-        table = growth_report(f, GF1, [0.5, 0.9, 0.99], theta_count=64)
+        f = build_interpolant(CanonicalProduct(DiscSequence([0.5]), GF1.genus), [2.0], GF1, 8.0)
+        table = growth_report(f, [0.5, 0.9, 0.99], 64)
         ratios = [row.ratio for row in table.rows]
         assert all(math.isfinite(r) for r in ratios)
         assert max(ratios) <= 10 * max(min(ratios), 0.1)
 
     def test_ratio_no_blow_up_between_consecutive_radii(self):
         seq, targets = lattice_instance(seed=17, gf=GF1, max_points=30)
-        f = build_interpolant(seq, targets, GF1)
-        table = growth_report(f, GF1, [0.9, 0.99, 0.999], theta_count=128)
+        f = build_interpolant(CanonicalProduct(seq, GF1.genus), targets, GF1, 8.0)
+        table = growth_report(f, [0.9, 0.99, 0.999], 128)
         ratios = [row.ratio for row in table.rows]
         for a, b in zip(ratios, ratios[1:]):
             assert b <= 2.0 * max(a, 0.1)
 
     def test_row_count_and_radii_validation(self):
-        f = build_interpolant(DiscSequence([0.5]), [1.0], GF1)
-        table = growth_report(f, GF1, [0.3, 0.6, 0.9], theta_count=16)
+        f = build_interpolant(CanonicalProduct(DiscSequence([0.5]), GF1.genus), [1.0], GF1, 8.0)
+        table = growth_report(f, [0.3, 0.6, 0.9], 16)
         assert len(table.rows) == 3
         with pytest.raises(InterpolationError):
-            growth_report(f, GF1, [0.5, 1.5])
+            growth_report(f, [0.5, 1.5], 16)
 
 
 def _same_bits(a, b) -> bool:
@@ -831,7 +832,7 @@ class TestLiveTerms:
                              ids=lambda g: f"{g.family}-{g.param}")
     def test_lattice(self, gf):
         seq, targets = lattice_instance(seed=3, gf=gf, rings=6, max_points=400)
-        f = build_interpolant(seq, targets, gf)
+        f = build_interpolant(CanonicalProduct(seq, gf.genus), targets, gf, 8.0)
         for r in (0.5, 0.9, 0.99):
             _assert_dense_bits(f, _ring(r))
         _assert_dense_bits(f, seq.values)
@@ -840,7 +841,7 @@ class TestLiveTerms:
     def test_sharpness_pairs(self, rho, n_max):
         seq = sharpness_sequence(rho, n_max).to_disc_sequence()
         targets = generate_targets({"kind": "random_admissible", "constant": 2.0}, seq, GF1, 4)
-        f = build_interpolant(seq, targets, GF1, C0=2.0)
+        f = build_interpolant(CanonicalProduct(seq, GF1.genus), targets, GF1, 2.0)
         for r in (0.5, 0.9, 0.999):
             _assert_dense_bits(f, _ring(r))
         _assert_dense_bits(f, seq.values)
@@ -851,7 +852,7 @@ class TestLiveTerms:
     def test_genus_three_and_up(self, monkeypatch, gf):
         seq = spiral_sequence(120, depth=0.05)
         targets = generate_targets({"kind": "random_admissible", "constant": 2.0}, seq, gf, 2)
-        f = build_interpolant(seq, targets, gf, C0=2.0)
+        f = build_interpolant(CanonicalProduct(seq, gf.genus), targets, gf, 2.0)
         assert gf.genus >= 3
         for r in (0.5, 0.9, 0.99):
             _assert_dense_bits(f, _ring(r))

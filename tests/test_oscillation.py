@@ -84,7 +84,7 @@ class TestOscTargets:
         seq, _ = lattice_instance(seed=61, gf=GF1, max_points=25)
         cp = CanonicalProduct(seq, GF1.genus)
         b = osc_targets(cp)
-        tilde = np.asarray(GF1.psi_tilde(1 / (1 - seq.moduli)))
+        tilde = GF1.psi_tilde(1 / (1 - seq.moduli))
         slack = np.log(4.0 / (1 - seq.moduli))
         measured = (np.log(np.abs(b)) - slack) / tilde
         assert np.all(np.isfinite(measured))

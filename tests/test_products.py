@@ -719,14 +719,14 @@ class TestPrimeCountingCriteria:
         gf = GrowthFunction("power", 1.0)
         cp = CanonicalProduct(seq, gf.genus)
         rep = prime_counting_criteria_check(cp, gf)
-        psi = np.asarray(gf.psi(1.0 / (1.0 - seq.moduli)), dtype=float)
+        psi = gf.psi(1.0 / (1.0 - seq.moduli))
         counts = np.array([counting_n(seq, seq.values[k], 0.5 * (1.0 - seq.moduli[k]))
                            for k in range(len(seq))], dtype=float)
         ln_prime = np.array([abs(math.log(1.0 - seq.moduli[k]) + cp.log_P_prime_nodes[k].real)
                              for k in range(len(seq))])
         assert counts.max() > 1
         # the node-only count bound is the sandwich's n_bound
-        sandwich = counting_sandwich_check(seq, gf, check_concentration(seq, gf))
+        sandwich = counting_sandwich_check(seq, gf, check_concentration(seq, gf), z_points=[])
         assert sandwich.n_bound.best_constant == float((counts / psi).max())
         assert sandwich.n_bound.numerators[:len(seq)].tobytes() == counts.tobytes()
         assert rep.ln_prime_constant == float((ln_prime / psi).max())

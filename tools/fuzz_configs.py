@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-from discinterp.harness import run_scenario  # noqa: E402
+from discinterp.harness import IDENTITY_TOL, RESIDUAL_TOL, WINDING_TOL, run_scenario  # noqa: E402
 
 TASKS = ("interpolate", "check", "growth-curve", "oscillate")
 EXIT_CODES = (0, 2, 3, 4)
@@ -64,11 +64,13 @@ def draw_config(rng, max_nodes: int = 60) -> dict:
 def gate_exit(constants: dict):
     """0 or 3 from the gates of a written constants.json, None when it holds none of them.
 
-    The gates are identity error < 1e-8, residual < 1e-6 and winding defect <= 1e-3; the check
-    task is not covered, since its upper comparison is not written.
+    The gates are the harness's: identity error < IDENTITY_TOL, residual < RESIDUAL_TOL and
+    winding defect <= WINDING_TOL; the check task is not covered, since its upper comparison is
+    not written.
     """
-    gates = {"max_identity_error": lambda v: v < 1e-8, "max_residual": lambda v: v < 1e-6,
-             "max_winding_defect": lambda v: v <= 1e-3}
+    gates = {"max_identity_error": lambda v: v < IDENTITY_TOL,
+             "max_residual": lambda v: v < RESIDUAL_TOL,
+             "max_winding_defect": lambda v: v <= WINDING_TOL}
     present = [passes(constants[key]) for key, passes in gates.items() if key in constants]
     return (0 if all(present) else 3) if present else None
 
