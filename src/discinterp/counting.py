@@ -73,8 +73,8 @@ def counting_N(seq: DiscSequence, z: complex, r: float) -> float:
     """
     if not r > 0:
         raise CountingError("radius r must be positive")
-    d = np.sort(np.abs(seq.values - complex(z)))[1:]
-    inside = d[d <= r]
+    d = np.abs(seq.values - complex(z))
+    inside = np.sort(d[d <= r])[1:]
     return float(np.sum(np.log(r / inside)))
 
 
@@ -101,16 +101,14 @@ def _korenblum_sums(seq: DiscSequence, delta: float) -> np.ndarray:
 
     Each node's terms are summed as one array, so numpy's pairwise summation
     groups them the same way however many close pairs the node has; nodes
-    without close pairs keep +0.0.  The denominators |1 - conj(z_k) z_j| are
-    formed for the close pairs only.
+    without close pairs keep +0.0.
     """
-    v = seq.values
-    d = np.abs(v[None, :] - v[:, None])
+    d, denom = _pairwise(seq)
     close = (d > 0) & (d < delta * (1.0 - seq.moduli)[:, None])
     sums = np.zeros(len(seq))
     for k in np.flatnonzero(close.any(axis=1)):
         near = close[k]
-        sums[k] = -np.sum(np.log(d[k, near] / np.abs(1.0 - np.conj(v[k]) * v[near])))
+        sums[k] = -np.sum(np.log(d[k, near] / denom[k, near]))
     return sums
 
 

@@ -180,14 +180,3 @@ class GrowthFunction:
             raise GrowthError("exp_log_power has range [1, inf)")
         return np.log(y_arr) ** (1.0 / self.param)
 
-    # -- serialization -----------------------------------------------------
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GrowthFunction":
-        try:
-            family, param = str(data["family"]), float(data["param"])
-        except KeyError as exc:
-            raise GrowthError(f"growth spec missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise GrowthError(f"growth spec field 'param': {exc}") from exc
-        return cls(family, param)

@@ -84,16 +84,19 @@ def _fmt(x: float) -> str:
 def _read(spec: dict, key: str, convert, default=None):
     """convert(spec[key]), or convert(default) when key is absent and default is given.
 
-    A missing key or a value that convert rejects is a ConfigError.  The
-    numerics run outside this call, so a ValueError they raise is never
+    A missing key, a boolean or a value that convert rejects is a ConfigError.
+    The numerics run outside this call, so a ValueError they raise is never
     reported as a config error.
     """
     if key not in spec and default is None:
         raise ConfigError(f"field {key!r} is required")
+    value = spec.get(key, default)
     try:
-        return convert(spec.get(key, default))
-    except (LookupError, TypeError, ValueError) as exc:
-        raise ConfigError(f"field {key!r}: cannot read {spec[key]!r} ({exc})") from exc
+        if isinstance(value, bool):
+            raise TypeError("a boolean is not accepted")
+        return convert(value)
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"field {key!r}: cannot read {value!r} ({exc})") from exc
 
 
 def _non_finite(values) -> str:
@@ -118,15 +121,22 @@ def _nonnegative(value) -> float:
     return x
 
 
-def _count(value) -> int:
+def _integer(value) -> int:
     n = int(value)
+    if n != value:
+        raise ValueError("must be an integer")
+    return n
+
+
+def _count(value) -> int:
+    n = _integer(value)
     if n < 1:
         raise ValueError("must be at least 1")
     return n
 
 
 def _seed(value) -> int:
-    n = int(value)
+    n = _integer(value)
     if n < 0:
         raise ValueError("must be nonnegative")
     return n
@@ -143,11 +153,24 @@ def _sharpness_spec(spec: dict) -> tuple[float, int]:
     return _read(spec, "rho", _positive), _read(spec, "n_max", _count)
 
 
+def _object(data: dict, key: str, shorthand: Optional[str]) -> Optional[dict]:
+    """A copy of object data[key], a list as {"kind": "explicit", shorthand: list}, or None."""
+    if key not in data:
+        return None
+    value = data[key]
+    if isinstance(value, list) and shorthand:
+        return {"kind": "explicit", shorthand: value}
+    if not isinstance(value, dict):
+        kinds = "an object or a point list" if shorthand else "an object"
+        raise ConfigError(f"field {key!r}: expected {kinds}, got {value!r}")
+    return dict(value)
+
+
 @dataclass
 class Scenario:
     task: str
     sequence_spec: dict
-    growth_spec: dict
+    gf: Optional[GrowthFunction]
     targets_spec: Optional[dict]
     C0: float
     seed: int
@@ -167,36 +190,31 @@ class Scenario:
         chosen = task or data.get("task")
         if chosen not in TASKS:
             raise ConfigError(f"field 'task': expected one of {TASKS}, got {chosen!r}")
-        seq_spec = data.get("sequence")
-        if isinstance(seq_spec, list):
-            # plain [[re, im], ...] shorthand for an explicit sequence
-            seq_spec = {"kind": "explicit", "points": seq_spec}
-        if not isinstance(seq_spec, dict):
+        seq_spec = _object(data, "sequence", "points")
+        if seq_spec is None:
             raise ConfigError("field 'sequence': a generator object or point list is required")
-        growth = data.get("growth")
-        if chosen != "sharpness" and (growth is None or not isinstance(growth, dict)):
+        growth = _object(data, "growth", None)
+        if growth is None and chosen != "sharpness":
             raise ConfigError("field 'growth': an object {family, param} is required")
         r_grid = _read(data, "r_grid", _floats, (0.5, 0.9, 0.99, 0.999))
         for r in r_grid:
             if not 0 < r < 1:
                 raise ConfigError(f"field 'r_grid': radii must lie in (0,1), got {r}")
-        theta = _read(data, "theta_count", int, 256)
+        theta = _read(data, "theta_count", _integer, 256)
         if theta < 8:
             raise ConfigError("field 'theta_count': need at least 8 angles")
-        samples = _read(data, "residual_samples", int, 200)
+        samples = _read(data, "residual_samples", _integer, 200)
         if not 1 <= samples <= MAX_RESIDUAL_SAMPLES:
             raise ConfigError(f"field 'residual_samples': need 1 to {MAX_RESIDUAL_SAMPLES}")
         c0 = _read(data, "C0", float, 8.0)
         if not (math.isfinite(c0) and c0 >= 2):
             raise ConfigError("field 'C0': must be finite and at least 2")
-        targets_spec = data.get("targets")
-        if isinstance(targets_spec, list):
-            targets_spec = {"kind": "explicit", "values": targets_spec}
         return cls(
             task=chosen,
-            sequence_spec=dict(seq_spec),
-            growth_spec=dict(growth) if growth else {"family": "power", "param": 1.0},
-            targets_spec=dict(targets_spec) if isinstance(targets_spec, dict) else None,
+            sequence_spec=seq_spec,
+            gf=None if growth is None else GrowthFunction(_read(growth, "family", str),
+                                                          _read(growth, "param", float)),
+            targets_spec=_object(data, "targets", "values"),
             C0=c0,
             seed=_read(data, "seed", _seed, 0),
             r_grid=r_grid,
@@ -214,9 +232,7 @@ def generate_sequence(spec: dict, seed: int) -> DiscSequence:
     with jittered, pseudohyperbolically quasi-equal angular gaps) and
     ``sharpness_pairs`` (the paired dyadic sequence, representable part).
     """
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("sequence spec needs a 'kind' field")
-    kind = spec["kind"]
+    kind = _read(spec, "kind", str)
     try:
         if kind == "explicit":
             return DiscSequence(_read(spec, "points", _points))
@@ -225,7 +241,7 @@ def generate_sequence(spec: dict, seed: int) -> DiscSequence:
             theta = _read(spec, "theta", float, 0.0)
             return DiscSequence([r * np.exp(1j * theta) for r in radii])
         if kind == "perturbed_lattice":
-            rings = _read(spec, "rings", int, 4)
+            rings = _read(spec, "rings", _integer, 4)
             q = _read(spec, "q", float, 0.6)
             spread = _read(spec, "spread", _positive, 0.5)
             jitter = _read(spec, "jitter", float, 0.1)
@@ -450,18 +466,17 @@ def run_scenario(config, out_dir: str, task: Optional[str] = None,
         if scn.task == "sharpness":
             code = _task_sharpness(scn, out)
         else:
-            gf = GrowthFunction.from_dict(scn.growth_spec)
             seq = generate_sequence(scn.sequence_spec, scn.seed)
             if len(seq) == 0:
                 raise ConfigError("generated sequence is empty")
             if scn.task == "check":
-                code = _task_check(scn, seq, gf, out)
+                code = _task_check(scn, seq, scn.gf, out)
             elif scn.task == "interpolate":
-                code = _task_interpolate(scn, seq, gf, out)
+                code = _task_interpolate(scn, seq, scn.gf, out)
             elif scn.task == "growth-curve":
-                code = _task_interpolate(scn, seq, gf, out, dense=True)
+                code = _task_interpolate(scn, seq, scn.gf, out, dense=True)
             else:
-                code = _task_oscillate(scn, seq, gf, out)
+                code = _task_oscillate(scn, seq, scn.gf, out)
     except (ConfigError, GrowthError, GeometryError) as exc:
         print(f"config error: {exc}")
         return EXIT_CONFIG

@@ -245,7 +245,9 @@ def ladder_for_sequence(gf: GrowthFunction, C0: float, seq: DiscSequence) -> Coe
     n_max is 7 past m = floor(C0 psi(C0 t)) + 1, where u_n passes log t; one scan confirms it.
     """
     target_log = math.log(2.0) - math.log1p(-float(seq.moduli.max(initial=0.0)))
-    n_max = max(8, int(C0 * float(gf.psi_log(math.log(C0) + target_log))) + 8)
+    crossing = C0 * float(gf.psi_log(math.log(C0) + target_log))
+    # an overflowed crossing stands for a length past 2^53, which the ladder refuses
+    n_max = max(8, int(crossing if math.isfinite(crossing) else 2.0**53) + 8)
     ladder = build_ladder(gf, C0, n_max)
     if ladder.scan(target_log)[0][0] >= n_max:
         raise LadderError("kappa sequence grows too slowly to cover the node set")
@@ -492,6 +494,8 @@ def _exp_or_zero(lam: np.ndarray) -> np.ndarray:
 def build_interpolant(product: CanonicalProduct, values: Sequence[complex],
                       gf: GrowthFunction, C0: float) -> Interpolant:
     """Assemble the full interpolant over the product's nodes for the given targets."""
+    if product.genus != gf.genus:
+        raise InterpolationError(f"product genus {product.genus}, but psi has genus {gf.genus}")
     seq = product.sequence
     targets = TargetData.from_values(seq, gf, values)
     ladder = ladder_for_sequence(gf, C0, seq)

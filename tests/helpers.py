@@ -26,6 +26,19 @@ FAMILY_CYCLE = (
     GrowthFunction("log_power", 2.0),
 )
 
+# Malformed config fields by case name, each refused while the config is read:
+# the wrong type for the sequence, growth and targets objects, a non-integral
+# number or a boolean for an integer field, and growth objects whose param is a
+# boolean or missing.
+MALFORMED_FIELDS = {
+    **{f"{key}-{value}": {key: value}
+       for key in ("sequence", "growth", "targets") for value in ("abc", 5, True)},
+    **{f"{key}-{value}": {key: value}
+       for key in ("theta_count", "residual_samples", "seed") for value in (2.5, True)},
+    "growth.param-True": {"growth": {"family": "power", "param": True}},
+    "growth.param-missing": {"growth": {"family": "power"}},
+}
+
 
 def lattice_instance(seed: int, gf: GrowthFunction, rings: int = 4,
                      r0: float = 0.55, q: float = 0.62, max_points: int = 60,

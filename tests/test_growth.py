@@ -214,10 +214,6 @@ class TestPolyaOrder:
 
 
 class TestSerialization:
-    def test_missing_field(self):
-        with pytest.raises(GrowthError):
-            GrowthFunction.from_dict({"family": "power"})
-
     def test_inverse_log(self):
         for gf in ALL_FAMILIES:
             if gf.family == "log_power" and gf.param == 0:

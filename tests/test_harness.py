@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -19,11 +20,14 @@ from discinterp.harness import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_OK,
+    TASKS,
     ConfigError,
     generate_sequence,
     generate_targets,
     run_scenario,
 )
+
+from helpers import MALFORMED_FIELDS
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
@@ -110,6 +114,33 @@ BASE_INTERP = {
     "theta_count": 64,
     "seed": 3,
 }
+
+
+# one small valid config per task; each runs with exit 0
+SMALL_CONFIGS = {
+    task: {"task": task, "sequence": {"kind": "radial", "radii": [0.4]},
+           "growth": {"family": "power", "param": 1.0}, "C0": 2.0, "theta_count": 16,
+           "residual_samples": 4}
+    for task in TASKS if task != "sharpness"
+}
+SMALL_CONFIGS["sharpness"] = {"task": "sharpness",
+                              "sequence": {"kind": "sharpness_pairs", "rho": 1.0, "n_max": 4}}
+
+
+class TestMalformedFields:
+    """Every task reads and refuses a present field the same way: exit 2, no output."""
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_small_config_runs(self, tmp_path, task):
+        assert run_scenario(SMALL_CONFIGS[task], str(tmp_path / "o")) == EXIT_OK
+
+    @pytest.mark.parametrize("case", MALFORMED_FIELDS)
+    @pytest.mark.parametrize("task", TASKS)
+    def test_is_config_error(self, tmp_path, capsys, task, case):
+        out = str(tmp_path / "o")
+        assert run_scenario({**SMALL_CONFIGS[task], **MALFORMED_FIELDS[case]}, out) == EXIT_CONFIG
+        assert capsys.readouterr().out.startswith("config error: ")
+        assert not os.path.exists(out)
 
 
 class TestRunScenario:
@@ -375,6 +406,18 @@ class TestRunScenario:
         assert run_scenario(cfg, out) == EXIT_NUMERIC
         assert capsys.readouterr().out == (
             "numeric failure: identity error is not finite at 2 of 3 nodes\n")
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("rho", [300.0, 3e3])
+    def test_overflowing_ladder_crossing_exits_4(self, tmp_path, capsys, rho):
+        # C0 psi(C0 t) overflows to inf; int(inf) ended the run with "cannot
+        # convert float infinity to integer"
+        cfg = {"task": "interpolate", "sequence": {"kind": "radial", "radii": [0.5, 0.7]},
+               "growth": {"family": "power", "param": rho}, "C0": 2.0}
+        out = str(tmp_path / "out")
+        assert run_scenario(cfg, out) == EXIT_NUMERIC
+        assert re.match(r"numeric failure: ladder length \d+ outside \[1, 2\^53\)",
+                        capsys.readouterr().out)
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("task", ["interpolate", "growth-curve", "oscillate"])

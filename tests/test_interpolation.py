@@ -247,6 +247,12 @@ class TestDeepSpirals:
         # the identity gate of the interpolate task holds
         assert float(f.interpolation_errors().max()) < 1e-8
 
+    @pytest.mark.parametrize("rho", [30.0, 300.0, 3e3, 3e4, 1e6])
+    def test_a_crossing_past_2_53_is_refused_by_the_ladder(self, rho):
+        # from rho = 300 on, C0 psi(C0 t) overflows to inf before the ladder sees it
+        with pytest.raises(LadderError, match=r"ladder length \d+ outside \[1, 2\^53\)"):
+            ladder_for_sequence(GrowthFunction("power", rho), 2.0, DiscSequence([0.5, 0.7]))
+
     def test_unresolved_increments_raise(self):
         # power(2) down to 1e-4 needs n_max ~ 2e11, where rounding blurs
         # the increments over more cells than a scan reads
@@ -454,6 +460,17 @@ class TestInterpolationIdentity:
     def test_empty_sequence(self):
         f = build_interpolant(CanonicalProduct(DiscSequence([]), GF1.genus), [], GF1, 8.0)
         assert f.eval_many(0.3) == 0.0
+
+    @pytest.mark.parametrize("genus", [1, 3, 5])
+    def test_product_of_another_genus_is_refused(self, genus):
+        # the README sketch's nodes under power(1), genus 2: a product of another
+        # genus interpolates, but its growth ratio is not the one of psi
+        seq = DiscSequence([0.5, 0.3 + 0.4j, -0.7j, 0.85])
+        b = [1.0, -2.0 + 1j, 3j, 10.0]
+        assert GF1.genus == 2
+        build_interpolant(CanonicalProduct(seq, 2), b, GF1, 8.0)
+        with pytest.raises(InterpolationError, match=f"product genus {genus}, but psi has genus 2"):
+            build_interpolant(CanonicalProduct(seq, genus), b, GF1, 8.0)
 
     @pytest.mark.parametrize("name, expected", [
         ("eval_many", [0.0]),

@@ -179,7 +179,8 @@ def shipped_oscillate(rings=None):
     spec = cfg["sequence"] if rings is None else dict(cfg["sequence"], rings=rings,
                                                       max_points=1000)
     seq = generate_sequence(spec, cfg["seed"])
-    return build_coefficient(seq, GrowthFunction.from_dict(cfg["growth"]), C0=cfg["C0"]), cfg
+    gf = GrowthFunction(cfg["growth"]["family"], cfg["growth"]["param"])
+    return build_coefficient(seq, gf, C0=cfg["C0"]), cfg
 
 
 class TestOneFactorPass:

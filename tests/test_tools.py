@@ -13,6 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import MALFORMED_FIELDS
+
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 LINE = (r"(?P<workload>[\w-]+): 1 passes, (?P<faults>\d+) minor faults/pass, \d+\.\d{3} s/pass, "
         r"\d+\.\d MB peak RSS\n")
@@ -40,15 +42,20 @@ def test_fuzz_configs_prints_one_tally_line():
     assert re.fullmatch(r"seed 0: 30 configs; exit \d \d+ \(.*\); 0 problems\n", proc.stdout)
 
 
+def fuzz_configs():
+    spec = importlib.util.spec_from_file_location("fuzz_configs", TOOLS / "fuzz_configs.py")
+    fuzz = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fuzz)
+    return fuzz
+
+
 def test_fuzz_slice_of_accepted_configs(tmp_path):
     # 40 small configs of seed 0, each run twice: no exception escapes
     # run_scenario, the exit code is 0, 2, 3 or 4, a run that exits 2 or 4
     # writes no output, an interpolate, growth-curve or oscillate run exits
     # with the code its identity, residual and winding gates give from the
     # constants.json it wrote, and the second run gives the same bytes
-    spec = importlib.util.spec_from_file_location("fuzz_configs", TOOLS / "fuzz_configs.py")
-    fuzz = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(fuzz)
+    fuzz = fuzz_configs()
     rng, codes, gated = np.random.default_rng(0), set(), collections.Counter()
     for k in range(40):
         config = fuzz.draw_config(rng, max_nodes=16)
@@ -60,6 +67,18 @@ def test_fuzz_slice_of_accepted_configs(tmp_path):
             gated[code] += 1
     assert {0, 3, 4} <= codes
     assert gated[0] >= 5 and gated[3] >= 1, gated
+
+
+def test_fuzz_slice_with_one_malformed_field(tmp_path):
+    # the first 20 configs of seed 0, each with one field replaced by a
+    # malformed value (the cases in turn): every run exits 2 with a config
+    # error and no output, and no exception escapes
+    fuzz, rng, cases = fuzz_configs(), np.random.default_rng(0), list(MALFORMED_FIELDS.values())
+    for k in range(20):
+        config = {**fuzz.draw_config(rng), **cases[k % len(cases)]}
+        code, message, problems = fuzz.check(config, tmp_path / str(k))
+        assert (code, problems) == (2, []), (config, message)
+        assert message.startswith("config error: "), (config, message)
 
 
 GLIBC = pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
