@@ -143,7 +143,9 @@ class GrowthFunction:
         """psi evaluated at x = exp(log_x); avoids forming huge x."""
         u = np.asarray(log_x, dtype=float)
         if self.family == "power":
-            return np.exp(self.param * u)
+            # an overflow is a quiet inf; the ladder refuses it by its length
+            with np.errstate(over="ignore"):
+                return np.exp(self.param * u)
         if self.family == "log_power":
             return u ** self.param if self.param > 0 else np.ones_like(u)
         return np.exp(u ** self.param)
@@ -157,7 +159,8 @@ class GrowthFunction:
         """Logarithmic integral of psi at x = exp(log_x)."""
         u = np.asarray(log_x, dtype=float)
         if self.family == "power":
-            return np.expm1(self.param * u) / self.param
+            with np.errstate(over="ignore"):
+                return np.expm1(self.param * u) / self.param
         if self.family == "log_power":
             return u ** (self.param + 1) / (self.param + 1)
         out = _kummer_integral(u, self.param)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -103,19 +104,25 @@ def _non_finite(values) -> str:
     return f"{np.count_nonzero(~np.isfinite(values))} of {len(values)}"
 
 
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError("must be a number")
+    return float(value)
+
+
 def _floats(values) -> tuple:
-    return tuple(float(v) for v in values)
+    return tuple(_number(v) for v in values)
 
 
 def _positive(value) -> float:
-    x = float(value)
+    x = _number(value)
     if not (math.isfinite(x) and x > 0):
         raise ValueError("must be finite and positive")
     return x
 
 
 def _nonnegative(value) -> float:
-    x = float(value)
+    x = _number(value)
     if not (math.isfinite(x) and x >= 0):
         raise ValueError("must be finite and nonnegative")
     return x
@@ -143,7 +150,7 @@ def _seed(value) -> int:
 
 
 def _points(pairs) -> list[complex]:
-    pts = [complex(p[0], p[1]) for p in pairs]
+    pts = [complex(_number(p[0]), _number(p[1])) for p in pairs]
     if not np.isfinite(pts).all():
         raise ValueError("values must be finite")
     return pts
@@ -206,14 +213,14 @@ class Scenario:
         samples = _read(data, "residual_samples", _integer, 200)
         if not 1 <= samples <= MAX_RESIDUAL_SAMPLES:
             raise ConfigError(f"field 'residual_samples': need 1 to {MAX_RESIDUAL_SAMPLES}")
-        c0 = _read(data, "C0", float, 8.0)
+        c0 = _read(data, "C0", _number, 8.0)
         if not (math.isfinite(c0) and c0 >= 2):
             raise ConfigError("field 'C0': must be finite and at least 2")
         return cls(
             task=chosen,
             sequence_spec=seq_spec,
             gf=None if growth is None else GrowthFunction(_read(growth, "family", str),
-                                                          _read(growth, "param", float)),
+                                                          _read(growth, "param", _number)),
             targets_spec=_object(data, "targets", "values"),
             C0=c0,
             seed=_read(data, "seed", _seed, 0),
@@ -238,14 +245,14 @@ def generate_sequence(spec: dict, seed: int) -> DiscSequence:
             return DiscSequence(_read(spec, "points", _points))
         if kind == "radial":
             radii = _read(spec, "radii", _floats)
-            theta = _read(spec, "theta", float, 0.0)
+            theta = _read(spec, "theta", _number, 0.0)
             return DiscSequence([r * np.exp(1j * theta) for r in radii])
         if kind == "perturbed_lattice":
             rings = _read(spec, "rings", _integer, 4)
-            q = _read(spec, "q", float, 0.6)
+            q = _read(spec, "q", _number, 0.6)
             spread = _read(spec, "spread", _positive, 0.5)
-            jitter = _read(spec, "jitter", float, 0.1)
-            r0 = _read(spec, "r0", float, 0.4)
+            jitter = _read(spec, "jitter", _number, 0.1)
+            r0 = _read(spec, "r0", _number, 0.4)
             max_points = _read(spec, "max_points", _count, 60)
             if not (0 < q < 1 and 0 < r0 < 1):
                 raise ConfigError("perturbed_lattice needs 0 < q < 1 and 0 < r0 < 1")

@@ -24,7 +24,8 @@ Every entry point takes its points in the column blocks of
 points form only the live terms, those whose real upper bound is within a
 proven cut of the column's largest, since every other term adds an exact
 zero to the shifted sum; the results equal forming every term, bit for bit.
-The derivative entry points form every term.
+The ring maximum forms terms only in the columns whose proven upper bound
+reaches the running maximum.  The derivative entry points form every term.
 """
 
 from __future__ import annotations
@@ -285,8 +286,9 @@ class Interpolant:
     Every entry point evaluates in column blocks of about 2^14 cells.  The
     value entry points (``eval_many``, ``eval_and_log_P_many``,
     ``eval_log_many``) form a term only where it can reach the sum
-    (``_block_value_logs``); the derivative entry points form every term
-    (``_block_derivatives``).
+    (``_block_value_logs``), and ``max_log_many`` only in the columns that
+    can reach the maximum (``_block_max_log``); the derivative entry points
+    form every term (``_block_derivatives``).
     """
 
     def __init__(self, product: CanonicalProduct, targets: TargetData,
@@ -311,6 +313,8 @@ class Interpolant:
         scale = (2.0 * (len(self.exponents) + 2) * (746.0 + q_cap)
                  + 80.0 * float(self.exponents.max(initial=0)))
         self._cut = 760.0 + 2.0 * q_cap if scale <= 2.0 ** 44 else math.inf
+        # Q_s + 1/4 + 1, the pad of a column's upper bound (``_block_max_log``)
+        self._column_pad = q_cap + 1.25
 
     @property
     def sequence(self) -> DiscSequence:
@@ -387,24 +391,81 @@ class Interpolant:
         keeps every cell; a bound of -inf is a term of -inf.  Points with
         np.abs(z) >= 1 or NaN keep every cell.
 
-        When more than half the cells are live, every term is formed, as
-        the gathers would cost more than they save.
+        *Column bound* (``_block_max_log``).  Let T be a column's largest
+        bound and n_live its count of live cells; its M is at most
+        T + Q_s + 1/4.  Each shifted exp has modulus at most 1 + 2 eps, and
+        the pairwise sum of the n_live nonzero ones is within
+        (20 + log2 n_live) eps of the sum of their moduli
+        (``logsumexp_complex``), so the computed Re log f is at most
+        T + Q_s + 1/4 + log(n_live), give or take the roundings of that sum,
+        its log and the final addition, a few eps X each.  So the computed
+        UB = T + Q_s + 1/4 + log(n_live) + 1 exceeds the column's computed
+        Re log f, and a column whose UB is below the computed Re log f of
+        another does not hold the largest.  Nor does it hold a NaN, which
+        np.max would keep: that needs a term with a finite real and a
+        non-finite imaginary part.  In the disc A, q(A) and Im log B_n(z)
+        are finite, and so is Im c_n unless Re c_n is NaN or +inf, which
+        makes every bound of its row NaN or +inf, and so UB too.  The
+        bound needs the cut's budget and np.abs(z) < 1: past X > 2^44, or
+        at np.abs(z) >= 1 or NaN, no column is skipped.
+        """
+        live, _, logB, A, logP = self._live_block(zb)
+        return self._live_sums(live, logB, A), logP
+
+    def _live_block(self, zb: np.ndarray) -> tuple[np.ndarray, ...]:
+        """One factor pass at a block: (live mask, largest bound per column, log B_n(z), A, log P).
+
+        The mask is the bound and cut of ``_block_value_logs``.  The terms
+        need only log B_n(z) and A, so the bound, 1 - A and D are freed on
+        return, before any term is formed.
         """
         parts = self._assemble(zb)
-        logB, D, A, logP = parts["logB"], parts["D"], parts["A"], parts["logP"]
+        logB, D = parts["logB"], parts["D"]
         with np.errstate(divide="ignore", invalid="ignore"):
             bound = (logB.real + self._bound_rows[:, None]
                      - self._half_s[:, None] * np.log(D.real ** 2 + D.imag ** 2))
-            floor = np.where(np.abs(zb) < 1.0,
-                             bound.max(axis=0, initial=LOG_ZERO) - self._cut, LOG_ZERO)
-        live = ~(bound < floor)
-        # the terms need only log B_n(z) and A: free the bound, 1 - A and D first
-        del bound, parts, D
+            top = bound.max(axis=0, initial=LOG_ZERO)
+            floor = np.where(np.abs(zb) < 1.0, top - self._cut, LOG_ZERO)
+        return ~(bound < floor), top, logB, parts["A"], parts["logP"]
+
+    def _live_sums(self, live: np.ndarray, logB: np.ndarray, A: np.ndarray) -> np.ndarray:
+        """log f per column from its live terms, each column on its own.
+
+        When more than half the cells are live, every term is formed, as
+        the gathers would cost more than they save.
+        """
         if 2 * np.count_nonzero(live) > live.size:
-            return logsumexp_complex(self._term_logs(np.s_[:, None], logB, A)), logP
+            return logsumexp_complex(self._term_logs(np.s_[:, None], logB, A))
         terms = np.full(live.shape, complex(LOG_ZERO, 0.0))
         terms[live] = self._term_logs(live.nonzero()[0], logB[live], A[live])
-        return logsumexp_complex(terms), logP
+        return logsumexp_complex(terms)
+
+    def _block_max_log(self, zb: np.ndarray, best: float) -> float:
+        """max(best, the largest Re log f at a block of points), as np.max gives it.
+
+        Terms are formed only in the columns whose upper bound UB (the
+        column bound of ``_block_value_logs``) is not below the running
+        maximum.  The column of the largest UB is formed first, to raise it.
+        A column at X > 2^44, at np.abs(z) >= 1 or NaN, or with a NaN UB
+        is always formed.  The kept columns are copied, unless every column
+        is kept: then the whole block is formed, that first column again.
+        """
+        live, top, logB, A, _ = self._live_block(zb)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ub = top + self._column_pad + np.log(np.count_nonzero(live, axis=0))
+        ub[(self._cut == math.inf) | ~(np.abs(zb) < 1.0)] = math.inf
+        if np.all(ub < best):
+            return best
+        k = int(np.argmax(ub))  # the largest UB, or the first NaN one
+        first = np.s_[:, k:k + 1]
+        best = np.maximum(best, self._live_sums(live[first], logB[first], A[first])[0].real)
+        keep = ~(ub < best)
+        if not keep.all():
+            keep[k] = False
+            if not keep.any():
+                return best
+            live, logB, A = live[:, keep], logB[:, keep], A[:, keep]
+        return np.maximum(best, self._live_sums(live, logB, A).real.max())
 
     def _value_logs(self, z) -> tuple[np.ndarray, np.ndarray]:
         """(log f, log P) at a batch of points, in column blocks."""
@@ -457,6 +518,22 @@ class Interpolant:
 
     def eval_log_many(self, z) -> np.ndarray:
         return self._value_logs(z)[0]
+
+    def max_log_many(self, z) -> float:
+        """The largest Re log f over a batch, bit for bit np.max of ``eval_log_many(z).real``.
+
+        The blocks share a running maximum, so a block forms terms only in
+        the columns that can reach it (``_block_max_log``).  An empty batch
+        gives -inf.
+        """
+        zb = _batch(z)
+        best = LOG_ZERO
+
+        def block(b):
+            nonlocal best
+            best = self._block_max_log(zb[b], best)
+            return np.array([best])
+        return float(self.product._blockwise(len(zb), block).max())
 
     def derivative_many(self, z) -> np.ndarray:
         """f' at a batch of points away from the nodes."""
@@ -524,23 +601,27 @@ class GrowthTable:
 def growth_report(interp: Interpolant, r_grid: Sequence[float], theta_count: int) -> GrowthTable:
     """Maximum modulus of the interpolant on circles, against its ladder's psi_tilde.
 
+    ln M(r, f) is the largest Re log f on the ring's points, from
+    ``Interpolant.max_log_many``: terms are formed only in the ring's
+    columns whose proven upper bound can reach the running maximum, and the
+    value equals the largest of ``eval_log_many`` on the ring, bit for bit.
     The ratio column is ln M(r, f) / psi_tilde(1/(1-r)); rows where f
     vanishes identically carry -inf and a NaN ratio.
     """
     if not all(0 < r < 1 for r in r_grid):
         raise InterpolationError("growth radii must lie in (0, 1)")
-    return _ring_growth_table(interp.eval_log_many, interp.ladder.gf, r_grid, theta_count)
+    return _ring_growth_table(interp.max_log_many, interp.ladder.gf, r_grid, theta_count)
 
 
-def _ring_growth_table(log_many, gf: GrowthFunction, r_grid: Sequence[float],
+def _ring_growth_table(max_many, gf: GrowthFunction, r_grid: Sequence[float],
                        theta_count: int) -> GrowthTable:
-    """Rows of max Re log_many on theta_count points of each circle |z| = r."""
+    """Rows of max_many, the largest Re log of a batch, on theta_count points of each circle |z| = r."""
     rows = []
     thetas = 2.0 * math.pi * np.arange(theta_count) / theta_count
     ring = np.exp(1j * thetas)
     denoms = gf.psi_tilde(1.0 / (1.0 - np.asarray(r_grid, dtype=float)))
     for r, denom in zip(r_grid, denoms.tolist()):
-        ln_max = float(np.max(log_many(r * ring).real))
+        ln_max = float(max_many(r * ring))
         ratio = ln_max / denom if (math.isfinite(ln_max) and denom > 0) else float("nan")
         rows.append(GrowthRow(float(r), ln_max, denom, ratio))
     return GrowthTable(tuple(rows))

@@ -272,8 +272,8 @@ class OscillationSolution:
         """ln max |a| on circles against psi_tilde, fully in log space."""
         if not all(0 < r < 1 for r in r_grid):
             raise OscillationError("growth radii must lie in (0, 1)")
-        return _ring_growth_table(self.coefficient_log_many, self.gprime.ladder.gf, r_grid,
-                                  theta_count)
+        return _ring_growth_table(lambda z: self.coefficient_log_many(z).real.max(),
+                                  self.gprime.ladder.gf, r_grid, theta_count)
 
 
 def build_coefficient(seq: DiscSequence, gf: GrowthFunction, C0: float) -> OscillationSolution:

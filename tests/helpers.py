@@ -28,8 +28,9 @@ FAMILY_CYCLE = (
 
 # Malformed config fields by case name, each refused while the config is read:
 # the wrong type for the sequence, growth and targets objects, a non-integral
-# number or a boolean for an integer field, and growth objects whose param is a
-# boolean or missing.
+# number or a boolean for an integer field, growth objects whose param is a
+# boolean or missing, and a numeric string or a boolean for a float field or
+# list entry.
 MALFORMED_FIELDS = {
     **{f"{key}-{value}": {key: value}
        for key in ("sequence", "growth", "targets") for value in ("abc", 5, True)},
@@ -37,6 +38,13 @@ MALFORMED_FIELDS = {
        for key in ("theta_count", "residual_samples", "seed") for value in (2.5, True)},
     "growth.param-True": {"growth": {"family": "power", "param": True}},
     "growth.param-missing": {"growth": {"family": "power"}},
+    "C0-str": {"C0": "8"},
+    "eps0-str": {"eps0": "0.1"},
+    "r_grid-str": {"r_grid": [0.5, "0.9"]},
+    "growth.param-str": {"growth": {"family": "power", "param": "1.0"}},
+    "sequence.rho-str": {"sequence": {"kind": "sharpness_pairs", "rho": "1.0", "n_max": 4}},
+    "sequence.radii-str": {"sequence": {"kind": "radial", "radii": ["0.4"]}},
+    "sequence.points-False": {"sequence": [[0.4, 0.1], [0.2, False]]},
 }
 
 

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -144,6 +146,18 @@ class TestMalformedFields:
 
 
 class TestRunScenario:
+    @pytest.mark.parametrize("name", ["interpolate", "growth_curve"])
+    def test_growth_rows_are_the_largest_ring_values(self, tmp_path, monkeypatch, name):
+        # growth.csv from the pruned ring maxima (Interpolant.max_log_many)
+        # equals the one from every ring value, np.max of eval_log_many, byte for byte
+        path = os.path.join(CONFIG_DIR, f"{name}.json")
+        assert run_scenario(path, str(tmp_path / "pruned")) == EXIT_OK
+        monkeypatch.setattr(Interpolant, "max_log_many",
+                            lambda self, z: np.max(self.eval_log_many(z).real))
+        assert run_scenario(path, str(tmp_path / "every")) == EXIT_OK
+        pruned, every = (tmp_path / d / "growth.csv" for d in ("pruned", "every"))
+        assert pruned.read_bytes() == every.read_bytes()
+
     def test_interpolate_writes_artifacts(self, tmp_path):
         cfg = write_config(tmp_path, "a.json", BASE_INTERP)
         out = str(tmp_path / "out")
@@ -419,6 +433,22 @@ class TestRunScenario:
         assert re.match(r"numeric failure: ladder length \d+ outside \[1, 2\^53\)",
                         capsys.readouterr().out)
         assert not os.path.exists(out)
+
+    def test_overflowing_psi_prints_nothing_on_stderr(self, tmp_path):
+        # psi and psi_tilde of power(3000) overflow to inf before the ladder
+        # refuses the config by its length; the overflow is quiet, so the run
+        # prints its exit message and no numpy RuntimeWarning
+        cfg = write_config(tmp_path, "rho.json", {
+            "task": "interpolate", "sequence": {"kind": "radial", "radii": [0.5, 0.7]},
+            "growth": {"family": "power", "param": 3e3}, "C0": 2.0})
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "discinterp.cli", "interpolate", "--config", cfg,
+             "--out", str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (EXIT_NUMERIC, "")
+        assert re.match(r"numeric failure: ladder length \d+ outside \[1, 2\^53\)", proc.stdout)
 
     @pytest.mark.parametrize("task", ["interpolate", "growth-curve", "oscillate"])
     def test_unallocatable_theta_count_exits_4(self, tmp_path, capsys, task):

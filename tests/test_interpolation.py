@@ -714,9 +714,10 @@ def _same_bits(a, b) -> bool:
 
 
 def _assert_dense_bits(f, z):
-    """The value entry points equal the dense oracle bit for bit at z."""
+    """The value entry points and the ring maximum equal the dense oracle bit for bit at z."""
     log_f, log_P = dense_value_logs(f, z)
     assert _same_bits(f.eval_log_many(z), log_f)
+    assert _same_bits(f.max_log_many(z), np.max(log_f.real))
     vals, got_log_P = f.eval_and_log_P_many(z)
     assert _same_bits(got_log_P, log_P)
     with np.errstate(over="ignore"):
@@ -758,34 +759,37 @@ class TestLiveTerms:
             tracemalloc.stop()
         assert buffer <= peak < 2 * buffer
 
-    def test_full_value_blocks_hold_at_most_eight_matrices(self, spiral_interpolants,
-                                                           monkeypatch):
+    def test_full_value_blocks_hold_at_most_eight_matrices(self, spiral_interpolants):
         # log B_n(z) is formed in the factor logs' buffer and the terms are
         # summed in place, after the bound, 1 - A and D are freed: a full-width
         # block of the growth rings holds at most 8 N x W complex matrices
-        # (about 7, the factor pass's own peak)
-        block_value_logs, peaks = Interpolant._block_value_logs, []
-
-        def measured(self, zb):
-            start = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            out = block_value_logs(self, zb)
-            matrix = len(self.sequence) * len(zb) * np.dtype(complex).itemsize
-            peaks.append((len(zb), (tracemalloc.get_traced_memory()[1] - start) / matrix))
-            return out
-
-        monkeypatch.setattr(Interpolant, "_block_value_logs", measured)
-        tracemalloc.start()
-        try:
-            for f in spiral_interpolants.values():
-                for r in (0.5, 0.9, 0.99, 0.999):
-                    f.eval_log_many(_ring(r))
-        finally:
-            tracemalloc.stop()
+        # (about 7, the factor pass's own peak), on the value path and on the
+        # ring-maximum path, which copies only the kept columns
         widest = products._BLOCK_CELLS // len(next(iter(spiral_interpolants.values())).sequence)
-        full = [p for width, p in peaks if width == widest]
-        assert len(full) == 3 * 4 * 3
-        assert max(full) <= 8.0
+        for block, entry in (("_block_value_logs", "eval_log_many"),
+                             ("_block_max_log", "max_log_many")):
+            block_fn, peaks = getattr(Interpolant, block), []
+
+            def measured(self, zb, *rest):
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                out = block_fn(self, zb, *rest)
+                matrix = len(self.sequence) * len(zb) * np.dtype(complex).itemsize
+                peaks.append((len(zb), (tracemalloc.get_traced_memory()[1] - start) / matrix))
+                return out
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(Interpolant, block, measured)
+                tracemalloc.start()
+                try:
+                    for f in spiral_interpolants.values():
+                        for r in (0.5, 0.9, 0.99, 0.999):
+                            getattr(f, entry)(_ring(r))
+                finally:
+                    tracemalloc.stop()
+            full = [p for width, p in peaks if width == widest]
+            assert len(full) == 3 * 4 * 3
+            assert max(full) <= 8.0, block
 
     @staticmethod
     def live_cells(monkeypatch, f, z):
@@ -815,6 +819,94 @@ class TestLiveTerms:
         f.eval_log_many(z)
         monkeypatch.undo()
         return seen
+
+    @staticmethod
+    def formed_columns(f, z) -> set:
+        """The columns of z in which ``f.max_log_many(z)`` formed terms (``_term_logs``).
+
+        A column is found by its A_n(z) values, as in ``live_cells``: each
+        column of a dense call, the column of each cell of a flat one.
+        """
+        blocks, formed = [], set()
+        assemble, term_logs = Interpolant._assemble, Interpolant._term_logs
+
+        def same(a, b):
+            return (a == b) | (np.isnan(a) & np.isnan(b))
+
+        def record_block(self, zb):
+            parts = assemble(self, zb)
+            blocks.append((parts["A"], sum(A.shape[1] for A, _ in blocks)))
+            return parts
+
+        def record_terms(self, rows, logB, A):
+            block_A, start = blocks[-1]
+            if isinstance(rows, np.ndarray):
+                hit = same(block_A[rows], A[:, None])
+            else:
+                hit = same(block_A[:, None, :], A[:, :, None]).all(axis=0)
+            assert np.all(hit.sum(axis=1) == 1)
+            formed.update((start + hit.argmax(axis=1)).tolist())
+            return term_logs(self, rows, logB, A)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Interpolant, "_assemble", record_block)
+            mp.setattr(Interpolant, "_term_logs", record_terms)
+            f.max_log_many(z)
+        return formed
+
+    @pytest.mark.parametrize("family", [g.family for g in SPIRAL_FAMILIES])
+    def test_ring_maximum_forms_few_columns_near_the_boundary(self, spiral_interpolants, family):
+        # at r = 0.999 every column but a few has its upper bound below the
+        # ring's maximum: terms are formed in at most 10% of the columns
+        # (2, 3 and 5 of 256 with these targets)
+        f, z = spiral_interpolants[family], _ring(0.999)
+        assert len(self.formed_columns(f, z)) <= 0.1 * len(z)
+
+    def test_ring_maximum_without_the_cut_forms_every_column(self, spiral_interpolants):
+        # past the cut's rounding budget (X > 2^44) the column bound is not
+        # proven, so no column is skipped
+        f, z = spiral_interpolants["power"], _ring(0.999)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(f, "_cut", math.inf)
+            assert self.formed_columns(f, z) == set(range(len(z)))
+            got = f.max_log_many(z)
+        assert _same_bits(got, np.max(f.eval_log_many(z).real))
+
+    def test_ring_maximum_forms_the_points_off_the_disc(self, spiral_interpolants):
+        # the column bound needs np.abs(z) < 1: a NaN point and points on and
+        # outside the circle are always formed.  A NaN point's log f is
+        # -inf + 0j (its column maximum is NaN), so it does not hold the maximum.
+        f = spiral_interpolants["exp_log_power"]
+        z = _ring(0.999)
+        off = [10, 100, 200]
+        z[off] = [complex(math.nan, 0.0), 1.0, 1.5j]
+        with np.errstate(invalid="ignore"):
+            assert set(off) <= self.formed_columns(f, z)
+            log_f, got = f.eval_log_many(z), f.max_log_many(z)
+        assert np.isneginf(log_f[10].real)
+        assert _same_bits(got, np.max(log_f.real))
+        assert f.max_log_many(np.array([], dtype=complex)) == -math.inf
+
+    @pytest.mark.parametrize("col", [0, 255])
+    def test_ring_maximum_keeps_a_nan(self, spiral_interpolants, col):
+        # np.max keeps a NaN, and so must the running maximum, in the first
+        # block and in the last.  A column off the disc is always formed;
+        # there a NaN imaginary part of log B_n(z) makes log f NaN
+        f, z = spiral_interpolants["power"], _ring(0.99)
+        z[col] = 1.5
+        assemble = Interpolant._assemble
+
+        def nan_off_the_disc(self, zb):
+            parts = assemble(self, zb)
+            parts["logB"][:, ~(np.abs(zb) < 1.0)] += complex(0.0, math.nan)
+            return parts
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Interpolant, "_assemble", nan_off_the_disc)
+            with np.errstate(invalid="ignore"):
+                log_f, got = f.eval_log_many(z), f.max_log_many(z)
+        assert np.flatnonzero(np.isnan(log_f)).tolist() == [col]
+        assert math.isnan(got) and math.isnan(np.max(log_f.real))
 
     @pytest.mark.parametrize("family", [g.family for g in SPIRAL_FAMILIES])
     @pytest.mark.parametrize("r", [0.5, 0.9, 0.99, 0.999])
