@@ -24,8 +24,9 @@ Every entry point takes its points in the column blocks of
 points form only the live terms, those whose real upper bound is within a
 proven cut of the column's largest, since every other term adds an exact
 zero to the shifted sum; the results equal forming every term, bit for bit.
-The ring maximum forms terms only in the columns whose proven upper bound
-reaches the running maximum.  The derivative entry points form every term.
+The ring maxima take all rings as the rows of one batch and form terms only
+in the columns whose proven upper bound reaches their own row's running
+maximum.  The derivative entry points form every term.
 """
 
 from __future__ import annotations
@@ -287,8 +288,8 @@ class Interpolant:
     value entry points (``eval_many``, ``eval_and_log_P_many``,
     ``eval_log_many``) form a term only where it can reach the sum
     (``_block_value_logs``), and ``max_log_many`` only in the columns that
-    can reach the maximum (``_block_max_log``); the derivative entry points
-    form every term (``_block_derivatives``).
+    can reach their row's maximum (``_block_max_log``); the derivative
+    entry points form every term (``_block_derivatives``).
     """
 
     def __init__(self, product: CanonicalProduct, targets: TargetData,
@@ -408,6 +409,15 @@ class Interpolant:
         makes every bound of its row NaN or +inf, and so UB too.  The
         bound needs the cut's budget and np.abs(z) < 1: past X > 2^44, or
         at np.abs(z) >= 1 or NaN, no column is skipped.
+
+        *Per row.*  ``max_log_many`` keeps one running maximum per row of
+        its batch.  A column's UB reads only its own cells (T and n_live),
+        not the block or the other rows in it, and the argument above
+        compares it with the computed Re log f of any other column, so
+        also with those of its own row: a column whose UB is below its
+        row's running maximum holds neither that row's largest value nor a
+        NaN.  So the largest over the formed columns of a row is np.max of
+        the row, bit for bit, whatever the other rows of the batch hold.
         """
         live, _, logB, A, logP = self._live_block(zb)
         return self._live_sums(live, logB, A), logP
@@ -440,32 +450,41 @@ class Interpolant:
         terms[live] = self._term_logs(live.nonzero()[0], logB[live], A[live])
         return logsumexp_complex(terms)
 
-    def _block_max_log(self, zb: np.ndarray, best: float) -> float:
-        """max(best, the largest Re log f at a block of points), as np.max gives it.
+    def _block_max_log(self, zb: np.ndarray, rows: np.ndarray, best: np.ndarray) -> np.ndarray:
+        """Raise best, the rows' running maxima, by a block's points; best at each point's row.
 
-        Terms are formed only in the columns whose upper bound UB (the
-        column bound of ``_block_value_logs``) is not below the running
-        maximum.  The column of the largest UB is formed first, to raise it.
-        A column at X > 2^44, at np.abs(z) >= 1 or NaN, or with a NaN UB
-        is always formed.  The kept columns are copied, unless every column
-        is kept: then the whole block is formed, that first column again.
+        ``rows`` is the row of each point, nondecreasing.  Terms are formed
+        only in the columns whose upper bound UB (the column bound of
+        ``_block_value_logs``) is not below their own row's maximum.  Each
+        present row's column of largest UB (its first NaN one, as np.argmax
+        takes) is formed first, to raise that row's maximum, unless its UB
+        is below it already.  A column at X > 2^44, at np.abs(z) >= 1 or
+        NaN, or with a NaN UB is always formed.  The kept columns are
+        copied, unless every column is kept: then the whole block is
+        formed, those first columns again.  np.maximum keeps a NaN, as
+        np.max does.
         """
         live, top, logB, A, _ = self._live_block(zb)
         with np.errstate(divide="ignore", invalid="ignore"):
             ub = top + self._column_pad + np.log(np.count_nonzero(live, axis=0))
         ub[(self._cut == math.inf) | ~(np.abs(zb) < 1.0)] = math.inf
-        if np.all(ub < best):
-            return best
-        k = int(np.argmax(ub))  # the largest UB, or the first NaN one
-        first = np.s_[:, k:k + 1]
-        best = np.maximum(best, self._live_sums(live[first], logB[first], A[first])[0].real)
-        keep = ~(ub < best)
-        if not keep.all():
-            keep[k] = False
-            if not keep.any():
-                return best
-            live, logB, A = live[:, keep], logB[:, keep], A[:, keep]
-        return np.maximum(best, self._live_sums(live, logB, A).real.max())
+        # the block's rows are consecutive: seg numbers them from 0
+        seg = rows - rows[:1]
+        starts = np.flatnonzero(np.diff(seg, prepend=-1))
+        row_ub = np.maximum.reduceat(ub, starts)
+        tops = np.flatnonzero((ub == row_ub[seg]) | np.isnan(ub))
+        first = tops[np.searchsorted(tops, starts)][~(row_ub < best[rows[starts]])]
+        if first.size:
+            r = rows[first]
+            best[r] = np.maximum(best[r], self._live_sums(live[:, first], logB[:, first],
+                                                          A[:, first]).real)
+            keep = ~(ub < best[rows])
+            if not keep.all():
+                keep[first] = False
+                live, logB, A = live[:, keep], logB[:, keep], A[:, keep]
+            if keep.any():
+                np.maximum.at(best, rows[keep], self._live_sums(live, logB, A).real)
+        return best[rows]
 
     def _value_logs(self, z) -> tuple[np.ndarray, np.ndarray]:
         """(log f, log P) at a batch of points, in column blocks."""
@@ -519,21 +538,23 @@ class Interpolant:
     def eval_log_many(self, z) -> np.ndarray:
         return self._value_logs(z)[0]
 
-    def max_log_many(self, z) -> float:
-        """The largest Re log f over a batch, bit for bit np.max of ``eval_log_many(z).real``.
+    def max_log_many(self, z) -> np.ndarray:
+        """Each row's largest Re log f in a 2-D batch, bit for bit np.max of its ``eval_log_many``.
 
-        The blocks share a running maximum, so a block forms terms only in
-        the columns that can reach it (``_block_max_log``).  An empty batch
-        gives -inf.
+        The rows (a 1-D batch is one row) run as one batch through
+        ``_blockwise``, and each row keeps its running maximum across the
+        blocks, so a block forms terms only in the columns that can reach
+        their own row's maximum (``_block_max_log``).  An empty row gives -inf.
         """
-        zb = _batch(z)
-        best = LOG_ZERO
+        zb = np.atleast_2d(np.asarray(z, dtype=complex))
+        best = np.full(len(zb), LOG_ZERO)
+        flat, rows = zb.ravel(), np.arange(len(zb)).repeat(zb.shape[1])
 
         def block(b):
-            nonlocal best
-            best = self._block_max_log(zb[b], best)
-            return np.array([best])
-        return float(self.product._blockwise(len(zb), block).max())
+            return self._block_max_log(flat[b], rows[b], best)
+        # each point's row maximum after its block: a row's last block holds the final one
+        seen = self.product._blockwise(len(flat), block)
+        return seen.reshape(zb.shape).max(axis=1, initial=LOG_ZERO)
 
     def derivative_many(self, z) -> np.ndarray:
         """f' at a batch of points away from the nodes."""
@@ -601,10 +622,11 @@ class GrowthTable:
 def growth_report(interp: Interpolant, r_grid: Sequence[float], theta_count: int) -> GrowthTable:
     """Maximum modulus of the interpolant on circles, against its ladder's psi_tilde.
 
-    ln M(r, f) is the largest Re log f on the ring's points, from
-    ``Interpolant.max_log_many``: terms are formed only in the ring's
-    columns whose proven upper bound can reach the running maximum, and the
-    value equals the largest of ``eval_log_many`` on the ring, bit for bit.
+    ln M(r, f) is the largest Re log f on the ring's points, from one
+    ``Interpolant.max_log_many`` call with a row per ring: terms are formed
+    only in the columns whose proven upper bound can reach their ring's
+    running maximum, and each value equals the largest of ``eval_log_many``
+    on its ring, bit for bit.
     The ratio column is ln M(r, f) / psi_tilde(1/(1-r)); rows where f
     vanishes identically carry -inf and a NaN ratio.
     """
@@ -615,15 +637,18 @@ def growth_report(interp: Interpolant, r_grid: Sequence[float], theta_count: int
 
 def _ring_growth_table(max_many, gf: GrowthFunction, r_grid: Sequence[float],
                        theta_count: int) -> GrowthTable:
-    """Rows of max_many, the largest Re log of a batch, on theta_count points of each circle |z| = r."""
-    rows = []
+    """Rows of max_many, the largest Re log per row of a 2-D batch, at theta_count points a circle.
+
+    The circles |z| = r are the rows of one batch, so max_many is called once.
+    """
+    radii = np.asarray(r_grid, dtype=float)
     thetas = 2.0 * math.pi * np.arange(theta_count) / theta_count
-    ring = np.exp(1j * thetas)
-    denoms = gf.psi_tilde(1.0 / (1.0 - np.asarray(r_grid, dtype=float)))
-    for r, denom in zip(r_grid, denoms.tolist()):
-        ln_max = float(max_many(r * ring))
+    ln_maxes = max_many(radii[:, None] * np.exp(1j * thetas))
+    denoms = gf.psi_tilde(1.0 / (1.0 - radii))
+    rows = []
+    for r, ln_max, denom in zip(radii.tolist(), ln_maxes.tolist(), denoms.tolist()):
         ratio = ln_max / denom if (math.isfinite(ln_max) and denom > 0) else float("nan")
-        rows.append(GrowthRow(float(r), ln_max, denom, ratio))
+        rows.append(GrowthRow(r, ln_max, denom, ratio))
     return GrowthTable(tuple(rows))
 
 

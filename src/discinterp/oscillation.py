@@ -68,7 +68,8 @@ _w8 = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
 _PANEL_TS, _PANEL_WEIGHTS = 0.5 * (_x8 + 1.0), 0.5 * _w8
 # points per residual sample: the stencil, then a panel on each of its 6 sub-segments
 _SAMPLE_POINTS = len(_STENCIL) + (len(_STENCIL) - 1) * len(_PANEL_TS)
-# points per sample chunk of residual_report, which bounds its per-point arrays
+# fewest points per sample chunk of residual_report: a chunk holds
+# max(EVAL_BLOCK, one column block's width) points, which bounds its per-point arrays
 EVAL_BLOCK = 1024
 # zero_counts' nested trapezoid rule: first and largest point counts per
 # circle, and the constant C of its roundoff floor C eps sum|w dz| / (2 pi)
@@ -122,7 +123,9 @@ class OscillationSolution:
     def _coefficient(self, z) -> tuple[np.ndarray, ...]:
         """(a, h, P'/P, (P'/P)') from one factor pass; a = -P''/P - 2 h P'/P - h^2 - h'."""
         h, hp, _, _, lp, lp2 = self.gprime.eval_and_derivative_many(z)
-        return -(lp**2 + lp2) - 2.0 * h * lp - h**2 - hp, h, lp, lp2
+        # an overflowed h gives a non-finite a, which the caller counts
+        with np.errstate(over="ignore", invalid="ignore"):
+            return -(lp**2 + lp2) - 2.0 * h * lp - h**2 - hp, h, lp, lp2
 
     def coefficient_log_many(self, z) -> np.ndarray:
         """Complex log of a(z), term by term; survives radii where h overflows doubles."""
@@ -171,17 +174,19 @@ class OscillationSolution:
 
         z0 = np.asarray(zs)
         a0, step = self._stencil_steps(z0, np.asarray(gaps))
-        chunk = EVAL_BLOCK // _SAMPLE_POINTS
+        chunk = max(EVAL_BLOCK, products._block_width(len(nodes))) // _SAMPLE_POINTS
         residuals = np.empty(n_samples)
         for lo in range(0, n_samples, chunk):
             zc, hc = z0[lo:lo + chunk], step[lo:lo + chunk]
             log_P, dg = self._g_increments(zc, hc)
             with np.errstate(over="ignore"):
                 f_loc = np.exp(log_P) * np.exp(dg)
-            fd_second = (_FD7 * f_loc).sum(axis=1) / hc**2
             ac, f0 = a0[lo:lo + chunk], f_loc[:, 3]
-            residuals[lo:lo + chunk] = np.abs(fd_second + ac * f0) / (
-                np.abs(fd_second) + np.abs(ac) * np.abs(f0) + 1e-300)
+            # a non-finite sample or a zero step gives a NaN residual, which the caller counts
+            with np.errstate(divide="ignore", invalid="ignore"):
+                fd_second = (_FD7 * f_loc).sum(axis=1) / hc**2
+                residuals[lo:lo + chunk] = np.abs(fd_second + ac * f0) / (
+                    np.abs(fd_second) + np.abs(ac) * np.abs(f0) + 1e-300)
         return ResidualReport(points=tuple(zs), residuals=tuple(residuals.tolist()))
 
     def _stencil_steps(self, z0: np.ndarray, gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -243,8 +248,10 @@ class OscillationSolution:
         """
         n = WINDING_START
         terms = self._circle_terms(centers, radii, 2.0 * math.pi * np.arange(n) / n)
-        total, size = terms.sum(axis=1), np.abs(terms).sum(axis=1)
-        counts, previous = total / n, terms[:, ::2].sum(axis=1) / (n // 2)
+        # a non-finite count is kept, for the caller to count
+        with np.errstate(invalid="ignore"):
+            total, size = terms.sum(axis=1), np.abs(terms).sum(axis=1)
+            counts, previous = total / n, terms[:, ::2].sum(axis=1) / (n // 2)
         points = np.full(len(centers), n)
         idx = np.arange(len(centers))
         while True:
@@ -266,14 +273,16 @@ class OscillationSolution:
         ring = centers[:, None] + radii[:, None] * np.exp(1j * thetas)
         z = ring.ravel()
         w = self.product.log_deriv_P_many(z) + self.gprime.eval_many(z)
-        return w.reshape(ring.shape) * (ring - centers[:, None])
+        with np.errstate(invalid="ignore"):  # an overflowed h gives a non-finite term
+            return w.reshape(ring.shape) * (ring - centers[:, None])
 
     def growth_a_report(self, r_grid: Sequence[float], theta_count: int) -> GrowthTable:
-        """ln max |a| on circles against psi_tilde, fully in log space."""
+        """ln max |a| on circles against psi_tilde, fully in log space, all circles in one batch."""
         if not all(0 < r < 1 for r in r_grid):
             raise OscillationError("growth radii must lie in (0, 1)")
-        return _ring_growth_table(lambda z: self.coefficient_log_many(z).real.max(),
-                                  self.gprime.ladder.gf, r_grid, theta_count)
+        return _ring_growth_table(
+            lambda z: self.coefficient_log_many(z.ravel()).real.reshape(z.shape).max(axis=1),
+            self.gprime.ladder.gf, r_grid, theta_count)
 
 
 def build_coefficient(seq: DiscSequence, gf: GrowthFunction, C0: float) -> OscillationSolution:

@@ -122,11 +122,16 @@ def _column_blocks(n_points: int, n_nodes: int) -> list[slice]:
     block before it: numpy sums an (N, 1) column pairwise, but a wider block
     row by row, so a width-1 block would round its column sums differently.
     """
-    width = max(2, _BLOCK_CELLS // max(n_nodes, 1))
+    width = _block_width(n_nodes)
     edges = list(range(width, n_points, width))
     if edges and n_points - edges[-1] == 1:
         edges.pop()
     return [slice(a, b) for a, b in zip([0] + edges, edges + [n_points])]
+
+
+def _block_width(n_nodes: int) -> int:
+    """Points per column block of a pass over n_nodes nodes (``_column_blocks``)."""
+    return max(2, _BLOCK_CELLS // max(n_nodes, 1))
 
 
 def _poly_q(A: np.ndarray, s: int) -> np.ndarray:
@@ -283,7 +288,8 @@ class CanonicalProduct:
         oms = self._oms[:, None]
         gap = self._zn_conj[:, None] * (self._zn[:, None] - z[None, :])
         D = oms + gap
-        return 1.0 / (1.0 + gap / oms), gap / D, D
+        with np.errstate(invalid="ignore"):  # a NaN point gives NaN cells
+            return 1.0 / (1.0 + gap / oms), gap / D, D
 
     def _factors(self, z: np.ndarray):
         """(log E(A, s), A, one_minus_A, D) at a batch of points, as _geometry."""

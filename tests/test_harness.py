@@ -148,12 +148,13 @@ class TestMalformedFields:
 class TestRunScenario:
     @pytest.mark.parametrize("name", ["interpolate", "growth_curve"])
     def test_growth_rows_are_the_largest_ring_values(self, tmp_path, monkeypatch, name):
-        # growth.csv from the pruned ring maxima (Interpolant.max_log_many)
-        # equals the one from every ring value, np.max of eval_log_many, byte for byte
+        # growth.csv from the pruned ring maxima (Interpolant.max_log_many, a
+        # row per ring) equals the one from every ring value, np.max of each
+        # row of eval_log_many, byte for byte
         path = os.path.join(CONFIG_DIR, f"{name}.json")
         assert run_scenario(path, str(tmp_path / "pruned")) == EXIT_OK
-        monkeypatch.setattr(Interpolant, "max_log_many",
-                            lambda self, z: np.max(self.eval_log_many(z).real))
+        monkeypatch.setattr(Interpolant, "max_log_many", lambda self, z: np.max(
+            self.eval_log_many(z.ravel()).real.reshape(z.shape), axis=1))
         assert run_scenario(path, str(tmp_path / "every")) == EXIT_OK
         pruned, every = (tmp_path / d / "growth.csv" for d in ("pruned", "every"))
         assert pruned.read_bytes() == every.read_bytes()

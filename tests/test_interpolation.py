@@ -1,7 +1,9 @@
 """Tests for the coefficient ladder and the interpolation series."""
 
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 
 from discinterp import interpolation, products
 from discinterp.geometry import DiscSequence
-from discinterp.harness import generate_targets
+from discinterp.harness import generate_sequence, generate_targets
 from discinterp.growth import GrowthFunction
 from discinterp.interpolation import (
     _MARGIN,
@@ -708,6 +710,16 @@ class TestGrowthReport:
         with pytest.raises(InterpolationError):
             growth_report(f, [0.5, 1.5], 16)
 
+    def test_one_column_block_pass_for_all_radii(self, monkeypatch):
+        # every ring is a row of one max_log_many batch: one _blockwise call
+        seq, targets = lattice_instance(seed=17, gf=GF1, max_points=30)
+        f = build_interpolant(CanonicalProduct(seq, GF1.genus), targets, GF1, 8.0)
+        calls, blockwise = [], CanonicalProduct._blockwise
+        monkeypatch.setattr(CanonicalProduct, "_blockwise",
+                            lambda self, n, block: calls.append(n) or blockwise(self, n, block))
+        growth_report(f, [0.5, 0.9, 0.99, 0.999], 256)
+        assert calls == [4 * 256]
+
 
 def _same_bits(a, b) -> bool:
     return np.array_equal(np.asarray(a).view(float), np.asarray(b).view(float))
@@ -717,7 +729,7 @@ def _assert_dense_bits(f, z):
     """The value entry points and the ring maximum equal the dense oracle bit for bit at z."""
     log_f, log_P = dense_value_logs(f, z)
     assert _same_bits(f.eval_log_many(z), log_f)
-    assert _same_bits(f.max_log_many(z), np.max(log_f.real))
+    assert _same_bits(f.max_log_many(z), np.max(log_f.real, keepdims=True))
     vals, got_log_P = f.eval_and_log_P_many(z)
     assert _same_bits(got_log_P, log_P)
     with np.errstate(over="ignore"):
@@ -727,6 +739,19 @@ def _assert_dense_bits(f, z):
 
 def _ring(r, n=256):
     return r * np.exp(2j * np.pi * np.arange(n) / n)
+
+
+def _rings(radii, n=256):
+    """The circles of ``radii`` as the rows of one batch, as ``growth_report`` forms them."""
+    return np.asarray(radii, dtype=float)[:, None] * np.exp(2j * np.pi * np.arange(n) / n)
+
+
+def _row_maxima(log_f, shape):
+    """np.max of each row of log f's real part, the batch's points laid out in ``shape``."""
+    return np.max(log_f.real.reshape(shape), axis=1, initial=-math.inf)
+
+
+SPIRAL_RADII = (0.5, 0.9, 0.99, 0.999)
 
 
 class TestLiveTerms:
@@ -763,11 +788,13 @@ class TestLiveTerms:
         # log B_n(z) is formed in the factor logs' buffer and the terms are
         # summed in place, after the bound, 1 - A and D are freed: a full-width
         # block of the growth rings holds at most 8 N x W complex matrices
-        # (about 7, the factor pass's own peak), on the value path and on the
-        # ring-maximum path, which copies only the kept columns
+        # (about 7, the factor pass's own peak), on the value path (a call
+        # per ring) and on the ring-maximum path (one call, a row per ring),
+        # which copies only the kept columns
         widest = products._BLOCK_CELLS // len(next(iter(spiral_interpolants.values())).sequence)
-        for block, entry in (("_block_value_logs", "eval_log_many"),
-                             ("_block_max_log", "max_log_many")):
+        for block, entry, batches in (
+                ("_block_value_logs", "eval_log_many", [_ring(r) for r in SPIRAL_RADII]),
+                ("_block_max_log", "max_log_many", [_rings(SPIRAL_RADII)])):
             block_fn, peaks = getattr(Interpolant, block), []
 
             def measured(self, zb, *rest):
@@ -783,11 +810,12 @@ class TestLiveTerms:
                 tracemalloc.start()
                 try:
                     for f in spiral_interpolants.values():
-                        for r in (0.5, 0.9, 0.99, 0.999):
-                            getattr(f, entry)(_ring(r))
+                        for z in batches:
+                            getattr(f, entry)(z)
                 finally:
                     tracemalloc.stop()
             full = [p for width, p in peaks if width == widest]
+            # 3 full blocks of each 256-point ring, or 12 of each 1,024-point batch
             assert len(full) == 3 * 4 * 3
             assert max(full) <= 8.0, block
 
@@ -855,45 +883,92 @@ class TestLiveTerms:
         return formed
 
     @pytest.mark.parametrize("family", [g.family for g in SPIRAL_FAMILIES])
+    def test_ring_maxima_of_a_batch_are_each_rows_maximum(self, spiral_interpolants, family):
+        # the four spiral rings as the rows of one batch: each row's maximum
+        # is np.max of that row of the dense oracle's log f, bit for bit
+        f, z = spiral_interpolants[family], _rings(SPIRAL_RADII)
+        want = _row_maxima(dense_value_logs(f, z.ravel())[0], z.shape)
+        assert _same_bits(f.max_log_many(z), want)
+        assert _same_bits(want, _row_maxima(f.eval_log_many(z.ravel()), z.shape))
+
+    def test_ring_maxima_of_twelve_radii_in_one_block(self):
+        # the 4 nodes of configs/growth_curve.json: 12 rings of 256 points
+        # fit in one column block, so every row shares the block
+        seq = DiscSequence([0.5, 0.6j, -0.4 + 0.2j, 0.7 + 0.35j])
+        gf = GrowthFunction("log_power", 2.0)
+        f = build_interpolant(CanonicalProduct(seq, gf.genus), [1.0, -2.0j, 3.0 + 1.0j, 5.0], gf, 2.0)
+        z = _rings([0.1, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.99, 0.995, 0.999, 0.9995, 0.9999])
+        assert len(products._column_blocks(z.size, len(seq))) == 1
+        assert _same_bits(f.max_log_many(z), _row_maxima(f.eval_log_many(z.ravel()), z.shape))
+
+    def test_ring_maxima_of_rows_that_cross_blocks(self):
+        # the 27 nodes of configs/interpolate.json: blocks of 606 points, so
+        # the third ring starts in the first block and ends in the second
+        with open(Path(__file__).parents[1] / "configs" / "interpolate.json", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        seq = generate_sequence(cfg["sequence"], cfg["seed"])
+        assert len(seq) == 27
+        targets = generate_targets(cfg["targets"], seq, GF1, cfg["seed"])
+        f = build_interpolant(CanonicalProduct(seq, GF1.genus), targets, GF1, cfg["C0"])
+        z = _rings(SPIRAL_RADII)
+        assert [(b.start, b.stop) for b in products._column_blocks(z.size, 27)] == [(0, 606),
+                                                                                    (606, 1024)]
+        assert _same_bits(f.max_log_many(z), _row_maxima(f.eval_log_many(z.ravel()), z.shape))
+
+    @pytest.mark.parametrize("family", [g.family for g in SPIRAL_FAMILIES])
     def test_ring_maximum_forms_few_columns_near_the_boundary(self, spiral_interpolants, family):
-        # at r = 0.999 every column but a few has its upper bound below the
-        # ring's maximum: terms are formed in at most 10% of the columns
-        # (2, 3 and 5 of 256 with these targets)
-        f, z = spiral_interpolants[family], _ring(0.999)
-        assert len(self.formed_columns(f, z)) <= 0.1 * len(z)
+        # at r = 0.999 every column but a few has its upper bound below its
+        # ring's maximum: terms are formed in at most 10% of the columns of
+        # that row of the batch (3, 3 and 5 of 256 with these targets)
+        f, z = spiral_interpolants[family], _rings(SPIRAL_RADII)
+        last = {c - 3 * z.shape[1] for c in self.formed_columns(f, z) if c >= 3 * z.shape[1]}
+        assert 0 < len(last) <= 0.1 * z.shape[1]
+
+    def test_ring_maxima_form_about_a_third_of_the_columns(self, spiral_interpolants):
+        # the four rings of each family as one batch (targets of seed 0) form
+        # terms in 1,112 of their 3,072 columns; a call per ring formed 1,113
+        formed = [len(self.formed_columns(f, _rings(SPIRAL_RADII)))
+                  for f in spiral_interpolants.values()]
+        assert sum(formed) == 1112
 
     def test_ring_maximum_without_the_cut_forms_every_column(self, spiral_interpolants):
         # past the cut's rounding budget (X > 2^44) the column bound is not
-        # proven, so no column is skipped
-        f, z = spiral_interpolants["power"], _ring(0.999)
+        # proven, so no column of any row is skipped
+        f, z = spiral_interpolants["power"], _rings(SPIRAL_RADII)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(f, "_cut", math.inf)
-            assert self.formed_columns(f, z) == set(range(len(z)))
+            assert self.formed_columns(f, z) == set(range(z.size))
             got = f.max_log_many(z)
-        assert _same_bits(got, np.max(f.eval_log_many(z).real))
+        assert _same_bits(got, _row_maxima(f.eval_log_many(z.ravel()), z.shape))
 
     def test_ring_maximum_forms_the_points_off_the_disc(self, spiral_interpolants):
         # the column bound needs np.abs(z) < 1: a NaN point and points on and
-        # outside the circle are always formed.  A NaN point's log f is
+        # outside the circle are always formed, each in its own row's batch;
+        # a row of such points forms every column.  A NaN point's log f is
         # -inf + 0j (its column maximum is NaN), so it does not hold the maximum.
         f = spiral_interpolants["exp_log_power"]
-        z = _ring(0.999)
+        z = _rings([0.999, 0.99, 1.5])
         off = [10, 100, 200]
-        z[off] = [complex(math.nan, 0.0), 1.0, 1.5j]
+        z[0, off] = [complex(math.nan, 0.0), 1.0, 1.5j]
         with np.errstate(invalid="ignore"):
-            assert set(off) <= self.formed_columns(f, z)
-            log_f, got = f.eval_log_many(z), f.max_log_many(z)
+            formed = self.formed_columns(f, z)
+            log_f, got = f.eval_log_many(z.ravel()), f.max_log_many(z)
+        assert set(off) <= formed
+        assert set(range(2 * z.shape[1], z.size)) <= formed
         assert np.isneginf(log_f[10].real)
-        assert _same_bits(got, np.max(log_f.real))
-        assert f.max_log_many(np.array([], dtype=complex)) == -math.inf
+        assert _same_bits(got, _row_maxima(log_f, z.shape))
+        # empty rows, and an empty batch of rows
+        assert _same_bits(f.max_log_many(np.empty((3, 0), dtype=complex)), np.full(3, -math.inf))
+        assert f.max_log_many(np.empty((0, 256), dtype=complex)).shape == (0,)
 
     @pytest.mark.parametrize("col", [0, 255])
     def test_ring_maximum_keeps_a_nan(self, spiral_interpolants, col):
-        # np.max keeps a NaN, and so must the running maximum, in the first
-        # block and in the last.  A column off the disc is always formed;
-        # there a NaN imaginary part of log B_n(z) makes log f NaN
-        f, z = spiral_interpolants["power"], _ring(0.99)
-        z[col] = 1.5
+        # np.max keeps a NaN, and so must the running maximum of its row, in
+        # the first block and in the last, while the other rows keep theirs.
+        # A column off the disc is always formed; there a NaN imaginary part
+        # of log B_n(z) makes log f NaN
+        f, z = spiral_interpolants["power"], _rings([0.9, 0.99])
+        z[1, col] = 1.5
         assemble = Interpolant._assemble
 
         def nan_off_the_disc(self, zb):
@@ -904,9 +979,11 @@ class TestLiveTerms:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Interpolant, "_assemble", nan_off_the_disc)
             with np.errstate(invalid="ignore"):
-                log_f, got = f.eval_log_many(z), f.max_log_many(z)
-        assert np.flatnonzero(np.isnan(log_f)).tolist() == [col]
-        assert math.isnan(got) and math.isnan(np.max(log_f.real))
+                log_f, got = f.eval_log_many(z.ravel()), f.max_log_many(z)
+        assert np.flatnonzero(np.isnan(log_f)).tolist() == [z.shape[1] + col]
+        want = _row_maxima(log_f, z.shape)
+        assert math.isnan(got[1]) and math.isnan(want[1])
+        assert math.isfinite(got[0]) and _same_bits(got[0], want[0])
 
     @pytest.mark.parametrize("family", [g.family for g in SPIRAL_FAMILIES])
     @pytest.mark.parametrize("r", [0.5, 0.9, 0.99, 0.999])

@@ -165,6 +165,16 @@ class TestBuildCoefficient:
         for a, b in zip(ratios, ratios[1:]):
             assert b <= 2.0 * max(a, 0.1)
 
+    def test_one_column_block_pass_for_all_radii(self, monkeypatch):
+        # every ring is a row of one coefficient_log_many batch: one _blockwise call
+        seq, _ = lattice_instance(seed=71, gf=GF1, max_points=15)
+        sol = build_coefficient(seq, GF1, C0=2.0)
+        calls, blockwise = [], CanonicalProduct._blockwise
+        monkeypatch.setattr(CanonicalProduct, "_blockwise",
+                            lambda self, n, block: calls.append(n) or blockwise(self, n, block))
+        sol.growth_a_report([0.5, 0.9, 0.99, 0.999], theta_count=128)
+        assert calls == [4 * 128]
+
     def test_growth_radius_outside_the_disc_is_an_oscillation_error(self):
         seq, _ = lattice_instance(seed=71, gf=GF1, max_points=6)
         sol = build_coefficient(seq, GF1, C0=2.0)
@@ -221,7 +231,7 @@ class TestOneFactorPass:
 class TestResidualReportBatching:
     def test_shipped_config_calls_and_points(self, monkeypatch):
         sol, cfg = shipped_oscillate()
-        calls = {"_factors": 0, "_log_E": 0}
+        calls = {"_factors": 0, "_log_E": 0, "_g_increments": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -232,15 +242,19 @@ class TestResidualReportBatching:
         monkeypatch.setattr(CanonicalProduct, "_factors",
                             counted("_factors", CanonicalProduct._factors))
         monkeypatch.setattr(products, "_log_E", counted("_log_E", products._log_E))
+        monkeypatch.setattr(type(sol), "_g_increments",
+                            counted("_g_increments", type(sol)._g_increments))
         n = cfg["residual_samples"]
         rep = sol.residual_report(n_samples=n, seed=cfg["seed"])
         digest = hashlib.sha256(np.asarray(rep.points, dtype=complex).tobytes()).hexdigest()
         assert digest == OSCILLATE_POINTS_SHA256
-        # one call for a(z0) at every sample, then one per block of
-        # floor(1024 / 55) samples: 7 stencil points and 6 panels of 8 each
-        bound = math.ceil(n / (1024 // 55)) + 4
-        assert 0 < calls["_factors"] <= bound
-        assert 0 < calls["_log_E"] <= bound
+        # one factor pass for a(z0) at every sample, then one per chunk of
+        # samples, each 7 stencil points and 6 panels of 8.  At N = 12 a
+        # column block is 2^14 // 12 = 1,365 points wide, so a chunk holds
+        # 1,365 // 55 = 24 samples, one full block: 9 chunks for 200 samples
+        # (12 when a chunk held 1,024 // 55 = 18)
+        assert len(sol.sequence) == 12 and n == 200
+        assert calls == {"_factors": 10, "_log_E": 10, "_g_increments": 9}
         assert rep.max_residual < 1e-9
 
     def test_g_increments_match_a_32_point_panel_per_offset(self):

@@ -8,6 +8,7 @@ import platform
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -42,11 +43,12 @@ def test_fuzz_configs_prints_one_tally_line():
     assert re.fullmatch(r"seed 0: 30 configs; exit \d \d+ \(.*\); 0 problems\n", proc.stdout)
 
 
-def fuzz_configs():
-    spec = importlib.util.spec_from_file_location("fuzz_configs", TOOLS / "fuzz_configs.py")
-    fuzz = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(fuzz)
-    return fuzz
+def tool(name: str):
+    """The module of tools/<name>.py, loaded without running its command line."""
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_fuzz_slice_of_accepted_configs(tmp_path):
@@ -54,31 +56,61 @@ def test_fuzz_slice_of_accepted_configs(tmp_path):
     # run_scenario, the exit code is 0, 2, 3 or 4, a run that exits 2 or 4
     # writes no output, an interpolate, growth-curve or oscillate run exits
     # with the code its identity, residual and winding gates give from the
-    # constants.json it wrote, and the second run gives the same bytes
-    fuzz = fuzz_configs()
+    # constants.json it wrote, and the second run gives the same bytes.  The
+    # non-finite values behind exits 3 and 4 raise no RuntimeWarning: each
+    # line that meets them says so with np.errstate
+    fuzz = tool("fuzz_configs")
     rng, codes, gated = np.random.default_rng(0), set(), collections.Counter()
-    for k in range(40):
-        config = fuzz.draw_config(rng, max_nodes=16)
-        code, message, problems = fuzz.check(config, tmp_path / str(k))
-        assert problems == [], (config, message)
-        codes.add(code)
-        written = tmp_path / str(k) / "first" / "constants.json"
-        if written.exists() and fuzz.gate_exit(json.loads(written.read_text())) is not None:
-            gated[code] += 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for k in range(40):
+            config = fuzz.draw_config(rng, max_nodes=16)
+            code, message, problems = fuzz.check(config, tmp_path / str(k))
+            assert problems == [], (config, message)
+            codes.add(code)
+            written = tmp_path / str(k) / "first" / "constants.json"
+            if written.exists() and fuzz.gate_exit(json.loads(written.read_text())) is not None:
+                gated[code] += 1
     assert {0, 3, 4} <= codes
     assert gated[0] >= 5 and gated[3] >= 1, gated
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_fuzz_slice_with_one_malformed_field(tmp_path):
     # the first 20 configs of seed 0, each with one field replaced by a
     # malformed value (the cases in turn): every run exits 2 with a config
     # error and no output, and no exception escapes
-    fuzz, rng, cases = fuzz_configs(), np.random.default_rng(0), list(MALFORMED_FIELDS.values())
+    fuzz, rng, cases = tool("fuzz_configs"), np.random.default_rng(0), list(MALFORMED_FIELDS.values())
     for k in range(20):
         config = {**fuzz.draw_config(rng), **cases[k % len(cases)]}
         code, message, problems = fuzz.check(config, tmp_path / str(k))
         assert (code, problems) == (2, []), (config, message)
         assert message.startswith("config error: "), (config, message)
+
+
+def test_bench_pairs_statistics_on_fixed_numbers():
+    # quartiles interpolate linearly between order statistics; a claim needs
+    # at least 9 wins in 10 pairs (ties count for neither) and a median gap
+    # above the old side's interquartile range
+    bench_pairs = tool("bench_pairs")
+    old = [float(v) for v in range(10, 20)]  # quartiles 12.25, 14.5, 16.75: IQR 4.5
+    s = bench_pairs.summarize(old, [v - 5 for v in old], "lower")
+    assert (s["old"], s["new"]) == ((12.25, 14.5, 16.75), (7.25, 9.5, 11.75))
+    assert (s["wins"], s["ties"], s["pairs"], s["claim"]) == (10, 0, 10, True)
+    assert s["change"] == pytest.approx(-5 / 14.5)
+    # a gap of 4.5 is not above the IQR, however many pairs it wins
+    assert not bench_pairs.summarize(old, [v - 4.5 for v in old], "lower")["claim"]
+    # 8 wins, a tie and a loss is below nine tenths; 9 wins and a tie is not
+    eight = bench_pairs.summarize(old, [v - 5 for v in old[:8]] + [old[8], old[9] + 1], "lower")
+    assert (eight["wins"], eight["ties"], eight["claim"]) == (8, 1, False)
+    nine = bench_pairs.summarize(old, [v - 5 for v in old[:9]] + [old[9]], "lower")
+    assert (nine["wins"], nine["ties"], nine["claim"]) == (9, 1, True)
+    # for a higher-is-better metric the lower median is the loss
+    assert bench_pairs.summarize(old, [v + 5 for v in old], "higher")["claim"]
+    assert bench_pairs.summarize(old, [v - 5 for v in old], "higher")["wins"] == 0
+    assert bench_pairs.line("solve_s", "s", "lower", s) == (
+        "solve_s (s, lower is better): old 14.5000 [12.2500, 16.7500], new 9.5000 [7.2500, "
+        "11.7500], median -34.5%; new better in 10/10 pairs, 0 ties; claim rule holds")
 
 
 GLIBC = pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
