@@ -302,20 +302,15 @@ class Interpolant:
             log_abs = np.log(np.abs(targets.values))
         log_b = np.where(np.isneginf(log_abs), complex(LOG_ZERO, 0.0),
                          log_abs + 1j * np.angle(targets.values))
-        log_oms = np.log(product._oms)
-        # the per-node constant of the terms (``_term_logs``), and the per-node
-        # part of their bound with its cut (``_block_value_logs``)
+        # the per-node constant of the terms (``_term_logs``), and the cut of
+        # their bound (``_block_value_logs``)
         with np.errstate(divide="ignore", invalid="ignore"):
             self._c = (log_b + np.log(np.conj(product.sequence.values)) + 1j * math.pi
-                       - log_oms - product.log_P_prime_nodes)
-            self._bound_rows = self._c.real + self.exponents * log_oms
-        self._half_s = 0.5 * self.exponents
+                       - np.log(product._oms) - product.log_P_prime_nodes)
         q_cap = sum(2.0 ** j / j for j in range(1, product.genus + 1))
         scale = (2.0 * (len(self.exponents) + 2) * (746.0 + q_cap)
                  + 80.0 * float(self.exponents.max(initial=0)))
         self._cut = 760.0 + 2.0 * q_cap if scale <= 2.0 ** 44 else math.inf
-        # Q_s + 1/4 + 1, the pad of a column's upper bound (``_block_max_log``)
-        self._column_pad = q_cap + 1.25
 
     @property
     def sequence(self) -> DiscSequence:
@@ -353,26 +348,27 @@ class Interpolant:
     def _block_value_logs(self, zb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(log f, log P) at a batch of points, forming only the live terms.
 
-        *Bound.*  With log|A| = log(1 - |z_n|^2) - log|D|, the real part of
-        the term log L (``_term_logs``) is Re L = B + Re q(A), where per cell
-        B = Re log B_n(z) + k_n - s_n log|D|^2 / 2 and per node
-        k_n = Re c_n + s_n log(1 - |z_n|^2).
-        At a point with np.abs(z) < 1, so |z| <= 1, |D| >= 1 - |z_n| and
-        |A| <= 1 + |z_n| < 2, hence |Re q(A)| <= Q_s = sum_{j <= s} 2^j / j.
+        *Bound.*  The real part of the term log L (``_term_logs``) is
+        Re L = B + Re q(A), where per cell
+        B = Re log B_n(z) + Re c_n + s_n log|A_n(z)|, read from the computed
+        |A|.  At a point with np.abs(z) < 1, so |z| <= 1,
+        |1 - conj(z_n) z| >= 1 - |z_n| and |A| <= 1 + |z_n| < 2, hence
+        |Re q(A)| <= P = sum_{j <= s} |A|^j / j <= Q_s = sum_{j <= s} 2^j / j.
 
-        *Rounding.*  The computed A and D share the computed gap, and
-        |z_n - z| <= |D| in the disc, so log|A| misses
-        log(1 - |z_n|^2) - log|D| by a few eps, and Re L takes that miss
-        s_n times: a few eps s_n, below eps X / 8.  Every operand and partial
-        sum of the computed Re L and B is at most X = 2 (N + 2) (746 + Q_s)
-        + 80 max s_n in modulus (a factor log has |Re| <= 746 + Q_s, as a
-        nonzero |1 - A| is at least 2^-1074; |log|D||, |log|A|| and
-        |log(1 - |z_n|^2)| are below 38, as 1 - |z_n| >= 2^-53, so
-        s_n log|A| and s_n log(1 - |z_n|^2) stay below 38 s_n), and each
-        log, product and sum rounds by at most a few eps of that; B and L
-        read the same computed c_n and log B_n(z).  So
+        *Rounding.*  L takes log|A| as the real part of the complex log of
+        the computed A, and B as the log of its computed modulus; the two
+        miss log|A| by a few eps (1 + |log|A||), and Re L and B take that
+        miss s_n times.  Every operand and partial sum of the computed Re L
+        and B is at most X = 2 (N + 2) (746 + Q_s) + 80 max s_n in modulus
+        (a factor log has |Re| <= 746 + Q_s, as a nonzero |1 - A| is at
+        least 2^-1074; 2^-54 <= |A| < 2, as 1 - |z_n| >= 2^-53 and
+        |1 - conj(z_n) z| <= 2, so |log|A|| is below 38 and s_n log|A| below
+        38 s_n), and each log, product and sum rounds by at most a few eps
+        of that; B and L read the same computed c_n, log B_n(z) and A.  So
         |Re L - B - Re q| <= 64 eps X <= 1/8 while X <= 2^44, and the
-        computed |Re q| is at most Q_s + 1/8.  Beyond 2^44 the cut is +inf.
+        computed Re q differs from Re q by less than 1/8: the computed Re L
+        is within P + 1/4, so within Q_s + 1/4, of B.  Beyond 2^44 the cut
+        is +inf.
 
         *Cut.*  A cell is dropped when its bound is below the column's
         largest bound B_j minus cut = 760 + 2 Q_s.  Then its computed
@@ -392,51 +388,72 @@ class Interpolant:
         keeps every cell; a bound of -inf is a term of -inf.  Points with
         np.abs(z) >= 1 or NaN keep every cell.
 
-        *Column bound* (``_block_max_log``).  Let T be a column's largest
-        bound and n_live its count of live cells; its M is at most
-        T + Q_s + 1/4.  Each shifted exp has modulus at most 1 + 2 eps, and
-        the pairwise sum of the n_live nonzero ones is within
-        (20 + log2 n_live) eps of the sum of their moduli
+        *Column bound* (``_block_max_log``).  A column's computed log f is
+        the logsumexp of its live terms, each with computed
+        Re L_n <= B_n + P_n + 1/4.  Each shifted exp has modulus at most
+        (1 + 2 eps) exp(Re L_n - M), and the pairwise sum of the live ones
+        is within (20 + log2 n_live) eps of the sum of their moduli
         (``logsumexp_complex``), so the computed Re log f is at most
-        T + Q_s + 1/4 + log(n_live), give or take the roundings of that sum,
-        its log and the final addition, a few eps X each.  So the computed
-        UB = T + Q_s + 1/4 + log(n_live) + 1 exceeds the column's computed
-        Re log f, and a column whose UB is below the computed Re log f of
-        another does not hold the largest.  Nor does it hold a NaN, which
-        np.max would keep: that needs a term with a finite real and a
-        non-finite imaginary part.  In the disc A, q(A) and Im log B_n(z)
-        are finite, and so is Im c_n unless Re c_n is NaN or +inf, which
-        makes every bound of its row NaN or +inf, and so UB too.  The
-        bound needs the cut's budget and np.abs(z) < 1: past X > 2^44, or
-        at np.abs(z) >= 1 or NaN, no column is skipped.
+        LSE + 1/4, LSE = log sum_live exp(B_n + P_n), give or take the
+        roundings of that sum, its log and the final addition, a few eps X
+        each.  ``_logsumexp_columns`` takes the sum over all the column's
+        cells, which is at least LSE, as the largest B + P plus the log of
+        the row-by-row sum of the shifted exps, each at most 1 and one of
+        them 1; that and the roundings of P miss it by a few eps X plus
+        N eps.  So the computed UB = LSE + 1/4 + 1 exceeds the column's
+        computed Re log f, and a column whose UB is below the computed
+        Re log f of another does not hold the largest.  Nor does it hold a
+        NaN, which np.max would keep: that needs a term with a finite real
+        and a non-finite imaginary part.  In the disc A, q(A) and
+        Im log B_n(z) are finite, and so is Im c_n unless Re c_n is NaN or
+        +inf, which makes every bound of its row NaN or +inf, and so UB
+        too.  The bound needs the cut's budget and np.abs(z) < 1: past
+        X > 2^44, or at np.abs(z) >= 1 or NaN, no column is skipped.
 
         *Per row.*  ``max_log_many`` keeps one running maximum per row of
-        its batch.  A column's UB reads only its own cells (T and n_live),
-        not the block or the other rows in it, and the argument above
-        compares it with the computed Re log f of any other column, so
+        its batch.  A column's UB reads only its own cells (their B and P),
+        not the block or the other rows in it, and the argument
+        above compares it with the computed Re log f of any other column, so
         also with those of its own row: a column whose UB is below its
         row's running maximum holds neither that row's largest value nor a
         NaN.  So the largest over the formed columns of a row is np.max of
         the row, bit for bit, whatever the other rows of the batch hold.
         """
-        live, _, logB, A, logP = self._live_block(zb)
+        live, logB, A, logP = self._live_block(zb)[2:]
         return self._live_sums(live, logB, A), logP
 
     def _live_block(self, zb: np.ndarray) -> tuple[np.ndarray, ...]:
-        """One factor pass at a block: (live mask, largest bound per column, log B_n(z), A, log P).
+        """One factor pass at a block: (bound B, |A|, live mask, log B_n(z), A, log P).
 
-        The mask is the bound and cut of ``_block_value_logs``.  The terms
-        need only log B_n(z) and A, so the bound, 1 - A and D are freed on
-        return, before any term is formed.
+        The bound and its cut are those of ``_block_value_logs``; 1 - A and D
+        are freed on return.  The callers free B and |A| before any term is
+        formed: the value path drops them at once, the ring maxima after
+        their column bound (``_column_bounds``).
         """
         parts = self._assemble(zb)
-        logB, D = parts["logB"], parts["D"]
+        logB, A = parts["logB"], parts["A"]
         with np.errstate(divide="ignore", invalid="ignore"):
-            bound = (logB.real + self._bound_rows[:, None]
-                     - self._half_s[:, None] * np.log(D.real ** 2 + D.imag ** 2))
+            abs_A = np.abs(A)
+            bound = np.log(abs_A)
+            bound *= self.exponents[:, None]
+            bound += self._c.real[:, None]
+            bound += logB.real
             top = bound.max(axis=0, initial=LOG_ZERO)
             floor = np.where(np.abs(zb) < 1.0, top - self._cut, LOG_ZERO)
-        return ~(bound < floor), top, logB, parts["A"], parts["logP"]
+        return bound, abs_A, ~(bound < floor), logB, A, parts["logP"]
+
+    def _column_bounds(self, zb: np.ndarray) -> tuple[np.ndarray, ...]:
+        """One factor pass at a block: (column bound UB, live mask, log B_n(z), A).
+
+        UB is the column bound of ``_block_value_logs``, +inf where it is not
+        proven; the per-cell bound is freed on return.
+        """
+        bound, abs_A, live, logB, A, _ = self._live_block(zb)
+        bound += _poly_q(abs_A, self.product.genus)
+        # 1/4 for the rounding of Re L against B + P, 1 for the roundings of the sums
+        ub = _logsumexp_columns(bound) + 1.25
+        ub[(self._cut == math.inf) | ~(np.abs(zb) < 1.0)] = math.inf
+        return ub, live, logB, A
 
     def _live_sums(self, live: np.ndarray, logB: np.ndarray, A: np.ndarray) -> np.ndarray:
         """log f per column from its live terms, each column on its own.
@@ -464,10 +481,7 @@ class Interpolant:
         formed, those first columns again.  np.maximum keeps a NaN, as
         np.max does.
         """
-        live, top, logB, A, _ = self._live_block(zb)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ub = top + self._column_pad + np.log(np.count_nonzero(live, axis=0))
-        ub[(self._cut == math.inf) | ~(np.abs(zb) < 1.0)] = math.inf
+        ub, live, logB, A = self._column_bounds(zb)
         # the block's rows are consecutive: seg numbers them from 0
         seg = rows - rows[:1]
         starts = np.flatnonzero(np.diff(seg, prepend=-1))
@@ -581,6 +595,18 @@ class Interpolant:
         b = self.targets.values
         with np.errstate(invalid="ignore"):
             return np.abs(f_vals - b) / (1.0 + np.abs(b))
+
+
+def _logsumexp_columns(cells: np.ndarray) -> np.ndarray:
+    """log sum exp of each column of a real matrix, formed in its buffer.
+
+    Each column is shifted by its largest cell.  A NaN cell gives NaN, a +inf
+    one +inf or NaN, and a column of -inf cells (or none) -inf.
+    """
+    top = cells.max(axis=0, initial=LOG_ZERO)
+    cells -= np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return top + np.log(np.exp(cells, out=cells).sum(axis=0))
 
 
 def _exp_or_zero(lam: np.ndarray) -> np.ndarray:

@@ -155,26 +155,9 @@ class OscillationSolution:
         ``_g_increments``: an 8-point Gauss-Legendre panel on each of the 6
         sub-segments between adjacent stencil points, 55 points per sample.
         """
-        rng = _Pcg64(seed)
-        zs: list[complex] = []
-        gaps: list[float] = []
-        nodes = self.sequence.values
-        attempts = 0
-        while len(zs) < n_samples and attempts < 200 * n_samples:
-            attempts += 1
-            u, v = rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)
-            z = 0.8 * math.sqrt(u) * np.exp(2j * math.pi * v)
-            gap = np.abs(nodes - z).min(initial=np.inf)
-            if gap < 0.1 * (1.0 - abs(z)):
-                continue
-            zs.append(complex(z))
-            gaps.append(gap)
-        if len(zs) < n_samples:
-            raise OscillationError("could not place residual sample points")
-
-        z0 = np.asarray(zs)
-        a0, step = self._stencil_steps(z0, np.asarray(gaps))
-        chunk = max(EVAL_BLOCK, products._block_width(len(nodes))) // _SAMPLE_POINTS
+        z0, gaps = self._residual_samples(n_samples, seed)
+        a0, step = self._stencil_steps(z0, gaps)
+        chunk = max(EVAL_BLOCK, products._block_width(len(self.sequence))) // _SAMPLE_POINTS
         residuals = np.empty(n_samples)
         for lo in range(0, n_samples, chunk):
             zc, hc = z0[lo:lo + chunk], step[lo:lo + chunk]
@@ -187,7 +170,36 @@ class OscillationSolution:
                 fd_second = (_FD7 * f_loc).sum(axis=1) / hc**2
                 residuals[lo:lo + chunk] = np.abs(fd_second + ac * f0) / (
                     np.abs(fd_second) + np.abs(ac) * np.abs(f0) + 1e-300)
-        return ResidualReport(points=tuple(zs), residuals=tuple(residuals.tolist()))
+        return ResidualReport(points=tuple(z0.tolist()), residuals=tuple(residuals.tolist()))
+
+    def _residual_samples(self, n_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+        """(points, nearest-node gaps) of ``residual_report``'s samples.
+
+        Each candidate 0.8 sqrt(u) e^{2 pi i v} takes a (u, v) pair of the
+        seed's stream and is kept when its gap to the nearest node is at
+        least (1 - |z|)/10, at most 200 n_samples candidates in all.  The
+        pairs are drawn in blocks of one candidate per sample still needed,
+        so no draw is wasted, and each block's points and gaps take one
+        array pass; |z| is the scalar abs of each candidate, in order, since
+        numpy's array abs can round differently.
+        """
+        rng, nodes = _Pcg64(seed), self.sequence.values
+        zs: list[complex] = []
+        gaps: list[float] = []
+        attempts, cap = 0, 200 * n_samples
+        while len(zs) < n_samples and attempts < cap:
+            size = min(n_samples - len(zs), cap - attempts)
+            attempts += size
+            u, v = rng.uniforms(0.0, 1.0, 2 * size).reshape(size, 2).T
+            z = 0.8 * np.sqrt(u) * np.exp(2j * math.pi * v)
+            gap = np.abs(nodes[:, None] - z).min(axis=0, initial=np.inf)
+            for zk, gk in zip(z, gap):
+                if not gk < 0.1 * (1.0 - abs(zk)):
+                    zs.append(complex(zk))
+                    gaps.append(gk)
+        if len(zs) < n_samples:
+            raise OscillationError("could not place residual sample points")
+        return np.array(zs, dtype=complex), np.array(gaps)
 
     def _stencil_steps(self, z0: np.ndarray, gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(a(z0), stencil step): 0.02 over the sum of local rates, at most 0.05 gaps."""

@@ -135,12 +135,18 @@ def _block_width(n_nodes: int) -> int:
 
 
 def _poly_q(A: np.ndarray, s: int) -> np.ndarray:
-    """w + w^2/2 + ... + w^s/s, vectorized."""
+    """w + w^2/2 + ... + w^s/s, vectorized.
+
+    For complex w, multiplying by 1/j has the bits of dividing by j: numpy
+    divides by a real-valued complex through its rounded reciprocal, which
+    can only flip the sign of a zero part, and q += normalizes that.  (Real
+    w, as in the ring maxima's column bound, rounds the product instead.)
+    """
     q = np.zeros_like(A)
     wj = np.ones_like(A)
     for j in range(1, s + 1):
         wj *= A
-        q += wj / j
+        q += wj * (1.0 / j)
     return q
 
 
@@ -221,8 +227,9 @@ class CanonicalProduct:
         zn = sequence.values
         self._zn = zn
         self._zn_conj = np.conj(zn)
-        # 1 - |z_n|^2 without cancellation near the boundary
+        # 1 - |z_n|^2 without cancellation near the boundary, and its reciprocal
         self._oms = (1.0 - sequence.moduli) * (1.0 + sequence.moduli)
+        self._inv_oms = 1.0 / self._oms
 
         self.log_B_nodes = self._node_sums(lambda z: self._factors(z)[0])
         self.log_P_prime_nodes = (
@@ -282,14 +289,15 @@ class CanonicalProduct:
         At z = z_n the gap is an exact zero, so A_n(z_n) = 1 and
         1 - A_n(z_n) = 0 exactly, and the exponents s_n - 1 of the series
         amplify no rounding of A at its own node.  (oms / D can miss 1 by an
-        ulp there: numpy divides by a complex through its reciprocal.)
+        ulp there: numpy divides by a complex through its reciprocal.)  So
+        gap / oms is formed as gap times 1 / oms, with the same values; a
+        zero part may differ in sign, which 1.0 + normalizes.
         """
         z = np.asarray(z, dtype=complex)
-        oms = self._oms[:, None]
         gap = self._zn_conj[:, None] * (self._zn[:, None] - z[None, :])
-        D = oms + gap
+        D = self._oms[:, None] + gap
         with np.errstate(invalid="ignore"):  # a NaN point gives NaN cells
-            return 1.0 / (1.0 + gap / oms), gap / D, D
+            return 1.0 / (1.0 + gap * self._inv_oms[:, None]), gap / D, D
 
     def _factors(self, z: np.ndarray):
         """(log E(A, s), A, one_minus_A, D) at a batch of points, as _geometry."""

@@ -751,6 +751,15 @@ def _row_maxima(log_f, shape):
     return np.max(log_f.real.reshape(shape), axis=1, initial=-math.inf)
 
 
+def _assert_column_bounds_hold(f, z):
+    """The column bound of ``_block_max_log`` is finite and at least the computed Re log f
+    of ``eval_log_many`` on every column of z."""
+    zb = z.ravel()
+    ub = f.product._blockwise(len(zb), lambda b: f._column_bounds(zb[b])[0])
+    assert np.all(np.isfinite(ub))
+    assert np.all(ub >= f.eval_log_many(zb).real)
+
+
 SPIRAL_RADII = (0.5, 0.9, 0.99, 0.999)
 
 
@@ -890,6 +899,7 @@ class TestLiveTerms:
         want = _row_maxima(dense_value_logs(f, z.ravel())[0], z.shape)
         assert _same_bits(f.max_log_many(z), want)
         assert _same_bits(want, _row_maxima(f.eval_log_many(z.ravel()), z.shape))
+        _assert_column_bounds_hold(f, z)
 
     def test_ring_maxima_of_twelve_radii_in_one_block(self):
         # the 4 nodes of configs/growth_curve.json: 12 rings of 256 points
@@ -900,6 +910,7 @@ class TestLiveTerms:
         z = _rings([0.1, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.99, 0.995, 0.999, 0.9995, 0.9999])
         assert len(products._column_blocks(z.size, len(seq))) == 1
         assert _same_bits(f.max_log_many(z), _row_maxima(f.eval_log_many(z.ravel()), z.shape))
+        _assert_column_bounds_hold(f, z)
 
     def test_ring_maxima_of_rows_that_cross_blocks(self):
         # the 27 nodes of configs/interpolate.json: blocks of 606 points, so
@@ -914,22 +925,25 @@ class TestLiveTerms:
         assert [(b.start, b.stop) for b in products._column_blocks(z.size, 27)] == [(0, 606),
                                                                                     (606, 1024)]
         assert _same_bits(f.max_log_many(z), _row_maxima(f.eval_log_many(z.ravel()), z.shape))
+        _assert_column_bounds_hold(f, z)
 
     @pytest.mark.parametrize("family", [g.family for g in SPIRAL_FAMILIES])
     def test_ring_maximum_forms_few_columns_near_the_boundary(self, spiral_interpolants, family):
         # at r = 0.999 every column but a few has its upper bound below its
         # ring's maximum: terms are formed in at most 10% of the columns of
-        # that row of the batch (3, 3 and 5 of 256 with these targets)
+        # that row of the batch (3 of 256 for each family with these targets)
         f, z = spiral_interpolants[family], _rings(SPIRAL_RADII)
         last = {c - 3 * z.shape[1] for c in self.formed_columns(f, z) if c >= 3 * z.shape[1]}
         assert 0 < len(last) <= 0.1 * z.shape[1]
 
-    def test_ring_maxima_form_about_a_third_of_the_columns(self, spiral_interpolants):
+    def test_ring_maxima_form_about_a_fourteenth_of_the_columns(self, spiral_interpolants):
         # the four rings of each family as one batch (targets of seed 0) form
-        # terms in 1,112 of their 3,072 columns; a call per ring formed 1,113
+        # terms in 219 of their 3,072 columns (27, 81 and 111 per family):
+        # the column bound is the log-sum-exp of the cells' bounds plus their
+        # genus polynomial in |A|
         formed = [len(self.formed_columns(f, _rings(SPIRAL_RADII)))
                   for f in spiral_interpolants.values()]
-        assert sum(formed) == 1112
+        assert sum(formed) == 219
 
     def test_ring_maximum_without_the_cut_forms_every_column(self, spiral_interpolants):
         # past the cut's rounding budget (X > 2^44) the column bound is not
@@ -960,6 +974,47 @@ class TestLiveTerms:
         # empty rows, and an empty batch of rows
         assert _same_bits(f.max_log_many(np.empty((3, 0), dtype=complex)), np.full(3, -math.inf))
         assert f.max_log_many(np.empty((0, 256), dtype=complex)).shape == (0,)
+
+    def test_ring_maximum_forms_the_columns_of_nan_or_inf_bounds(self, spiral_interpolants):
+        # in the disc, a NaN or +inf Re log B_n(z) makes that cell's bound,
+        # and so its column's bound, NaN or +inf: the column is formed.  Its
+        # log f is -inf (``logsumexp_complex`` gives that to a column whose
+        # largest real part is not finite), so its row's maximum comes from
+        # the other columns.  A row whose every Re log B_n(z) is -inf has
+        # bounds of -inf and gives -inf
+        f, z = spiral_interpolants["log_power"], _rings([0.9, 0.99, 0.999])
+        cells = {z[0, 5]: (7, math.nan), z[1, 6]: (150, math.inf)}
+        assemble = Interpolant._assemble
+
+        def inject(self, zb):
+            parts = assemble(self, zb)
+            for point, (node, value) in cells.items():
+                parts["logB"][node, zb == point] += value
+            parts["logB"][:, np.isin(zb, z[2])] = complex(-math.inf, 0.0)
+            return parts
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Interpolant, "_assemble", inject)
+            with np.errstate(invalid="ignore"):
+                formed = self.formed_columns(f, z)
+                log_f, got = f.eval_log_many(z.ravel()), f.max_log_many(z)
+        assert {5, 256 + 6} <= formed
+        assert np.all(np.abs(z[:2]) < 1.0)
+        assert np.isneginf(log_f[[5, 256 + 6]].real).all() and np.isfinite(got[:2]).all()
+        assert np.isneginf(log_f[512:].real).all() and got[2] == -math.inf
+        assert _same_bits(got, _row_maxima(log_f, z.shape))
+
+    def test_column_logsumexp_of_nan_inf_and_empty_columns(self):
+        cells = np.array([[0.0, 1.0, math.nan, 2.0, -math.inf, -math.inf],
+                          [-800.0, math.log(3.0), 0.0, math.inf, -math.inf, 4.0],
+                          [-math.inf, -30.0, 1.0, 3.0, -math.inf, -math.inf]])
+        want = [0.0, math.log(math.e + 3.0 + math.exp(-30.0)), math.nan, math.inf,
+                -math.inf, 4.0]
+        got = interpolation._logsumexp_columns(cells.copy())
+        assert np.allclose(got, want, rtol=1e-15, atol=0.0, equal_nan=True)
+        assert got[3] == math.inf and got[4] == -math.inf
+        assert np.array_equal(interpolation._logsumexp_columns(np.empty((0, 2))),
+                              [-math.inf, -math.inf])
 
     @pytest.mark.parametrize("col", [0, 255])
     def test_ring_maximum_keeps_a_nan(self, spiral_interpolants, col):

@@ -5,11 +5,13 @@ import json
 import math
 import os
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from discinterp.counting import counting_N
-from discinterp.geometry import DiscSequence
+from discinterp.geometry import DiscSequence, _Pcg64
 from discinterp import products
 from discinterp.growth import GrowthFunction
 from discinterp.harness import generate_sequence
@@ -20,6 +22,7 @@ from discinterp.oscillation import (
     WINDING_CAP,
     WINDING_START,
     OscillationError,
+    OscillationSolution,
     _w8,
     _x8,
     build_coefficient,
@@ -256,6 +259,59 @@ class TestResidualReportBatching:
         assert len(sol.sequence) == 12 and n == 200
         assert calls == {"_factors": 10, "_log_E": 10, "_g_increments": 9}
         assert rep.max_residual < 1e-9
+
+    @staticmethod
+    def samples_one_draw_at_a_time(nodes, n_samples, seed):
+        """The residual samples as first placed: one (u, v) pair, candidate and test at a time."""
+        rng, zs, gaps, attempts = _Pcg64(seed), [], [], 0
+        while len(zs) < n_samples and attempts < 200 * n_samples:
+            attempts += 1
+            u, v = rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)
+            z = 0.8 * math.sqrt(u) * np.exp(2j * math.pi * v)
+            gap = np.abs(nodes - z).min(initial=np.inf)
+            if gap < 0.1 * (1.0 - abs(z)):
+                continue
+            zs.append(complex(z))
+            gaps.append(gap)
+        if len(zs) < n_samples:
+            raise OscillationError("could not place residual sample points")
+        return np.asarray(zs, dtype=complex), np.asarray(gaps)
+
+    @pytest.mark.parametrize("spacing, n_samples, seed", [(None, 200, 0), (None, 500, 5),
+                                                          (0.1, 300, 1), (0.04, 40, 2)])
+    def test_samples_drawn_in_blocks_equal_one_draw_at_a_time(self, spacing, n_samples, seed):
+        # the shipped nodes, and square grids of nodes in |z| < 0.85 that turn
+        # away many candidates, so that the samples take several blocks
+        sol = shipped_oscillate()[0]
+        if spacing is not None:
+            x = np.arange(-0.85, 0.85, spacing)
+            grid = (x[:, None] + 1j * x[None, :]).ravel()
+            sol = SimpleNamespace(sequence=SimpleNamespace(values=grid[np.abs(grid) < 0.85]))
+        want = self.samples_one_draw_at_a_time(sol.sequence.values, n_samples, seed)
+        got = OscillationSolution._residual_samples(sol, n_samples, seed)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    def test_samples_stop_at_200_candidates_each(self):
+        # nodes 0.01 apart leave every point of |z| < 0.8 within 0.0071 of a
+        # node, below (1 - |z|)/10: both placements give up after 200 draws
+        x = np.arange(-0.9, 0.9, 0.01)
+        grid = (x[:, None] + 1j * x[None, :]).ravel()
+        sol = SimpleNamespace(sequence=SimpleNamespace(values=grid[np.abs(grid) < 0.9]))
+        with pytest.raises(OscillationError, match="could not place"):
+            self.samples_one_draw_at_a_time(sol.sequence.values, 1, 0)
+        drawn = []
+        uniforms = _Pcg64.uniforms
+
+        def counted(self, low, high, size):
+            drawn.append(size)
+            return uniforms(self, low, high, size)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Pcg64, "uniforms", counted)
+            with pytest.raises(OscillationError, match="could not place"):
+                OscillationSolution._residual_samples(sol, 1, 0)
+        assert drawn == [2] * 200
 
     def test_g_increments_match_a_32_point_panel_per_offset(self):
         # oracle: g(z0 + j step) - g(z0) by a separate 32-point Gauss-Legendre

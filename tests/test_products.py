@@ -20,6 +20,7 @@ from discinterp.products import (
     _column_blocks,
     _log_E,
     _log_one_minus,
+    _poly_q,
 )
 from discinterp.oscillation import sharpness_sequence
 
@@ -384,6 +385,33 @@ class TestLogP:
         A, onemA, _ = cp._geometry(seq.values)
         assert np.all(np.diag(A) == 1.0)
         assert np.all(np.diag(onemA) == 0.0)
+
+    def test_products_by_reciprocals_have_the_bits_of_quotients(self):
+        # A = 1 / (1 + gap (1 / oms)) and q's terms w^j (1 / j) against the
+        # quotients gap / oms and w^j / j: on random cells, on points and
+        # nodes of both axes, and at cells with signed zero parts, where a
+        # product and a quotient can differ in the sign of a zero
+        rng = np.random.default_rng(7)
+        axes = np.array([0.5, -0.3, 0.4j, -0.6j, 0.9, -0.95j])
+        seq = DiscSequence(np.concatenate([random_sequence(rng, 30).values, axes]))
+        cp = CanonicalProduct(seq, 1)
+        signed_zeros = np.array([complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)])
+        z = np.concatenate([rng.uniform(0.0, 0.999, 500) * np.exp(2j * np.pi * rng.uniform(size=500)),
+                            rng.uniform(-0.99, 0.99, 40), 1j * rng.uniform(-0.99, 0.99, 40),
+                            axes, -axes, signed_zeros, seq.values])
+        gap = cp._zn_conj[:, None] * (cp._zn[:, None] - z[None, :])
+        oms = cp._oms[:, None]
+        assert not np.array_equal((gap / oms).view(np.uint64), (gap * (1.0 / oms)).view(np.uint64))
+        A = cp._geometry(z)[0]
+        assert np.array_equal(A.view(np.uint64), (1.0 / (1.0 + gap / oms)).view(np.uint64))
+        w = np.concatenate([A.ravel(), signed_zeros, rng.normal(size=500) + 1j * rng.normal(size=500),
+                            rng.normal(size=50), 1j * rng.normal(size=50)])
+        for s in range(1, 6):
+            want, wj = np.zeros_like(w), np.ones_like(w)
+            for j in range(1, s + 1):
+                wj *= w
+                want += wj / j
+            assert np.array_equal(_poly_q(w, s).view(np.uint64), want.view(np.uint64)), s
 
     def test_node_caches_are_read_only(self):
         cp = CanonicalProduct(DiscSequence([0.5, 0.2j]), 2)

@@ -3,6 +3,7 @@
 import collections
 import importlib.util
 import json
+import math
 import os
 import platform
 import re
@@ -111,6 +112,46 @@ def test_bench_pairs_statistics_on_fixed_numbers():
     assert bench_pairs.line("solve_s", "s", "lower", s) == (
         "solve_s (s, lower is better): old 14.5000 [12.2500, 16.7500], new 9.5000 [7.2500, "
         "11.7500], median -34.5%; new better in 10/10 pairs, 0 ties; claim rule holds")
+
+
+def test_output_drift_on_fixed_files(tmp_path, capsys):
+    # two trees of one scenario: a CSV with a moved column, a constants.json
+    # with a moved key and a new text value, an exit-code change, a file in
+    # one tree only, and identical bytes; then the same trees made equal
+    drift = tool("output_drift")
+    assert drift.drift("2.0", "2.0") == 0.0 and drift.drift("nan", "nan") == 0.0
+    assert drift.drift("2.0", "2.5") == pytest.approx(0.2)
+    assert drift.drift("-1e300", "1e300") == 2.0 and drift.drift("1.0", "inf") == math.inf
+    old, new = tmp_path / "old" / "scn", tmp_path / "new" / "scn"
+    files = {
+        "growth.csv": ("r,ln_M,note\n0.5,1.0,a\n0.9,4.0,b\n", "r,ln_M,note\n0.5,1.0,a\n0.9,5.0,b\n"),
+        "constants.json": ('{"C": 2.0, "gate": "pass", "n": 3}', '{"C": 3.0, "gate": "fail", "n": 3}'),
+        "exit.txt": ("0\n", "3\n"),
+        "stdout.txt": ("ok\n", "ok\n"),
+    }
+    for d in (old, new):
+        d.mkdir(parents=True)
+    for name, (a, b) in files.items():
+        (old / name).write_text(a)
+        (new / name).write_text(b)
+    (new / "extra.csv").write_text("x\n1\n")
+    assert drift.compare(old / "growth.csv", new / "growth.csv") == "ln_M 0.2"
+    assert drift.compare(old / "constants.json", new / "constants.json") == (
+        "C 0.33; gate rows or text differ")
+    assert drift.report(tmp_path) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "scn/constants.json: C 0.33; gate rows or text differ",
+        "scn/exit.txt: 0 -> 3",
+        "scn/extra.csv: present in one tree only",
+        "scn/growth.csv: ln_M 0.2",
+        "scn/stdout.txt: identical",
+        "1 of 5 identical",
+    ]
+    (new / "extra.csv").unlink()
+    for name, (a, _) in files.items():
+        (new / name).write_text(a)
+    assert drift.report(tmp_path) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "4 of 4 identical"
 
 
 GLIBC = pytest.mark.skipif(platform.libc_ver()[0] != "glibc",

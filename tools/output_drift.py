@@ -49,13 +49,8 @@ def compare(a: Path, b: Path) -> str:
     return "; ".join(out)
 
 
-if __name__ == "__main__":
-    if sys.argv[1] == "--run":
-        sys.exit(run_all(Path(sys.argv[2])))
-    work = Path(sys.argv[3] if len(sys.argv) > 3 else tempfile.mkdtemp())
-    for tag, src in (("old", sys.argv[1]), ("new", sys.argv[2])):
-        subprocess.run([sys.executable, __file__, "--run", str(work / tag)], check=True,
-                       env=dict(os.environ, PYTHONPATH=os.path.abspath(src)))
+def report(work: Path) -> int:
+    """Print the comparison of each file of WORK/old and WORK/new and the tally; 1 if any differs."""
     results = []
     for scn in sorted(p.name for p in (work / "old").iterdir()):
         for name in sorted({p.name for d in ("old", "new") for p in (work / d / scn).iterdir()}):
@@ -64,4 +59,14 @@ if __name__ == "__main__":
             print(f"{scn}/{name}: {result}")
     same = results.count("identical")
     print(f"{same} of {len(results)} identical")
-    sys.exit(0 if same == len(results) else 1)
+    return 0 if same == len(results) else 1
+
+
+if __name__ == "__main__":
+    if sys.argv[1] == "--run":
+        sys.exit(run_all(Path(sys.argv[2])))
+    work = Path(sys.argv[3] if len(sys.argv) > 3 else tempfile.mkdtemp())
+    for tag, src in (("old", sys.argv[1]), ("new", sys.argv[2])):
+        subprocess.run([sys.executable, __file__, "--run", str(work / tag)], check=True,
+                       env=dict(os.environ, PYTHONPATH=os.path.abspath(src)))
+    sys.exit(report(work))
