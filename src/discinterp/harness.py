@@ -365,8 +365,7 @@ def _task_check(scn: Scenario, seq: DiscSequence, gf: GrowthFunction, out: dict)
     return EXIT_OK
 
 
-def _task_interpolate(scn: Scenario, seq: DiscSequence, gf: GrowthFunction,
-                      out: dict, dense: bool = False) -> int:
+def _task_interpolate(scn: Scenario, seq: DiscSequence, gf: GrowthFunction, out: dict) -> int:
     targets = generate_targets(scn.targets_spec, seq, gf, scn.seed)
     interp = build_interpolant(CanonicalProduct(seq, gf.genus), targets, gf, scn.C0)
     concentration = check_concentration(seq, gf)
@@ -380,10 +379,7 @@ def _task_interpolate(scn: Scenario, seq: DiscSequence, gf: GrowthFunction,
     out["csv"]["identity.csv"] = (
         ["k", "z_re", "z_im", "b_re", "b_im", "f_re", "f_im", "rel_err"], rows
     )
-    r_grid = scn.r_grid
-    if dense:
-        r_grid = tuple(sorted(set(r_grid) | {1.0 - 2.0 ** (-j) for j in range(1, 10)}))
-    rows_g = _growth_rows(growth_report(interp, r_grid, scn.theta_count))
+    rows_g = _growth_rows(growth_report(interp, scn.r_grid, scn.theta_count))
     out["csv"]["growth.csv"] = (["r", "ln_max_modulus", "psi_tilde", "ratio"], rows_g)
     max_err = float(errs.max())
     out["constants"].update({
@@ -478,10 +474,11 @@ def run_scenario(config, out_dir: str, task: Optional[str] = None,
                 raise ConfigError("generated sequence is empty")
             if scn.task == "check":
                 code = _task_check(scn, seq, scn.gf, out)
-            elif scn.task == "interpolate":
+            elif scn.task in ("interpolate", "growth-curve"):
+                if scn.task == "growth-curve":  # a denser grid: also 1 - 2^-j, j = 1..9
+                    scn.r_grid = tuple(sorted(set(scn.r_grid)
+                                              | {1.0 - 2.0 ** -j for j in range(1, 10)}))
                 code = _task_interpolate(scn, seq, scn.gf, out)
-            elif scn.task == "growth-curve":
-                code = _task_interpolate(scn, seq, scn.gf, out, dense=True)
             else:
                 code = _task_oscillate(scn, seq, scn.gf, out)
     except (ConfigError, GrowthError, GeometryError) as exc:

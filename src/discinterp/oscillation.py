@@ -87,10 +87,17 @@ def osc_targets(cp: CanonicalProduct) -> np.ndarray:
 
     The reduced product cancels in the ratio, leaving
     b_k = -(s + 1) conj(z_k) / (1 - |z_k|^2) - B_k'(z_k)/B_k(z_k),
-    so the values stay finite even when B_k underflows.
+    so the values stay finite even when B_k underflows.  B_k'(z_k)/B_k(z_k) is
+    the sum of the other factors' log derivatives at z_k, from one blocked
+    pass over the node matrix; only this coefficient needs it, so
+    ``interpolate`` and ``check`` never pay for that pass.
     """
+    def terms(z):
+        A, onemA, _ = cp._geometry(z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return cp._deriv_terms(A, onemA)
     zc = np.conj(cp.sequence.values)
-    return -(cp.genus + 1) * zc / cp._oms - cp.logderiv_rest_nodes
+    return -(cp.genus + 1) * zc / cp._oms - cp._node_sums(terms)
 
 
 @dataclass(frozen=True)
@@ -115,10 +122,6 @@ class OscillationSolution:
         return self.product.sequence
 
     # -- the coefficient --------------------------------------------------
-
-    def coefficient_many(self, z) -> np.ndarray:
-        """a(z) as plain complex values."""
-        return self._coefficient(z)[0]
 
     def _coefficient(self, z) -> tuple[np.ndarray, ...]:
         """(a, h, P'/P, (P'/P)') from one factor pass; a = -P''/P - 2 h P'/P - h^2 - h'."""

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -211,9 +210,7 @@ class CanonicalProduct:
 
     Immutable after construction.  Per-node data is cached once as read-only
     complex-log arrays: ``log_B_nodes`` (reduced products B_k(z_k)) and
-    ``log_P_prime_nodes`` (node derivatives P'(z_k)).  ``logderiv_rest_nodes``
-    (B_k'(z_k)/B_k(z_k), a plain complex value) is formed on first read, since
-    only the ODE coefficient needs it.  Evaluation is pure and batched:
+    ``log_P_prime_nodes`` (node derivatives P'(z_k)).  Evaluation is pure and batched:
     every entry point takes an array of points (a 0-d point is a batch of
     one) and returns one array entry per point.
     """
@@ -240,15 +237,6 @@ class CanonicalProduct:
             + 1j * math.pi
         )
         self.log_P_prime_nodes.flags.writeable = False
-
-    @cached_property
-    def logderiv_rest_nodes(self) -> np.ndarray:
-        """B_k'(z_k)/B_k(z_k) per node: the factor log derivatives at z_k less the k-th."""
-        def terms(z):
-            A, onemA, _ = self._geometry(z)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return self._deriv_terms(A, onemA)
-        return self._node_sums(terms)
 
     def _node_sums(self, cells: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """Read-only column sums of the (node, node) matrix cells(z_n) less its diagonal.
@@ -317,11 +305,6 @@ class CanonicalProduct:
             onemA**2 * self._oms[:, None] ** 2
         )
 
-    def _near_nodes(self, zb: np.ndarray) -> np.ndarray:
-        """Mask (n_nodes, n_points) of points within the pole tolerance of a node."""
-        d = np.abs(zb[None, :] - self._zn[:, None])
-        return d < POLE_TOL * (1.0 - self.sequence.moduli)[:, None]
-
     # -- public evaluation ----------------------------------------------------
 
     def log_P_many(self, z) -> np.ndarray:
@@ -334,7 +317,8 @@ class CanonicalProduct:
 
     def _off_nodes(self, zb: np.ndarray) -> np.ndarray:
         """The batch zb for a derivative; a point within POLE_TOL of a node raises."""
-        if self._near_nodes(zb).any():
+        d = np.abs(zb[None, :] - self._zn[:, None])
+        if (d < POLE_TOL * (1.0 - self.sequence.moduli)[:, None]).any():
             raise ProductsError("derivative evaluated at a node")
         return zb
 
@@ -356,42 +340,18 @@ class CanonicalProduct:
         return self._off_node_sums(z, self._deriv_prime_terms)
 
     def P_second_many(self, z) -> np.ndarray:
-        """P'' at a batch of points: P ((P'/P)^2 + (P'/P)') away from the nodes.
-
-        At a point within POLE_TOL of a node the value is P''(z_k) of the
-        nearest node k, from the factor split P = E(A_k(z), s) B_k(z).  Differentiating twice and
-        using E(1, s) = 0, E'(1, s) = -e^{H_s}, E''(1, s) = -2 s e^{H_s} gives
-        P''(z_k) = -2 e^{H_s} B_k(z_k) D_k ((s+1) D_k + S_k)
-        with D_k = conj(z_k) / (1 - |z_k|^2) and S_k = B_k'(z_k)/B_k(z_k).
-        """
+        """P'' = P ((P'/P)^2 + (P'/P)') at a batch of points away from the nodes."""
         zb = _batch(z)
 
         def block(b):
-            # every column is formed, so no block is narrowed; a node's column is replaced
-            zc = zb[b]
-            lam, A, onemA, _ = self._factors(zc)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                lp = self._deriv_terms(A, onemA).sum(axis=0)
-                lp2 = self._deriv_prime_terms(A, onemA).sum(axis=0)
-                out = np.exp(lam.sum(axis=0)) * (lp**2 + lp2)
-            m = np.flatnonzero(self._near_nodes(zc).any(axis=0))
-            if m.size:
-                # only a hit builds the lazy N x N logderiv_rest_nodes
-                k = np.argmin(np.abs(self._zn[:, None] - zc[m]), axis=0)
-                Dk = self._zn_conj[k] / self._oms[k]
-                rest = -2.0 * math.exp(self.harmonic) * Dk * (
-                    (self.genus + 1) * Dk + self.logderiv_rest_nodes[k])
-                out[m] = np.exp(self.log_B_nodes[k]) * rest
-            return out
+            lam, A, onemA, _ = self._factors(self._off_nodes(zb[b]))
+            lp = self._deriv_terms(A, onemA).sum(axis=0)
+            lp2 = self._deriv_prime_terms(A, onemA).sum(axis=0)
+            with np.errstate(over="ignore"):
+                return np.exp(lam.sum(axis=0)) * (lp**2 + lp2)
         return self._blockwise(len(zb), block)
 
     # -- bounds -------------------------------------------------------------------
-
-    def factor_abs_power_sum(self, z) -> np.ndarray:
-        """sum_n |A_n(z)|^(s+1), the universal comparison series."""
-        zb = _batch(z)
-        return self._blockwise(len(zb), lambda b: (np.abs(self._geometry(zb[b])[0])
-                                                   ** (self.genus + 1)).sum(axis=0))
 
     def tsuji_bound_check(self, z) -> "TsujiReport":
         """log|P| against the universal bound 2^(s+2) sum |A_n|^(s+1), from one factor pass."""

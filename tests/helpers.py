@@ -133,7 +133,7 @@ def dense_value_logs(f, z) -> tuple[np.ndarray, np.ndarray]:
 
 
 def one_pass_products(cp, z) -> dict:
-    """P'/P, (P'/P)', P'', sum |A_n|^(s+1) and both Tsuji sides, from one pass over all of z.
+    """P'/P, (P'/P)', P'' and both Tsuji sides, from one pass over all of z.
 
     The formation before the column blocks, at points off the nodes: the
     oracle the blocked entry points of ``CanonicalProduct`` are checked
@@ -147,8 +147,7 @@ def one_pass_products(cp, z) -> dict:
     with np.errstate(over="ignore"):
         P_second = np.exp(log_P) * (lp**2 + lp2)
     return {"log_deriv_P_many": lp, "log_deriv_prime_many": lp2, "P_second_many": P_second,
-            "factor_abs_power_sum": abs_power, "tsuji_lhs": log_P.real,
-            "tsuji_rhs": 2.0 ** (cp.genus + 2) * abs_power}
+            "tsuji_lhs": log_P.real, "tsuji_rhs": 2.0 ** (cp.genus + 2) * abs_power}
 
 
 def one_pass_derivatives(f, z) -> tuple:
@@ -349,13 +348,14 @@ def index_cancellation_check(cp, delta: float = 0.5) -> IndexCancellationReport:
     """|ln|B_k(z_k)| + N_{z_k}(delta (1-|z_k|))| against sum |A_n(z_k)|^(s+1), in doubles.
 
     The individually huge terms cancel; the residual stays comparable to the
-    factor sum.  The counts come from one ``counting_N`` call per node.
+    factor sum, which is Tsuji's right side over 2^(s+2), exactly.  The counts
+    come from one ``counting_N`` call per node.
     """
     seq = cp.sequence
     counts = np.array([counting_N(seq, z, delta * (1.0 - m))
                        for z, m in zip(seq.values, seq.moduli)])
     lhs = np.abs(cp.log_B_nodes.real + counts)
-    rhs = cp.factor_abs_power_sum(seq.values)
+    rhs = cp.tsuji_bound_check(seq.values).rhs / 2.0 ** (cp.genus + 2)
     ratios = lhs / rhs
     return IndexCancellationReport(tuple(lhs.tolist()), tuple(rhs.tolist()),
                                    tuple(ratios.tolist()), float(ratios.max(initial=0.0)))

@@ -89,7 +89,7 @@ def test_criterion_2_tsuji_bound():
         zs = 0.9999 * np.sqrt(rng.uniform(size=1000)) * np.exp(
             2j * np.pi * rng.uniform(size=1000))
         lhs = cp.log_P_many(zs).real
-        rhs = 2.0 ** (genus + 2) * cp.factor_abs_power_sum(zs)
+        rhs = cp.tsuji_bound_check(zs).rhs
         violations += int(np.sum(lhs > rhs + 1e-9))
         checked += len(zs)
     ok = violations == 0

@@ -477,18 +477,18 @@ class TestRunScenario:
         constants = json.loads((tmp_path / "out" / "constants.json").read_text())
         assert constants["max_identity_error"] < 1e-8
 
-    def test_interpolate_never_forms_the_derivative_cache(self, tmp_path, monkeypatch):
-        # B_k'(z_k)/B_k(z_k) and its N x N pass are formed on first read, and
-        # only the oscillate targets read them
+    def test_interpolate_never_forms_the_derivative_terms(self, tmp_path, monkeypatch):
+        # the N x N pass of B_k'(z_k)/B_k(z_k) belongs to the oscillate targets,
+        # so an interpolate run calls no factor log derivative
         formed = []
-        cache = CanonicalProduct.__dict__["logderiv_rest_nodes"]
-        monkeypatch.setattr(CanonicalProduct, "logderiv_rest_nodes",
-                            property(lambda cp: formed.append(len(cp.sequence)) or cache.func(cp)))
+        deriv_terms = CanonicalProduct._deriv_terms
+        monkeypatch.setattr(CanonicalProduct, "_deriv_terms",
+                            lambda cp, A, onemA: formed.append(A.shape) or deriv_terms(cp, A, onemA))
         path = os.path.join(CONFIG_DIR, "interpolate.json")
         assert run_scenario(path, str(tmp_path / "i")) == EXIT_OK
         assert formed == []
         osc_targets(CanonicalProduct(DiscSequence([0.5, 0.3j]), 2))
-        assert formed == [2]
+        assert formed == [(2, 2)]
 
     def test_growth_curve_has_denser_grid(self, tmp_path):
         cfg = dict(BASE_INTERP)

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from operator import attrgetter
 from pathlib import Path
 
 import mpmath
@@ -482,7 +483,7 @@ class TestInterpolationIdentity:
         ("eval_and_log_P_many", [0.0, 0.0]),
         ("interpolation_errors", [0.0]),
         ("log_deriv_prime_many", [0.0]),
-        ("factor_abs_power_sum", [0.0]),
+        ("tsuji_bound_check", [0.0, 0.0]),
         ("osc_targets", [0.0]),
         ("select_exponents", [0]),
     ])
@@ -493,7 +494,7 @@ class TestInterpolationIdentity:
         calls = {
             "interpolation_errors": lambda: f.interpolation_errors(),
             "log_deriv_prime_many": lambda: f.product.log_deriv_prime_many(z),
-            "factor_abs_power_sum": lambda: f.product.factor_abs_power_sum(z),
+            "tsuji_bound_check": lambda: attrgetter("lhs", "rhs")(f.product.tsuji_bound_check(z)),
             "osc_targets": lambda: osc_targets(f.product),
             "select_exponents": lambda: select_exponents(f.ladder, f.sequence),
         }
@@ -617,8 +618,11 @@ class TestDerivativeNodeRule:
 
     @pytest.mark.parametrize("k", range(4))
     def test_derivatives_raise_at_each_node(self, interp, k):
-        with pytest.raises(ProductsError):
-            interp.derivative_many(self.NODES[k])
+        product = interp.product
+        for method in (interp.derivative_many, product.log_deriv_P_many,
+                       product.log_deriv_prime_many, product.P_second_many):
+            with pytest.raises(ProductsError):
+                method(self.NODES[k])
         with pytest.raises(ProductsError):
             interp.eval_and_derivative_many([0.1, self.NODES[k]])
 
@@ -633,7 +637,7 @@ class TestDerivativeNodeRule:
     def test_coefficient_raises_at_a_node(self):
         sol = build_coefficient(DiscSequence(self.NODES), GF1, C0=2.0)
         with pytest.raises(ProductsError):
-            sol.coefficient_many(self.NODES[3])
+            sol.coefficient_log_many(self.NODES[3])
 
 
 class TestTermDecayChain:
@@ -665,7 +669,7 @@ class TestTermDecayChain:
         mu_nodes = ladder.scan([-math.log1p(-m) for m in seq.moduli])[2]
         for i, z in enumerate(zs):
             (mu_z,) = ladder.scan([math.log(2.0) - math.log1p(-abs(z))])[2]
-            full_sum = float(cp.factor_abs_power_sum([z])[0])
+            full_sum = float(cp.tsuji_bound_check([z]).rhs[0]) / 2.0 ** (s + 2)
             for k, (zn, m, mu_n) in enumerate(zip(seq.values, seq.moduli, mu_nodes)):
                 a_abs = abs((1 - m**2) / (1 - np.conj(zn) * z))
                 rest = full_sum - a_abs ** (s + 1)

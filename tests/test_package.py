@@ -235,10 +235,9 @@ def test_no_module_names_numpy_polynomial_or_linalg():
 EVAL_ENTRY_POINTS = (
     ("product", "log_P_many"), ("product", "P"), ("product", "log_deriv_P_many"),
     ("product", "log_deriv_prime_many"), ("product", "P_second_many"),
-    ("product", "factor_abs_power_sum"), ("gprime", "eval_many"),
-    ("gprime", "eval_and_log_P_many"), ("gprime", "eval_log_many"),
+    ("gprime", "eval_many"), ("gprime", "eval_and_log_P_many"), ("gprime", "eval_log_many"),
     ("gprime", "derivative_many"), ("gprime", "eval_and_derivative_many"),
-    ("solution", "coefficient_many"), ("solution", "coefficient_log_many"),
+    ("solution", "coefficient_log_many"),
 )
 
 

@@ -22,7 +22,7 @@ from discinterp.products import (
     _log_one_minus,
     _poly_q,
 )
-from discinterp.oscillation import sharpness_sequence
+from discinterp.oscillation import osc_targets, sharpness_sequence
 
 from helpers import (
     factors_all_cells,
@@ -415,7 +415,7 @@ class TestLogP:
 
     def test_node_caches_are_read_only(self):
         cp = CanonicalProduct(DiscSequence([0.5, 0.2j]), 2)
-        for arr in (cp.log_B_nodes, cp.logderiv_rest_nodes, cp.log_P_prime_nodes):
+        for arr in (cp.log_B_nodes, cp.log_P_prime_nodes):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
@@ -428,15 +428,11 @@ class TestLogP:
         monkeypatch.setattr(CanonicalProduct, "_geometry",
                             lambda self, z: widths.append(len(z)) or geometry(self, z))
         cp = CanonicalProduct(seq, 2)
-        cp.logderiv_rest_nodes
-        assert widths == [81, 81, 38] * 2
+        assert widths == [81, 81, 38]
         monkeypatch.undo()
-        lam, A, onemA, _ = cp._factors(seq.values)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            T = cp._deriv_terms(A, onemA)
-        for whole, cache in ((lam, cp.log_B_nodes), (T, cp.logderiv_rest_nodes)):
-            np.fill_diagonal(whole, 0.0)
-            assert np.array_equal(whole.sum(axis=0).view(float), cache.view(float))
+        lam = cp._factors(seq.values)[0]
+        np.fill_diagonal(lam, 0.0)
+        assert np.array_equal(lam.sum(axis=0).view(float), cp.log_B_nodes.view(float))
 
     def test_entry_points_are_built_in_column_blocks(self, monkeypatch):
         # a ring and points next to the 200 spiral nodes span 6 blocks; each
@@ -454,11 +450,11 @@ class TestLogP:
         monkeypatch.setattr(CanonicalProduct, "_geometry",
                             lambda self, z: widths.append(len(z)) or geometry(self, z))
         got = {name: getattr(cp, name)(z) for name in
-               ("log_deriv_P_many", "log_deriv_prime_many", "P_second_many", "factor_abs_power_sum")}
+               ("log_deriv_P_many", "log_deriv_prime_many", "P_second_many")}
         tsuji = cp.tsuji_bound_check(z)
         got.update(tsuji_lhs=tsuji.lhs, tsuji_rhs=tsuji.rhs)
         assert max(widths) == max(b.stop - b.start for b in blocks)
-        assert len(widths) == 5 * len(blocks)
+        assert len(widths) == 4 * len(blocks)
         for name, value in want.items():
             assert value.tobytes() == got[name].tobytes(), name
 
@@ -473,22 +469,27 @@ class TestLogP:
             # never 1 wide unless the batch is, and never above width + 1
             assert all(2 <= w <= width + 1 for w in sizes) or sizes == [n_points]
 
-    def test_derivative_cache_formed_on_first_read(self, monkeypatch):
+    def test_osc_targets_equal_one_whole_matrix_pass(self, monkeypatch):
+        # B_k'(z_k)/B_k(z_k) takes its node pass only inside osc_targets, in
+        # column blocks (81, 81 and 38 for 200 nodes), with the bits of one
+        # _factors / _deriv_terms pass over the whole node matrix
         calls = []
         deriv_terms = CanonicalProduct._deriv_terms
         monkeypatch.setattr(CanonicalProduct, "_deriv_terms",
                             lambda self, A, onemA: calls.append(A.shape) or deriv_terms(self, A, onemA))
-        seq = spiral_sequence(30, depth=1e-2)
-        cp = CanonicalProduct(seq, 2)
-        assert calls == []
-        first = cp.logderiv_rest_nodes
-        assert calls == [(30, 30)] and cp.logderiv_rest_nodes is first
-        # the same bits as a node pass of _factors and _deriv_terms
-        _, A, onemA, _ = cp._factors(seq.values)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            T = deriv_terms(cp, A, onemA)
-        np.fill_diagonal(T, 0.0)
-        assert np.array_equal(first, T.sum(axis=0))
+        for seq, shapes in ((spiral_sequence(30, depth=1e-2), [(30, 30)]),
+                            (spiral_sequence(), [(200, 81), (200, 81), (200, 38)])):
+            calls.clear()
+            cp = CanonicalProduct(seq, 2)
+            assert calls == []
+            got = osc_targets(cp)
+            assert calls == shapes
+            _, A, onemA, _ = cp._factors(seq.values)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                T = deriv_terms(cp, A, onemA)
+            np.fill_diagonal(T, 0.0)
+            want = -3 * np.conj(seq.values) / cp._oms - T.sum(axis=0)
+            assert np.array_equal(got.view(float), want.view(float))
 
 
 class TestTsuji:
@@ -504,7 +505,8 @@ class TestTsuji:
     def test_one_factor_pass_per_check(self, monkeypatch):
         cp = CanonicalProduct(DiscSequence([0.5, 0.3 + 0.4j, -0.6j]), 2)
         zs = np.array([0.1, -0.2 + 0.3j, 0.7j])
-        lhs, rhs = cp.log_P_many(zs).real, 2.0 ** 4 * cp.factor_abs_power_sum(zs)
+        want = one_pass_products(cp, zs)
+        lhs, rhs = want["tsuji_lhs"], want["tsuji_rhs"]
         calls = []
         geometry = CanonicalProduct._geometry
         monkeypatch.setattr(CanonicalProduct, "_geometry",
@@ -520,11 +522,9 @@ class TestTsuji:
             cp = CanonicalProduct(seq, rng.integers(1, 4))
             zs = 0.999 * np.sqrt(rng.uniform(size=1000)) * np.exp(
                 2j * np.pi * rng.uniform(size=1000))
-            lhs = cp.log_P_many(zs).real
-            rhs = 2.0 ** (cp.genus + 2) * cp.factor_abs_power_sum(zs)
-            assert np.all(lhs <= rhs + 1e-9)
-            rep = cp.tsuji_bound_check(zs)
-            assert rep.holds and np.array_equal(rep.lhs, lhs) and np.array_equal(rep.rhs, rhs)
+            rep, want = cp.tsuji_bound_check(zs), one_pass_products(cp, zs)
+            assert rep.holds and np.all(rep.lhs <= rep.rhs + 1e-9)
+            assert np.array_equal(rep.lhs, want["tsuji_lhs"]) and np.array_equal(rep.rhs, want["tsuji_rhs"])
 
     def test_subproduct_monotonicity(self):
         rng = np.random.default_rng(36)
@@ -533,8 +533,9 @@ class TestTsuji:
         cp, cp_sub = CanonicalProduct(seq, 2), CanonicalProduct(sub, 2)
         zs = 0.95 * np.sqrt(rng.uniform(size=100)) * np.exp(
             2j * np.pi * rng.uniform(size=100))
-        assert np.all(cp_sub.factor_abs_power_sum(zs)
-                      <= cp.factor_abs_power_sum(zs) + 1e-15)
+        # sum |A_n|^3 is the right side over 2^4, exactly
+        assert np.all(cp_sub.tsuji_bound_check(zs).rhs / 2.0 ** 4
+                      <= cp.tsuji_bound_check(zs).rhs / 2.0 ** 4 + 1e-15)
 
 
 class TestPrimeAtNode:
@@ -629,56 +630,33 @@ class TestPSecond:
             self.second_difference(cp, z), rel=1e-4)
 
     def test_nodes_in_a_batch_with_other_points(self):
+        # P'' refuses the nodes, as the other derivatives do, however the
+        # batch is mixed; the off-node points alone give the one-pass values
         cp = CanonicalProduct(DiscSequence([0.5, 0.3 + 0.4j, -0.6j, 0.7]), 2)
         z = np.array([0.1, 0.3 + 0.4j, -0.2 + 0.1j, 0.7, 0.5])
-        out = cp.P_second_many(z)
-        # the node columns 1, 3, 4 hold P''(z_k) for k = 1, 3, 0:
-        # -2 e^{H_s} B_k(z_k) D_k ((s + 1) D_k + S_k), with H_2 = 1.5,
-        # D_k = conj(z_k) / (1 - |z_k|^2) and S_k = B_k'(z_k) / B_k(z_k)
-        k = np.array([1, 3, 0])
-        m_k = cp.sequence.moduli[k]
-        Dk = np.conj(cp.sequence.values[k]) / ((1.0 - m_k) * (1.0 + m_k))
-        rest = -2.0 * math.exp(1.5) * Dk * (3 * Dk + cp.logderiv_rest_nodes[k])
-        assert np.array_equal(out[[1, 3, 4]], np.exp(cp.log_B_nodes[k]) * rest)
-        # the off-node entries are those of a batch of the off-node points alone
-        assert (out[[0, 2]] == cp.P_second_many(z[[0, 2]])).all()
-
-    def test_node_cache_built_only_by_a_node_hit(self):
-        cp = CanonicalProduct(DiscSequence([0.5, 0.3 + 0.4j, -0.6j, 0.7]), 2)
-        cp.P_second_many([0.1, -0.2 + 0.1j])
-        assert "logderiv_rest_nodes" not in vars(cp)
-        cp.P_second_many([0.1, 0.7])
-        assert "logderiv_rest_nodes" in vars(cp)
-
-    def test_node_cache_built_inside_a_block_equals_a_prebuilt_one(self):
-        # the first node hit (block 4 of 5) builds the lazy cache by a nested
-        # column-block pass inside that block
-        seq = spiral_sequence(200, depth=1e-2)
-        z = np.concatenate([0.5 * np.exp(2j * np.pi * np.arange(300) / 300), seq.values[::7]])
-        lazy = CanonicalProduct(seq, 2)
-        got = lazy.P_second_many(z)
-        assert "logderiv_rest_nodes" in vars(lazy)
-        built = CanonicalProduct(seq, 2)
-        built.logderiv_rest_nodes
-        assert np.array_equal(got, built.P_second_many(z))
+        for batch in (z, z[[1]], z[[0, 3]], z[[4, 2]]):
+            with pytest.raises(ProductsError):
+                cp.P_second_many(batch)
+        off = z[[0, 2]]
+        want = one_pass_products(cp, off)["P_second_many"]
+        assert cp.P_second_many(off).tobytes() == want.tobytes()
 
     def test_one_factor_pass_per_call(self, monkeypatch):
         cp = CanonicalProduct(DiscSequence([0.5, 0.3 + 0.4j, -0.6j, 0.7]), 2)
-        cp.logderiv_rest_nodes  # the node cache's own pass, once per product
         calls = []
         geometry = CanonicalProduct._geometry
         monkeypatch.setattr(CanonicalProduct, "_geometry",
                             lambda self, z: calls.append(len(z)) or geometry(self, z))
-        cp.P_second_many(np.array([0.1, 0.3 + 0.4j, -0.2 + 0.1j, 0.7, 0.5]))
+        cp.P_second_many(np.array([0.1, -0.2 + 0.1j, 0.2 - 0.3j]))
         cp.P_second_many(-0.2 + 0.1j)
-        # the pass forms every column, and the node columns are then replaced
-        assert calls == [5, 1]
+        assert calls == [3, 1]
 
     def test_node_value_matches_cauchy(self):
+        # P''(z_k) = -2 b_k P'(z_k), from the closed-form targets b_k of osc_targets
         rng = np.random.default_rng(42)
         seq = random_sequence(rng, 10)
         cp = CanonicalProduct(seq, 2)
-        at_nodes = cp.P_second_many(seq.values)
+        at_nodes = -2.0 * osc_targets(cp) * np.exp(cp.log_P_prime_nodes)
         for k in range(len(seq)):
             assert at_nodes[k] == pytest.approx(cauchy_derivative(cp, k, order=2), rel=1e-8)
 

@@ -117,8 +117,18 @@ def test_bench_pairs_statistics_on_fixed_numbers():
 def test_output_drift_on_fixed_files(tmp_path, capsys):
     # two trees of one scenario: a CSV with a moved column, a constants.json
     # with a moved key and a new text value, an exit-code change, a file in
-    # one tree only, and identical bytes; then the same trees made equal
+    # one tree only, and identical bytes; then the same trees made equal.
+    # Each source tree's line count (every *.py below it, nested ones too,
+    # a last line without a newline not counted, as wc -l does) comes before the tally.
     drift = tool("output_drift")
+    sources = {"old": tmp_path / "src_old", "new": tmp_path / "src_new"}
+    for src, texts in zip(sources.values(), (("a\nb\n", "c\n"), ("a\n", "b\nc\nd"))):
+        (src / "pkg" / "sub").mkdir(parents=True)
+        (src / "pkg" / "m.py").write_text(texts[0])
+        (src / "pkg" / "sub" / "n.py").write_text(texts[1])
+        (src / "pkg" / "notes.txt").write_text("not\ncounted\n")
+    assert drift.line_count(sources["old"]) == 3 and drift.line_count(sources["new"]) == 3
+    (sources["new"] / "top.py").write_text("x = 1\n" * 4)
     assert drift.drift("2.0", "2.0") == 0.0 and drift.drift("nan", "nan") == 0.0
     assert drift.drift("2.0", "2.5") == pytest.approx(0.2)
     assert drift.drift("-1e300", "1e300") == 2.0 and drift.drift("1.0", "inf") == math.inf
@@ -138,20 +148,23 @@ def test_output_drift_on_fixed_files(tmp_path, capsys):
     assert drift.compare(old / "growth.csv", new / "growth.csv") == "ln_M 0.2"
     assert drift.compare(old / "constants.json", new / "constants.json") == (
         "C 0.33; gate rows or text differ")
-    assert drift.report(tmp_path) == 1
+    assert drift.report(tmp_path, sources) == 1
     assert capsys.readouterr().out.splitlines() == [
         "scn/constants.json: C 0.33; gate rows or text differ",
         "scn/exit.txt: 0 -> 3",
         "scn/extra.csv: present in one tree only",
         "scn/growth.csv: ln_M 0.2",
         "scn/stdout.txt: identical",
+        "old src: 3 lines",
+        "new src: 7 lines",
         "1 of 5 identical",
     ]
     (new / "extra.csv").unlink()
     for name, (a, _) in files.items():
         (new / name).write_text(a)
-    assert drift.report(tmp_path) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "4 of 4 identical"
+    assert drift.report(tmp_path, sources) == 0
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        "old src: 3 lines", "new src: 7 lines", "4 of 4 identical"]
 
 
 GLIBC = pytest.mark.skipif(platform.libc_ver()[0] != "glibc",

@@ -3,7 +3,8 @@
 Runs every scenario of bench/scenarios.py once per tree, each in its own interpreter, into WORK/old
 and WORK/new.  For each output file, stdout.txt and exit.txt it prints ``identical``, the change of
 exit code, or the largest relative drift of each numeric column (constants.json key) that moved,
-and ends with the tally ``<k> of <n> identical``.  Exits 1 when any file, stdout or exit code differs, so 0 means byte identity."""
+then each tree's source line count (every *.py under OLD_SRC and NEW_SRC), and ends with the tally
+``<k> of <n> identical``.  Exits 1 when any file, stdout or exit code differs, so 0 means byte identity."""
 import contextlib, csv, io, json, math, os, subprocess, sys, tempfile
 from pathlib import Path
 
@@ -49,14 +50,22 @@ def compare(a: Path, b: Path) -> str:
     return "; ".join(out)
 
 
-def report(work: Path) -> int:
-    """Print the comparison of each file of WORK/old and WORK/new and the tally; 1 if any differs."""
+def line_count(src: Path) -> int:
+    """Lines of every *.py under src, as ``wc -l`` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in src.rglob("*.py"))
+
+
+def report(work: Path, sources: dict) -> int:
+    """Print the comparison of each file of WORK/old and WORK/new, the line count of each
+    source tree in ``sources`` ({"old": OLD_SRC, "new": NEW_SRC}) and the tally; 1 if any differs."""
     results = []
     for scn in sorted(p.name for p in (work / "old").iterdir()):
         for name in sorted({p.name for d in ("old", "new") for p in (work / d / scn).iterdir()}):
             result = compare(work / "old" / scn / name, work / "new" / scn / name)
             results.append(result)
             print(f"{scn}/{name}: {result}")
+    for tag, src in sources.items():
+        print(f"{tag} src: {line_count(Path(src))} lines")
     same = results.count("identical")
     print(f"{same} of {len(results)} identical")
     return 0 if same == len(results) else 1
@@ -66,7 +75,8 @@ if __name__ == "__main__":
     if sys.argv[1] == "--run":
         sys.exit(run_all(Path(sys.argv[2])))
     work = Path(sys.argv[3] if len(sys.argv) > 3 else tempfile.mkdtemp())
-    for tag, src in (("old", sys.argv[1]), ("new", sys.argv[2])):
+    sources = {"old": sys.argv[1], "new": sys.argv[2]}
+    for tag, src in sources.items():
         subprocess.run([sys.executable, __file__, "--run", str(work / tag)], check=True,
                        env=dict(os.environ, PYTHONPATH=os.path.abspath(src)))
-    sys.exit(report(work))
+    sys.exit(report(work, sources))
